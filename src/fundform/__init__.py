@@ -27,7 +27,6 @@ from .decompose import (
     brace_collapse,
     count_forms,
     decompose,
-    decompose_system,
     default_plan,
     ensure_verified,
     enumerate_plans,
@@ -36,7 +35,7 @@ from .decompose import (
     sigma_count,
     verify_divergence,
 )
-from .forms import FundamentalForm, assemble, exterior_derivative, forms_equivalent
+from .forms import assemble, exterior_derivative, forms_equivalent
 from .manufactured import ManufacturedSolution, parse_solution
 from .operators import (
     MatrixPDO,

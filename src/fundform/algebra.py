@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .ring import Poly, PolyLike
+from .ring import Poly, PolyLike, merge_terms
 
 
 class MultiIndex(tuple):
@@ -70,22 +70,17 @@ class MultiIndex(tuple):
 
 @dataclass(frozen=True)
 class BilinearTerm:
-    """One product  coeff * d^left q_{left_field} * d^right qt_{right_field}."""
+    """One product  coeff * d^left q_{left_field} * d^right qt_{right_field}.
+
+    Built as given: the engine passes a Poly and two MultiIndexes of one
+    dimension.  ``term`` is the constructor that coerces and checks.
+    """
 
     coeff: Poly
     left_field: int
     left: MultiIndex
     right_field: int
     right: MultiIndex
-
-    def __post_init__(self) -> None:
-        if len(self.left) != len(self.right):
-            raise ValueError(
-                f"multi-index dimension mismatch: {len(self.left)} vs {len(self.right)}"
-            )
-        object.__setattr__(self, "coeff", Poly.coerce(self.coeff))
-        object.__setattr__(self, "left", MultiIndex(self.left))
-        object.__setattr__(self, "right", MultiIndex(self.right))
 
     @property
     def key(self) -> tuple:
@@ -100,8 +95,9 @@ class BilinearTerm:
 
 def term(coeff: PolyLike, left, right, left_field: int = 0,
          right_field: int = 0) -> BilinearTerm:
-    return BilinearTerm(Poly.coerce(coeff), left_field, MultiIndex(left),
-                        right_field, MultiIndex(right))
+    left, right = MultiIndex(left), MultiIndex(right)
+    left._check(right)
+    return BilinearTerm(Poly.coerce(coeff), left_field, left, right_field, right)
 
 
 class BilinearExpr:
@@ -111,25 +107,15 @@ class BilinearExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[BilinearTerm] = ()) -> None:
-        acc: dict[tuple, Poly] = {}
-        dim = None
-        for t in terms:
-            if dim is None:
-                dim = len(t.left)
-            elif len(t.left) != dim:
-                raise ValueError("mixed ambient dimensions in one expression")
-            coeff = acc.get(t.key, None)
-            coeff = t.coeff if coeff is None else coeff + t.coeff
-            if coeff.is_zero:
-                acc.pop(t.key, None)
-            else:
-                acc[t.key] = coeff
+        pairs = [(t.key, t.coeff) for t in terms]
+        if len({len(key[2]) for key, _ in pairs}) > 1:
+            raise ValueError("mixed ambient dimensions in one expression")
         object.__setattr__(
             self,
             "_terms",
             tuple(
-                BilinearTerm(coeff, key[0], key[2], key[1], key[3])
-                for key, coeff in sorted(acc.items())
+                BilinearTerm(coeff, lf, left, rf, right)
+                for (lf, rf, left, right), coeff in merge_terms(pairs)
             ),
         )
 
@@ -182,13 +168,8 @@ class BilinearExpr:
     def scale(self, value: PolyLike) -> "BilinearExpr":
         return BilinearExpr(t.scaled(value) for t in self._terms)
 
-    def as_dict(self) -> dict:
-        return {t.key: t.coeff for t in self._terms}
-
     def __repr__(self) -> str:
-        from .emit import bilinear_text
-
-        return f"BilinearExpr({bilinear_text(self)})"
+        return f"BilinearExpr({list(self._terms)!r})"
 
 
 ZERO_EXPR = BilinearExpr()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -20,8 +19,8 @@ from .catalog import CATALOG_TAGS, builtin_solutions, stokes_operator
 from .decompose import (
     DEFAULT_PLAN_CEILING,
     DecompositionPlan,
+    EngineError,
     EnumerationLimit,
-    PlanError,
     TermPlan,
     _operator_terms,
     count_forms,
@@ -32,9 +31,9 @@ from .decompose import (
     term_plan_count,
 )
 from .forms import assemble, forms_equivalent
-from .manufactured import ManufacturedSolution, SolutionSyntaxError
+from .manufactured import ManufacturedSolution
 from .operators import MatrixPDO, Operator
-from .parser import OperatorSyntaxError, parse_operator, parse_poly
+from .parser import parse_operator, parse_poly
 from .ring import Poly
 from .spectral import (
     adjoint_constraint,
@@ -205,16 +204,15 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     op = _load_operator(args)
-    ceiling = int(os.environ.get("FUNDFORM_PLAN_CEILING", DEFAULT_PLAN_CEILING))
     total = count_forms(op)
-    document: dict = {"count": total, "ceiling": ceiling}
-    if total > ceiling:
+    document: dict = {"count": total, "ceiling": DEFAULT_PLAN_CEILING}
+    if total > DEFAULT_PLAN_CEILING:
         document["plans"] = None
         document["note"] = "plan family exceeds the ceiling; count only"
         _emit(args, document, f"N(\\mathcal{{L}}) = {total}",
-              f"N = {total} (exceeds ceiling {ceiling}; count only)")
+              f"N = {total} (exceeds ceiling {DEFAULT_PLAN_CEILING}; count only)")
         return 0
-    plans = list(enumerate_plans(op, ceiling))
+    plans = list(enumerate_plans(op))
     document["plans"] = [_plan_json(op, plan) for plan in plans]
     if total <= PAIRWISE_SUMMARY_LIMIT:
         forms = [assemble(decompose(op, plan)) for plan in plans]
@@ -434,11 +432,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OperatorSyntaxError, SolutionSyntaxError,
-            PlanError, EnumerationLimit, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except EngineError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError, EnumerationLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,7 +66,7 @@ class EnumerationLimit(RuntimeError):
         self.ceiling = ceiling
 
 
-class EngineError(AssertionError):
+class EngineError(RuntimeError):
     """An internal rewrite failed its oracle check; always a bug."""
 
 
@@ -400,12 +400,16 @@ def enumerate_plans(op: Operator,
 
 @dataclass(frozen=True)
 class DivergenceDecomposition:
-    """Fluxes a_1..a_n with  sum_j d_j a_j  equal to the operator pairing."""
+    """Fluxes a_1..a_n with  sum_j d_j a_j  equal to the operator pairing.
+
+    Once verified it is also the fundamental form (see ``forms``); a form
+    written by hand has no plan and may have no source.
+    """
 
     axes: tuple
     fluxes: tuple
-    source: Operator
-    plan: DecompositionPlan
+    source: Operator | None
+    plan: DecompositionPlan | None = None
     verified: bool = False
 
     @property
@@ -467,13 +471,6 @@ def decompose(op: Operator,
         )
     return DivergenceDecomposition(op.axes, tuple(fluxes), op, plan,
                                    verified=True)
-
-
-def decompose_system(op: MatrixPDO,
-                     plan: DecompositionPlan | None = None) -> DivergenceDecomposition:
-    if not isinstance(op, MatrixPDO):
-        raise TypeError("decompose_system expects a matrix operator")
-    return decompose(op, plan)
 
 
 def verify_divergence(dec: DivergenceDecomposition,

@@ -8,7 +8,6 @@ from typing import Sequence
 
 from .algebra import BilinearExpr, MultiIndex
 from .decompose import DivergenceDecomposition
-from .forms import FundamentalForm
 from .ring import Poly, pretty_name
 from .spectral import (
     GlobalRelation,
@@ -118,17 +117,6 @@ def decomposition_text(dec: DivergenceDecomposition) -> str:
     return "\n".join(lines)
 
 
-def form_json(form: FundamentalForm) -> dict:
-    return {
-        "axes": list(form.axes),
-        "orientation": "(-1)^(j+1) a_j dx^1^...^(dx^j omitted)^...^dx^n",
-        "fluxes": [
-            {"axis": axis, "terms": bilinear_terms_json(flux)}
-            for axis, flux in zip(form.axes, form.fluxes)
-        ],
-    }
-
-
 def _wedge(axes: Sequence[str], omit: int) -> str:
     factors = [
         f"\\widehat{{\\mathrm{{d}}{axes[j]}}}" if j == omit else f"\\mathrm{{d}}{axes[j]}"
@@ -137,7 +125,7 @@ def _wedge(axes: Sequence[str], omit: int) -> str:
     return " \\wedge ".join(factors)
 
 
-def form_latex(form: FundamentalForm) -> str:
+def form_latex(form: DivergenceDecomposition) -> str:
     fields = _field_names(form.source)
     pieces = []
     for j, (axis, flux) in enumerate(zip(form.axes, form.fluxes)):

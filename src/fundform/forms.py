@@ -5,52 +5,35 @@ Convention, fixed once: with axes x^1..x^n in declaration order,
     eta = sum_j (-1)^(j+1) a_j dx^1 ^ ... ^ (dx^j omitted) ^ ... ^ dx^n
 
 so that  d eta = (sum_j d_j a_j) dx^1 ^ ... ^ dx^n  with no stray signs.
-Two forms for the same operator are equivalent exactly when their flux
-difference is divergence-free as an identity (no equation on q or qt
+A form is the verified DivergenceDecomposition itself: its fluxes are the
+a_j.  Two forms for the same operator are equivalent exactly when their
+flux difference is divergence-free as an identity (no equation on q or qt
 assumed); equivalent forms produce identical boundary relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import BilinearExpr, divergence
 from .decompose import DivergenceDecomposition
 
-ORIENTATION = "interior"  # (-1)^(j+1) prefactor, axes in declaration order
 
-
-@dataclass(frozen=True)
-class FundamentalForm:
-    axes: tuple
-    fluxes: tuple
-    source: object
-    convention: str = ORIENTATION
-
-    @property
-    def dimension(self) -> int:
-        return len(self.axes)
-
-    def flux(self, axis: str) -> BilinearExpr:
-        return self.fluxes[self.axes.index(axis)]
-
-
-def assemble(dec: DivergenceDecomposition) -> FundamentalForm:
-    """Wrap a verified decomposition as a form; unverified input is refused."""
+def assemble(dec: DivergenceDecomposition) -> DivergenceDecomposition:
+    """The form of a verified decomposition; unverified input is refused."""
     if not dec.verified:
         raise ValueError(
             "refusing to assemble an unverified decomposition; "
             "run it through verify first"
         )
-    return FundamentalForm(dec.axes, dec.fluxes, dec.source)
+    return dec
 
 
-def exterior_derivative(form: FundamentalForm) -> BilinearExpr:
+def exterior_derivative(form: DivergenceDecomposition) -> BilinearExpr:
     """Coefficient of the volume form in d eta, i.e. sum_j d_j a_j."""
     return divergence(form.fluxes)
 
 
-def forms_equivalent(f: FundamentalForm, g: FundamentalForm) -> bool:
+def forms_equivalent(f: DivergenceDecomposition,
+                     g: DivergenceDecomposition) -> bool:
     """True when the flux difference is identically divergence-free."""
     if f.dimension != g.dimension:
         raise ValueError(

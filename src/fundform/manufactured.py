@@ -20,6 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .parser import MAX_NESTING
+
 
 class Expr:
     __slots__ = ()
@@ -240,6 +242,7 @@ class _SolutionParser:
         self.tokens = _tokenize_solution(source)
         self.axes = set(axes)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -287,6 +290,17 @@ class _SolutionParser:
             raise SolutionSyntaxError("expected integer exponent after '^'")
         return power(base, int(text))
 
+    def nested(self) -> Expr:
+        """An expression inside parentheses, at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise SolutionSyntaxError(
+                f"parentheses nested deeper than {MAX_NESTING} levels"
+            )
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        return inner
+
     def atom(self) -> Expr:
         kind, text = self.next()
         if kind == "num":
@@ -298,7 +312,7 @@ class _SolutionParser:
                 if self.peek()[1] != "(":
                     raise SolutionSyntaxError(f"{text} needs a parenthesised argument")
                 self.next()
-                inner = self.expr()
+                inner = self.nested()
                 if self.next()[1] != ")":
                     raise SolutionSyntaxError(f"unclosed argument of {text}")
                 return _FUNCTIONS[text](inner)
@@ -308,7 +322,7 @@ class _SolutionParser:
                 return Const(1j)
             raise SolutionSyntaxError(f"unknown name {text!r} in solution text")
         if text == "(":
-            inner = self.expr()
+            inner = self.nested()
             if self.next()[1] != ")":
                 raise SolutionSyntaxError("unclosed parenthesis")
             return inner

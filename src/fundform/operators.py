@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import BilinearExpr, BilinearTerm, MultiIndex, brace, bracket
-from .ring import P_I, Poly, PolyLike, QI_I
+from .ring import P_I, Poly, PolyLike, QI_I, merge_terms
 
 
 @dataclass(frozen=True)
@@ -26,21 +26,14 @@ class ScalarPDO:
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
         n = len(self.axes)
-        acc: dict[MultiIndex, Poly] = {}
-        for alpha, coeff in self.terms:
-            alpha = MultiIndex(alpha)
+        pairs = [(MultiIndex(alpha), Poly.coerce(coeff))
+                 for alpha, coeff in self.terms]
+        for alpha, _ in pairs:
             if len(alpha) != n:
                 raise ValueError(
                     f"multi-index {tuple(alpha)} does not match {n} axes"
                 )
-            coeff = Poly.coerce(coeff)
-            prev = acc.get(alpha)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero:
-                acc.pop(alpha, None)
-            else:
-                acc[alpha] = coeff
-        object.__setattr__(self, "terms", tuple(sorted(acc.items())))
+        object.__setattr__(self, "terms", merge_terms(pairs))
 
     @staticmethod
     def build(axes: Sequence[str], terms: Mapping | Iterable) -> "ScalarPDO":
@@ -58,18 +51,6 @@ class ScalarPDO:
     @property
     def order(self) -> int:
         return max((alpha.order for alpha, _ in self.terms), default=0)
-
-    def term_dict(self) -> dict:
-        return dict(self.terms)
-
-    def coefficient(self, alpha) -> Poly:
-        return self.term_dict().get(MultiIndex(alpha), Poly())
-
-    def axis_index(self, name: str) -> int:
-        try:
-            return self.axes.index(name)
-        except ValueError:
-            raise KeyError(f"unknown axis {name!r}; have {self.axes}") from None
 
     def __add__(self, other: "ScalarPDO") -> "ScalarPDO":
         if self.axes != other.axes:
@@ -204,6 +185,19 @@ def apply_symbol(op: ScalarPDO, values: Sequence[PolyLike]) -> Poly:
                 factor = factor * values[k] ** e
         total = total + factor
     return total
+
+
+def apply_symbol_rows(op: Operator, values: Sequence[PolyLike],
+                      amplitudes: Sequence[PolyLike]) -> tuple:
+    """Rows  sum_j apply_symbol(L_ij, values) * amplitudes[j]  of the
+    symbol matrix applied to an amplitude vector; a scalar operator is a
+    1x1 grid."""
+    rows = op.entries if isinstance(op, MatrixPDO) else ((op,),)
+    return tuple(
+        sum((apply_symbol(entry, values) * amp
+             for entry, amp in zip(row, amplitudes)), Poly())
+        for row in rows
+    )
 
 
 def symbol(op: ScalarPDO, names: Sequence[str], sign: int = 1) -> Poly:

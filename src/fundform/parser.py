@@ -26,7 +26,11 @@ from typing import Sequence
 
 from .algebra import MultiIndex
 from .operators import MatrixPDO, Operator, ScalarPDO
-from .ring import P_I, Poly
+from .ring import P_I, Poly, merge_terms
+
+# Deepest parenthesis nesting the recursive-descent grammars accept; it
+# keeps hostile input far from the interpreter's recursion limit.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
                        r"|(?P<sym>[-+*^(),;/]))")
@@ -102,70 +106,53 @@ def _parse_name_list(tokens: _Tokens, what: str) -> list:
 
 
 class _ExprParser:
-    """Parses an expression into a map multi-index -> Poly coefficient."""
+    """Parses an expression into (multi-index, Poly coefficient) pairs."""
 
     def __init__(self, tokens: _Tokens, axes: Sequence[str],
                  params: Sequence[str]) -> None:
         self.tokens = tokens
         self.axes = list(axes)
         self.params = set(params)
+        self.depth = 0
 
-    def _mono(self, axis: int, exp: int = 1) -> dict:
+    def _mono(self, axis: int, exp: int = 1) -> tuple:
         alpha = [0] * len(self.axes)
         alpha[axis] = exp
-        return {MultiIndex(alpha): Poly.const(1)}
+        return ((MultiIndex(alpha), Poly.const(1)),)
 
     @staticmethod
-    def _const(poly: Poly, n: int) -> dict:
-        return {MultiIndex.zero(n): poly}
+    def _const(poly: Poly, n: int) -> tuple:
+        return ((MultiIndex.zero(n), poly),)
 
     @staticmethod
-    def _add(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for alpha, coeff in b.items():
-            total = out.get(alpha, Poly()) + coeff
-            if total.is_zero:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = total
-        return out
+    def _mul(a: tuple, b: tuple) -> tuple:
+        return merge_terms(
+            (alpha + beta, ca * cb) for alpha, ca in a for beta, cb in b
+        )
 
-    @staticmethod
-    def _mul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for alpha, ca in a.items():
-            for beta, cb in b.items():
-                key = alpha + beta
-                total = out.get(key, Poly()) + ca * cb
-                if total.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = total
-        return out
-
-    def expr(self) -> dict:
+    def expr(self) -> tuple:
         sign = 1
         if self.tokens.peek()[1] in ("+", "-"):
             sign = -1 if self.tokens.next()[1] == "-" else 1
         total = self.term()
         if sign < 0:
-            total = {a: -c for a, c in total.items()}
+            total = tuple((a, -c) for a, c in total)
         while self.tokens.peek()[1] in ("+", "-"):
             op = self.tokens.next()[1]
             rhs = self.term()
             if op == "-":
-                rhs = {a: -c for a, c in rhs.items()}
-            total = self._add(total, rhs)
+                rhs = tuple((a, -c) for a, c in rhs)
+            total = merge_terms(total + rhs)
         return total
 
-    def term(self) -> dict:
+    def term(self) -> tuple:
         total = self.factor()
         while self.tokens.peek()[1] == "*":
             self.tokens.next()
             total = self._mul(total, self.factor())
         return total
 
-    def factor(self) -> dict:
+    def factor(self) -> tuple:
         base = self.primary()
         if self.tokens.peek()[1] != "^":
             return base
@@ -180,7 +167,7 @@ class _ExprParser:
             out = self._mul(out, base)
         return out
 
-    def primary(self) -> dict:
+    def primary(self) -> tuple:
         kind, text, pos = self.tokens.next()
         n = len(self.axes)
         if kind == "int":
@@ -206,7 +193,14 @@ class _ExprParser:
             raise OperatorSyntaxError(f"unknown parameter or axis name {text!r}",
                                       self.tokens.source, pos)
         if text == "(":
+            if self.depth == MAX_NESTING:
+                raise OperatorSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels",
+                    self.tokens.source, pos,
+                )
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.tokens.expect(")")
             return inner
         found = text or "end of input"
@@ -398,4 +392,4 @@ def parse_poly(source: str, names: Sequence[str]) -> Poly:
     if kind != "eof":
         raise OperatorSyntaxError(f"unexpected trailing input {text!r}",
                                   tokens.source, pos)
-    return table.get(MultiIndex(()), Poly())
+    return dict(table).get(MultiIndex(()), Poly())

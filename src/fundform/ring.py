@@ -141,14 +141,27 @@ def pretty_name(name: str) -> str:
     return f"{head}_{{{sub}}}" if sub else head
 
 
+def merge_terms(pairs: Iterable) -> tuple:
+    """Sum the coefficients of equal keys, drop zero sums and return the
+    (key, coefficient) pairs sorted by key.
+
+    The one sparse merge of the engine: monomials, polynomials, bilinear
+    expressions, operators, parsed expressions and substituted fluxes all
+    canonicalise through it.
+    """
+    acc: dict = {}
+    for key, coeff in pairs:
+        prev = acc.get(key)
+        acc[key] = coeff if prev is None else prev + coeff
+    return tuple(sorted(item for item in acc.items() if item[1]))
+
+
 def _normalize_mono(mono: Iterable) -> Mono:
-    acc: dict[str, int] = {}
+    mono = tuple(mono)
     for name, exp in mono:
         if exp < 0:
             raise ValueError(f"negative exponent for {name!r}")
-        if exp:
-            acc[name] = acc.get(name, 0) + exp
-    return tuple(sorted(acc.items()))
+    return merge_terms(mono)
 
 
 class Poly:
@@ -161,17 +174,10 @@ class Poly:
 
     def __init__(self, terms: Mapping | Iterable = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Mono, GaussianRational] = {}
-        for mono, coeff in items:
-            mono = _normalize_mono(mono)
-            coeff = GaussianRational.coerce(coeff)
-            prev = acc.get(mono)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = coeff
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
+        object.__setattr__(self, "_terms", merge_terms(
+            (_normalize_mono(mono), GaussianRational.coerce(coeff))
+            for mono, coeff in items
+        ))
 
     @staticmethod
     def const(value: ScalarLike) -> "Poly":

@@ -17,12 +17,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import MultiIndex
-from .decompose import decompose, default_plan
-from .forms import FundamentalForm, assemble
-from .operators import MatrixPDO, ScalarPDO, adjoint, apply_symbol, symbol
-from .ring import GaussianRational, P_I, Poly, PolyLike, QI_I, QI_ONE
-
-SpectralPoly = Poly
+from .catalog import stokes_operator
+from .decompose import DivergenceDecomposition, decompose, default_plan
+from .forms import assemble
+from .operators import MatrixPDO, ScalarPDO, adjoint, apply_symbol_rows, symbol
+from .ring import GaussianRational, P_I, Poly, PolyLike, QI_I, QI_ONE, merge_terms
 
 
 @dataclass(frozen=True)
@@ -48,19 +47,15 @@ class SubstitutedForm:
         return tuple(unit * s for s in self.sigma)
 
 
-def _merge_spectral_terms(terms) -> tuple:
-    acc: dict = {}
-    for coeff, field, deriv in terms:
-        key = (field, deriv)
-        total = acc.get(key, Poly()) + coeff
-        if total.is_zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = total
-    return tuple((coeff, field, deriv) for (field, deriv), coeff in sorted(acc.items()))
+def _merge_spectral_terms(pairs) -> tuple:
+    """Flux terms (coeff, field, deriv) from ((field, deriv), coeff) pairs."""
+    return tuple(
+        (coeff, field, deriv) for (field, deriv), coeff in merge_terms(pairs)
+    )
 
 
-def substitute_exponential(form: FundamentalForm, sigma: Sequence[PolyLike],
+def substitute_exponential(form: DivergenceDecomposition,
+                           sigma: Sequence[PolyLike],
                            sign: int = 1,
                            amplitudes: Sequence[PolyLike] | None = None) -> SubstitutedForm:
     """Replace every test-slot derivative d^nu qt_g by
@@ -102,8 +97,7 @@ def substitute_exponential(form: FundamentalForm, sigma: Sequence[PolyLike],
             for j, e in enumerate(t.right):
                 if e:
                     coeff = coeff * slopes[j] ** e
-            if not coeff.is_zero:
-                terms.append((coeff, t.left_field, t.left))
+            terms.append(((t.left_field, t.left), coeff))
         out.append(_merge_spectral_terms(terms))
     return SubstitutedForm(form.axes, sign, sigma, amplitudes, tuple(out))
 
@@ -115,8 +109,8 @@ def spectral_exterior_derivative(sf: SubstitutedForm) -> tuple:
     terms = []
     for j, flux in enumerate(sf.fluxes):
         for coeff, field, deriv in flux:
-            terms.append((coeff * slopes[j], field, deriv))
-            terms.append((coeff, field, deriv.incr(j)))
+            terms.append(((field, deriv), coeff * slopes[j]))
+            terms.append(((field, deriv.incr(j)), coeff))
     return _merge_spectral_terms(terms)
 
 
@@ -196,9 +190,6 @@ class RelationTerm:
     field: int
     deriv: MultiIndex
 
-    def sort_key(self) -> tuple:
-        return (self.axis, self.end, self.field, self.deriv)
-
 
 @dataclass(frozen=True)
 class GlobalRelation:
@@ -231,26 +222,23 @@ def global_relation(sf: SubstitutedForm, box: Sequence) -> GlobalRelation:
         raise ValueError("box must give one interval per axis")
     intervals = tuple((Poly.coerce(lo), Poly.coerce(hi)) for lo, hi in box)
     slopes = sf.exponent_slopes()
-    acc: dict = {}
-    for j, flux in enumerate(sf.fluxes):
-        for end, orientation in (("hi", 1), ("lo", -1)):
-            endpoint = intervals[j][1] if end == "hi" else intervals[j][0]
-            weight_exponent = slopes[j] * endpoint
-            for coeff, field, deriv in flux:
-                key = (j, end, orientation, weight_exponent, field, deriv)
-                total = acc.get(key, Poly()) + coeff
-                if total.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-    terms = tuple(
-        RelationTerm(axis, end, orientation, coeff, weight_exponent, field, deriv)
-        for (axis, end, orientation, weight_exponent, field, deriv), coeff
-        in acc.items()
+    faces = {
+        (j, end): (orientation, slopes[j] * endpoint)
+        for j, (lo, hi) in enumerate(intervals)
+        for end, orientation, endpoint in (("hi", 1, hi), ("lo", -1, lo))
+    }
+    merged = merge_terms(
+        ((j, end, field, deriv), coeff)
+        for (j, end) in faces
+        for coeff, field, deriv in sf.fluxes[j]
     )
-    terms = tuple(sorted(terms, key=RelationTerm.sort_key))
+    terms = []
+    for (j, end, field, deriv), coeff in merged:
+        orientation, weight_exponent = faces[j, end]
+        terms.append(RelationTerm(j, end, orientation, coeff, weight_exponent,
+                                  field, deriv))
     return GlobalRelation(sf.axes, intervals, sf.sigma, sf.sign,
-                          sf.amplitudes, terms)
+                          sf.amplitudes, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +354,12 @@ def stokes_adjoint_residual(triple: SpinorTriple,
                             xi3: PolyLike | None = None) -> tuple:
     """Rows of L^+ applied to (k, xi3) exp(-i k.x + i xi3 t); all rows are
     identically zero because k.k = 0 holds as a polynomial identity."""
-    from .catalog import stokes_operator
-
     xi3 = Poly.var("xi3") if xi3 is None else Poly.coerce(xi3)
-    op = adjoint(stokes_operator())
     minus_i = Poly.const(-QI_I)
     slopes = [minus_i * triple.k[0], minus_i * triple.k[1], minus_i * triple.k[2],
               P_I * xi3]
     amplitudes = [triple.k[0], triple.k[1], triple.k[2], xi3]
-    rows = []
-    for i in range(op.size):
-        row = Poly()
-        for j in range(op.size):
-            row = row + apply_symbol(op.entries[i][j], slopes) * amplitudes[j]
-        rows.append(row)
-    return tuple(rows)
+    return apply_symbol_rows(adjoint(stokes_operator()), slopes, amplitudes)
 
 
 def verify_stokes_adjoint(triple: SpinorTriple,

@@ -15,9 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .catalog import builtin_solutions
+from .decompose import decompose
+from .forms import assemble
 from .manufactured import ManufacturedSolution
-from .operators import MatrixPDO, Operator
-from .spectral import SubstitutedForm
+from .operators import MatrixPDO, Operator, adjoint, apply_symbol_rows
+from .ring import P_ONE, QI_I, Poly
+from .spectral import SubstitutedForm, substitute_exponential
 
 DEFAULT_RELATIVE_TOL = 1e-8
 
@@ -160,53 +164,49 @@ def convergence_residuals(sf: SubstitutedForm, solution: ManufacturedSolution,
 CONSTRAINT_TOL = 1e-12
 
 
+def _spectral_slots(sigma: Sequence[complex],
+                    amplitudes: Sequence[complex] | None,
+                    params: Mapping | None) -> tuple:
+    """Named Poly slots sg<j> and am<j> for numeric spectral data, plus the
+    assignment binding them and the operator parameters."""
+    names = [f"sg{j}" for j in range(len(sigma))]
+    assignment = dict(zip(names, sigma))
+    assignment.update(params or {})
+    amplitude_slots = None
+    if amplitudes is not None:
+        anames = [f"am{j}" for j in range(len(amplitudes))]
+        amplitude_slots = [Poly.var(a) for a in anames]
+        assignment.update(zip(anames, amplitudes))
+    return [Poly.var(n) for n in names], amplitude_slots, assignment
+
+
 def adjoint_point_residual(op: Operator, sigma: Sequence[complex], sign: int,
                            amplitudes: Sequence[complex] | None,
                            params: Mapping | None = None) -> float:
     """|rows of the adjoint symbol applied to the exponential data|; must be
     ~0 for the spectral point to sit on the constraint variety."""
-    from .operators import adjoint
-
-    params = dict(params or {})
-    slopes = [sign * 1j * s for s in sigma]
+    sigma_slots, amplitude_slots, assignment = _spectral_slots(
+        sigma, amplitudes, params
+    )
     adj = adjoint(op)
-    rows = adj.entries if isinstance(adj, MatrixPDO) else ((adj,),)
-    amps = list(amplitudes) if amplitudes is not None else [1.0] * len(rows)
-    worst = 0.0
-    for row in rows:
-        total = 0j
-        for j, entry in enumerate(row):
-            for alpha, coeff in entry.terms:
-                value = coeff.evaluate(params) * amps[j]
-                for k, e in enumerate(alpha):
-                    value *= slopes[k] ** e
-                total += value
-        worst = max(worst, abs(total))
-    return worst
+    if amplitude_slots is None:
+        amplitude_slots = [P_ONE] * (adj.size if isinstance(adj, MatrixPDO) else 1)
+    unit = Poly.const(QI_I * sign)
+    rows = apply_symbol_rows(adj, [unit * s for s in sigma_slots],
+                             amplitude_slots)
+    return max(abs(row.evaluate(assignment)) for row in rows)
 
 
 def case_substituted_form(case, dec=None) -> tuple:
     """Substituted form of a catalog case at named spectral slots, plus the
     numeric assignment binding them (spectral data and parameters)."""
-    from .decompose import decompose
-    from .forms import assemble
-    from .spectral import substitute_exponential
-    from .ring import Poly
-
     if dec is None:
         dec = decompose(case.operator)
-    form = assemble(dec)
-    names = [f"sg{j}" for j in range(len(case.sigma))]
-    assignment = dict(zip(names, case.sigma))
-    assignment.update(case.params)
-    amplitudes = None
-    if case.amplitudes is not None:
-        anames = [f"am{j}" for j in range(len(case.amplitudes))]
-        amplitudes = [Poly.var(a) for a in anames]
-        assignment.update(zip(anames, case.amplitudes))
-    sf = substitute_exponential(
-        form, [Poly.var(n) for n in names], case.sign, amplitudes
+    sigma_slots, amplitude_slots, assignment = _spectral_slots(
+        case.sigma, case.amplitudes, case.params
     )
+    sf = substitute_exponential(assemble(dec), sigma_slots, case.sign,
+                                amplitude_slots)
     return sf, assignment
 
 
@@ -215,8 +215,6 @@ def run_catalog_case(tag: str, nodes: int = 20, seed: int = 0,
                      tol: float = DEFAULT_RELATIVE_TOL) -> dict:
     """Full pipeline for one catalog tag: pre-check the solution and the
     spectral point, then integrate the substituted form over the box."""
-    from .catalog import builtin_solutions
-
     case = builtin_solutions(tag)[0]
     used_solution = solution if solution is not None else case.solution
     pde_residual = interior_residual(case.operator, used_solution, case.box,

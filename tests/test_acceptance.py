@@ -11,7 +11,6 @@ from fundform.algebra import BilinearExpr, MultiIndex, divergence, term
 from fundform.decompose import (
     count_forms,
     decompose,
-    decompose_system,
     enumerate_plans,
     sigma_count,
     verify_divergence,
@@ -148,7 +147,7 @@ def test_criterion_4_reference_decompositions():
         triple = decompose(triple_product_operator())
         assert triple.fluxes == _triple_product_flux_fixture()
 
-        stokes = decompose_system(stokes_operator())
+        stokes = decompose(stokes_operator())
         assert stokes.fluxes == _stokes_flux_fixture()
         assert (divergence(stokes.fluxes)
                 == system_bilinear_rhs(stokes_operator()))

@@ -1,5 +1,9 @@
+import importlib
 import json
 
+import pytest
+
+from fundform.algebra import partial
 from fundform.cli import main
 from fundform.catalog import STOKES_JSON
 
@@ -63,12 +67,14 @@ def test_enumerate_summary(capsys):
     assert document["pairwise_equivalent"] is True
 
 
-def test_enumerate_ceiling_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("FUNDFORM_PLAN_CEILING", "5")
-    code, out, _ = run(capsys, "enumerate", "--op", TRIPLE)
+def test_enumerate_ceiling_fallback(capsys):
+    # ten first-order axes: N = 10! = 3628800 plans, above the 10^6 ceiling
+    axes = [f"x{k}" for k in range(10)]
+    op = f"axes {','.join(axes)}; " + "*".join(f"D{a}" for a in axes)
+    code, out, _ = run(capsys, "enumerate", "--op", op)
     document = json.loads(out)
     assert code == 0
-    assert document["count"] == 12
+    assert document["count"] == 3628800
     assert document["plans"] is None
 
 
@@ -127,6 +133,31 @@ def test_missing_operator_exits_2(capsys):
 def test_unknown_case_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--case", "plate")
     assert code == 2
+
+
+DEEP = "(" * 3000 + "{}" + ")" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--op", "axes x,t; " + DEEP.format("Dx")),
+    ("global-relation", "--op", "axes x,t; Dt^2 - Dx^2", "--spectral-names", "k",
+     "--sigma", DEEP.format("k") + ",-k"),
+    ("verify", "--case", "wave", "--solution", DEEP.format("x")),
+])
+def test_deep_nesting_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "nested deeper" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_engine_fault_exits_1(capsys, monkeypatch):
+    engine = importlib.import_module("fundform.decompose")
+    monkeypatch.setattr(engine, "partial", lambda expr, k: partial(expr, k).scale(2))
+    code, out, err = run(capsys, "decompose", "--op", "axes x,t; Dt^2 - Dx^2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal check failed: ")
+    assert err.count("\n") == 1
 
 
 def test_bad_box_exits_2(capsys):

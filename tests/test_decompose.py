@@ -25,7 +25,6 @@ from fundform.decompose import (
     brace_collapse_pair,
     count_forms,
     decompose,
-    decompose_system,
     default_term_plan,
     ensure_verified,
     enumerate_plans,
@@ -367,7 +366,7 @@ def test_block_diagonal_system_decouples():
     heat = heat_operator()
     zero = ScalarPDO.build(heat.axes, {})
     grid = MatrixPDO(heat.axes, ("a", "b"), ((heat, zero), (zero, heat)))
-    dec = decompose_system(grid)
+    dec = decompose(grid)
     scalar = decompose(heat)
     for axis in range(2):
         parts = expr_dict(dec.fluxes[axis])
@@ -383,15 +382,10 @@ def test_coupled_system_gains_mixed_field_flux():
     coupling = parse_operator("axes x,t; Dx")
     grid = MatrixPDO(heat.axes, ("a", "b"),
                      ((heat, coupling), (zero, heat)))
-    dec = decompose_system(grid)
+    dec = decompose(grid)
     assert verify_divergence(dec).is_zero
     # the d_x coupling of field b into row a contributes the flux  q_b qt_a
     assert expr_dict(dec.fluxes[0])[(1, 0, (0, 0), (0, 0))] == Poly.const(1)
-
-
-def test_decompose_system_requires_matrix():
-    with pytest.raises(TypeError):
-        decompose_system(wave_operator())
 
 
 def _stokes_flux_fixture():
@@ -414,7 +408,7 @@ def _stokes_flux_fixture():
 
 
 def test_stokes_decomposition_matches_density_and_fluxes():
-    dec = decompose_system(stokes_operator())
+    dec = decompose(stokes_operator())
     expected = _stokes_flux_fixture()
     for flux, fixture in zip(dec.fluxes, expected):
         assert expr_dict(flux) == fixture
@@ -424,5 +418,5 @@ def test_stokes_decomposition_matches_density_and_fluxes():
 def test_divergence_of_stokes_fluxes_is_system_pairing():
     from fundform.operators import system_bilinear_rhs
 
-    dec = decompose_system(stokes_operator())
+    dec = decompose(stokes_operator())
     assert divergence(dec.fluxes) == system_bilinear_rhs(stokes_operator())

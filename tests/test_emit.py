@@ -1,6 +1,6 @@
 import json
 
-from fundform.decompose import decompose, decompose_system
+from fundform.decompose import decompose
 from fundform.forms import assemble
 from fundform.parser import parse_operator
 from fundform.ring import Poly
@@ -9,7 +9,6 @@ from fundform.emit import (
     bilinear_text,
     decomposition_json,
     decomposition_latex,
-    form_json,
     form_latex,
     relation_json,
     relation_latex,
@@ -21,7 +20,7 @@ from fundform.catalog import stokes_operator, wave_operator
 def test_bilinear_text_scalar_and_fields():
     dec = decompose(wave_operator())
     assert bilinear_text(dec.fluxes[1], dec.axes) == "-q*q~_t + q_t*q~"
-    stokes = decompose_system(stokes_operator())
+    stokes = decompose(stokes_operator())
     text = bilinear_text(stokes.fluxes[3], stokes.axes, stokes.source.fields)
     assert text == "u1*u1~ + u2*u2~ + u3*u3~"
 
@@ -52,15 +51,8 @@ def test_form_latex_renders_omitted_factors_with_hats():
     assert " - " in text or text.count("-\\left") >= 1
 
 
-def test_form_json_carries_sign_metadata():
-    form = assemble(decompose(wave_operator()))
-    document = form_json(form)
-    assert "(-1)^(j+1)" in document["orientation"]
-    assert [flux["axis"] for flux in document["fluxes"]] == ["x", "t"]
-
-
 def test_stokes_form_latex_uses_field_names():
-    form = assemble(decompose_system(stokes_operator()))
+    form = assemble(decompose(stokes_operator()))
     text = form_latex(form)
     assert "\\tilde{u1}" in text or "\\tilde{u_" in text or "u1" in text
     assert "\\widehat{\\mathrm{d}t}" in text

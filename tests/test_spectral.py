@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_operator
 from fundform.algebra import BilinearExpr, term
-from fundform.decompose import decompose
-from fundform.forms import FundamentalForm, assemble
+from fundform.decompose import DivergenceDecomposition, decompose
+from fundform.forms import assemble
 from fundform.operators import adjoint, apply_symbol, symbol
 from fundform.parser import parse_operator
 from fundform.ring import P_I, Poly, QI_I
@@ -115,7 +115,7 @@ def test_biharmonic_x_flux_matches_reference_display():
 
 def test_pure_test_slot_terms_become_polynomial_multiples_of_q():
     flux = BilinearExpr([term(1, (0, 0), (2, 1))])
-    form = FundamentalForm(("x", "y"), (flux, BilinearExpr()), None)
+    form = DivergenceDecomposition(("x", "y"), (flux, BilinearExpr()), None)
     sub = substitute_exponential(form, [var("a"), var("b")], sign=1)
     coeff = spectral_dict(sub.fluxes[0])[(0, (0, 0))]
     assert coeff == (P_I * var("a")) ** 2 * (P_I * var("b"))
