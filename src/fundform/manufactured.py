@@ -1,207 +1,144 @@
-"""Closed-form trial solutions with exact symbolic differentiation.
+"""Exponential-polynomial trial solutions with closed-form derivatives.
 
-Expression trees over coordinate powers, exp, sin and cos with complex
-coefficients; closed under sums, products and differentiation, so every
-boundary trace is differentiated symbolically and only then evaluated
-(vectorised over numpy grids).  Small text grammar::
+A solution field is a finite sum of terms ``c * x^a * exp(lam . x)``: per-axis
+powers ``a``, complex per-axis slopes ``lam`` and a complex coefficient
+``c``.  By the Ehrenpreis-Palamodov fundamental principle such sums span
+the solution spaces of constant-coefficient systems, and the class is
+closed under differentiation without growing:
+
+    d/dx_k c x^a e^(lam.x) = lam_k c x^a e^(lam.x) + a_k c x^(a-e_k) e^(lam.x)
+
+so every boundary trace is differentiated in closed form and only then
+evaluated (vectorised over numpy grids).  Small text grammar::
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := atom ('^' INT)?
     atom   := NUMBER['i'] | 'i' | coordinate | exp(expr) | sin(expr)
               | cos(expr) | '(' expr ')'
+
+The argument of exp, sin and cos must be affine in the coordinates
+(degree at most one, no exp, sin or cos inside); sin and cos become
+exponential pairs.  An expansion that could exceed ``MAX_TERMS`` terms is
+refused before it is computed.
 """
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .parser import MAX_NESTING
+from .parser import MAX_NESTING, MAX_TERMS
 
 
-class Expr:
-    __slots__ = ()
+def _slope_order(term: tuple) -> tuple:
+    a, lam, _ = term
+    return a, tuple((s.real, s.imag) for s in lam)
 
-    def diff(self, axis: str) -> "Expr":
-        raise NotImplementedError
+
+def _merge(axes: tuple, triples) -> "ExpPoly":
+    """Sum coefficients of equal (a, lam), drop zeros and sort."""
+    acc: dict = {}
+    for a, lam, c in triples:
+        key = (a, lam)
+        acc[key] = acc.get(key, 0j) + c
+    terms = [(a, lam, c) for (a, lam), c in acc.items() if c != 0]
+    return ExpPoly(axes, tuple(sorted(terms, key=_slope_order)))
+
+
+@dataclass(frozen=True)
+class ExpPoly:
+    """Sum of c * x^a * exp(lam . x) over sorted (a, lam, c) terms on
+    named axes; a holds ints, lam and c complex numbers."""
+
+    axes: tuple
+    terms: tuple
+
+    def diff(self, axis: str) -> "ExpPoly":
+        k = self.axes.index(axis)
+        out = []
+        for a, lam, c in self.terms:
+            if lam[k]:
+                out.append((a, lam, lam[k] * c))
+            if a[k]:
+                out.append((a[:k] + (a[k] - 1,) + a[k + 1:], lam, a[k] * c))
+        return _merge(self.axes, out)
 
     def evaluate(self, coords: Mapping) -> np.ndarray | complex:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    value: complex
-
-    def diff(self, axis: str) -> Expr:
-        return ZERO
-
-    def evaluate(self, coords):
-        return self.value
-
-
-@dataclass(frozen=True)
-class Coord(Expr):
-    name: str
-
-    def diff(self, axis: str) -> Expr:
-        return ONE if axis == self.name else ZERO
-
-    def evaluate(self, coords):
-        return coords[self.name]
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    args: tuple
-
-    def diff(self, axis: str) -> Expr:
-        return add(*(a.diff(axis) for a in self.args))
-
-    def evaluate(self, coords):
-        total = self.args[0].evaluate(coords)
-        for a in self.args[1:]:
-            total = total + a.evaluate(coords)
+        """Value at numeric coordinates (scalars or broadcastable arrays,
+        one per axis).  Each x_j^p and each exp(lam . x) is computed once
+        per call; at real coordinates exp(conj(lam) . x) is taken as the
+        conjugate of exp(lam . x)."""
+        x = [np.asarray(coords[name]) for name in self.axes]
+        real = not any(np.iscomplexobj(v) for v in x)
+        powers: dict = {}
+        by_slope: dict = {}
+        for a, lam, c in self.terms:
+            part = c
+            for j, p in enumerate(a):
+                if p:
+                    if (j, p) not in powers:
+                        powers[j, p] = x[j] ** p
+                    part = part * powers[j, p]
+            by_slope[lam] = by_slope.get(lam, 0) + part
+        exps: dict = {}
+        total = 0j
+        for lam, part in by_slope.items():
+            if any(lam):
+                mirror = tuple(s.conjugate() for s in lam)
+                if real and mirror in exps:
+                    exps[lam] = np.conj(exps[mirror])
+                else:
+                    exps[lam] = np.exp(sum(s * x[j] for j, s in enumerate(lam) if s))
+                part = part * exps[lam]
+            total = total + part
         return total
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    args: tuple
-
-    def diff(self, axis: str) -> Expr:
-        parts = []
-        for i, arg in enumerate(self.args):
-            rest = self.args[:i] + self.args[i + 1:]
-            parts.append(mul(arg.diff(axis), *rest))
-        return add(*parts)
-
-    def evaluate(self, coords):
-        total = self.args[0].evaluate(coords)
-        for a in self.args[1:]:
-            total = total * a.evaluate(coords)
-        return total
+def _constant(axes: tuple, value: complex) -> ExpPoly:
+    n = len(axes)
+    return _merge(axes, [((0,) * n, (0j,) * n, complex(value))])
 
 
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-    def diff(self, axis: str) -> Expr:
-        if self.exponent == 0:
-            return ZERO
-        return mul(Const(self.exponent), power(self.base, self.exponent - 1),
-                   self.base.diff(axis))
-
-    def evaluate(self, coords):
-        return self.base.evaluate(coords) ** self.exponent
+def _product(p: ExpPoly, q: ExpPoly) -> ExpPoly:
+    if len(p.terms) * len(q.terms) > MAX_TERMS:
+        raise SolutionSyntaxError(
+            f"solution expands beyond the limit of {MAX_TERMS} terms"
+        )
+    return _merge(p.axes, (
+        (tuple(x + y for x, y in zip(a, b)),
+         tuple(x + y for x, y in zip(lam, mu)), c * d)
+        for a, lam, c in p.terms for b, mu, d in q.terms
+    ))
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
-
-    def diff(self, axis: str) -> Expr:
-        return mul(self.arg.diff(axis), self)
-
-    def evaluate(self, coords):
-        return np.exp(self.arg.evaluate(coords))
+def _scaled(p: ExpPoly, factor: complex) -> ExpPoly:
+    return _merge(p.axes, ((a, lam, factor * c) for a, lam, c in p.terms))
 
 
-@dataclass(frozen=True)
-class Sin(Expr):
-    arg: Expr
-
-    def diff(self, axis: str) -> Expr:
-        return mul(self.arg.diff(axis), Cos(self.arg))
-
-    def evaluate(self, coords):
-        return np.sin(self.arg.evaluate(coords))
-
-
-@dataclass(frozen=True)
-class Cos(Expr):
-    arg: Expr
-
-    def diff(self, axis: str) -> Expr:
-        return mul(Const(-1), self.arg.diff(axis), Sin(self.arg))
-
-    def evaluate(self, coords):
-        return np.cos(self.arg.evaluate(coords))
-
-
-ZERO = Const(0)
-ONE = Const(1)
-
-
-def add(*args: Expr) -> Expr:
-    flat: list = []
-    const = 0j
-    for a in args:
-        if isinstance(a, Add):
-            flat.extend(a.args)
-        elif isinstance(a, Const):
-            const += a.value
+def _exp_of(name: str, arg: ExpPoly, rates: tuple) -> ExpPoly:
+    """sum_r weight_r * exp(rate_r * arg) for an affine arg."""
+    n = len(arg.axes)
+    offset = 0j
+    slopes = [0j] * n
+    for a, lam, c in arg.terms:
+        if any(lam) or sum(a) > 1:
+            raise SolutionSyntaxError(
+                f"{name} needs an argument affine in the coordinates"
+            )
+        if sum(a):
+            slopes[a.index(1)] = c
         else:
-            flat.append(a)
-    pure = [a for a in flat if not isinstance(a, Const)]
-    const += sum(a.value for a in flat if isinstance(a, Const))
-    if const != 0:
-        pure.append(Const(const))
-    if not pure:
-        return ZERO
-    if len(pure) == 1:
-        return pure[0]
-    return Add(tuple(pure))
-
-
-def mul(*args: Expr) -> Expr:
-    flat: list = []
-    const = 1 + 0j
-    for a in args:
-        if isinstance(a, Mul):
-            flat.extend(a.args)
-        else:
-            flat.append(a)
-    pure = []
-    for a in flat:
-        if isinstance(a, Const):
-            const *= a.value
-        else:
-            pure.append(a)
-    if const == 0:
-        return ZERO
-    if const != 1:
-        pure.insert(0, Const(const))
-    if not pure:
-        return ONE
-    if len(pure) == 1:
-        return pure[0]
-    return Mul(tuple(pure))
-
-
-def power(base: Expr, exponent: int) -> Expr:
-    if exponent < 0:
-        raise ValueError("negative powers are not supported")
-    if exponent == 0:
-        return ONE
-    if exponent == 1:
-        return base
-    if isinstance(base, Const):
-        return Const(base.value ** exponent)
-    return Pow(base, exponent)
-
-
-def derivative(expr: Expr, deriv: Sequence[int], axes: Sequence[str]) -> Expr:
-    for axis, count in zip(axes, deriv):
-        for _ in range(count):
-            expr = expr.diff(axis)
-    return expr
+            offset = c
+    return _merge(arg.axes, (
+        ((0,) * n, tuple(rate * s for s in slopes), weight * cmath.exp(rate * offset))
+        for weight, rate in rates
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +149,12 @@ _SOLUTION_TOKEN = re.compile(
     r"|(?P<sym>[-+*^()]))"
 )
 
-_FUNCTIONS = {"exp": Exp, "sin": Sin, "cos": Cos}
+# (weight, rate) pairs: f(u) = sum weight * exp(rate * u).
+_FUNCTIONS = {
+    "exp": ((1, 1),),
+    "sin": ((-0.5j, 1j), (0.5j, -1j)),
+    "cos": ((0.5, 1j), (0.5, -1j)),
+}
 
 
 class SolutionSyntaxError(ValueError):
@@ -240,7 +182,7 @@ def _tokenize_solution(source: str) -> list:
 class _SolutionParser:
     def __init__(self, source: str, axes: Sequence[str]) -> None:
         self.tokens = _tokenize_solution(source)
-        self.axes = set(axes)
+        self.axes = tuple(axes)
         self.index = 0
         self.depth = 0
 
@@ -252,35 +194,37 @@ class _SolutionParser:
         self.index += 1
         return tok
 
-    def parse(self) -> Expr:
+    def parse(self) -> ExpPoly:
         expr = self.expr()
         kind, text = self.peek()
         if kind != "eof":
             raise SolutionSyntaxError(f"unexpected trailing {text!r}")
         return expr
 
-    def expr(self) -> Expr:
+    def expr(self) -> ExpPoly:
         sign = 1
         while self.peek()[1] in ("+", "-"):
             if self.next()[1] == "-":
                 sign = -sign
         total = self.term()
         if sign < 0:
-            total = mul(Const(-1), total)
+            total = _scaled(total, -1)
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             rhs = self.term()
-            total = add(total, rhs if op == "+" else mul(Const(-1), rhs))
+            if op == "-":
+                rhs = _scaled(rhs, -1)
+            total = _merge(self.axes, total.terms + rhs.terms)
         return total
 
-    def term(self) -> Expr:
+    def term(self) -> ExpPoly:
         total = self.factor()
         while self.peek()[1] == "*":
             self.next()
-            total = mul(total, self.factor())
+            total = _product(total, self.factor())
         return total
 
-    def factor(self) -> Expr:
+    def factor(self) -> ExpPoly:
         base = self.atom()
         if self.peek()[1] != "^":
             return base
@@ -288,9 +232,18 @@ class _SolutionParser:
         kind, text = self.next()
         if kind != "num" or not text.isdigit():
             raise SolutionSyntaxError("expected integer exponent after '^'")
-        return power(base, int(text))
+        # square-and-multiply: a few products even for a huge exponent
+        out = _constant(self.axes, 1)
+        power = int(text)
+        while power:
+            if power & 1:
+                out = _product(out, base)
+            power >>= 1
+            if power:
+                base = _product(base, base)
+        return out
 
-    def nested(self) -> Expr:
+    def nested(self) -> ExpPoly:
         """An expression inside parentheses, at most MAX_NESTING deep."""
         if self.depth == MAX_NESTING:
             raise SolutionSyntaxError(
@@ -301,12 +254,12 @@ class _SolutionParser:
         self.depth -= 1
         return inner
 
-    def atom(self) -> Expr:
+    def atom(self) -> ExpPoly:
         kind, text = self.next()
         if kind == "num":
             if text.endswith("i"):
-                return Const(complex(0, float(text[:-1])))
-            return Const(complex(float(text)))
+                return _constant(self.axes, complex(0, float(text[:-1])))
+            return _constant(self.axes, float(text))
         if kind == "ident":
             if text in _FUNCTIONS:
                 if self.peek()[1] != "(":
@@ -315,11 +268,14 @@ class _SolutionParser:
                 inner = self.nested()
                 if self.next()[1] != ")":
                     raise SolutionSyntaxError(f"unclosed argument of {text}")
-                return _FUNCTIONS[text](inner)
+                return _exp_of(text, inner, _FUNCTIONS[text])
             if text in self.axes:
-                return Coord(text)
+                k = self.axes.index(text)
+                n = len(self.axes)
+                power = tuple(int(j == k) for j in range(n))
+                return ExpPoly(self.axes, ((power, (0j,) * n, 1 + 0j),))
             if text == "i":
-                return Const(1j)
+                return _constant(self.axes, 1j)
             raise SolutionSyntaxError(f"unknown name {text!r} in solution text")
         if text == "(":
             inner = self.nested()
@@ -329,19 +285,23 @@ class _SolutionParser:
         raise SolutionSyntaxError(f"unexpected token {text or 'end of input'!r}")
 
 
-def parse_solution(source: str, axes: Sequence[str]) -> Expr:
+def parse_solution(source: str, axes: Sequence[str]) -> ExpPoly:
     return _SolutionParser(source, axes).parse()
 
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Per-field closed-form expressions on named axes."""
+    """Per-field exponential-polynomials on named axes.  Traces are
+    memoised per (field, deriv) on the instance; the memo takes no part
+    in equality or hashing."""
 
     axes: tuple
-    fields: tuple  # one Expr per field
+    fields: tuple  # one ExpPoly per field
+    _traces: dict = dataclasses.field(default_factory=dict, compare=False,
+                                      repr=False)
 
     @staticmethod
-    def scalar(axes: Sequence[str], expr: Expr | str) -> "ManufacturedSolution":
+    def scalar(axes: Sequence[str], expr: ExpPoly | str) -> "ManufacturedSolution":
         if isinstance(expr, str):
             expr = parse_solution(expr, axes)
         return ManufacturedSolution(tuple(axes), (expr,))
@@ -353,5 +313,18 @@ class ManufacturedSolution:
         )
         return ManufacturedSolution(tuple(axes), parsed)
 
-    def trace(self, field: int, deriv: Sequence[int]) -> Expr:
-        return derivative(self.fields[field], deriv, self.axes)
+    def trace(self, field: int, deriv: Sequence[int]) -> ExpPoly:
+        key = (field, tuple(deriv))
+        if key not in self._traces:
+            # climb axis by axis, reusing every memoised lower-order trace
+            expr = self.fields[field]
+            step = [0] * len(self.axes)
+            for k, count in enumerate(key[1]):
+                for _ in range(count):
+                    step[k] += 1
+                    lower, expr = expr, self._traces.get((field, tuple(step)))
+                    if expr is None:
+                        expr = lower.diff(self.axes[k])
+                        self._traces[field, tuple(step)] = expr
+            self._traces[key] = expr
+        return self._traces[key]

@@ -31,6 +31,13 @@ from .ring import P_I, Poly, merge_terms
 # Deepest parenthesis nesting the recursive-descent grammars accept; it
 # keeps hostile input far from the interpreter's recursion limit.
 MAX_NESTING = 100
+# Highest total derivative order (and largest '^' exponent) operator text
+# may reach.  Order 10 is the highest any shipped workload or test uses.
+MAX_ORDER = 32
+# Most terms an expansion may reach: (multi-index, coefficient monomial)
+# pairs in operator text, exponential-polynomial terms in solution text.
+# A product is refused when len(a) * len(b) exceeds it, before the work.
+MAX_TERMS = 1024
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
                        r"|(?P<sym>[-+*^(),;/]))")
@@ -124,8 +131,20 @@ class _ExprParser:
     def _const(poly: Poly, n: int) -> tuple:
         return ((MultiIndex.zero(n), poly),)
 
-    @staticmethod
-    def _mul(a: tuple, b: tuple) -> tuple:
+    def _mul(self, a: tuple, b: tuple, pos: int) -> tuple:
+        """Product of two expansions, refused before any work when it
+        could pass MAX_ORDER or MAX_TERMS."""
+        order = max((alpha.order for alpha, _ in a), default=0) + max(
+            (beta.order for beta, _ in b), default=0)
+        if order > MAX_ORDER:
+            raise OperatorSyntaxError(
+                f"operator exceeds the order limit of {MAX_ORDER}",
+                self.tokens.source, pos)
+        size = sum(len(c.terms) for _, c in a) * sum(len(c.terms) for _, c in b)
+        if size > MAX_TERMS:
+            raise OperatorSyntaxError(
+                f"operator expands beyond the limit of {MAX_TERMS} terms",
+                self.tokens.source, pos)
         return merge_terms(
             (alpha + beta, ca * cb) for alpha, ca in a for beta, cb in b
         )
@@ -148,8 +167,8 @@ class _ExprParser:
     def term(self) -> tuple:
         total = self.factor()
         while self.tokens.peek()[1] == "*":
-            self.tokens.next()
-            total = self._mul(total, self.factor())
+            pos = self.tokens.next()[2]
+            total = self._mul(total, self.factor(), pos)
         return total
 
     def factor(self) -> tuple:
@@ -162,9 +181,13 @@ class _ExprParser:
             raise OperatorSyntaxError("expected positive integer exponent",
                                       self.tokens.source, pos)
         power = int(text)
+        if power > MAX_ORDER:
+            raise OperatorSyntaxError(
+                f"exponent exceeds the order limit of {MAX_ORDER}",
+                self.tokens.source, pos)
         out = self._const(Poly.const(1), len(self.axes))
         for _ in range(power):
-            out = self._mul(out, base)
+            out = self._mul(out, base, pos)
         return out
 
     def primary(self) -> tuple:

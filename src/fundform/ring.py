@@ -28,6 +28,15 @@ class GaussianRational:
         object.__setattr__(self, "im", Fraction(self.im))
 
     @staticmethod
+    def _trusted(re: Fraction, im: Fraction) -> "GaussianRational":
+        """Build from parts that are already Fractions, skipping the
+        coercion of the public constructor; arithmetic results use it."""
+        value = object.__new__(GaussianRational)
+        object.__setattr__(value, "re", re)
+        object.__setattr__(value, "im", im)
+        return value
+
+    @staticmethod
     def coerce(value: "ScalarLike") -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
@@ -37,23 +46,23 @@ class GaussianRational:
 
     def __add__(self, other: "ScalarLike") -> "GaussianRational":
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational._trusted(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: "ScalarLike") -> "GaussianRational":
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return GaussianRational._trusted(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other: "ScalarLike") -> "GaussianRational":
         return GaussianRational.coerce(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._trusted(-self.re, -self.im)
 
     def __mul__(self, other: "ScalarLike") -> "GaussianRational":
         other = GaussianRational.coerce(other)
-        return GaussianRational(
+        return GaussianRational._trusted(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -65,7 +74,7 @@ class GaussianRational:
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
+        return GaussianRational._trusted(
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
@@ -84,7 +93,7 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._trusted(self.re, -self.im)
 
     @property
     def is_zero(self) -> bool:

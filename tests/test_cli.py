@@ -1,11 +1,13 @@
 import importlib
 import json
+import time
 
 import pytest
 
 from fundform.algebra import partial
 from fundform.cli import main
 from fundform.catalog import STOKES_JSON
+from fundform.parser import MAX_ORDER, MAX_TERMS
 
 TRIPLE = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
 BIHARM = "axes x,y,z; Dx^4 + Dy^4 + Dz^4 + 2*Dx^2*Dy^2 + 2*Dy^2*Dz^2 + 2*Dz^2*Dx^2"
@@ -149,6 +151,37 @@ def test_deep_nesting_exits_2(capsys, argv):
     assert code == 2
     assert err.startswith("error: ") and "nested deeper" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def refused(code: int, err: str, reason: str) -> bool:
+    return (code == 2 and err.startswith("error: ") and reason in err
+            and err.count("\n") == 1 and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("solution", ["exp(x^2)", "sin(x*t)"])
+def test_non_affine_solution_exits_2(capsys, solution):
+    code, _, err = run(capsys, "verify", "--case", "wave", "--solution", solution)
+    assert refused(code, err, "affine")
+
+
+def test_solution_expansion_limit_exits_2(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--case", "wave",
+                       "--solution", "(x+t+x*t)^400")
+    assert time.perf_counter() - start < 1.0
+    assert refused(code, err, f"limit of {MAX_TERMS} terms")
+
+
+@pytest.mark.parametrize("op", ["axes x,y; (Dx+Dy)^400",
+                                "axes x,y; (Dx+Dy)^20*(Dx+Dy)^20"])
+def test_operator_order_limit_exits_2(capsys, op):
+    code, _, err = run(capsys, "count", "--op", op)
+    assert refused(code, err, f"order limit of {MAX_ORDER}")
+
+
+def test_operator_term_limit_exits_2(capsys):
+    code, _, err = run(capsys, "count", "--op", "axes x,y,z,w; (Dx+Dy+Dz+Dw)^30")
+    assert refused(code, err, f"limit of {MAX_TERMS} terms")
 
 
 def test_engine_fault_exits_1(capsys, monkeypatch):

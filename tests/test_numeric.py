@@ -1,5 +1,6 @@
 import cmath
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ from fundform.verify import (
 
 
 # ---------------------------------------------------------------------------
-# Expression trees
+# Exponential-polynomials
 
 
 def test_parse_solution_evaluates():
@@ -46,6 +47,17 @@ def test_parse_solution_rejects_garbage():
         parse_solution("sin x", ("x",))
     with pytest.raises(SolutionSyntaxError):
         parse_solution("exp(x", ("x",))
+    with pytest.raises(SolutionSyntaxError):
+        parse_solution("exp(exp(x))", ("x",))
+    with pytest.raises(SolutionSyntaxError):
+        parse_solution("cos(x^2)", ("x",))
+
+
+def test_terms_merge_and_zeros_drop():
+    axes = ("x", "y")
+    one = parse_solution("sin(x+y)^2 + cos(x+y)^2", axes)
+    assert one.terms == parse_solution("1", axes).terms
+    assert parse_solution("exp(x)*x - x*exp(x)", axes).terms == ()
 
 
 def test_symbolic_derivative_against_finite_differences():
@@ -70,6 +82,74 @@ def test_symbolic_derivative_against_finite_differences():
                 down[axis] -= h
                 fd = (expr.evaluate(up) - expr.evaluate(down)) / (2 * h)
                 assert sym.evaluate(point) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+def test_trace_memo_is_per_instance():
+    text = "exp(x)*sin(2*y)"
+    first = ManufacturedSolution.scalar(("x", "y"), text)
+    assert first.trace(0, (2, 1)) is first.trace(0, [2, 1])
+    fresh = ManufacturedSolution.scalar(("x", "y"), text)
+    assert fresh == first and hash(fresh) == hash(first)
+    assert fresh.trace(0, (2, 1)) is not first.trace(0, (2, 1))
+    assert fresh.trace(0, (2, 1)) == first.trace(0, (2, 1))
+
+
+ROADMAP_EXAMPLE = "exp(x+t)*sin(2*x)*cos(t)*(x^3+t)"
+
+
+def test_high_order_trace_stays_small():
+    sol = ManufacturedSolution.scalar(("x", "t"), ROADMAP_EXAMPLE)
+    assert len(sol.trace(0, (8, 8)).terms) <= 40
+
+
+# The sympy oracle reads the solution text with its own parser and
+# differentiates with sympy.diff; it shares no code with `manufactured`.
+ORACLE_CASES = [
+    (("x", "t"), "(x-t)^3 + (x+t)^2", "wave"),
+    (("x", "t"), "exp(x+t)", "heat"),
+    (("x", "y", "z"), "x^3 - 3*x*y^2 + z", "biharmonic"),
+    (("x", "y", "z", "t"), "exp(-1*t)*sin(y)", "stokes"),
+    (("x", "y"), "(x-y)^3 + (x+y)^2", None),
+    (("x", "y"), "exp(x)*sin(2*y)", None),
+    (("x", "y"), "x^2*cos(x+y) + 5", None),
+    (("x", "y"), "exp(1i*x + y)", None),
+    (("x", "t"), ROADMAP_EXAMPLE, None),
+]
+
+
+def sympy_field(text, axes):
+    sympy = pytest.importorskip("sympy")
+    reader = pytest.importorskip("sympy.parsing.sympy_parser")
+    text = re.sub(r"(\d+(?:\.\d+)?)i\b", r"(\1*I)", text)
+    text = re.sub(r"\bi\b", "I", text)
+    names = {name: sympy.Symbol(name, real=True) for name in axes}
+    names.update(I=sympy.I, exp=sympy.exp, sin=sympy.sin, cos=sympy.cos)
+    transformations = reader.standard_transformations + (reader.convert_xor,)
+    return reader.parse_expr(text, local_dict=names,
+                             transformations=transformations), names
+
+
+@pytest.mark.parametrize("axes,text,tag", ORACLE_CASES)
+def test_traces_against_sympy(axes, text, tag):
+    sympy = pytest.importorskip("sympy")
+    expr, names = sympy_field(text, axes)
+    solution = ManufacturedSolution.scalar(axes, text)
+    if tag is not None:
+        assert builtin_solutions(tag)[0].solution.fields[0] == solution.fields[0]
+    rng = random.Random(104)
+    n = len(axes)
+    derivs = [(0,) * n, (4,) * n] + [
+        tuple(int(j == k) for j in range(n)) for k in range(n)
+    ] + [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(3)]
+    for deriv in derivs:
+        wrt = [item for name, count in zip(axes, deriv)
+               for item in (names[name], count) if count]
+        exact = sympy.diff(expr, *wrt) if wrt else expr
+        for _ in range(3):
+            point = {name: rng.uniform(0.2, 1.0) for name in axes}
+            expected = complex(exact.evalf(subs={names[k]: v for k, v in point.items()}))
+            got = complex(solution.trace(0, deriv).evaluate(point))
+            assert got == pytest.approx(expected, rel=1e-9), (text, deriv, point)
 
 
 def test_trace_orders_match_mixed_partials():
