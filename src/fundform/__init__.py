@@ -24,7 +24,7 @@ from .decompose import (
     PairTerm,
     PlanError,
     TermPlan,
-    brace_collapse,
+    collapse_step,
     count_forms,
     decompose,
     default_plan,
@@ -45,7 +45,6 @@ from .operators import (
     bilinear_rhs,
     even_odd_split,
     symbol,
-    system_bilinear_rhs,
 )
 from .parser import (
     OperatorSyntaxError,

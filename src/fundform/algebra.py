@@ -25,6 +25,13 @@ class MultiIndex(tuple):
             raise ValueError(f"negative derivative count in {entries}")
         return super().__new__(cls, entries)
 
+    @staticmethod
+    def _trusted(entries) -> "MultiIndex":
+        """Build from entries already known to be non-negative ints,
+        skipping the check of the public constructor; results derived from
+        valid indices use it."""
+        return tuple.__new__(MultiIndex, entries)
+
     @classmethod
     def zero(cls, n: int) -> "MultiIndex":
         return cls((0,) * n)
@@ -43,19 +50,23 @@ class MultiIndex(tuple):
         return tuple(k for k, e in enumerate(self) if e % 2)
 
     def half(self) -> "MultiIndex":
-        return MultiIndex(e // 2 for e in self)
+        return MultiIndex._trusted([e // 2 for e in self])
 
     def incr(self, k: int) -> "MultiIndex":
-        return MultiIndex(e + 1 if i == k else e for i, e in enumerate(self))
+        entries = list(self)
+        entries[k] += 1
+        return MultiIndex._trusted(entries)
 
     def decr(self, k: int) -> "MultiIndex":
         if self[k] == 0:
             raise ValueError(f"axis {k} has no derivative to remove in {self}")
-        return MultiIndex(e - 1 if i == k else e for i, e in enumerate(self))
+        entries = list(self)
+        entries[k] -= 1
+        return MultiIndex._trusted(entries)
 
-    def __add__(self, other) -> "MultiIndex":
+    def __add__(self, other: "MultiIndex") -> "MultiIndex":
         self._check(other)
-        return MultiIndex(a + b for a, b in zip(self, other))
+        return MultiIndex._trusted([a + b for a, b in zip(self, other)])
 
     def __sub__(self, other) -> "MultiIndex":
         self._check(other)

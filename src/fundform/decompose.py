@@ -27,23 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import (
-    BilinearExpr,
-    BilinearTerm,
-    MultiIndex,
-    brace,
-    bracket,
-    divergence,
-    partial,
-)
-from .operators import (
-    MatrixPDO,
-    Operator,
-    ScalarPDO,
-    bilinear_rhs,
-    system_bilinear_rhs,
-)
-from .ring import Poly, PolyLike
+from .algebra import BilinearExpr, BilinearTerm, MultiIndex, divergence, partial
+from .operators import Operator, bilinear_rhs, grid
+from .ring import Poly
 
 BRACKET = "bracket"
 BRACE = "brace"
@@ -72,7 +58,11 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class PairTerm:
-    """A signed bracket or brace:  coeff * [alpha, beta]  or  coeff * {alpha, beta}."""
+    """A signed bracket or brace:  coeff * [alpha, beta]  or  coeff * {alpha, beta}.
+
+    Built as given, like ``BilinearTerm``: callers pass a Poly and two
+    MultiIndexes of one dimension.
+    """
 
     kind: str
     coeff: Poly
@@ -84,14 +74,9 @@ class PairTerm:
     def __post_init__(self) -> None:
         if self.kind not in (BRACKET, BRACE):
             raise ValueError(f"unknown pairing kind {self.kind!r}")
-        object.__setattr__(self, "coeff", Poly.coerce(self.coeff))
-        object.__setattr__(self, "alpha", MultiIndex(self.alpha))
-        object.__setattr__(self, "beta", MultiIndex(self.beta))
 
     def to_expr(self) -> BilinearExpr:
-        pairing = bracket if self.kind == BRACKET else brace
-        return pairing(self.alpha, self.beta, self.left_field,
-                       self.right_field, self.coeff)
+        return BilinearExpr(self.products())
 
     def products(self) -> tuple:
         """The two constituent products (first, mirror) as BilinearTerm."""
@@ -150,45 +135,15 @@ def exchange_step(term: BilinearTerm, k: int, j: int) -> tuple:
     return swapped, ((k, flux_k), (j, flux_j))
 
 
-def brace_collapse(beta, k: int, left_field: int = 0, right_field: int = 0,
-                   coeff: PolyLike = 1) -> BilinearExpr:
-    """Flux with  d_k flux = {beta, beta + e_k}.
-
-    The flux is d^beta q d^beta qt, i.e. half of {beta, beta}: the doubled
-    form printed in some references fails the product rule, and the oracle
-    assertion here pins the factor.
-    """
-    beta = MultiIndex(beta)
-    flux = BilinearExpr([
-        BilinearTerm(Poly.coerce(coeff), left_field, beta, right_field, beta)
-    ])
-    target = brace(beta.incr(k), beta, left_field, right_field, coeff)
-    if partial(flux, k) != target:
-        raise EngineError("brace collapse failed its identity")
-    return flux
-
-
-def brace_collapse_pair(pair: PairTerm) -> tuple:
-    """Collapse a brace of shape {beta, beta + e_k} (either orientation)
-    into its axis-k flux; raises PlanError for any other shape."""
-    if pair.kind != BRACE:
-        raise PlanError("collapse applies to braces only")
-    diff = [a - b for a, b in zip(pair.alpha, pair.beta)]
-    axes = [k for k, d in enumerate(diff) if d]
-    if len(axes) != 1 or abs(diff[axes[0]]) != 1:
-        raise PlanError(
-            f"brace ({tuple(pair.alpha)}, {tuple(pair.beta)}) does not have "
-            "the collapsible shape"
-        )
-    k = axes[0]
-    beta = pair.beta if diff[k] == 1 else pair.alpha
-    return k, brace_collapse(beta, k, pair.left_field, pair.right_field,
-                             pair.coeff)
-
-
-def _pair_collapse(first: BilinearTerm, second: BilinearTerm) -> tuple:
+def collapse_step(first: BilinearTerm, second: BilinearTerm) -> tuple:
     """Absorb a product-rule pair  T(c + e_r, d) + T(c, d + e_r)  into the
-    flux T(c, d) on axis r.  Returns (r, flux expression)."""
+    flux T(c, d) on axis r.  Returns (r, flux expression).
+
+    On the two products of a brace {beta + e_r, beta} the flux is
+    d^beta q d^beta qt, i.e. half of {beta, beta}: the doubled form printed
+    in some references fails the product rule, and the oracle assertion
+    here pins the factor.
+    """
     if (first.left_field, first.right_field) != (second.left_field,
                                                  second.right_field):
         raise EngineError("collapse pair mixes fields")
@@ -208,6 +163,10 @@ def _pair_collapse(first: BilinearTerm, second: BilinearTerm) -> tuple:
     if partial(flux, r) != BilinearExpr([first]) + BilinearExpr([second]):
         raise EngineError("pair collapse failed its identity")
     return r, flux
+
+
+# perfbench/tracer.py wraps the collapse rule under this name.
+_pair_collapse = collapse_step
 
 
 # ---------------------------------------------------------------------------
@@ -289,33 +248,17 @@ def _term_key(alpha: MultiIndex, row: int, col: int) -> tuple:
 
 def _operator_terms(op: Operator) -> Iterator[tuple]:
     """Yield (key, alpha, coeff, trial field, test field) per scalar term."""
-    if isinstance(op, ScalarPDO):
-        for alpha, coeff in op.terms:
-            yield _term_key(alpha, 0, 0), alpha, coeff, 0, 0
-        return
-    for i in range(op.size):
-        for j in range(op.size):
-            for alpha, coeff in op.entries[i][j].terms:
+    for i, row in enumerate(grid(op)):
+        for j, entry in enumerate(row):
+            for alpha, coeff in entry.terms:
                 yield _term_key(alpha, i, j), alpha, coeff, j, i
 
 
-def default_term_plan(alpha) -> TermPlan:
-    """Deterministic choice: ascending reduction path, lexicographically
-    first transfer subset, ascending exchange pairing."""
-    alpha = MultiIndex(alpha)
-    gamma = alpha.half()
-    path = tuple(k for k, g in enumerate(gamma) for _ in range(g))
-    odd = alpha.odd_axes()
-    m = len(odd) // 2
-    transfer = tuple(odd[:m])
-    kept = [a for a in odd if a not in transfer]
-    exchanges = tuple(zip(kept[:m], transfer))
-    return TermPlan(path, transfer, exchanges)
-
-
 def default_plan(op: Operator) -> DecompositionPlan:
+    """The first plan of every term: ascending reduction path,
+    lexicographically first transfer subset, ascending exchange pairing."""
     return DecompositionPlan(
-        tuple((key, default_term_plan(alpha))
+        tuple((key, next(term_plans(alpha)))
               for key, alpha, _, _, _ in _operator_terms(op))
     )
 
@@ -448,7 +391,7 @@ def _decompose_term(alpha: MultiIndex, coeff: Poly, plan: TermPlan,
         if BilinearExpr([current]) + BilinearExpr([mirror]):
             raise EngineError("exchange chain failed to cancel the mirror term")
         return
-    r, flux = _pair_collapse(current, mirror)
+    r, flux = collapse_step(current, mirror)
     fluxes[r] = fluxes[r] + flux
 
 
@@ -480,10 +423,7 @@ def verify_divergence(dec: DivergenceDecomposition,
         op = dec.source
     if op.dimension != dec.dimension:
         raise ValueError("decomposition and operator dimensions differ")
-    target = (
-        system_bilinear_rhs(op) if isinstance(op, MatrixPDO) else bilinear_rhs(op)
-    )
-    return divergence(dec.fluxes) - target
+    return divergence(dec.fluxes) - bilinear_rhs(op)
 
 
 def ensure_verified(dec: DivergenceDecomposition,

@@ -286,7 +286,16 @@ class _SolutionParser:
 
 
 def parse_solution(source: str, axes: Sequence[str]) -> ExpPoly:
-    return _SolutionParser(source, axes).parse()
+    """Parse solution text; text whose coefficients or slopes leave the
+    finite float range is refused."""
+    try:
+        expr = _SolutionParser(source, axes).parse()
+        finite = all(cmath.isfinite(v) for _, lam, c in expr.terms for v in (c, *lam))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SolutionSyntaxError("solution coefficients overflow the float range")
+    return expr
 
 
 @dataclass(frozen=True)

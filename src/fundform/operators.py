@@ -104,6 +104,12 @@ class MatrixPDO:
 Operator = ScalarPDO | MatrixPDO
 
 
+def grid(op: Operator) -> tuple:
+    """Rows of scalar entries, row i holding the entries that act on each
+    field j; a scalar operator is a 1x1 grid."""
+    return op.entries if isinstance(op, MatrixPDO) else ((op,),)
+
+
 def adjoint(op: Operator) -> Operator:
     """Formal adjoint: c_alpha -> (-1)^|alpha| c_alpha, transposed for grids."""
     if isinstance(op, ScalarPDO):
@@ -132,16 +138,17 @@ def even_odd_split(op: ScalarPDO) -> tuple:
     return ScalarPDO(op.axes, tuple(even)), ScalarPDO(op.axes, tuple(odd))
 
 
-def bilinear_rhs(op: ScalarPDO, left_field: int = 0,
-                 right_field: int = 0) -> BilinearExpr:
+def bilinear_rhs(op: Operator) -> BilinearExpr:
     """qt L q - q L^+ qt, assembled as braces on odd-order terms and
-    brackets on even-order ones."""
-    n = op.dimension
-    zero = MultiIndex.zero(n)
+    brackets on even-order ones.  Entry (i, j) of a grid pairs trial field
+    j with test field i."""
+    zero = MultiIndex.zero(op.dimension)
     total = BilinearExpr()
-    for alpha, coeff in op.terms:
-        pairing = brace if alpha.order % 2 else bracket
-        total = total + pairing(alpha, zero, left_field, right_field, coeff)
+    for i, row in enumerate(grid(op)):
+        for j, entry in enumerate(row):
+            for alpha, coeff in entry.terms:
+                pairing = brace if alpha.order % 2 else bracket
+                total = total + pairing(alpha, zero, j, i, coeff)
     return total
 
 
@@ -158,18 +165,6 @@ def bilinear_rhs_direct(op: ScalarPDO, left_field: int = 0,
             BilinearTerm(coeff.scale(sign), left_field, zero, right_field, alpha)
         )
     return BilinearExpr(out)
-
-
-def system_bilinear_rhs(op: MatrixPDO) -> BilinearExpr:
-    """Sum over entries (i, j) of the scalar pairing with the trial slot
-    bound to field j and the test slot to field i."""
-    total = BilinearExpr()
-    for i in range(op.size):
-        for j in range(op.size):
-            total = total + bilinear_rhs(
-                op.entries[i][j], left_field=j, right_field=i
-            )
-    return total
 
 
 def apply_symbol(op: ScalarPDO, values: Sequence[PolyLike]) -> Poly:
@@ -192,11 +187,10 @@ def apply_symbol_rows(op: Operator, values: Sequence[PolyLike],
     """Rows  sum_j apply_symbol(L_ij, values) * amplitudes[j]  of the
     symbol matrix applied to an amplitude vector; a scalar operator is a
     1x1 grid."""
-    rows = op.entries if isinstance(op, MatrixPDO) else ((op,),)
     return tuple(
         sum((apply_symbol(entry, values) * amp
              for entry, amp in zip(row, amplitudes)), Poly())
-        for row in rows
+        for row in grid(op)
     )
 
 

@@ -189,8 +189,18 @@ class Poly:
         ))
 
     @staticmethod
+    def _trusted(terms: tuple) -> "Poly":
+        """Wrap terms that are already canonical (merged monomials,
+        GaussianRational coefficients, sorted, no zeros), skipping the
+        normalisation of the public constructor; arithmetic results use it."""
+        value = object.__new__(Poly)
+        object.__setattr__(value, "_terms", terms)
+        return value
+
+    @staticmethod
     def const(value: ScalarLike) -> "Poly":
-        return Poly([((), GaussianRational.coerce(value))])
+        value = GaussianRational.coerce(value)
+        return Poly._trusted((((), value),) if value else ())
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Poly":
@@ -244,12 +254,12 @@ class Poly:
 
     def __add__(self, other: "PolyLike") -> "Poly":
         other = Poly.coerce(other)
-        return Poly(list(self._terms) + list(other._terms))
+        return Poly._trusted(merge_terms(self._terms + other._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([(mono, -coeff) for mono, coeff in self._terms])
+        return Poly._trusted(tuple((mono, -coeff) for mono, coeff in self._terms))
 
     def __sub__(self, other: "PolyLike") -> "Poly":
         return self + (-Poly.coerce(other))
@@ -259,18 +269,17 @@ class Poly:
 
     def __mul__(self, other: "PolyLike") -> "Poly":
         other = Poly.coerce(other)
-        acc: list = []
-        for mono_a, ca in self._terms:
-            for mono_b, cb in other._terms:
-                acc.append((tuple(list(mono_a) + list(mono_b)), ca * cb))
-        return Poly(acc)
+        return Poly._trusted(merge_terms(
+            (merge_terms(mono_a + mono_b), ca * cb)
+            for mono_a, ca in self._terms for mono_b, cb in other._terms
+        ))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.const(1)
+        result = P_ONE
         base = self
         n = exponent
         while n:
@@ -282,7 +291,11 @@ class Poly:
 
     def scale(self, value: ScalarLike) -> "Poly":
         value = GaussianRational.coerce(value)
-        return Poly([(mono, coeff * value) for mono, coeff in self._terms])
+        if not value:
+            return P_ZERO
+        return Poly._trusted(
+            tuple((mono, coeff * value) for mono, coeff in self._terms)
+        )
 
     def coeffs_by_power(self, name: str) -> dict:
         """Split into { power of `name`: Poly free of `name` }."""

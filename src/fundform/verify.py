@@ -19,7 +19,7 @@ from .catalog import builtin_solutions
 from .decompose import decompose
 from .forms import assemble
 from .manufactured import ManufacturedSolution
-from .operators import MatrixPDO, Operator, adjoint, apply_symbol_rows
+from .operators import Operator, adjoint, apply_symbol_rows, grid
 from .ring import P_ONE, QI_I, Poly
 from .spectral import SubstitutedForm, substitute_exponential
 
@@ -135,9 +135,8 @@ def interior_residual(op: Operator, solution: ManufacturedSolution,
         axis: lo + (hi - lo) * rng.random(points)
         for axis, (lo, hi) in zip(solution.axes, box)
     }
-    rows = op.entries if isinstance(op, MatrixPDO) else ((op,),)
     worst = 0.0
-    for i, row in enumerate(rows):
+    for row in grid(op):
         total = np.zeros(points, dtype=complex)
         for j, entry in enumerate(row):
             for alpha, coeff in entry.terms:
@@ -190,7 +189,7 @@ def adjoint_point_residual(op: Operator, sigma: Sequence[complex], sign: int,
     )
     adj = adjoint(op)
     if amplitude_slots is None:
-        amplitude_slots = [P_ONE] * (adj.size if isinstance(adj, MatrixPDO) else 1)
+        amplitude_slots = [P_ONE] * len(grid(adj))
     unit = Poly.const(QI_I * sign)
     rows = apply_symbol_rows(adj, [unit * s for s in sigma_slots],
                              amplitude_slots)

@@ -17,7 +17,7 @@ from fundform.decompose import (
 )
 from fundform.forms import assemble, forms_equivalent
 from fundform.manufactured import ManufacturedSolution
-from fundform.operators import symbol, system_bilinear_rhs
+from fundform.operators import bilinear_rhs, symbol
 from fundform.ring import P_I, Poly
 from fundform.spectral import (
     SubstitutedForm,
@@ -150,7 +150,7 @@ def test_criterion_4_reference_decompositions():
         stokes = decompose(stokes_operator())
         assert stokes.fluxes == _stokes_flux_fixture()
         assert (divergence(stokes.fluxes)
-                == system_bilinear_rhs(stokes_operator()))
+                == bilinear_rhs(stokes_operator()))
 
 
 def _wave_relation_fixture(branch: int):

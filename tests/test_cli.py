@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from fundform.algebra import partial
+from fundform.algebra import BilinearExpr, partial, term
 from fundform.cli import main
 from fundform.catalog import STOKES_JSON
+from fundform.decompose import DivergenceDecomposition
 from fundform.parser import MAX_ORDER, MAX_TERMS
 
 TRIPLE = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
@@ -67,6 +68,27 @@ def test_enumerate_summary(capsys):
     assert document["count"] == 12
     assert len(document["plans"]) == 12
     assert document["pairwise_equivalent"] is True
+
+
+def test_enumerate_detects_inequivalent_member(capsys, monkeypatch):
+    # the last of the 12 forms gains a flux whose divergence does not vanish
+    cli = importlib.import_module("fundform.cli")
+    real = cli.decompose
+    calls = []
+
+    def planted(op, plan=None):
+        dec = real(op, plan)
+        calls.append(plan)
+        if len(calls) < 12:
+            return dec
+        extra = BilinearExpr([term(1, (0, 0, 0), (0, 0, 0))])
+        return DivergenceDecomposition(dec.axes, (dec.fluxes[0] + extra,)
+                                       + dec.fluxes[1:], op, plan, verified=True)
+
+    monkeypatch.setattr(cli, "decompose", planted)
+    code, out, _ = run(capsys, "enumerate", "--op", TRIPLE)
+    assert code == 0 and len(calls) == 12
+    assert json.loads(out)["pairwise_equivalent"] is False
 
 
 def test_enumerate_ceiling_fallback(capsys):
@@ -184,6 +206,13 @@ def test_operator_term_limit_exits_2(capsys):
     assert refused(code, err, f"limit of {MAX_TERMS} terms")
 
 
+@pytest.mark.parametrize("solution", ["2^100000", "exp(1000)", "9" * 400],
+                         ids=["power", "exp", "digits"])
+def test_overflowing_solution_exits_2(capsys, solution):
+    code, _, err = run(capsys, "verify", "--case", "wave", "--solution", solution)
+    assert refused(code, err, "overflow")
+
+
 def test_engine_fault_exits_1(capsys, monkeypatch):
     engine = importlib.import_module("fundform.decompose")
     monkeypatch.setattr(engine, "partial", lambda expr, k: partial(expr, k).scale(2))
@@ -223,3 +252,4 @@ def test_repeated_runs_byte_identical(capsys):
     _, first, _ = run(capsys, "decompose", "--op", TRIPLE, "--seed", "3")
     _, second, _ = run(capsys, "decompose", "--op", TRIPLE, "--seed", "3")
     assert first == second
+

@@ -1,0 +1,137 @@
+"""Fuzz property: for any generated operator, sigma or solution text,
+``main`` exits 0, 1 or 2 and never raises."""
+
+import contextlib
+import io
+import json
+from datetime import timedelta
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from fundform.catalog import CATALOG_TAGS  # noqa: E402
+from fundform.cli import main  # noqa: E402
+from fundform.decompose import count_forms  # noqa: E402
+from fundform.parser import parse_operator  # noqa: E402
+
+FUZZ_AXES = ("x", "y", "z", "t", "u", "w")  # at most 6 odd axes per term
+FUZZ_PLAN_LIMIT = 720  # 6!: larger families are counted, not enumerated
+
+_coefficients = st.sampled_from(["", "2*", "nu*", "(1/2+3*i)*", "0*", "7/3*"])
+_op_tokens = st.sampled_from([
+    "Dx", "Dy", "Dz", "Dt", "Dq", "nu", "i", "x", "0", "1", "2", "3", "1/2",
+    "+", "-", "*", "^", "(", ")", ",", ";", " ", "axes", "params", "@", "Dx^2",
+])
+_sigma_tokens = st.sampled_from([
+    "k", "-k", "s1", "nu", "i", "2", "1/3", "0", "(", ")", "^", "*", "+", "-",
+    ",", "k^2", "@",
+])
+_sigma_atoms = st.sampled_from(["k", "-k", "2*k", "i*k", "1/2", "k^2", "0"])
+_solution_tokens = st.sampled_from([
+    "x", "t", "y", "exp(", "sin(", "cos(", "(", ")", "+", "-", "*", "^", "2",
+    "3", "1000", "i", "0.5", "99999", "2i", "q",
+])
+_solution_leaves = st.sampled_from(["x", "t", "y", "2", "0.5", "3i", "1000"])
+_solution_factor = st.tuples(
+    st.one_of(_solution_leaves,
+              st.tuples(st.sampled_from(["exp", "sin", "cos"]), _solution_leaves,
+                        _solution_leaves).map(lambda f: f"{f[0]}({f[1]}*{f[2]})")),
+    st.sampled_from(["", "^2", "^3", "^99", "^100000"]),
+).map("".join)
+
+
+@st.composite
+def structured_expression(draw, axes):
+    text = draw(st.sampled_from(["", "-"]))
+    for index in range(draw(st.integers(1, 3))):
+        if index:
+            text += draw(st.sampled_from([" + ", " - "]))
+        powers = draw(st.lists(st.integers(0, 3), min_size=len(axes),
+                               max_size=len(axes)))
+        factors = [f"D{a}^{e}" for a, e in zip(axes, powers) if e]
+        text += draw(_coefficients) + ("*".join(factors) or "1")
+    return text
+
+
+@st.composite
+def structured_operator(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, len(FUZZ_AXES)))
+    axes = FUZZ_AXES[:n]
+    header = draw(st.sampled_from(["", "params nu; "]))
+    return (f"{header}axes {','.join(axes)}; "
+            + draw(structured_expression(axes)))
+
+
+def _soup(tokens, max_size):
+    return st.lists(tokens, max_size=max_size).map("".join)
+
+
+_scalar_text = st.one_of(
+    structured_operator(),
+    st.tuples(st.sampled_from(["axes x,y,z; ", "params nu; axes x,t; ", "axes x; ",
+                               "axes x,x; ", ""]),
+              _soup(_op_tokens, 12)).map("".join),
+    st.text(max_size=20),
+)
+_matrix_entry = st.one_of(_soup(_op_tokens, 4), structured_expression(("x", "t")))
+_matrix_text = st.lists(_matrix_entry, min_size=4, max_size=4).map(
+    lambda entries: json.dumps({"axes": ["x", "t"], "params": ["nu"],
+                                "fields": ["a", "b"],
+                                "entries": [entries[:2], entries[2:]]}))
+_op_text = st.one_of(_scalar_text, _matrix_text)
+_format = st.sampled_from(["json", "latex", "text"])
+
+
+@st.composite
+def global_relation_argv(draw):
+    n = draw(st.integers(1, 3))
+    op = draw(st.one_of(structured_operator(n), _op_text))
+    chunks = draw(st.one_of(st.lists(_sigma_atoms, min_size=n, max_size=n),
+                            st.lists(_soup(_sigma_tokens, 4), max_size=4)))
+    names = draw(st.sampled_from(["k", "s1,s2", "k,,"]))
+    return ("global-relation", "--op", op, "--spectral-names", names,
+            "--sigma", ",".join(chunks))
+
+
+_solution_text = st.one_of(
+    _soup(_solution_tokens, 12),
+    st.lists(st.lists(_solution_factor, min_size=1, max_size=3).map("*".join),
+             min_size=1, max_size=3).map("+".join),
+)
+fuzz_argv = st.one_of(
+    st.tuples(st.sampled_from(["decompose", "count", "enumerate", "constraint",
+                               "represent"]),
+              st.just("--op"), _op_text, st.just("--format"), _format),
+    global_relation_argv(),
+    st.tuples(st.just("verify"), st.just("--case"), st.sampled_from(CATALOG_TAGS),
+              st.just("--solution"), _solution_text, st.just("--format"), _format),
+)
+
+
+def _plan_count(text: str):
+    try:
+        return count_forms(parse_operator(text))
+    except (ValueError, KeyError):
+        return None
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(argv=fuzz_argv)
+def test_generated_text_exits_0_1_or_2(argv):
+    argv = list(argv)
+    if argv[0] == "enumerate" and (_plan_count(argv[2]) or 0) > FUZZ_PLAN_LIMIT:
+        argv[0] = "count"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing an argument
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

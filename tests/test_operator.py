@@ -13,7 +13,6 @@ from fundform.operators import (
     bilinear_rhs_direct,
     even_odd_split,
     symbol,
-    system_bilinear_rhs,
 )
 from fundform.parser import (
     OperatorSyntaxError,
@@ -207,15 +206,15 @@ def test_bilinear_rhs_matches_direct_expansion_randomized():
 def test_system_bilinear_rhs_single_field_reduces():
     op = parse_operator("axes x,t; Dt - Dx^2")
     grid = MatrixPDO(op.axes, ("q",), ((op,),))
-    assert system_bilinear_rhs(grid) == bilinear_rhs(op)
+    assert bilinear_rhs(grid) == bilinear_rhs(op)
 
 
 def test_system_bilinear_rhs_block_diagonal():
     heat = parse_operator("axes x,t; Dt - Dx^2")
     zero = ScalarPDO.build(heat.axes, {})
     grid = MatrixPDO(heat.axes, ("a", "b"), ((heat, zero), (zero, heat)))
-    expected = bilinear_rhs(heat, 0, 0) + bilinear_rhs(heat, 1, 1)
-    assert system_bilinear_rhs(grid) == expected
+    expected = bilinear_rhs_direct(heat, 0, 0) + bilinear_rhs_direct(heat, 1, 1)
+    assert bilinear_rhs(grid) == expected
 
 
 def test_symbol_wave():
