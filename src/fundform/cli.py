@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import emit
+from .algebra import BilinearExpr
 from .catalog import CATALOG_TAGS, builtin_solutions, stokes_operator
 from .decompose import (
     DEFAULT_PLAN_CEILING,
@@ -26,6 +27,7 @@ from .decompose import (
     decompose,
     enumerate_plans,
     sigma_count,
+    term_pieces,
     term_plan_count,
     term_plans,
 )
@@ -153,18 +155,40 @@ def _emit(args, document: dict, latex: str, text: str) -> None:
         print(text)
 
 
-def _plan_json(op: Operator, plan: DecompositionPlan) -> list:
-    out = []
-    for (row, col, alpha), tp in plan.items:
-        out.append({
-            "row": row,
-            "col": col,
-            "alpha": list(alpha),
-            "path": [op.axes[k] for k in tp.path],
-            "transfer": [op.axes[k] for k in tp.transfer],
-            "exchanges": [[op.axes[k], op.axes[j]] for k, j in tp.exchanges],
-        })
-    return out
+def _print_plans_json(op: Operator, document: dict) -> None:
+    """Print the enumerate document byte for byte as emit.to_pretty_json
+    would, with its empty "plans" list filled member by member from
+    enumerate_plans.  Each (term, term plan) fragment is encoded once and
+    shared by the members holding it, so memory and encoding grow with
+    the number of pieces, not with the family."""
+    encoded: dict = {}
+
+    def fragment(item) -> str:
+        if item not in encoded:
+            (row, col, alpha), tp = item
+            text = json.dumps({
+                "row": row,
+                "col": col,
+                "alpha": list(alpha),
+                "path": [op.axes[k] for k in tp.path],
+                "transfer": [op.axes[k] for k in tp.transfer],
+                "exchanges": [[op.axes[k], op.axes[j]] for k, j in tp.exchanges],
+            }, indent=2)
+            # members sit at depth 2 and fragments at depth 3 of the document
+            encoded[item] = "      " + text.replace("\n", "\n      ")
+        return encoded[item]
+
+    head, tail = emit.to_pretty_json(document).split('"plans": []')
+    out = sys.stdout
+    out.write(head + '"plans": [')
+    separator = "\n"
+    for plan in enumerate_plans(op):
+        # a zero operator has one plan with no items, encoded as "[]"
+        member = ("    [\n" + ",\n".join(fragment(item) for item in plan.items)
+                  + "\n    ]" if plan.items else "    []")
+        out.write(separator + member)
+        separator = ",\n"
+    out.write("\n  ]" + tail + "\n")
 
 
 def cmd_decompose(args) -> int:
@@ -201,6 +225,30 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _pairwise_equivalent(op: Operator) -> bool:
+    """True when every family member's form is equivalent to every other.
+
+    A member's fluxes are a sum of one piece per term (``term_pieces``),
+    so any two members differ by a sum of per-term piece differences, and
+    a bad piece shows in the member that differs from the first only in
+    that term: comparing each piece with its term's first piece decides
+    every pair.  The whole operator is decomposed once under the default
+    plan, and the first pieces must add up to exactly its fluxes.
+    """
+    whole = decompose(op)
+    pieces = [term for _, term in term_pieces(op)]
+    summed = tuple(
+        sum((term[0].fluxes[j] for term in pieces), BilinearExpr())
+        for j in range(op.dimension)
+    )
+    if summed != whole.fluxes:
+        raise EngineError(
+            "per-term pieces do not sum to the whole-operator decomposition"
+        )
+    return all(forms_equivalent(first, piece)
+               for first, *rest in pieces for piece in rest)
+
+
 def cmd_enumerate(args) -> int:
     op = _load_operator(args)
     total = count_forms(op)
@@ -211,22 +259,18 @@ def cmd_enumerate(args) -> int:
         _emit(args, document, f"N(\\mathcal{{L}}) = {total}",
               f"N = {total} (exceeds ceiling {DEFAULT_PLAN_CEILING}; count only)")
         return 0
-    plans = list(enumerate_plans(op))
-    document["plans"] = [_plan_json(op, plan) for plan in plans]
-    if total <= PAIRWISE_SUMMARY_LIMIT:
-        # div(f_a - f_b) = div(f_a - f_0) - div(f_b - f_0): checking each
-        # form against the first decides every pair.
-        first, *rest = [assemble(decompose(op, plan)) for plan in plans]
-        document["pairwise_equivalent"] = all(
-            forms_equivalent(first, form) for form in rest
-        )
-    else:
-        document["pairwise_equivalent"] = None
+    # The check costs one piece per (term, term plan); a family of at most
+    # PAIRWISE_SUMMARY_LIMIT members is always checked.
+    pieces = sum(term_plan_count(alpha) for _, alpha, *_ in _operator_terms(op))
+    verdict = (_pairwise_equivalent(op)
+               if min(total, pieces) <= PAIRWISE_SUMMARY_LIMIT else None)
+    if args.format == "json":
+        _print_plans_json(op, dict(document, plans=[],
+                                   pairwise_equivalent=verdict))
+        return 0
     text_lines = [f"N = {total}"]
-    if document.get("pairwise_equivalent") is not None:
-        text_lines.append(
-            f"pairwise equivalent: {str(document['pairwise_equivalent']).lower()}"
-        )
+    if verdict is not None:
+        text_lines.append(f"pairwise equivalent: {str(verdict).lower()}")
     _emit(args, document, f"N(\\mathcal{{L}}) = {total}", "\n".join(text_lines))
     return 0
 

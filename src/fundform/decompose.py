@@ -18,6 +18,8 @@ at the step where it happens rather than a wrong answer.
 Plans record the free choices (reduction order, transfer subset, exchange
 pairing order); enumerating them reproduces the full family of
 constructible decompositions, whose size is  prod_alpha O_alpha! sigma(alpha).
+The pairing is linear over terms, so each member is a sum of per-term
+pieces, and the sum_alpha O_alpha! sigma(alpha) pieces describe the family.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .algebra import BilinearExpr, BilinearTerm, MultiIndex, divergence, partial
-from .operators import Operator, bilinear_rhs, grid
+from .operators import MatrixPDO, Operator, ScalarPDO, bilinear_rhs, grid
 from .ring import Poly
 
 BRACKET = "bracket"
@@ -414,6 +416,30 @@ def decompose(op: Operator,
         )
     return DivergenceDecomposition(op.axes, tuple(fluxes), op, plan,
                                    verified=True)
+
+
+def term_pieces(op: Operator) -> Iterator[tuple]:
+    """Yield (key, pieces) per operator term, in plan-item order.  The
+    pieces decompose the term alone (for a system, entry (row, col) of an
+    operator that is zero elsewhere) once under each of its term plans.
+
+    The pairing is linear over terms, so the fluxes of the family member
+    with term plans (p_1, ..., p_m) are the sum of piece p_t of each
+    term t: the family costs sum_t term_plan_count(alpha_t) gated
+    decompositions instead of their product.
+    """
+    for key, alpha, coeff, _, _ in _operator_terms(op):
+        row, col, _ = key
+        alone = ScalarPDO(op.axes, ((alpha, coeff),))
+        if isinstance(op, MatrixPDO):
+            zero = ScalarPDO(op.axes, ())
+            alone = MatrixPDO(op.axes, op.fields, tuple(
+                tuple(alone if (i, j) == (row, col) else zero
+                      for j in range(op.size))
+                for i in range(op.size)
+            ))
+        yield key, [decompose(alone, DecompositionPlan(((key, tp),)))
+                    for tp in term_plans(alpha)]
 
 
 def verify_divergence(dec: DivergenceDecomposition,

@@ -87,6 +87,7 @@ def _face_grid(box: Sequence, axis: int, end: str, spec: QuadratureSpec,
     return coords, weight
 
 
+@np.errstate(all="ignore")
 def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
                       box: Sequence, spec: QuadratureSpec = QuadratureSpec(),
                       assignment: Mapping | None = None) -> ResidualReport:
@@ -95,7 +96,8 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
     `assignment` gives complex values for every spectral name and operator
     parameter appearing in the form.  Traces of the solution are computed
     symbolically and evaluated on the quadrature grid; the weight
-    exp(sum_j E_j x^j) is evaluated in closed form.
+    exp(sum_j E_j x^j) is evaluated in closed form.  Integrals that leave
+    the float range raise ValueError.
     """
     if solution.axes != sf.axes:
         raise ValueError("solution and form use different axes")
@@ -120,15 +122,19 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
                 total += coeff * complex(np.sum(np.asarray(trace * kernel)))
             integrals.append(((sf.axes[axis], end), orientation * total))
     residual = sum(value for _, value in integrals)
+    if not np.isfinite(residual):
+        raise ValueError("face integrals overflow the float range on the box")
     scale = max((abs(value) for _, value in integrals), default=0.0)
     return ResidualReport(residual, scale, tuple(integrals))
 
 
+@np.errstate(all="ignore")
 def interior_residual(op: Operator, solution: ManufacturedSolution,
                       box: Sequence, points: int = 50, seed: int = 0,
                       params: Mapping | None = None) -> float:
     """Max |(op solution)_i| over seeded random interior points; the
-    manufactured-solution pre-check."""
+    manufactured-solution pre-check.  Values that leave the float range
+    raise ValueError."""
     rng = np.random.default_rng(seed)
     params = dict(params or {})
     samples = {
@@ -144,6 +150,10 @@ def interior_residual(op: Operator, solution: ManufacturedSolution,
                 total = total + coeff.evaluate(params) * np.asarray(
                     trace, dtype=complex
                 )
+        if not np.all(np.isfinite(total)):
+            raise ValueError(
+                "solution overflows the float range at interior points"
+            )
         worst = max(worst, float(np.max(np.abs(total))))
     return worst
 

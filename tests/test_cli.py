@@ -1,14 +1,25 @@
 import importlib
 import json
+import random
 import time
 
 import pytest
 
+from conftest import random_multiindex, random_poly
 from fundform.algebra import BilinearExpr, partial, term
-from fundform.cli import main
 from fundform.catalog import STOKES_JSON
-from fundform.decompose import DivergenceDecomposition
-from fundform.parser import MAX_ORDER, MAX_TERMS
+from fundform.cli import main
+from fundform.decompose import (
+    DEFAULT_PLAN_CEILING,
+    DivergenceDecomposition,
+    decompose,
+    enumerate_plans,
+    term_plan_count,
+)
+from fundform.forms import forms_equivalent
+from fundform.operators import ScalarPDO
+from fundform.parser import MAX_ORDER, MAX_TERMS, format_operator, parse_operator
+from fundform.ring import Poly
 
 TRIPLE = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
 BIHARM = "axes x,y,z; Dx^4 + Dy^4 + Dz^4 + 2*Dx^2*Dy^2 + 2*Dy^2*Dz^2 + 2*Dz^2*Dx^2"
@@ -70,25 +81,114 @@ def test_enumerate_summary(capsys):
     assert document["pairwise_equivalent"] is True
 
 
-def test_enumerate_detects_inequivalent_member(capsys, monkeypatch):
-    # the last of the 12 forms gains a flux whose divergence does not vanish
+def _planted_pieces(monkeypatch, index: int, piece: int) -> None:
+    # piece `piece` of term `index` gains a flux whose divergence does not vanish
     cli = importlib.import_module("fundform.cli")
-    real = cli.decompose
-    calls = []
+    real = cli.term_pieces
 
-    def planted(op, plan=None):
-        dec = real(op, plan)
-        calls.append(plan)
-        if len(calls) < 12:
-            return dec
-        extra = BilinearExpr([term(1, (0, 0, 0), (0, 0, 0))])
-        return DivergenceDecomposition(dec.axes, (dec.fluxes[0] + extra,)
-                                       + dec.fluxes[1:], op, plan, verified=True)
+    def planted(op):
+        out = list(real(op))
+        _, pieces = out[index]
+        dec = pieces[piece]
+        extra = BilinearExpr([term(1, (0,) * op.dimension, (0,) * op.dimension)])
+        pieces[piece] = DivergenceDecomposition(
+            dec.axes, (dec.fluxes[0] + extra,) + dec.fluxes[1:], dec.source,
+            dec.plan, verified=True)
+        return out
 
-    monkeypatch.setattr(cli, "decompose", planted)
+    monkeypatch.setattr(cli, "term_pieces", planted)
+
+
+def test_enumerate_detects_inequivalent_member(capsys, monkeypatch):
+    # TRIPLE's last term (Dx^2*Dy^2*Dz^2) has six pieces; the last one is bad
+    _planted_pieces(monkeypatch, -1, -1)
     code, out, _ = run(capsys, "enumerate", "--op", TRIPLE)
-    assert code == 0 and len(calls) == 12
+    assert code == 0
     assert json.loads(out)["pairwise_equivalent"] is False
+
+
+def test_enumerate_pieces_must_sum_to_whole(capsys, monkeypatch):
+    # a bad first piece no longer sums to decompose(op) with the others
+    _planted_pieces(monkeypatch, 0, 0)
+    code, out, err = run(capsys, "enumerate", "--op", TRIPLE)
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal check failed: ")
+    assert err.count("\n") == 1
+
+
+def _product_route(op) -> dict:
+    """enumerate's documents by the product route: every plan decomposed
+    whole and checked against the first."""
+    plans = list(enumerate_plans(op))
+    first, *rest = [decompose(op, plan) for plan in plans]
+    verdict = all(forms_equivalent(first, form) for form in rest)
+    document = {
+        "count": len(plans),
+        "ceiling": DEFAULT_PLAN_CEILING,
+        "plans": [
+            [{"row": row, "col": col, "alpha": list(alpha),
+              "path": [op.axes[k] for k in tp.path],
+              "transfer": [op.axes[k] for k in tp.transfer],
+              "exchanges": [[op.axes[k], op.axes[j]] for k, j in tp.exchanges]}
+             for (row, col, alpha), tp in plan.items]
+            for plan in plans
+        ],
+        "pairwise_equivalent": verdict,
+    }
+    return {
+        "json": json.dumps(document, indent=2) + "\n",
+        "latex": f"N(\\mathcal{{L}}) = {len(plans)}\n",
+        "text": f"N = {len(plans)}\npairwise equivalent: {str(verdict).lower()}\n",
+    }
+
+
+def _seeded_nu_operator(seed: int) -> str:
+    """Two terms with several plans each and coefficients in nu."""
+    rng = random.Random(seed)
+    alphas = set()
+    while len(alphas) < 2:
+        alpha = random_multiindex(rng, 3, 6)
+        if term_plan_count(alpha) > 1:
+            alphas.add(alpha)
+    terms = {alpha: random_poly(rng) * Poly.var("nu") for alpha in sorted(alphas)}
+    return format_operator(ScalarPDO.build(("x", "y", "z"), terms))
+
+
+@pytest.mark.parametrize("text", [
+    TRIPLE,
+    BIHARM,
+    "axes x,y,z,w; Dx^3*Dy^3*Dz*Dw + Dx^2*Dy^2 + Dz^2",
+    _seeded_nu_operator(11),
+    STOKES_JSON,
+    "axes x; Dx - Dx",
+    {"axes": ["x", "y"], "fields": ["u", "v"],
+     "entries": [["0", "0"], ["Dx - Dx", "0"]]},
+], ids=["triple", "biharmonic", "N96", "seeded-nu", "stokes-file",
+        "zero", "zero-matrix-file"])
+def test_enumerate_matches_product_route(capsys, tmp_path, text):
+    # a dict is matrix JSON, read through --op-file
+    if isinstance(text, dict):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(text))
+        source = ["--op-file", str(path)]
+        op = parse_operator(json.dumps(text))
+    else:
+        source = ["--op", text]
+        op = parse_operator(text)
+    expected = _product_route(op)
+    for fmt, document in expected.items():
+        code, out, _ = run(capsys, "enumerate", *source, "--format", fmt)
+        assert code == 0
+        assert out == document, fmt
+
+
+def test_enumerate_checks_families_above_limit_by_pieces(capsys):
+    # two four-odd-axis terms: N = 24 * 24 = 576 members but 48 pieces
+    code, out, _ = run(capsys, "enumerate", "--op",
+                       "axes x,y,z,w; Dx*Dy*Dz*Dw + Dx^3*Dy*Dz*Dw",
+                       "--format", "text")
+    assert code == 0
+    assert out == "N = 576\npairwise equivalent: true\n"
 
 
 def test_enumerate_ceiling_fallback(capsys):
@@ -211,6 +311,14 @@ def test_operator_term_limit_exits_2(capsys):
 def test_overflowing_solution_exits_2(capsys, solution):
     code, _, err = run(capsys, "verify", "--case", "wave", "--solution", solution)
     assert refused(code, err, "overflow")
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_evaluation_exits_2(capsys):
+    # finite coefficients, but exp(800*x) overflows on the unit box
+    code, _, err = run(capsys, "verify", "--case", "wave",
+                       "--solution", "exp(800*x)")
+    assert refused(code, err, "overflows the float range")
 
 
 def test_engine_fault_exits_1(capsys, monkeypatch):

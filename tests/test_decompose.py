@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from fundform.decompose import (
     exchange_step,
     reduce_step,
     sigma_count,
+    term_pieces,
     term_plan_count,
     term_plans,
     verify_divergence,
@@ -367,6 +369,31 @@ def test_enumerate_plans_every_plan_verifies_small_random():
         assert len(plans) == count_forms(op)
         for plan in plans:
             assert decompose(op, plan).verified
+
+
+def test_term_pieces_sum_to_every_member():
+    # linearity over terms: each member's fluxes are one piece per term, summed
+    rng = random.Random(61)
+    coupled = parse_operator(json.dumps({
+        "axes": ["x", "y"], "fields": ["u", "v"],
+        "entries": [["Dx*Dy", "Dx"], ["2*Dy", "Dx^2*Dy^2 + Dx*Dy"]],
+    }))
+    ops = [triple_product_operator(), stokes_operator(), coupled]
+    while len(ops) < 7:
+        op = random_operator(rng, max_dim=3, max_order=5, max_terms=3,
+                             with_params=True)
+        if 1 < count_forms(op) <= 24:
+            ops.append(op)
+    for op in ops:
+        pieces = {key: dict(zip(term_plans(key[2]), decs))
+                  for key, decs in term_pieces(op)}
+        for plan in enumerate_plans(op):
+            summed = [BilinearExpr() for _ in op.axes]
+            for key, tp in plan.items:
+                piece = pieces[key][tp]
+                assert piece.verified and piece.plan.items == ((key, tp),)
+                summed = [a + b for a, b in zip(summed, piece.fluxes)]
+            assert tuple(summed) == decompose(op, plan).fluxes
 
 
 def test_enumeration_ceiling():

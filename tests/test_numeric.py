@@ -257,6 +257,18 @@ def test_degenerate_box_rejected():
                           QuadratureSpec(4), assignment)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_solution_refused():
+    # exp(800*x) and its derivatives overflow at x near 1, inside and on the box
+    case = builtin_solutions("wave")[0]
+    huge = ManufacturedSolution.scalar(("x", "t"), "exp(800*x)")
+    sf, assignment = case_substituted_form(case)
+    with pytest.raises(ValueError, match="overflow"):
+        boundary_residual(sf, huge, case.box, QuadratureSpec(4), assignment)
+    with pytest.raises(ValueError, match="overflow"):
+        interior_residual(case.operator, huge, case.box)
+
+
 def test_quadrature_spec_validated():
     with pytest.raises(ValueError):
         QuadratureSpec(0)
