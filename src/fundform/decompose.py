@@ -403,14 +403,18 @@ def decompose(op: Operator,
     bilinear pairing.  Never returns an unverified result."""
     if plan is None:
         plan = default_plan(op)
+    return _gated_decompose(op, plan, bilinear_rhs(op))
+
+
+def _gated_decompose(op: Operator, plan: DecompositionPlan,
+                     rhs: BilinearExpr) -> DivergenceDecomposition:
+    """``decompose`` with the pairing ``rhs = bilinear_rhs(op)`` already
+    computed, so that the pieces of one term share it."""
     n = op.dimension
     fluxes = [BilinearExpr() for _ in range(n)]
     for key, alpha, coeff, lf, rf in _operator_terms(op):
         _decompose_term(alpha, coeff, plan.get(key), fluxes, lf, rf)
-    result = DivergenceDecomposition(op.axes, tuple(fluxes), op, plan,
-                                     verified=False)
-    residual = verify_divergence(result, op)
-    if residual:
+    if divergence(fluxes) - rhs:
         raise EngineError(
             "final divergence check failed; this is an engine bug"
         )
@@ -426,7 +430,8 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
     The pairing is linear over terms, so the fluxes of the family member
     with term plans (p_1, ..., p_m) are the sum of piece p_t of each
     term t: the family costs sum_t term_plan_count(alpha_t) gated
-    decompositions instead of their product.
+    decompositions instead of their product.  The term's pairing is
+    computed once and every piece is gated against it.
     """
     for key, alpha, coeff, _, _ in _operator_terms(op):
         row, col, _ = key
@@ -438,7 +443,8 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
                       for j in range(op.size))
                 for i in range(op.size)
             ))
-        yield key, [decompose(alone, DecompositionPlan(((key, tp),)))
+        rhs = bilinear_rhs(alone)
+        yield key, [_gated_decompose(alone, DecompositionPlan(((key, tp),)), rhs)
                     for tp in term_plans(alpha)]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import BilinearExpr, BilinearTerm, MultiIndex, brace, bracket
+from .algebra import BilinearExpr, MultiIndex, brace, bracket
 from .ring import P_I, Poly, PolyLike, QI_I, merge_terms
 
 
@@ -150,21 +150,6 @@ def bilinear_rhs(op: Operator) -> BilinearExpr:
                 pairing = brace if alpha.order % 2 else bracket
                 total = total + pairing(alpha, zero, j, i, coeff)
     return total
-
-
-def bilinear_rhs_direct(op: ScalarPDO, left_field: int = 0,
-                        right_field: int = 0) -> BilinearExpr:
-    """Term-by-term expansion of qt L q - q L^+ qt; cross-check route."""
-    n = op.dimension
-    zero = MultiIndex.zero(n)
-    out = []
-    for alpha, coeff in op.terms:
-        out.append(BilinearTerm(coeff, left_field, alpha, right_field, zero))
-        sign = -1 if alpha.order % 2 == 0 else 1
-        out.append(
-            BilinearTerm(coeff.scale(sign), left_field, zero, right_field, alpha)
-        )
-    return BilinearExpr(out)
 
 
 def apply_symbol(op: ScalarPDO, values: Sequence[PolyLike]) -> Poly:

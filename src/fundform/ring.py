@@ -5,79 +5,112 @@ commuting generators: operator parameters such as ``nu``, spectral
 variables such as ``s1`` or ``k``, box endpoints such as ``l``.  Nothing
 is ever rounded; floating point only appears when a value is explicitly
 evaluated at a numeric assignment.
+
+A Gaussian rational is stored as (a + b*i) / d: a Gaussian-integer
+numerator (two ``int``s) over one ``int`` denominator, kept canonical by
+the invariant d > 0 and gcd(a, b, d) == 1.  Each value therefore has one
+representation, so ``==`` and ``hash`` compare the three integers.
+Almost every coefficient the engine meets is a Gaussian integer (d == 1),
+and those add, subtract and multiply with no gcd at all.  The parts
+``.re`` and ``.im`` are an ``int`` when d == 1 and a ``Fraction``
+otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 RatLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number re + im*i with rational parts."""
+    """Exact complex number (a + b*i) / d with d > 0 and gcd(a, b, d) == 1.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Immutable.  The constructor takes the real and imaginary parts as
+    ``int`` or ``Fraction`` (anything ``Fraction`` accepts).
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("_a", "_b", "_d")
 
-    @staticmethod
-    def _trusted(re: Fraction, im: Fraction) -> "GaussianRational":
-        """Build from parts that are already Fractions, skipping the
-        coercion of the public constructor; arithmetic results use it."""
-        value = object.__new__(GaussianRational)
-        object.__setattr__(value, "re", re)
-        object.__setattr__(value, "im", im)
-        return value
+    def __init__(self, re: RatLike = 0, im: RatLike = 0) -> None:
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # lcm of two reduced denominators: the result is already canonical
+        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @staticmethod
     def coerce(value: "ScalarLike") -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value))
+            return GaussianRational(value)
         raise TypeError(f"cannot treat {type(value).__name__} as an exact scalar")
 
+    @property
+    def re(self) -> RatLike:
+        return self._a if self._d == 1 else Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> RatLike:
+        return self._b if self._d == 1 else Fraction(self._b, self._d)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
     def __add__(self, other: "ScalarLike") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
-        return GaussianRational._trusted(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d, e = self._d, other._d
+        if d == 1 and e == 1:
+            return _gaussian(self._a + other._a, self._b + other._b, 1)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d,
+                        d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: "ScalarLike") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
-        return GaussianRational._trusted(self.re - other.re, self.im - other.im)
+        return self + -GaussianRational.coerce(other)
 
     def __rsub__(self, other: "ScalarLike") -> "GaussianRational":
         return GaussianRational.coerce(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational._trusted(-self.re, -self.im)
+        return _gaussian(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "ScalarLike") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
-        return GaussianRational._trusted(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if d == 1:
+            return _gaussian(a * c - b * e, a * e + b * c, 1)
+        return _reduced(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ScalarLike") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        # (a+bi)/d / ((c+ei)/f) = f (a+bi)(c-ei) / (d (c^2+e^2))
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational._trusted(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f,
+                        self._d * norm)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         if exponent < 0:
@@ -93,41 +126,64 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational._trusted(self.re, -self.im)
+        return _gaussian(self._a, -self._b, self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._a or self._b)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def to_text(self) -> str:
         if self.is_zero:
             return "0"
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}i"
-        return f"({self.re}{sign}{imag})"
+        return f"({re}{sign}{imag})"
 
     def __str__(self) -> str:
         return self.to_text()
 
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap parts that already satisfy the invariant; arithmetic results
+    use it, skipping the coercion of the public constructor."""
+    value = object.__new__(GaussianRational)
+    value._a = a
+    value._b = b
+    value._d = d
+    return value
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """Divide (a + b*i) / d, d > 0, by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _gaussian(a, b, d)
+    return _gaussian(a // g, b // g, d // g)
+
 
 QI_ZERO = GaussianRational()
-QI_ONE = GaussianRational(Fraction(1))
-QI_I = GaussianRational(Fraction(0), Fraction(1))
+QI_ONE = GaussianRational(1)
+QI_I = GaussianRational(0, 1)
 
 ScalarLike = Union[GaussianRational, int, Fraction]
 
@@ -254,7 +310,15 @@ class Poly:
 
     def __add__(self, other: "PolyLike") -> "Poly":
         other = Poly.coerce(other)
-        return Poly._trusted(merge_terms(self._terms + other._terms))
+        mine, theirs = self._terms, other._terms
+        if not theirs:
+            return self
+        if not mine:
+            return other
+        if len(mine) == 1 and len(theirs) == 1 and mine[0][0] == theirs[0][0]:
+            coeff = mine[0][1] + theirs[0][1]
+            return Poly._trusted(((mine[0][0], coeff),) if coeff else ())
+        return Poly._trusted(merge_terms(mine + theirs))
 
     __radd__ = __add__
 
@@ -269,6 +333,11 @@ class Poly:
 
     def __mul__(self, other: "PolyLike") -> "Poly":
         other = Poly.coerce(other)
+        mine, theirs = self._terms, other._terms
+        if len(mine) == 1 and mine[0][0] == ():
+            return other.scale(mine[0][1])
+        if len(theirs) == 1 and theirs[0][0] == ():
+            return self.scale(theirs[0][1])
         return Poly._trusted(merge_terms(
             (merge_terms(mono_a + mono_b), ca * cb)
             for mono_a, ca in self._terms for mono_b, cb in other._terms

@@ -2,6 +2,7 @@ import importlib
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,29 @@ def test_enumerate_summary(capsys):
     assert document["count"] == 12
     assert len(document["plans"]) == 12
     assert document["pairwise_equivalent"] is True
+
+
+# Operators with non-integer, imaginary and parameter coefficients.  Their
+# documents were written by fundform when each coefficient part was a
+# Fraction, and must stay byte-identical.
+EXACT_OPERATORS = {
+    "third-plus-2i": "axes x,t; (1/3+2*i)*Dx^2 - Dt",
+    "imaginary-two-sevenths": "axes x,y; -(2/7)*i*Dx*Dy + Dy^2",
+    "nu-third": "params nu; axes x,t; (1/3)*nu*Dx^2 - (5/2)*Dt",
+}
+EXACT_DOCUMENTS = json.loads(
+    (Path(__file__).parent / "golden" / "exact_coefficients.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["decompose", "enumerate", "constraint",
+                                     "represent"])
+@pytest.mark.parametrize("name", sorted(EXACT_OPERATORS))
+def test_exact_coefficient_documents_pinned(capsys, name, command):
+    op = EXACT_OPERATORS[name]
+    for fmt, expected in EXACT_DOCUMENTS[op][command].items():
+        code, out, err = run(capsys, command, "--op", op, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == expected, f"{command} --format {fmt}"
 
 
 def _planted_pieces(monkeypatch, index: int, piece: int) -> None:

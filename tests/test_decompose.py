@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -394,6 +395,26 @@ def test_term_pieces_sum_to_every_member():
                 assert piece.verified and piece.plan.items == ((key, tp),)
                 summed = [a + b for a, b in zip(summed, piece.fluxes)]
             assert tuple(summed) == decompose(op, plan).fluxes
+
+
+def test_final_gate_refuses_planted_flux(monkeypatch):
+    # each rewrite step passes its oracle, then a flux with nonzero
+    # divergence is added: the gate must refuse it, on the whole operator
+    # and on a term piece (gated against the term's shared pairing)
+    engine = importlib.import_module("fundform.decompose")
+    real = engine._decompose_term
+
+    def planted(alpha, coeff, plan, fluxes, lf, rf):
+        real(alpha, coeff, plan, fluxes, lf, rf)
+        fluxes[0] = fluxes[0] + BilinearExpr([term(1, (0,) * len(alpha),
+                                                   (0,) * len(alpha))])
+
+    monkeypatch.setattr(engine, "_decompose_term", planted)
+    op = triple_product_operator()
+    with pytest.raises(EngineError, match="final divergence check"):
+        decompose(op)
+    with pytest.raises(EngineError, match="final divergence check"):
+        list(term_pieces(op))
 
 
 def test_enumeration_ceiling():

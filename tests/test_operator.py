@@ -3,14 +3,13 @@ import random
 import pytest
 
 from conftest import random_operator
-from fundform.algebra import bracket
+from fundform.algebra import BilinearExpr, BilinearTerm, MultiIndex, bracket
 from fundform.operators import (
     MatrixPDO,
     ScalarPDO,
     adjoint,
     apply_symbol,
     bilinear_rhs,
-    bilinear_rhs_direct,
     even_odd_split,
     symbol,
 )
@@ -23,6 +22,21 @@ from fundform.parser import (
 )
 from fundform.ring import Poly, QI_I
 from fundform.catalog import STOKES_JSON, stokes_operator, wave_operator
+
+
+def bilinear_rhs_direct(op: ScalarPDO, left_field: int = 0,
+                        right_field: int = 0) -> BilinearExpr:
+    """Reference route for ``bilinear_rhs``: qt L q - q L^+ qt expanded
+    term by term into products, with no bracket or brace helpers."""
+    zero = MultiIndex.zero(op.dimension)
+    out = []
+    for alpha, coeff in op.terms:
+        out.append(BilinearTerm(coeff, left_field, alpha, right_field, zero))
+        sign = -1 if alpha.order % 2 == 0 else 1
+        out.append(
+            BilinearTerm(coeff.scale(sign), left_field, zero, right_field, alpha)
+        )
+    return BilinearExpr(out)
 
 
 def terms_of(op):

@@ -1,10 +1,18 @@
 import random
+from datetime import timedelta
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import random_gaussian, random_poly
 from fundform.ring import GaussianRational, Poly, QI_I, QI_ONE
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property below needs hypothesis
+    st = None
 
 
 def test_gaussian_exactness():
@@ -108,3 +116,83 @@ def test_poly_text_deterministic():
 def test_poly_negative_power_rejected():
     with pytest.raises(ValueError):
         Poly.var("s") ** -1
+
+
+# Reference model: a Gaussian rational as a pair of Fractions (re, im), with
+# the arithmetic and text of the Fraction-pair representation.
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    if norm == 0:
+        raise ZeroDivisionError
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def _ref_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = _ref_mul(out, x)
+    return _ref_div((Fraction(1), Fraction(0)), out) if n < 0 else out
+
+
+def _ref_text(x):
+    re, im = x
+    if re == 0 and im == 0:
+        return "0"
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    mag = abs(im)
+    return f"({re}{'+' if im > 0 else '-'}{'i' if mag == 1 else f'{mag}i'})"
+
+
+def _check_against(z, ref):
+    re, im = ref
+    assert (z.re, z.im) == (re, im)
+    a, b, d = z._a, z._b, z._d  # the stored (a + b*i) / d
+    assert d > 0 and gcd(a, b, d) == 1
+    rebuilt = GaussianRational(re, im)
+    assert rebuilt == z and hash(rebuilt) == hash(z)
+    assert z.to_text() == _ref_text(ref)
+    c, expected = complex(z), complex(float(re), float(im))
+    assert (c.real.hex(), c.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+
+
+if st is None:
+    def test_gaussian_rational_matches_fraction_pairs():
+        pytest.skip("hypothesis is not installed")
+else:
+    _parts = st.one_of(
+        st.integers(-3, 3).map(Fraction),
+        st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)),
+    )
+    _pairs = st.tuples(_parts, _parts)
+
+    @settings(max_examples=400, deadline=timedelta(seconds=5), derandomize=True)
+    @given(_pairs, _pairs, st.integers(-3, 4))
+    def test_gaussian_rational_matches_fraction_pairs(x, y, n):
+        gx, gy = GaussianRational(*x), GaussianRational(*y)
+        _check_against(gx, x)
+        _check_against(gx + gy, (x[0] + y[0], x[1] + y[1]))
+        _check_against(gx - gy, (x[0] - y[0], x[1] - y[1]))
+        _check_against(gx * gy, _ref_mul(x, y))
+        _check_against(-gx, (-x[0], -x[1]))
+        _check_against(gx.conjugate(), (x[0], -x[1]))
+        _check_against(gx + y[0], (x[0] + y[0], x[1]))
+        _check_against(y[0] * gx, (y[0] * x[0], y[0] * x[1]))
+        assert (gx == gy) == (x == y)
+        if y == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                gx / gy
+        else:
+            _check_against(gx / gy, _ref_div(x, y))
+        if x == (0, 0) and n < 0:
+            with pytest.raises(ZeroDivisionError):
+                gx ** n
+        else:
+            _check_against(gx ** n, _ref_pow(x, n))
