@@ -5,13 +5,12 @@ derivative multi-indices of a fixed ambient dimension and f, g are field
 indices (both 0 for scalar problems).  Expressions are kept in a sorted,
 merged canonical form, so ``==`` on two expressions is the engine's
 ground-truth identity test: every rewrite rule is validated against it
-through the product-rule derivative ``partial``.
+through the product rule (``product_rule``, merged by ``partial``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .ring import Poly, PolyLike, merge_terms
 
@@ -79,12 +78,13 @@ class MultiIndex(tuple):
             )
 
 
-@dataclass(frozen=True)
-class BilinearTerm:
+class BilinearTerm(NamedTuple):
     """One product  coeff * d^left q_{left_field} * d^right qt_{right_field}.
 
-    Built as given: the engine passes a Poly and two MultiIndexes of one
-    dimension.  ``term`` is the constructor that coerces and checks.
+    A tuple, so that building one is cheap: the engine passes a Poly and
+    two MultiIndexes of one dimension, and expressions rebuild their
+    merged terms with ``tuple.__new__``.  ``term`` is the constructor that
+    coerces and checks.
     """
 
     coeff: Poly
@@ -118,16 +118,18 @@ class BilinearExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[BilinearTerm] = ()) -> None:
-        pairs = [(t.key, t.coeff) for t in terms]
+        pairs = [((lf, rf, left, right), coeff)
+                 for coeff, lf, left, rf, right in terms]
         if len({len(key[2]) for key, _ in pairs}) > 1:
             raise ValueError("mixed ambient dimensions in one expression")
+        new = tuple.__new__
         object.__setattr__(
             self,
             "_terms",
-            tuple(
-                BilinearTerm(coeff, lf, left, rf, right)
+            tuple([
+                new(BilinearTerm, (coeff, lf, left, rf, right))
                 for (lf, rf, left, right), coeff in merge_terms(pairs)
-            ),
+            ]),
         )
 
     @property
@@ -168,7 +170,7 @@ class BilinearExpr:
 
     def __add__(self, other: "BilinearExpr") -> "BilinearExpr":
         self._check_dim(other)
-        return BilinearExpr(list(self._terms) + list(other._terms))
+        return BilinearExpr(self._terms + other._terms)
 
     def __sub__(self, other: "BilinearExpr") -> "BilinearExpr":
         return self + (-other)
@@ -181,9 +183,6 @@ class BilinearExpr:
 
     def __repr__(self) -> str:
         return f"BilinearExpr({list(self._terms)!r})"
-
-
-ZERO_EXPR = BilinearExpr()
 
 
 def bracket(alpha, beta, left_field: int = 0, right_field: int = 0,
@@ -212,29 +211,42 @@ def brace(alpha, beta, left_field: int = 0, right_field: int = 0,
     )
 
 
-def partial(expr: BilinearExpr, k: int) -> BilinearExpr:
-    """Derivative along axis k by the product rule.
+def expr_sum(exprs: Iterable[BilinearExpr]) -> BilinearExpr:
+    """Sum of many expressions in one merge of all their terms, where a
+    chain of ``+`` would merge (and sort) the running total once per
+    operand.  Mixed dimensions raise ValueError."""
+    return BilinearExpr([t for expr in exprs for t in expr._terms])
+
+
+def product_rule(expr: BilinearExpr, k: int) -> list:
+    """The terms of d_k expr before they are merged: each product
+    c d^mu q d^nu qt gives c d^(mu+e_k) q d^nu qt + c d^mu q d^(nu+e_k) qt.
 
     This is the oracle every rewrite rule in the engine is checked
-    against; it is deliberately the dumbest possible implementation.
+    against; it is deliberately the dumbest possible implementation.  A
+    rule merges these terms with the rest of its identity, so that the
+    identity costs one merge.
     """
     if expr.is_zero:
-        return expr
+        return []
     n = expr.dimension
     if not 0 <= k < n:
         raise ValueError(f"axis {k} out of range for dimension {n}")
+    new = tuple.__new__
     out = []
-    for t in expr:
-        out.append(BilinearTerm(t.coeff, t.left_field, t.left.incr(k),
-                                t.right_field, t.right))
-        out.append(BilinearTerm(t.coeff, t.left_field, t.left,
-                                t.right_field, t.right.incr(k)))
-    return BilinearExpr(out)
+    for coeff, lf, left, rf, right in expr._terms:
+        out.append(new(BilinearTerm, (coeff, lf, left.incr(k), rf, right)))
+        out.append(new(BilinearTerm, (coeff, lf, left, rf, right.incr(k))))
+    return out
+
+
+def partial(expr: BilinearExpr, k: int) -> BilinearExpr:
+    """Derivative along axis k by the product rule."""
+    if expr.is_zero:
+        return expr
+    return BilinearExpr(product_rule(expr, k))
 
 
 def divergence(fluxes: Iterable[BilinearExpr]) -> BilinearExpr:
-    """Sum over axes j of partial(flux_j, j)."""
-    total = BilinearExpr()
-    for k, flux in enumerate(fluxes):
-        total = total + partial(flux, k)
-    return total
+    """Sum over axes j of partial(flux_j, j), added in one merge."""
+    return expr_sum(partial(flux, k) for k, flux in enumerate(fluxes))

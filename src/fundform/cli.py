@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import emit
-from .algebra import BilinearExpr
+from .algebra import expr_sum
 from .catalog import CATALOG_TAGS, builtin_solutions, stokes_operator
 from .decompose import (
     DEFAULT_PLAN_CEILING,
@@ -237,10 +237,8 @@ def _pairwise_equivalent(op: Operator) -> bool:
     """
     whole = decompose(op)
     pieces = [term for _, term in term_pieces(op)]
-    summed = tuple(
-        sum((term[0].fluxes[j] for term in pieces), BilinearExpr())
-        for j in range(op.dimension)
-    )
+    summed = tuple(expr_sum(term[0].fluxes[j] for term in pieces)
+                   for j in range(op.dimension))
     if summed != whole.fluxes:
         raise EngineError(
             "per-term pieces do not sum to the whole-operator decomposition"

@@ -11,9 +11,10 @@ Three rules do all the work:
   single flux term.
 
 Signs are never tracked by hand.  Every step asserts its defining identity
-through the ``partial`` oracle, and a completed decomposition is re-checked
-as a whole before it is returned, so a bookkeeping slip is a loud failure
-at the step where it happens rather than a wrong answer.
+through the product-rule oracle, as one residual expression that must be
+empty, and a completed decomposition is re-checked as a whole before it
+is returned, so a bookkeeping slip is a loud failure at the step where it
+happens rather than a wrong answer.
 
 Plans record the free choices (reduction order, transfer subset, exchange
 pairing order); enumerating them reproduces the full family of
@@ -29,7 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import BilinearExpr, BilinearTerm, MultiIndex, divergence, partial
+from .algebra import (BilinearExpr, BilinearTerm, MultiIndex, divergence,
+                      expr_sum, product_rule)
 from .operators import MatrixPDO, Operator, ScalarPDO, bilinear_rhs, grid
 from .ring import Poly
 
@@ -90,6 +92,20 @@ class PairTerm:
         return first, mirror
 
 
+def _reduce(pair: PairTerm, k: int) -> tuple:
+    """What ``reduce_step`` returns, before its identity is checked."""
+    if pair.alpha[k] < 1:
+        raise PlanError(
+            f"axis {k} has no derivative left to move in {tuple(pair.alpha)}"
+        )
+    lowered = pair.alpha.decr(k)
+    flux = PairTerm(pair.kind, pair.coeff, lowered, pair.beta,
+                    pair.left_field, pair.right_field)
+    remainder = PairTerm(pair.kind, -pair.coeff, lowered, pair.beta.incr(k),
+                         pair.left_field, pair.right_field)
+    return flux.to_expr(), remainder
+
+
 def reduce_step(pair: PairTerm, k: int) -> tuple:
     """One derivative moves off axis k of the trial slot:
 
@@ -97,18 +113,36 @@ def reduce_step(pair: PairTerm, k: int) -> tuple:
 
     Returns (flux expression for axis k, remaining PairTerm).
     """
-    if pair.alpha[k] < 1:
-        raise PlanError(
-            f"axis {k} has no derivative left to move in {tuple(pair.alpha)}"
-        )
-    flux = PairTerm(pair.kind, pair.coeff, pair.alpha.decr(k), pair.beta,
-                    pair.left_field, pair.right_field)
-    remainder = PairTerm(pair.kind, -pair.coeff, pair.alpha.decr(k),
-                         pair.beta.incr(k), pair.left_field, pair.right_field)
-    flux_expr = flux.to_expr()
-    if partial(flux_expr, k) + remainder.to_expr() != pair.to_expr():
+    flux, remainder = _reduce(pair, k)
+    negated = PairTerm(pair.kind, -pair.coeff, pair.alpha, pair.beta,
+                       pair.left_field, pair.right_field)
+    # d_k flux + remainder - pair, in one merge
+    if BilinearExpr([*product_rule(flux, k), *remainder.products(),
+                     *negated.products()]):
         raise EngineError(f"reduction step failed its identity on axis {k}")
-    return flux_expr, remainder
+    return flux, remainder
+
+
+def _exchange(term: BilinearTerm, k: int, j: int) -> tuple:
+    """What ``exchange_step`` returns, before its identity is checked:
+    (swapped term, flux_k, flux_j)."""
+    if term.left[k] < 1:
+        raise PlanError(f"trial slot has no axis-{k} derivative in {term.key}")
+    if term.right[j] < 1:
+        raise PlanError(f"test slot has no axis-{j} derivative in {term.key}")
+    lowered = term.left.decr(k)
+    moved = term.right.decr(j).incr(k)
+    swapped = BilinearTerm(term.coeff, term.left_field, lowered.incr(j),
+                           term.right_field, moved)
+    flux_k = BilinearExpr([
+        BilinearTerm(term.coeff, term.left_field, lowered, term.right_field,
+                     term.right)
+    ])
+    flux_j = BilinearExpr([
+        BilinearTerm(term.coeff.scale(-1), term.left_field, lowered,
+                     term.right_field, moved)
+    ])
+    return swapped, flux_k, flux_j
 
 
 def exchange_step(term: BilinearTerm, k: int, j: int) -> tuple:
@@ -116,36 +150,16 @@ def exchange_step(term: BilinearTerm, k: int, j: int) -> tuple:
     of the test slot.  Returns (swapped term, ((k, flux_k), (j, flux_j)))
     with signs folded in, so  term = swapped + d_k flux_k + d_j flux_j.
     """
-    if term.left[k] < 1:
-        raise PlanError(f"trial slot has no axis-{k} derivative in {term.key}")
-    if term.right[j] < 1:
-        raise PlanError(f"test slot has no axis-{j} derivative in {term.key}")
-    swapped = BilinearTerm(term.coeff, term.left_field,
-                           term.left.decr(k).incr(j), term.right_field,
-                           term.right.decr(j).incr(k))
-    flux_k = BilinearExpr([
-        BilinearTerm(term.coeff, term.left_field, term.left.decr(k),
-                     term.right_field, term.right)
-    ])
-    flux_j = BilinearExpr([
-        BilinearTerm(term.coeff.scale(-1), term.left_field, term.left.decr(k),
-                     term.right_field, term.right.decr(j).incr(k))
-    ])
-    total = BilinearExpr([swapped]) + partial(flux_k, k) + partial(flux_j, j)
-    if total != BilinearExpr([term]):
+    swapped, flux_k, flux_j = _exchange(term, k, j)
+    # swapped + d_k flux_k + d_j flux_j - term, in one merge
+    if BilinearExpr([swapped, *product_rule(flux_k, k),
+                     *product_rule(flux_j, j), term.scaled(-1)]):
         raise EngineError(f"exchange step failed its identity on axes {k},{j}")
     return swapped, ((k, flux_k), (j, flux_j))
 
 
-def collapse_step(first: BilinearTerm, second: BilinearTerm) -> tuple:
-    """Absorb a product-rule pair  T(c + e_r, d) + T(c, d + e_r)  into the
-    flux T(c, d) on axis r.  Returns (r, flux expression).
-
-    On the two products of a brace {beta + e_r, beta} the flux is
-    d^beta q d^beta qt, i.e. half of {beta, beta}: the doubled form printed
-    in some references fails the product rule, and the oracle assertion
-    here pins the factor.
-    """
+def _collapse(first: BilinearTerm, second: BilinearTerm) -> tuple:
+    """What ``collapse_step`` returns, before its identity is checked."""
     if (first.left_field, first.right_field) != (second.left_field,
                                                  second.right_field):
         raise EngineError("collapse pair mixes fields")
@@ -158,11 +172,25 @@ def collapse_step(first: BilinearTerm, second: BilinearTerm) -> tuple:
     r = axes[0]
     if second.right != first.right.incr(r):
         raise EngineError("terms do not form a product-rule pair")
-    flux = BilinearExpr([
+    return r, BilinearExpr([
         BilinearTerm(first.coeff, first.left_field, second.left,
                      first.right_field, first.right)
     ])
-    if partial(flux, r) != BilinearExpr([first]) + BilinearExpr([second]):
+
+
+def collapse_step(first: BilinearTerm, second: BilinearTerm) -> tuple:
+    """Absorb a product-rule pair  T(c + e_r, d) + T(c, d + e_r)  into the
+    flux T(c, d) on axis r.  Returns (r, flux expression).
+
+    On the two products of a brace {beta + e_r, beta} the flux is
+    d^beta q d^beta qt, i.e. half of {beta, beta}: the doubled form printed
+    in some references fails the product rule, and the oracle assertion
+    here pins the factor.
+    """
+    r, flux = _collapse(first, second)
+    # d_r flux - first - second, in one merge
+    if BilinearExpr([*product_rule(flux, r), first.scaled(-1),
+                     second.scaled(-1)]):
         raise EngineError("pair collapse failed its identity")
     return r, flux
 
@@ -366,7 +394,8 @@ class DivergenceDecomposition:
 
 
 def _decompose_term(alpha: MultiIndex, coeff: Poly, plan: TermPlan,
-                    fluxes: list, lf: int, rf: int) -> None:
+                    pieces: list, lf: int, rf: int) -> None:
+    """Append the flux pieces of one operator term to pieces[axis]."""
     n = len(alpha)
     if alpha.order == 0:
         return  # [0, 0] vanishes by antisymmetry
@@ -375,7 +404,7 @@ def _decompose_term(alpha: MultiIndex, coeff: Poly, plan: TermPlan,
     pair = PairTerm(kind, coeff, alpha, MultiIndex.zero(n), lf, rf)
     for k in plan.path:
         flux, pair = reduce_step(pair, k)
-        fluxes[k] = fluxes[k] + flux
+        pieces[k].append(flux)
     odd = alpha.odd_axes()
     if not odd:
         if pair.alpha != pair.beta:
@@ -383,18 +412,18 @@ def _decompose_term(alpha: MultiIndex, coeff: Poly, plan: TermPlan,
         return  # [gamma, gamma] = 0
     for t in sorted(plan.transfer):
         flux, pair = reduce_step(pair, t)
-        fluxes[t] = fluxes[t] + flux
+        pieces[t].append(flux)
     current, mirror = pair.products()
     for k, j in plan.exchanges:
         current, contributions = exchange_step(current, k, j)
         for axis, flux in contributions:
-            fluxes[axis] = fluxes[axis] + flux
+            pieces[axis].append(flux)
     if len(odd) % 2 == 0:
-        if BilinearExpr([current]) + BilinearExpr([mirror]):
+        if BilinearExpr([current, mirror]):
             raise EngineError("exchange chain failed to cancel the mirror term")
         return
     r, flux = collapse_step(current, mirror)
-    fluxes[r] = fluxes[r] + flux
+    pieces[r].append(flux)
 
 
 def decompose(op: Operator,
@@ -410,16 +439,15 @@ def _gated_decompose(op: Operator, plan: DecompositionPlan,
                      rhs: BilinearExpr) -> DivergenceDecomposition:
     """``decompose`` with the pairing ``rhs = bilinear_rhs(op)`` already
     computed, so that the pieces of one term share it."""
-    n = op.dimension
-    fluxes = [BilinearExpr() for _ in range(n)]
+    pieces = [[] for _ in range(op.dimension)]
     for key, alpha, coeff, lf, rf in _operator_terms(op):
-        _decompose_term(alpha, coeff, plan.get(key), fluxes, lf, rf)
-    if divergence(fluxes) - rhs:
+        _decompose_term(alpha, coeff, plan.get(key), pieces, lf, rf)
+    fluxes = tuple(expr_sum(axis) for axis in pieces)
+    if divergence(fluxes) != rhs:
         raise EngineError(
             "final divergence check failed; this is an engine bug"
         )
-    return DivergenceDecomposition(op.axes, tuple(fluxes), op, plan,
-                                   verified=True)
+    return DivergenceDecomposition(op.axes, fluxes, op, plan, verified=True)
 
 
 def term_pieces(op: Operator) -> Iterator[tuple]:

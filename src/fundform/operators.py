@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import BilinearExpr, MultiIndex, brace, bracket
+from .algebra import BilinearExpr, MultiIndex, brace, bracket, expr_sum
 from .ring import P_I, Poly, PolyLike, QI_I, merge_terms
 
 
@@ -143,13 +143,12 @@ def bilinear_rhs(op: Operator) -> BilinearExpr:
     brackets on even-order ones.  Entry (i, j) of a grid pairs trial field
     j with test field i."""
     zero = MultiIndex.zero(op.dimension)
-    total = BilinearExpr()
-    for i, row in enumerate(grid(op)):
-        for j, entry in enumerate(row):
-            for alpha, coeff in entry.terms:
-                pairing = brace if alpha.order % 2 else bracket
-                total = total + pairing(alpha, zero, j, i, coeff)
-    return total
+    return expr_sum(
+        (brace if alpha.order % 2 else bracket)(alpha, zero, j, i, coeff)
+        for i, row in enumerate(grid(op))
+        for j, entry in enumerate(row)
+        for alpha, coeff in entry.terms
+    )
 
 
 def apply_symbol(op: ScalarPDO, values: Sequence[PolyLike]) -> Poly:

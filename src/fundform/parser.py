@@ -5,13 +5,16 @@ Scalar grammar (UTF-8 text)::
     [params name(,name)*;] axes name(,name)*; expr
 
     expr     := ['+'|'-'] term (('+'|'-') term)*
-    term     := factor ('*' factor)*
+    term     := factor ('*' factor | '/' INT)*
     factor   := primary ('^' INT)?
     primary  := INT ('/' INT)? | IDENT | '(' expr ')'
 
 ``D<axis>`` is a derivative factor, a declared parameter name is a
 symbolic constant, and a bare ``i`` (when not declared) is the imaginary
-unit.  Matrix operators come in as JSON:
+unit.  A ``/`` right after an integer literal belongs to the literal, so
+``2/3^2`` is (2/3)^2; any other ``/`` divides the term so far by a
+nonzero integer, as in ``nu/3*Dx^2`` or ``Dx^2/2``.  Matrix operators
+come in as JSON:
 ``{"axes": [...], "params": [...], "fields": [...], "entries": [[expr text, ...], ...]}``.
 
 Errors carry the offending position so the CLI can point at it.
@@ -166,10 +169,22 @@ class _ExprParser:
 
     def term(self) -> tuple:
         total = self.factor()
-        while self.tokens.peek()[1] == "*":
-            pos = self.tokens.next()[2]
-            total = self._mul(total, self.factor(), pos)
+        while self.tokens.peek()[1] in ("*", "/"):
+            _, op, pos = self.tokens.next()
+            if op == "*":
+                total = self._mul(total, self.factor(), pos)
+            else:
+                scale = Fraction(1, self._denominator())
+                total = tuple((alpha, c.scale(scale)) for alpha, c in total)
         return total
+
+    def _denominator(self) -> int:
+        """The nonzero integer literal that follows a '/'."""
+        kind, text, pos = self.tokens.next()
+        if kind != "int" or int(text) == 0:
+            raise OperatorSyntaxError("expected nonzero integer denominator",
+                                      self.tokens.source, pos)
+        return int(text)
 
     def factor(self) -> tuple:
         base = self.primary()
@@ -197,11 +212,7 @@ class _ExprParser:
             value = Fraction(int(text))
             if self.tokens.peek()[1] == "/":
                 self.tokens.next()
-                dkind, dtext, dpos = self.tokens.next()
-                if dkind != "int" or int(dtext) == 0:
-                    raise OperatorSyntaxError("expected nonzero integer denominator",
-                                              self.tokens.source, dpos)
-                value /= int(dtext)
+                value /= self._denominator()
             return self._const(Poly.const(value), n)
         if kind == "ident":
             if text.startswith("D") and text[1:] in self.axes:

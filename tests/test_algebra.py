@@ -1,18 +1,28 @@
 import random
+from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_bilinear, random_multiindex
 from fundform.algebra import (
     BilinearExpr,
+    BilinearTerm,
     MultiIndex,
     brace,
     bracket,
     divergence,
+    expr_sum,
     partial,
     term,
 )
-from fundform.ring import Poly
+from fundform.ring import GaussianRational, Poly
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property below needs hypothesis
+    st = None
 
 
 def keys(expr):
@@ -168,3 +178,107 @@ def test_zero_coefficient_terms_dropped():
 def test_divergence_helper():
     fluxes = [bracket((0, 1), (0, 0)), brace((1, 0), (0, 0))]
     assert divergence(fluxes) == partial(fluxes[0], 0) + partial(fluxes[1], 1)
+
+
+def test_expr_sum_small_cases():
+    a = bracket((1, 0), (0, 0))
+    b = brace((0, 1), (0, 0))
+    assert expr_sum([]) == BilinearExpr()
+    assert expr_sum([a]) == a
+    assert expr_sum([a, b, -a]) == b
+    assert expr_sum(iter([a, BilinearExpr(), b])) == a + b
+
+
+def _reference_sum(terms) -> dict:
+    """Coefficient per (fields, indices) key with zero sums dropped,
+    written without the engine's merge."""
+    acc = {}
+    for t in terms:
+        key = (t.left_field, t.right_field, tuple(t.left), tuple(t.right))
+        acc[key] = acc.get(key, Poly()) + t.coeff
+    return {key: c for key, c in acc.items() if not c.is_zero}
+
+
+def _reference_divergence(fluxes) -> dict:
+    def bump(index, k):
+        return tuple(e + (i == k) for i, e in enumerate(index))
+
+    terms = []
+    for k, flux in enumerate(fluxes):
+        for c, lf, left, rf, right in flux:
+            terms.append(term(c, bump(left, k), right, lf, rf))
+            terms.append(term(c, left, bump(right, k), lf, rf))
+    return _reference_sum(terms)
+
+
+def _as_dict(expr) -> dict:
+    return {(t.left_field, t.right_field, tuple(t.left), tuple(t.right)): t.coeff
+            for t in expr}
+
+
+if st is None:
+    def test_expr_sum_matches_fold_and_reference():
+        pytest.skip("hypothesis is not installed")
+else:
+    _fraction = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    _scalar = st.builds(GaussianRational, _fraction, _fraction)
+    # coefficients in Q(i)[nu]: non-integer, imaginary and zero parts
+    _coeff = st.lists(st.tuples(st.integers(0, 2), _scalar), min_size=1,
+                      max_size=2).map(
+        lambda parts: Poly([((("nu", e),) if e else (), c) for e, c in parts]))
+
+    @st.composite
+    def _expr_family(draw):
+        """Expressions of one dimension drawn from a shared pool of terms,
+        each taken with either sign, so that sums cancel."""
+        n = draw(st.integers(1, 3))
+        index = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(MultiIndex)
+        field = st.integers(0, 1)
+        pool = draw(st.lists(st.builds(BilinearTerm, _coeff, field, index, field,
+                                       index), min_size=1, max_size=6))
+        picks = st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, -1])),
+                         max_size=6)
+        exprs = [BilinearExpr([t.scaled(sign) for t, sign in draw(picks)])
+                 for _ in range(draw(st.integers(0, 4)))]
+        return n, exprs
+
+    @settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
+    @given(_expr_family())
+    def test_expr_sum_matches_fold_and_reference(family):
+        n, exprs = family
+        total = expr_sum(exprs)
+        fold = BilinearExpr()
+        for expr in exprs:
+            fold = fold + expr
+        assert total == fold and hash(total) == hash(fold)
+        assert _as_dict(total) == _reference_sum(t for e in exprs for t in e)
+        keys = [t.key for t in total]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+        fluxes = exprs[:n]
+        fold = BilinearExpr()
+        for k, flux in enumerate(fluxes):
+            fold = fold + partial(flux, k)
+        assert divergence(fluxes) == fold
+        assert _as_dict(fold) == _reference_divergence(fluxes)
+
+        other = BilinearExpr([term(1, (0,) * (n + 1), (0,) * (n + 1))])
+        nonzero = [e for e in exprs if e]
+        if nonzero:
+            with pytest.raises(ValueError):
+                expr_sum(nonzero + [other])
+            with pytest.raises(ValueError):
+                nonzero[0] + other
+            with pytest.raises(ValueError):
+                divergence([nonzero[0], other])
+
+        # merged terms are rebuilt as tuples; they must behave as the
+        # positionally built terms they stand for
+        for t in total:
+            rebuilt = BilinearTerm(t.coeff, t.left_field, t.left, t.right_field,
+                                   t.right)
+            assert type(t) is BilinearTerm
+            assert rebuilt == t and hash(rebuilt) == hash(t)
+            assert BilinearTerm(*t) == t and rebuilt.key == t.key
+            assert t.scaled(1) == t and t.scaled(2) != t
+            assert len({rebuilt, t, t.scaled(2)}) == 2

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_multiindex, random_poly
-from fundform.algebra import BilinearExpr, partial, term
+from fundform.algebra import BilinearExpr, product_rule, term
 from fundform.catalog import STOKES_JSON
 from fundform.cli import main
 from fundform.decompose import (
@@ -272,6 +272,16 @@ def test_parse_error_exits_2(capsys):
     assert "unknown axis" in err
 
 
+def test_division_after_any_factor(capsys):
+    code, out, _ = run(capsys, "decompose", "--op",
+                       "params nu; axes x,t; nu/3*Dx^2 - Dt", "--format", "text")
+    assert code == 0
+    assert out == run(capsys, "decompose", "--op",
+                      "params nu; axes x,t; (1/3)*nu*Dx^2 - Dt", "--format", "text")[1]
+    code, _, err = run(capsys, "decompose", "--op", "axes x; Dx/0")
+    assert refused(code, err, "nonzero integer denominator")
+
+
 def test_missing_operator_exits_2(capsys):
     code, _, err = run(capsys, "count")
     assert code == 2
@@ -347,7 +357,9 @@ def test_overflowing_evaluation_exits_2(capsys):
 
 def test_engine_fault_exits_1(capsys, monkeypatch):
     engine = importlib.import_module("fundform.decompose")
-    monkeypatch.setattr(engine, "partial", lambda expr, k: partial(expr, k).scale(2))
+    # the product-rule oracle doubles every term: the first rewrite step fails
+    monkeypatch.setattr(engine, "product_rule",
+                        lambda expr, k: [t.scaled(2) for t in product_rule(expr, k)])
     code, out, err = run(capsys, "decompose", "--op", "axes x,t; Dt^2 - Dx^2")
     assert code == 1 and out == ""
     assert err.startswith("error: internal check failed: ")

@@ -398,16 +398,16 @@ def test_term_pieces_sum_to_every_member():
 
 
 def test_final_gate_refuses_planted_flux(monkeypatch):
-    # each rewrite step passes its oracle, then a flux with nonzero
-    # divergence is added: the gate must refuse it, on the whole operator
-    # and on a term piece (gated against the term's shared pairing)
+    # each rewrite step passes its oracle, then a flux piece with nonzero
+    # divergence joins axis 0: the gate must refuse it, on the whole
+    # operator and on a term piece (gated against the term's shared pairing)
     engine = importlib.import_module("fundform.decompose")
     real = engine._decompose_term
 
-    def planted(alpha, coeff, plan, fluxes, lf, rf):
-        real(alpha, coeff, plan, fluxes, lf, rf)
-        fluxes[0] = fluxes[0] + BilinearExpr([term(1, (0,) * len(alpha),
-                                                   (0,) * len(alpha))])
+    def planted(alpha, coeff, plan, pieces, lf, rf):
+        real(alpha, coeff, plan, pieces, lf, rf)
+        pieces[0].append(BilinearExpr([term(1, (0,) * len(alpha),
+                                            (0,) * len(alpha))]))
 
     monkeypatch.setattr(engine, "_decompose_term", planted)
     op = triple_product_operator()
@@ -415,6 +415,45 @@ def test_final_gate_refuses_planted_flux(monkeypatch):
         decompose(op)
     with pytest.raises(EngineError, match="final divergence check"):
         list(term_pieces(op))
+
+
+def _corrupt_rule_output(monkeypatch, builder, change):
+    """Pass the output a rule builds through `change` before the rule's
+    own identity check sees it."""
+    engine = importlib.import_module("fundform.decompose")
+    real = getattr(engine, builder)
+    monkeypatch.setattr(engine, builder, lambda *args: change(*real(*args)))
+
+
+def test_reduce_oracle_refuses_flipped_flux(monkeypatch):
+    _corrupt_rule_output(monkeypatch, "_reduce",
+                         lambda flux, remainder: (-flux, remainder))
+    pair = PairTerm(BRACKET, Poly.const(1), MultiIndex((1, 1, 1)),
+                    MultiIndex.zero(3))
+    with pytest.raises(EngineError, match="reduction step failed"):
+        reduce_step(pair, 0)
+    with pytest.raises(EngineError, match="reduction step failed"):
+        decompose(parse_operator("axes x,y,z; Dx*Dy*Dz"))
+
+
+def test_exchange_oracle_refuses_flipped_flux_j(monkeypatch):
+    _corrupt_rule_output(monkeypatch, "_exchange",
+                         lambda swapped, flux_k, flux_j: (swapped, flux_k, -flux_j))
+    start = BilinearTerm(Poly.const(1), 0, MultiIndex((1, 0)), 0, MultiIndex((0, 1)))
+    with pytest.raises(EngineError, match="exchange step failed"):
+        exchange_step(start, 0, 1)
+    with pytest.raises(EngineError, match="exchange step failed"):
+        decompose(parse_operator("axes x,y,z; Dx*Dy*Dz"))
+
+
+def test_collapse_oracle_refuses_doubled_coefficient(monkeypatch):
+    # the doubled flux that fails the product rule on a brace pair
+    _corrupt_rule_output(monkeypatch, "_collapse",
+                         lambda r, flux: (r, flux.scale(2)))
+    with pytest.raises(EngineError, match="pair collapse failed"):
+        collapse_brace((1, 1), (1, 0))
+    with pytest.raises(EngineError, match="pair collapse failed"):
+        decompose(parse_operator("axes x,y,z; Dx*Dy*Dz"))
 
 
 def test_enumeration_ceiling():

@@ -25,6 +25,7 @@ _coefficients = st.sampled_from(["", "2*", "nu*", "(1/2+3*i)*", "0*", "7/3*"])
 _op_tokens = st.sampled_from([
     "Dx", "Dy", "Dz", "Dt", "Dq", "nu", "i", "x", "0", "1", "2", "3", "1/2",
     "+", "-", "*", "^", "(", ")", ",", ";", " ", "axes", "params", "@", "Dx^2",
+    "/", "/0",
 ])
 _sigma_tokens = st.sampled_from([
     "k", "-k", "s1", "nu", "i", "2", "1/3", "0", "(", ")", "^", "*", "+", "-",

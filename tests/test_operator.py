@@ -76,6 +76,24 @@ def test_parse_rational_and_imaginary_coefficients():
     assert terms_of(op)[(2,)].constant_value().to_text() == "(1-2i)"
 
 
+def test_parse_division_by_integer_after_any_factor():
+    def same(text, expected):
+        assert parse_operator(text) == parse_operator(expected)
+
+    same("params nu; axes x,t; nu/3*Dx^2 - Dt",
+         "params nu; axes x,t; (1/3)*nu*Dx^2 - Dt")
+    same("axes x,t; (1+i)/2*Dx^2 - Dt", "axes x,t; (1/2+1/2*i)*Dx^2 - Dt")
+    same("axes x,t; Dx^2/2 - Dt", "axes x,t; 1/2*Dx^2 - Dt")
+    same("axes x,y; -Dx*Dy/4/3 + Dy", "axes x,y; -(1/12)*Dx*Dy + Dy")
+    # a '/' after an integer literal still belongs to the literal
+    same("axes x; 2/3^2*Dx", "axes x; 4/9*Dx")
+    same("axes x; 2/3/4*Dx", "axes x; 1/6*Dx")
+    for bad in ("axes x; Dx/0", "axes x; Dx/", "axes x; Dx/Dx", "axes x; Dx/2^2",
+                "axes x; Dx/(2)"):
+        with pytest.raises(OperatorSyntaxError):
+            parse_operator(bad)
+
+
 def test_parse_cancellation_and_zero():
     assert parse_operator("axes x; Dx - Dx").is_zero
     assert parse_operator("axes x; 0").is_zero
