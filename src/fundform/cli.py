@@ -3,18 +3,19 @@
 Subcommands: decompose, count, enumerate, constraint, global-relation,
 represent, verify, stokes.  JSON is the machine format, LaTeX the human
 one, text a terse summary.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error.
+failure (or stdout closed by its reader), 2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import emit
-from .algebra import expr_sum
+from .algebra import divergence, expr_sum
 from .catalog import CATALOG_TAGS, builtin_solutions, stokes_operator
 from .decompose import (
     DEFAULT_PLAN_CEILING,
@@ -33,7 +34,7 @@ from .decompose import (
 )
 from .forms import assemble, forms_equivalent
 from .manufactured import ManufacturedSolution
-from .operators import MatrixPDO, Operator
+from .operators import MatrixPDO, Operator, bilinear_rhs
 from .parser import parse_operator, parse_poly
 from .ring import Poly
 from .spectral import (
@@ -155,28 +156,45 @@ def _emit(args, document: dict, latex: str, text: str) -> None:
         print(text)
 
 
+def _json_array(items, pad: str) -> str:
+    """Already encoded items as a JSON array, laid out the way
+    json.dumps(..., indent=2) lays out an array whose line starts at
+    indent `pad`."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + f"\n{pad}]"
+
+
 def _print_plans_json(op: Operator, document: dict) -> None:
     """Print the enumerate document byte for byte as emit.to_pretty_json
     would, with its empty "plans" list filled member by member from
-    enumerate_plans.  Each (term, term plan) fragment is encoded once and
-    shared by the members holding it, so memory and encoding grow with
-    the number of pieces, not with the family."""
+    enumerate_plans.  The last term's plan changes from one member to the
+    next, so its fragment is encoded for each member; the fragments of
+    the other terms are encoded once and shared by the members holding
+    them.  Memory grows with the other terms' pieces, not with the family
+    or the last term's pieces."""
+    names = [json.dumps(axis) for axis in op.axes]
+    keys = [key for key, *_ in _operator_terms(op)]
+    last = keys[-1] if keys else None
     encoded: dict = {}
+    # members sit at depth 2, fragments at depth 3 and their keys at depth 4
+    pad = " " * 8
 
     def fragment(item) -> str:
-        if item not in encoded:
+        text = encoded.get(item)
+        if text is None:
             (row, col, alpha), tp = item
-            text = json.dumps({
-                "row": row,
-                "col": col,
-                "alpha": list(alpha),
-                "path": [op.axes[k] for k in tp.path],
-                "transfer": [op.axes[k] for k in tp.transfer],
-                "exchanges": [[op.axes[k], op.axes[j]] for k, j in tp.exchanges],
-            }, indent=2)
-            # members sit at depth 2 and fragments at depth 3 of the document
-            encoded[item] = "      " + text.replace("\n", "\n      ")
-        return encoded[item]
+            exchanges = [_json_array((names[k], names[j]), pad + "  ")
+                         for k, j in tp.exchanges]
+            text = (f'      {{\n{pad}"row": {row},\n{pad}"col": {col},\n'
+                    f'{pad}"alpha": {_json_array(alpha, pad)},\n'
+                    f'{pad}"path": {_json_array([names[k] for k in tp.path], pad)},\n'
+                    f'{pad}"transfer": '
+                    f'{_json_array([names[k] for k in tp.transfer], pad)},\n'
+                    f'{pad}"exchanges": {_json_array(exchanges, pad)}\n      }}')
+            if item[0] != last:
+                encoded[item] = text
+        return text
 
     head, tail = emit.to_pretty_json(document).split('"plans": []')
     out = sys.stdout
@@ -232,16 +250,17 @@ def _pairwise_equivalent(op: Operator) -> bool:
     so any two members differ by a sum of per-term piece differences, and
     a bad piece shows in the member that differs from the first only in
     that term: comparing each piece with its term's first piece decides
-    every pair.  The whole operator is decomposed once under the default
-    plan, and the first pieces must add up to exactly its fluxes.
+    every pair.  The first member is the sum of the first pieces, and it
+    must pass the final divergence gate against the whole operator's
+    pairing.
     """
-    whole = decompose(op)
     pieces = [term for _, term in term_pieces(op)]
-    summed = tuple(expr_sum(term[0].fluxes[j] for term in pieces)
-                   for j in range(op.dimension))
-    if summed != whole.fluxes:
+    whole = tuple(expr_sum(term[0].fluxes[j] for term in pieces)
+                  for j in range(op.dimension))
+    if divergence(whole) != bilinear_rhs(op):
         raise EngineError(
-            "per-term pieces do not sum to the whole-operator decomposition"
+            "the first per-term pieces do not sum to a decomposition of the "
+            "whole operator"
         )
     return all(forms_equivalent(first, piece)
                for first, *rest in pieces for piece in rest)
@@ -474,7 +493,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to
+        # the null device, so that the interpreter's final flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except EngineError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 1

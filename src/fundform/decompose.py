@@ -353,18 +353,28 @@ def term_plans(alpha) -> Iterator[TermPlan]:
 
 def enumerate_plans(op: Operator,
                     ceiling: int = DEFAULT_PLAN_CEILING) -> Iterator[DecompositionPlan]:
-    """All decomposition plans for the operator, in a deterministic order.
+    """All decomposition plans for the operator, in a deterministic order:
+    the product of the terms' ``term_plans``, the last term changing
+    fastest.
 
     Refuses (EnumerationLimit, carrying the exact count) when the family
-    is larger than `ceiling`.
+    is larger than `ceiling`.  The plans of every term but the last are
+    held in lists; the last term's are streamed again from ``term_plans``
+    for each combination of the others, so memory grows with the other
+    terms' plans and does not grow with the family.
     """
     total = count_forms(op)
     if total > ceiling:
         raise EnumerationLimit(total, ceiling)
     keys = [key for key, *_ in _operator_terms(op)]
-    per_term = [list(term_plans(key[2])) for key in keys]
-    for combo in itertools.product(*per_term):
-        yield DecompositionPlan(tuple(zip(keys, combo)))
+    if not keys:
+        yield DecompositionPlan(())
+        return
+    *others, last = keys
+    for combo in itertools.product(*(list(term_plans(key[2])) for key in others)):
+        items = tuple(zip(others, combo))
+        for tp in term_plans(last[2]):
+            yield DecompositionPlan((*items, (last, tp)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,37 +403,61 @@ class DivergenceDecomposition:
         return self.fluxes[self.axes.index(axis)]
 
 
-def _decompose_term(alpha: MultiIndex, coeff: Poly, plan: TermPlan,
-                    pieces: list, lf: int, rf: int) -> None:
-    """Append the flux pieces of one operator term to pieces[axis]."""
-    n = len(alpha)
-    if alpha.order == 0:
-        return  # [0, 0] vanishes by antisymmetry
-    _validate_term_plan(alpha, plan)
-    kind = BRACE if alpha.order % 2 else BRACKET
-    pair = PairTerm(kind, coeff, alpha, MultiIndex.zero(n), lf, rf)
-    for k in plan.path:
-        flux, pair = reduce_step(pair, k)
-        pieces[k].append(flux)
+def _walk_term(alpha: MultiIndex, coeff: Poly, lf: int, rf: int,
+               plans) -> Iterator[tuple]:
+    """Yield (plan, emitted) for each of the given plans of one operator
+    term, where emitted lists the (axis, flux) pairs the plan's steps emit.
+
+    A plan is a chain of steps: its path reductions, then its sorted
+    transfer reductions, then its exchanges.  Plans in ``term_plans``
+    order share long prefixes of that chain, so the walk keeps a stack of
+    (step, state, emitted pairs), pops back to the prefix a plan shares
+    with the one before, and runs only the steps after it: each distinct
+    step runs once, with its oracle.  The closing collapse (or the
+    mirror-cancel check) runs for every plan.  A state is the remaining
+    PairTerm until the first exchange, then the (current, mirror) products.
+    """
     odd = alpha.odd_axes()
-    if not odd:
-        if pair.alpha != pair.beta:
-            raise EngineError("even-term reduction did not close on a diagonal")
-        return  # [gamma, gamma] = 0
-    for t in sorted(plan.transfer):
-        flux, pair = reduce_step(pair, t)
-        pieces[t].append(flux)
-    current, mirror = pair.products()
-    for k, j in plan.exchanges:
-        current, contributions = exchange_step(current, k, j)
-        for axis, flux in contributions:
-            pieces[axis].append(flux)
-    if len(odd) % 2 == 0:
-        if BilinearExpr([current, mirror]):
-            raise EngineError("exchange chain failed to cancel the mirror term")
-        return
-    r, flux = collapse_step(current, mirror)
-    pieces[r].append(flux)
+    kind = BRACE if alpha.order % 2 else BRACKET
+    root = PairTerm(kind, coeff, alpha, MultiIndex.zero(len(alpha)), lf, rf)
+    stack: list = []
+    for plan in plans:
+        if alpha.order == 0:
+            yield plan, []  # [0, 0] vanishes by antisymmetry
+            continue
+        _validate_term_plan(alpha, plan)
+        # an int is a reduction on that axis, a pair an exchange
+        steps = (*plan.path, *sorted(plan.transfer), *plan.exchanges)
+        shared = 0
+        for (done, _, _), step in zip(stack, steps):
+            if done != step:
+                break
+            shared += 1
+        del stack[shared:]
+        state = stack[-1][1] if stack else root
+        for step in steps[shared:]:
+            if isinstance(step, int):
+                flux, state = reduce_step(state, step)
+                pairs = ((step, flux),)
+            else:
+                current, mirror = (state if isinstance(state, tuple)
+                                   else state.products())
+                current, pairs = exchange_step(current, *step)
+                state = (current, mirror)
+            stack.append((step, state, pairs))
+        emitted = [pair for _, _, pairs in stack for pair in pairs]
+        if not odd:
+            if state.alpha != state.beta:
+                raise EngineError("even-term reduction did not close on a diagonal")
+            yield plan, emitted  # [gamma, gamma] = 0
+            continue
+        current, mirror = state if isinstance(state, tuple) else state.products()
+        if len(odd) % 2 == 0:
+            if BilinearExpr([current, mirror]):
+                raise EngineError("exchange chain failed to cancel the mirror term")
+        else:
+            emitted.append(collapse_step(current, mirror))
+        yield plan, emitted
 
 
 def decompose(op: Operator,
@@ -438,11 +472,23 @@ def decompose(op: Operator,
 def _gated_decompose(op: Operator, plan: DecompositionPlan,
                      rhs: BilinearExpr) -> DivergenceDecomposition:
     """``decompose`` with the pairing ``rhs = bilinear_rhs(op)`` already
-    computed, so that the pieces of one term share it."""
-    pieces = [[] for _ in range(op.dimension)]
-    for key, alpha, coeff, lf, rf in _operator_terms(op):
-        _decompose_term(alpha, coeff, plan.get(key), pieces, lf, rf)
-    fluxes = tuple(expr_sum(axis) for axis in pieces)
+    computed: each term walks its one plan."""
+    emitted = [pair
+               for key, alpha, coeff, lf, rf in _operator_terms(op)
+               for _, pairs in _walk_term(alpha, coeff, lf, rf,
+                                          (plan.get(key),))
+               for pair in pairs]
+    return _gate(op, plan, emitted, rhs)
+
+
+def _gate(op: Operator, plan: DecompositionPlan, emitted: list,
+          rhs: BilinearExpr) -> DivergenceDecomposition:
+    """Sum the emitted (axis, flux) pairs into one flux per axis, then the
+    final gate: their divergence must equal the pairing ``rhs``."""
+    per_axis = [[] for _ in range(op.dimension)]
+    for axis, flux in emitted:
+        per_axis[axis].append(flux)
+    fluxes = tuple(expr_sum(axis) for axis in per_axis)
     if divergence(fluxes) != rhs:
         raise EngineError(
             "final divergence check failed; this is an engine bug"
@@ -453,15 +499,18 @@ def _gated_decompose(op: Operator, plan: DecompositionPlan,
 def term_pieces(op: Operator) -> Iterator[tuple]:
     """Yield (key, pieces) per operator term, in plan-item order.  The
     pieces decompose the term alone (for a system, entry (row, col) of an
-    operator that is zero elsewhere) once under each of its term plans.
+    operator that is zero elsewhere) once under each of its term plans,
+    in ``term_plans`` order.
 
     The pairing is linear over terms, so the fluxes of the family member
     with term plans (p_1, ..., p_m) are the sum of piece p_t of each
     term t: the family costs sum_t term_plan_count(alpha_t) gated
-    decompositions instead of their product.  The term's pairing is
-    computed once and every piece is gated against it.
+    decompositions instead of their product.  One walk of the term's
+    plans runs each rewrite step shared by several plans once; every
+    piece still closes with its own collapse and passes the final gate
+    against the term's pairing, computed once.
     """
-    for key, alpha, coeff, _, _ in _operator_terms(op):
+    for key, alpha, coeff, lf, rf in _operator_terms(op):
         row, col, _ = key
         alone = ScalarPDO(op.axes, ((alpha, coeff),))
         if isinstance(op, MatrixPDO):
@@ -472,8 +521,9 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
                 for i in range(op.size)
             ))
         rhs = bilinear_rhs(alone)
-        yield key, [_gated_decompose(alone, DecompositionPlan(((key, tp),)), rhs)
-                    for tp in term_plans(alpha)]
+        yield key, [_gate(alone, DecompositionPlan(((key, tp),)), emitted, rhs)
+                    for tp, emitted in _walk_term(alpha, coeff, lf, rf,
+                                                  term_plans(alpha))]
 
 
 def verify_divergence(dec: DivergenceDecomposition,

@@ -1,7 +1,12 @@
+import contextlib
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,10 +14,12 @@ import pytest
 from conftest import random_multiindex, random_poly
 from fundform.algebra import BilinearExpr, product_rule, term
 from fundform.catalog import STOKES_JSON
+from fundform import cli
 from fundform.cli import main
 from fundform.decompose import (
     DEFAULT_PLAN_CEILING,
     DivergenceDecomposition,
+    count_forms,
     decompose,
     enumerate_plans,
     term_plan_count,
@@ -213,6 +220,81 @@ def test_enumerate_checks_families_above_limit_by_pieces(capsys):
                        "--format", "text")
     assert code == 0
     assert out == "N = 576\npairwise equivalent: true\n"
+
+
+SIX_AXES = "axes a,b,c,d,e,f; Da*Db*Dc*Dd*De*Df"  # one term, N = 720
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _json_print_peak(text: str) -> int:
+    """Peak traced memory, in bytes, while the enumerate JSON document of
+    `text` is printed to a sink that discards it."""
+    op = parse_operator(text)
+    document = {"count": count_forms(op), "ceiling": DEFAULT_PLAN_CEILING,
+                "plans": [], "pairwise_equivalent": None}
+    with contextlib.redirect_stdout(_Discard()):
+        tracemalloc.start()
+        try:
+            cli._print_plans_json(op, document)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_enumerate_json_memory_does_not_grow_with_the_family():
+    # one term, so nothing is held per member: doubling the family (N = 720
+    # to 1440) may cost only the longer member text and plan of the larger
+    # one, a few kB in all and well under 16 bytes per extra member;
+    # holding the plans or their fragments costs about 1 kB per member.
+    # The first calls fill the interpreter's free lists, which tracemalloc
+    # counts as held, so each document is printed once first and the least
+    # peak of three prints is kept.
+    large = "axes a,b,c,d,e,f; Da^3*Db^3*Dc*Dd*De*Df"
+    peaks = {}
+    for text in (SIX_AXES, large):
+        _json_print_peak(text)
+        peaks[text] = min(_json_print_peak(text) for _ in range(3))
+    assert peaks[large] - peaks[SIX_AXES] < 16 * (1440 - 720)
+
+
+def _closed_stdout_run(argv, stdout, close):
+    """Run fundform in a child process with a block-buffered stdout;
+    `close` shuts the read end of that stdout.  Returns (exit code, stderr
+    bytes)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "fundform", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+    close(proc)
+    with proc.stderr:
+        err = proc.stderr.read()
+    return proc.wait(timeout=120), err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the document (over 300 kB) cannot fit in the pipe, so the writer
+    # meets the read end closed after the first line
+    def after_first_line(proc):
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+
+    assert _closed_stdout_run(["enumerate", "--op", SIX_AXES, "--format", "json"],
+                              subprocess.PIPE, after_first_line) == (1, b"")
+    # a short document reaches the pipe only when stdout is flushed
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "wb") as pipe:
+        assert _closed_stdout_run(["count", "--op", "axes x,t; Dt^2 - Dx^2"],
+                                  pipe, lambda proc: None) == (1, b"")
 
 
 def test_enumerate_ceiling_fallback(capsys):

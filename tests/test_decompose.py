@@ -49,6 +49,8 @@ from fundform.catalog import (
     wave_operator,
 )
 
+engine = importlib.import_module("fundform.decompose")
+
 
 def expr_dict(expr):
     return {(t.left_field, t.right_field, tuple(t.left), tuple(t.right)): t.coeff
@@ -401,20 +403,86 @@ def test_final_gate_refuses_planted_flux(monkeypatch):
     # each rewrite step passes its oracle, then a flux piece with nonzero
     # divergence joins axis 0: the gate must refuse it, on the whole
     # operator and on a term piece (gated against the term's shared pairing)
-    engine = importlib.import_module("fundform.decompose")
-    real = engine._decompose_term
+    real = engine._walk_term
 
-    def planted(alpha, coeff, plan, pieces, lf, rf):
-        real(alpha, coeff, plan, pieces, lf, rf)
-        pieces[0].append(BilinearExpr([term(1, (0,) * len(alpha),
-                                            (0,) * len(alpha))]))
+    def planted(alpha, coeff, lf, rf, plans):
+        extra = BilinearExpr([term(1, (0,) * len(alpha), (0,) * len(alpha))])
+        for plan, emitted in real(alpha, coeff, lf, rf, plans):
+            yield plan, [*emitted, (0, extra)]
 
-    monkeypatch.setattr(engine, "_decompose_term", planted)
+    monkeypatch.setattr(engine, "_walk_term", planted)
     op = triple_product_operator()
     with pytest.raises(EngineError, match="final divergence check"):
         decompose(op)
     with pytest.raises(EngineError, match="final divergence check"):
         list(term_pieces(op))
+
+
+def _count_rule_calls(monkeypatch):
+    """Count calls of the three rewrite rules, looked up as module globals."""
+    calls = dict.fromkeys(("reduce_step", "exchange_step", "collapse_step"), 0)
+    for name in calls:
+        def counted(*args, real=getattr(engine, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def test_term_walk_runs_each_shared_step_once(monkeypatch):
+    # Dx^3*Dy^3*Dz has 2 paths x 3 transfers x 2 exchange pairings = 12
+    # plans of 5 rule calls each.  Walking the plan trie takes 4 path and
+    # 6 transfer reductions, 12 exchanges and one collapse per plan
+    op = parse_operator("axes x,y,z,w; Dx^3*Dy^3*Dz")
+    calls = _count_rule_calls(monkeypatch)
+    (key, pieces), = term_pieces(op)
+    assert calls == {"reduce_step": 10, "exchange_step": 12, "collapse_step": 12}
+    assert len(pieces) == 12
+    calls.update(dict.fromkeys(calls, 0))
+    rhs = bilinear_rhs(op)
+    for tp in term_plans(key[2]):
+        engine._gated_decompose(op, DecompositionPlan(((key, tp),)), rhs)
+    assert sum(calls.values()) == 60
+
+
+def _term_alone(op, key, coeff):
+    """The operator holding only the term `key` of `op`."""
+    row, col, alpha = key
+    alone = ScalarPDO(op.axes, ((alpha, coeff),))
+    if not isinstance(op, MatrixPDO):
+        return alone
+    zero = ScalarPDO(op.axes, ())
+    return MatrixPDO(op.axes, op.fields, [
+        [alone if (i, j) == (row, col) else zero for j in range(op.size)]
+        for i in range(op.size)
+    ])
+
+
+@pytest.mark.parametrize("text", [
+    "axes x,y,z,w; Dx^3*Dy^3*Dz",
+    "axes x,y,z,w; Dx^3*Dy*Dz*Dw - 2*Dx*Dy",
+    "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^4 + 3",
+    json.dumps({"axes": ["x", "y", "z"], "fields": ["u", "v"],
+                "entries": [["Dx*Dy*Dz", "Dx^3*Dy"], ["2*Dy", "Dx^2*Dz"]]}),
+], ids=["brace", "even-odd", "even-and-constant", "matrix"])
+def test_term_walk_matches_per_plan_route(text):
+    # every piece of the walk is the term decomposed alone under its plan,
+    # one plan at a time
+    op = parse_operator(text)
+    coeffs = {key: coeff for key, _, coeff, _, _ in engine._operator_terms(op)}
+    seen = 0
+    for key, pieces in term_pieces(op):
+        alone = _term_alone(op, key, coeffs[key])
+        rhs = bilinear_rhs(alone)
+        plans = list(term_plans(key[2]))
+        assert len(pieces) == len(plans)
+        for piece, tp in zip(pieces, plans):
+            plan = DecompositionPlan(((key, tp),))
+            expected = engine._gated_decompose(alone, plan, rhs)
+            assert piece.verified and piece.source == alone
+            assert (piece.fluxes, piece.plan) == (expected.fluxes, expected.plan)
+            seen += 1
+    assert seen == sum(term_plan_count(key[2]) for key in coeffs)
 
 
 def _corrupt_rule_output(monkeypatch, builder, change):
