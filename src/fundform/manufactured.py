@@ -8,8 +8,9 @@ closed under differentiation without growing:
 
     d/dx_k c x^a e^(lam.x) = lam_k c x^a e^(lam.x) + a_k c x^(a-e_k) e^(lam.x)
 
-so every boundary trace is differentiated in closed form and only then
-evaluated (vectorised over numpy grids).  Small text grammar::
+so every trace is differentiated in closed form, and a linear combination
+of traces (times an exponential weight) is again one exponential-polynomial,
+merged once before it is evaluated or integrated.  Small text grammar::
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
@@ -337,3 +338,23 @@ class ManufacturedSolution:
                         self._traces[field, tuple(step)] = expr
             self._traces[key] = expr
         return self._traces[key]
+
+    def derivative_sum(self, entries, shift: Sequence[complex] | None = None) -> ExpPoly:
+        """sum coeff * d^deriv q_field over (coeff, field, deriv) entries,
+        merged once.  A `shift` (one complex slope per axis) is added to
+        every term's lam, which multiplies the sum by exp(shift . x).
+
+        Derivatives are read from the trace memo.  A miss is filled by
+        calling `trace`, so that every derivation still happens, and can
+        be observed, there."""
+        triples = []
+        for coeff, field, deriv in entries:
+            key = (field, tuple(deriv))
+            if key not in self._traces:
+                self.trace(field, deriv)
+            triples.extend((a, lam, coeff * c) for a, lam, c in self._traces[key].terms)
+        if shift is not None:
+            shift = tuple(shift)
+            triples = [(a, tuple(s + t for s, t in zip(lam, shift)), c)
+                       for a, lam, c in triples]
+        return _merge(self.axes, triples)

@@ -6,11 +6,22 @@ solution of the operator equation, the oriented face integrals of the
 form over a box must cancel.  The reported figure of merit is the total
 residual against the largest single face integral, which measures exactly
 the cancellation the relation asserts.
+
+On the faces normal to axis k the integrand sum coeff * trace * exp(E . x)
+is merged into one exponential-polynomial sum c x^a exp(lam . x), the
+spectral slopes E folded into every lam.  Each term is a product of
+one-axis factors, so its tensor Gauss-Legendre sum over a face is
+c v^(a_k) exp(lam_k v) prod_(j != k) S_j(a_j, lam_j) with the one-axis sums
+S_j(p, mu) = sum_i w_i x_i^p exp(mu x_i): the same tensor rule in O(d n)
+work per term instead of O(n^(d-1)).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,6 +31,7 @@ from .decompose import decompose
 from .forms import assemble
 from .manufactured import ManufacturedSolution
 from .operators import Operator, adjoint, apply_symbol_rows, grid
+from .parser import MAX_NODES
 from .ring import P_ONE, QI_I, Poly
 from .spectral import SubstitutedForm, substitute_exponential
 
@@ -35,6 +47,10 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ValueError("quadrature needs at least one node per axis")
+        if self.nodes > MAX_NODES:
+            raise ValueError(
+                f"quadrature takes at most {MAX_NODES} nodes per axis"
+            )
 
 
 @dataclass(frozen=True)
@@ -61,30 +77,44 @@ def _numeric_fluxes(sf: SubstitutedForm, assignment: Mapping) -> tuple:
     return slopes, fluxes
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    points, weights = np.polynomial.legendre.leggauss(nodes)
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
+
+
 def _face_grid(box: Sequence, axis: int, end: str, spec: QuadratureSpec,
                axes: Sequence[str]) -> tuple:
-    """Coordinate arrays and total weight array on one face."""
-    nodes, weights = np.polynomial.legendre.leggauss(spec.nodes)
-    coords = {}
-    running = []
+    """One face's fixed coordinate, then the Gauss-Legendre nodes and
+    weights of its free axes scaled to the box: arrays of shape
+    (free axes, nodes), row r for the r-th free axis in axis order."""
+    points, weights = _gauss_legendre(spec.nodes)
+    free = []
     for j, (lo, hi) in enumerate(box):
         if j == axis:
             continue
         if hi == lo:
             raise ValueError(f"box is degenerate along axis {axes[j]}")
-        pts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        wts = 0.5 * (hi - lo) * weights
-        running.append((j, pts, wts))
-    shape = [spec.nodes] * len(running)
-    weight = np.ones(shape) if running else np.ones(())
-    for pos, (j, pts, wts) in enumerate(running):
-        reshape = [1] * len(running)
-        reshape[pos] = spec.nodes
-        coords[axes[j]] = pts.reshape(reshape) * np.ones(shape)
-        weight = weight * wts.reshape(reshape)
+        free.append((0.5 * (hi - lo) * points + 0.5 * (hi + lo),
+                     0.5 * (hi - lo) * weights))
+    shape = (len(free), spec.nodes)
+    nodes = np.array([pts for pts, _ in free]).reshape(shape)
+    scaled = np.array([wts for _, wts in free]).reshape(shape)
     lo, hi = box[axis]
-    coords[axes[axis]] = np.full(shape, hi if end == "hi" else lo, dtype=float)
-    return coords, weight
+    return (hi if end == "hi" else lo), nodes, scaled
+
+
+def _axis_sum(nodes: Sequence[float], weights: Sequence[float], power: int,
+              slope: complex) -> complex:
+    """sum_i w_i x_i^power exp(slope x_i): one axis's factor of a tensor
+    Gauss-Legendre sum."""
+    if slope:
+        return sum(w * x ** power * cmath.exp(slope * x)
+                   for x, w in zip(nodes, weights))
+    return complex(sum(w * x ** power for x, w in zip(nodes, weights)))
 
 
 @np.errstate(all="ignore")
@@ -94,35 +124,52 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
     """Sum of oriented face integrals of the substituted form over the box.
 
     `assignment` gives complex values for every spectral name and operator
-    parameter appearing in the form.  Traces of the solution are computed
-    symbolically and evaluated on the quadrature grid; the weight
-    exp(sum_j E_j x^j) is evaluated in closed form.  Integrals that leave
-    the float range raise ValueError.
+    parameter appearing in the form.  The faces normal to one axis share
+    one integrand, the solution's traces merged with the weight
+    exp(sum_j E_j x^j) folded into their slopes; its tensor Gauss-Legendre
+    sum on each face is a product of one-axis sums, cached per (axis,
+    power, slope) for the call.  Integrals that leave the float range
+    raise ValueError.
     """
     if solution.axes != sf.axes:
         raise ValueError("solution and form use different axes")
     if len(box) != sf.dimension:
         raise ValueError("box must give one interval per axis")
     assignment = dict(assignment or {})
-    slopes, fluxes = _numeric_fluxes(sf, assignment)
+    rules: dict = {}
+    sums: dict = {}
+
+    def axis_sum(j: int, power: int, slope: complex) -> complex:
+        key = (j, power, slope)
+        if key not in sums:
+            sums[key] = _axis_sum(*rules[j], power, slope)
+        return sums[key]
+
     integrals = []
-    for axis in range(sf.dimension):
-        for end, orientation in (("hi", 1), ("lo", -1)):
+    try:
+        slopes, fluxes = _numeric_fluxes(sf, assignment)
+        for axis in range(sf.dimension):
             if not fluxes[axis]:
-                integrals.append(((sf.axes[axis], end), 0j))
+                integrals += [((sf.axes[axis], end), 0j) for end in ("hi", "lo")]
                 continue
-            coords, weight = _face_grid(box, axis, end, spec, sf.axes)
-            exponent = sum(
-                slopes[j] * coords[sf.axes[j]] for j in range(sf.dimension)
-            )
-            kernel = np.exp(exponent) * weight
-            total = 0j
-            for coeff, field, deriv in fluxes[axis]:
-                trace = solution.trace(field, deriv).evaluate(coords)
-                total += coeff * complex(np.sum(np.asarray(trace * kernel)))
-            integrals.append(((sf.axes[axis], end), orientation * total))
-    residual = sum(value for _, value in integrals)
-    if not np.isfinite(residual):
+            free = [j for j in range(sf.dimension) if j != axis]
+            integrand = solution.derivative_sum(fluxes[axis], slopes).terms
+            for end, orientation in (("hi", 1), ("lo", -1)):
+                fixed, nodes, weights = _face_grid(box, axis, end, spec, sf.axes)
+                for r, j in enumerate(free):
+                    if j not in rules:
+                        rules[j] = (nodes[r].tolist(), weights[r].tolist())
+                total = 0j
+                for a, lam, c in integrand:
+                    part = c * fixed ** a[axis] * cmath.exp(lam[axis] * fixed)
+                    for j in free:
+                        part *= axis_sum(j, a[j], lam[j])
+                    total += part
+                integrals.append(((sf.axes[axis], end), orientation * total))
+        residual = sum(value for _, value in integrals)
+    except OverflowError:
+        residual = math.inf
+    if not cmath.isfinite(residual):
         raise ValueError("face integrals overflow the float range on the box")
     scale = max((abs(value) for _, value in integrals), default=0.0)
     return ResidualReport(residual, scale, tuple(integrals))
@@ -133,8 +180,9 @@ def interior_residual(op: Operator, solution: ManufacturedSolution,
                       box: Sequence, points: int = 50, seed: int = 0,
                       params: Mapping | None = None) -> float:
     """Max |(op solution)_i| over seeded random interior points; the
-    manufactured-solution pre-check.  Values that leave the float range
-    raise ValueError."""
+    manufactured-solution pre-check.  Each row of op applied to the
+    solution is merged in closed form, then evaluated.  Values that leave
+    the float range raise ValueError."""
     rng = np.random.default_rng(seed)
     params = dict(params or {})
     samples = {
@@ -143,28 +191,18 @@ def interior_residual(op: Operator, solution: ManufacturedSolution,
     }
     worst = 0.0
     for row in grid(op):
-        total = np.zeros(points, dtype=complex)
-        for j, entry in enumerate(row):
-            for alpha, coeff in entry.terms:
-                trace = solution.trace(j, alpha).evaluate(samples)
-                total = total + coeff.evaluate(params) * np.asarray(
-                    trace, dtype=complex
-                )
+        try:
+            entries = [(coeff.evaluate(params), j, alpha)
+                       for j, entry in enumerate(row) for alpha, coeff in entry.terms]
+            total = solution.derivative_sum(entries).evaluate(samples)
+        except OverflowError:
+            total = math.inf
         if not np.all(np.isfinite(total)):
             raise ValueError(
                 "solution overflows the float range at interior points"
             )
         worst = max(worst, float(np.max(np.abs(total))))
     return worst
-
-
-def convergence_residuals(sf: SubstitutedForm, solution: ManufacturedSolution,
-                          box: Sequence, node_counts: Sequence[int],
-                          assignment: Mapping | None = None) -> list:
-    return [
-        boundary_residual(sf, solution, box, QuadratureSpec(n), assignment)
-        for n in node_counts
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +261,10 @@ def run_catalog_case(tag: str, nodes: int = 20, seed: int = 0,
                      solution: ManufacturedSolution | None = None,
                      tol: float = DEFAULT_RELATIVE_TOL) -> dict:
     """Full pipeline for one catalog tag: pre-check the solution and the
-    spectral point, then integrate the substituted form over the box."""
+    spectral point, then integrate the substituted form over the box.  A
+    tolerance that is not a finite positive number raises ValueError."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite positive number, not {tol}")
     case = builtin_solutions(tag)[0]
     used_solution = solution if solution is not None else case.solution
     pde_residual = interior_residual(case.operator, used_solution, case.box,

@@ -26,7 +26,7 @@ from fundform.decompose import (
 )
 from fundform.forms import forms_equivalent
 from fundform.operators import ScalarPDO
-from fundform.parser import MAX_ORDER, MAX_TERMS, format_operator, parse_operator
+from fundform.parser import MAX_NODES, MAX_ORDER, MAX_TERMS, format_operator, parse_operator
 from fundform.ring import Poly
 
 TRIPLE = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
@@ -346,6 +346,21 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--case", "wave",
                        "--solution", "x^4", "--format", "text")
     assert code == 1 and "FAIL" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_verify_bad_tolerance_exits_2(capsys, tol):
+    code, _, err = run(capsys, "verify", "--case", "wave", f"--tol={tol}")
+    assert refused(code, err, "tolerance must be a finite positive number")
+
+
+def test_verify_node_limit(capsys):
+    code, _, err = run(capsys, "verify", "--case", "stokes",
+                       "--nodes", str(MAX_NODES + 1))
+    assert refused(code, err, f"at most {MAX_NODES} nodes")
+    code, out, _ = run(capsys, "verify", "--case", "stokes",
+                       "--nodes", str(MAX_NODES), "--format", "text")
+    assert code == 0 and "pass" in out
 
 
 def test_parse_error_exits_2(capsys):

@@ -1,22 +1,30 @@
 import cmath
+import itertools
+import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from fundform.catalog import CATALOG_TAGS, builtin_solutions
 from fundform.decompose import decompose, enumerate_plans
+from fundform.forms import assemble
 from fundform.manufactured import (
     ManufacturedSolution,
     SolutionSyntaxError,
     parse_solution,
 )
+from fundform.parser import MAX_NODES, parse_operator
+from fundform.ring import Poly
+from fundform.spectral import substitute_exponential
 from fundform.verify import (
     QuadratureSpec,
+    _axis_sum,
+    _face_grid,
     adjoint_point_residual,
     boundary_residual,
     case_substituted_form,
-    convergence_residuals,
     interior_residual,
     run_catalog_case,
 )
@@ -217,8 +225,9 @@ def test_residual_converges_with_quadrature_order():
     for tag in CATALOG_TAGS:
         case = builtin_solutions(tag)[0]
         sf, assignment = case_substituted_form(case)
-        reports = convergence_residuals(sf, case.solution, case.box,
-                                        (5, 10, 20), assignment)
+        reports = [boundary_residual(sf, case.solution, case.box,
+                                     QuadratureSpec(n), assignment)
+                   for n in (5, 10, 20)]
         floor = 1e-12 * max(reports[-1].scale, 1.0)
         assert reports[-1].relative <= 1e-8, tag
         assert abs(reports[-1].residual) <= abs(reports[0].residual) + floor
@@ -267,11 +276,23 @@ def test_overflowing_solution_refused():
         boundary_residual(sf, huge, case.box, QuadratureSpec(4), assignment)
     with pytest.raises(ValueError, match="overflow"):
         interior_residual(case.operator, huge, case.box)
+    # a finite solution, but an operator coefficient beyond the float range
+    wide = parse_operator("axes x,t; " + "9" * 400 + "*Dt^2 - Dx^2")
+    with pytest.raises(ValueError, match="overflow"):
+        interior_residual(wide, case.solution, case.box)
+    wide_form = substitute_exponential(assemble(decompose(wide)),
+                                       [Poly.var("k"), Poly.var("k")])
+    with pytest.raises(ValueError, match="overflow"):
+        boundary_residual(wide_form, case.solution, case.box, QuadratureSpec(4),
+                          {"k": 1})
 
 
 def test_quadrature_spec_validated():
     with pytest.raises(ValueError):
         QuadratureSpec(0)
+    with pytest.raises(ValueError, match=f"at most {MAX_NODES} nodes"):
+        QuadratureSpec(MAX_NODES + 1)
+    assert QuadratureSpec(MAX_NODES).nodes == MAX_NODES
 
 
 def test_axis_mismatch_rejected():
@@ -280,3 +301,98 @@ def test_axis_mismatch_rejected():
     wrong = ManufacturedSolution.scalar(("x", "y"), "x")
     with pytest.raises(ValueError):
         boundary_residual(sf, wrong, case.box, QuadratureSpec(4), assignment)
+
+
+# ---------------------------------------------------------------------------
+# Separable quadrature against independent oracles
+
+
+def exact_moment(power: int, slope: complex, lo: float, hi: float) -> complex:
+    """Integral of x^power exp(slope x) over [lo, hi] in closed form:
+    I_p = (x^p e^(slope x) - p I_(p-1)) / slope, or a monomial integral
+    when slope = 0."""
+    if slope == 0:
+        return (hi ** (power + 1) - lo ** (power + 1)) / (power + 1)
+
+    def antiderivative(x: float) -> complex:
+        value = cmath.exp(slope * x) / slope
+        for p in range(1, power + 1):
+            value = (x ** p * cmath.exp(slope * x) - p * value) / slope
+        return value
+
+    return antiderivative(hi) - antiderivative(lo)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-0.5, 2.0)])
+@pytest.mark.parametrize("slope", [0, 2.5, -3.0, 1.5j, 2 - 3j])
+def test_one_axis_sums_match_closed_form_integrals(lo, hi, slope):
+    # 30 nodes integrate x^p exp(slope x) to rounding on these intervals
+    box = ((lo, hi), (0.0, 1.0))
+    _, nodes, weights = _face_grid(box, 1, "hi", QuadratureSpec(30), ("x", "y"))
+    for power in range(7):
+        exact = exact_moment(power, slope, lo, hi)
+        got = _axis_sum(nodes[0].tolist(), weights[0].tolist(), power, slope)
+        assert abs(got - exact) <= 1e-12 * max(abs(exact), 1.0), (power, slope)
+
+
+def brute_force_faces(sf, solution, box, nodes, assignment) -> list:
+    """Oriented face integrals by a plain tensor Gauss-Legendre sum: every
+    flux term's trace evaluated at every face node, times exp(E . x)."""
+    points, weights = np.polynomial.legendre.leggauss(nodes)
+    slopes = [s.evaluate(assignment) for s in sf.exponent_slopes()]
+    axes = sf.axes
+    integrals = []
+    for k, flux in enumerate(sf.fluxes):
+        free = [j for j in range(len(axes)) if j != k]
+        rules = [[(0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w)
+                  for x, w in zip(points, weights)]
+                 for lo, hi in (box[j] for j in free)]
+        for end, orientation in (("hi", 1), ("lo", -1)):
+            fixed = box[k][1] if end == "hi" else box[k][0]
+            total = 0j
+            for combo in itertools.product(*rules):
+                point = {axes[k]: fixed}
+                weight = 1.0
+                for j, (x, w) in zip(free, combo):
+                    point[axes[j]] = float(x)
+                    weight *= float(w)
+                kernel = cmath.exp(sum(s * point[a] for s, a in zip(slopes, axes)))
+                value = sum(coeff.evaluate(assignment)
+                            * complex(solution.trace(field, deriv).evaluate(point))
+                            for coeff, field, deriv in flux)
+                total += weight * kernel * value
+            integrals.append(((axes[k], end), orientation * total))
+    return integrals
+
+
+def laplacian_squared_case():
+    """Laplacian^2 on three axes, q = (2x + 3z) exp(5x) cos(3y) cos(4z),
+    sigma = (5i, 3, 4): slopes of both the solution and the weight are
+    complex."""
+    op = parse_operator("axes x,y,z; (Dx^2 + Dy^2 + Dz^2)^2")
+    sigma = [Poly.var("s1"), Poly.var("s2"), Poly.var("s3")]
+    sf = substitute_exponential(assemble(decompose(op)), sigma)
+    solution = ManufacturedSolution.scalar(
+        ("x", "y", "z"), "(2*x + 3*z)*exp(5*x)*cos(3*y)*cos(4*z)")
+    box = ((0.0, 1.0), (-0.5, 0.5), (0.0, 0.75))
+    return sf, solution, box, {"s1": 5j, "s2": 3, "s3": 4}
+
+
+def stokes_case():
+    case = builtin_solutions("stokes")[0]
+    sf, assignment = case_substituted_form(case)
+    return sf, case.solution, case.box, assignment
+
+
+@pytest.mark.parametrize("make", [stokes_case, laplacian_squared_case],
+                         ids=["stokes", "laplacian2"])
+def test_separable_faces_match_brute_force_tensor_sum(make):
+    sf, solution, box, assignment = make()
+    nodes = 5
+    report = boundary_residual(sf, solution, box, QuadratureSpec(nodes), assignment)
+    expected = brute_force_faces(sf, solution, box, nodes, assignment)
+    assert [face for face, _ in report.face_integrals] == [face for face, _ in expected]
+    scale = max(abs(value) for _, value in expected)
+    assert scale > 0 and math.isfinite(scale)
+    for (face, got), (_, want) in zip(report.face_integrals, expected):
+        assert abs(got - want) <= 1e-12 * scale, face
