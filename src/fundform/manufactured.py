@@ -10,7 +10,8 @@ closed under differentiation without growing:
 
 so every trace is differentiated in closed form, and a linear combination
 of traces (times an exponential weight) is again one exponential-polynomial,
-merged once before it is evaluated or integrated.  Small text grammar::
+merged once before it is evaluated (one point at a time) or integrated.
+Small text grammar::
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
@@ -32,24 +33,22 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .parser import MAX_NESTING, MAX_TERMS
 
 
-def _slope_order(term: tuple) -> tuple:
-    a, lam, _ = term
-    return a, tuple((s.real, s.imag) for s in lam)
-
-
 def _merge(axes: tuple, triples) -> "ExpPoly":
-    """Sum coefficients of equal (a, lam), drop zeros and sort."""
+    """Sum coefficients of equal (a, lam), drop zeros and sort by a, then
+    by the (real, imag) pairs of lam.  The slope key is built once per
+    distinct lam, and terms sort on (a, rank of lam)."""
     acc: dict = {}
     for a, lam, c in triples:
         key = (a, lam)
         acc[key] = acc.get(key, 0j) + c
-    terms = [(a, lam, c) for (a, lam), c in acc.items() if c != 0]
-    return ExpPoly(axes, tuple(sorted(terms, key=_slope_order)))
+    slopes = sorted({lam for _, lam in acc},
+                    key=lambda lam: tuple((s.real, s.imag) for s in lam))
+    rank = {lam: r for r, lam in enumerate(slopes)}
+    ranked = sorted((a, rank[lam], lam, c) for (a, lam), c in acc.items() if c != 0)
+    return ExpPoly(axes, tuple((a, lam, c) for a, _, lam, c in ranked))
 
 
 @dataclass(frozen=True)
@@ -70,35 +69,18 @@ class ExpPoly:
                 out.append((a[:k] + (a[k] - 1,) + a[k + 1:], lam, a[k] * c))
         return _merge(self.axes, out)
 
-    def evaluate(self, coords: Mapping) -> np.ndarray | complex:
-        """Value at numeric coordinates (scalars or broadcastable arrays,
-        one per axis).  Each x_j^p and each exp(lam . x) is computed once
-        per call; at real coordinates exp(conj(lam) . x) is taken as the
-        conjugate of exp(lam . x)."""
-        x = [np.asarray(coords[name]) for name in self.axes]
-        real = not any(np.iscomplexobj(v) for v in x)
-        powers: dict = {}
+    def evaluate(self, coords: Mapping) -> complex:
+        """Value at one point: one number per axis.  Terms that share a
+        slope share one exp(lam . x)."""
+        x = [coords[name] for name in self.axes]
         by_slope: dict = {}
         for a, lam, c in self.terms:
-            part = c
-            for j, p in enumerate(a):
+            for xj, p in zip(x, a):
                 if p:
-                    if (j, p) not in powers:
-                        powers[j, p] = x[j] ** p
-                    part = part * powers[j, p]
-            by_slope[lam] = by_slope.get(lam, 0) + part
-        exps: dict = {}
-        total = 0j
-        for lam, part in by_slope.items():
-            if any(lam):
-                mirror = tuple(s.conjugate() for s in lam)
-                if real and mirror in exps:
-                    exps[lam] = np.conj(exps[mirror])
-                else:
-                    exps[lam] = np.exp(sum(s * x[j] for j, s in enumerate(lam) if s))
-                part = part * exps[lam]
-            total = total + part
-        return total
+                    c *= xj ** p
+            by_slope[lam] = by_slope.get(lam, 0j) + c
+        return sum((part * cmath.exp(sum(s * xj for s, xj in zip(lam, x)))
+                    for lam, part in by_slope.items()), 0j)
 
 
 def _constant(axes: tuple, value: complex) -> ExpPoly:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fundform.verify import (
     QuadratureSpec,
     _axis_sum,
     _face_grid,
+    _gauss_legendre,
     adjoint_point_residual,
     boundary_residual,
     case_substituted_form,
@@ -287,6 +289,28 @@ def test_overflowing_solution_refused():
                           {"k": 1})
 
 
+def test_overflowing_operator_refused_at_spectral_point():
+    # an operator coefficient beyond the float range, on the wave's data
+    case = builtin_solutions("wave")[0]
+    wide = parse_operator("axes x,t; " + "9" * 400 + "*Dt^2 - Dx^2")
+    with pytest.raises(ValueError, match="overflow"):
+        adjoint_point_residual(wide, case.sigma, case.sign, case.amplitudes,
+                               case.params)
+
+
+def test_interior_points_come_from_a_seeded_random():
+    # (Dt^2 - Dx^2) x^4 = -12 x^2; x is the first axis, drawn first
+    case = builtin_solutions("wave")[0]
+    quartic = ManufacturedSolution.scalar(("x", "t"), "x^4")
+    box = ((0.5, 2.0), (0.0, 1.0))
+    rng = random.Random(3)
+    xs = [0.5 + 1.5 * rng.random() for _ in range(7)]
+    expected = max(12 * x ** 2 for x in xs)
+    got = interior_residual(case.operator, quartic, box, points=7, seed=3)
+    assert got == pytest.approx(expected, rel=1e-14)
+    assert interior_residual(case.operator, quartic, box, points=7, seed=4) != got
+
+
 def test_quadrature_spec_validated():
     with pytest.raises(ValueError):
         QuadratureSpec(0)
@@ -301,6 +325,61 @@ def test_axis_mismatch_rejected():
     wrong = ManufacturedSolution.scalar(("x", "y"), "x")
     with pytest.raises(ValueError):
         boundary_residual(sf, wrong, case.box, QuadratureSpec(4), assignment)
+
+
+# ---------------------------------------------------------------------------
+# The one-axis Gauss-Legendre rule
+
+RULE_SIZES = list(range(1, 65)) + [200, 1000]
+
+
+def test_gauss_legendre_matches_leggauss():
+    # leggauss's own weights drift from the true ones as n grows (by 1.8e-12
+    # relative at n = 60 and 8e-9 at the end nodes of n = 1000), so they are
+    # compared absolutely; the weights sum to 2.  Relative accuracy is
+    # checked against a high-precision reference below.
+    for n in RULE_SIZES:
+        points, weights = _gauss_legendre(n)
+        want_points, want_weights = np.polynomial.legendre.leggauss(n)
+        assert len(points) == len(weights) == n
+        assert max(abs(x - y) for x, y in zip(points, want_points)) <= 1e-15, n
+        assert max(abs(w - v) for w, v in zip(weights, want_weights)) <= 1e-13, n
+
+
+def test_gauss_legendre_is_symmetric_and_exact():
+    eps = sys.float_info.epsilon
+    for n in RULE_SIZES:
+        points, weights = _gauss_legendre(n)
+        assert all(x == -y for x, y in zip(points, reversed(points))), n
+        assert all(w == v for w, v in zip(weights, reversed(weights))), n
+        assert list(points) == sorted(points), n
+        assert abs(math.fsum(weights) - 2) <= 1e-14, n
+        # the rule is exact through degree 2n - 1; x^p scales a node's
+        # rounding by p, so that is the rounding allowed
+        top = 2 * n - 1
+        odd = math.fsum(w * x ** top for x, w in zip(points, weights))
+        even = math.fsum(w * x ** (top - 1) for x, w in zip(points, weights))
+        assert abs(odd) <= 2 * top * eps, n
+        assert abs(even - 2 / top) <= 2 * top * eps * (2 / top), n
+
+
+@pytest.mark.parametrize("n", [7, 20, 41, 60, 200, 1000])
+def test_gauss_legendre_weights_against_high_precision(n):
+    # 30-digit roots of mpmath.legendre, Newton-polished from the rule's ten
+    # largest nodes, where a weight is most sensitive.  A weight must agree
+    # to 1e-12 relative, plus eps / (1 - x): the node's own rounding moves
+    # 1 - x^2 by that much.
+    mpmath = pytest.importorskip("mpmath")
+    points, weights = _gauss_legendre(n)
+    with mpmath.workdps(30):
+        for x0, w in zip(points[-10:], weights[-10:]):
+            x = mpmath.mpf(x0)
+            for _ in range(3):
+                p, q = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+                x -= p * (x * x - 1) / (n * (x * p - q))
+            exact = 2 * (1 - x * x) / (n * mpmath.legendre(n - 1, x)) ** 2
+            tol = 1e-12 + sys.float_info.epsilon / (1 - abs(x0))
+            assert abs(x0 - x) <= 2e-16 and abs(w - exact) <= tol * exact, x0
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +410,7 @@ def test_one_axis_sums_match_closed_form_integrals(lo, hi, slope):
     _, nodes, weights = _face_grid(box, 1, "hi", QuadratureSpec(30), ("x", "y"))
     for power in range(7):
         exact = exact_moment(power, slope, lo, hi)
-        got = _axis_sum(nodes[0].tolist(), weights[0].tolist(), power, slope)
+        got = _axis_sum(nodes[0], weights[0], power, slope)
         assert abs(got - exact) <= 1e-12 * max(abs(exact), 1.0), (power, slope)
 
 
