@@ -35,7 +35,7 @@ from .decompose import (
 from .forms import assemble, forms_equivalent
 from .manufactured import ManufacturedSolution
 from .operators import MatrixPDO, Operator, bilinear_rhs
-from .parser import parse_operator, parse_poly
+from .parser import parse_names, parse_operator, parse_poly
 from .ring import Poly
 from .spectral import (
     adjoint_constraint,
@@ -145,6 +145,22 @@ def _endpoint(text: str) -> Poly:
         if not text.isidentifier():
             raise UsageError(f"box endpoint {text!r} is neither rational nor a name")
         return Poly.var(text)
+
+
+def _spectral_names(args, op: Operator, box=()) -> list:
+    """--spectral-names (s1..sn without it), read by the header's name-list
+    rule; no name may be an axis, a parameter or a box endpoint name."""
+    if not args.spectral_names:
+        return [f"s{j + 1}" for j in range(op.dimension)]
+    names = parse_names(args.spectral_names, "spectral")
+    taken = set(op.axes).union(
+        *(coeff.variables() for _, coeff in op.terms),
+        *(end.variables() for span in box for end in span))
+    clash = taken.intersection(names)
+    if clash:
+        raise UsageError(f"spectral names collide with axis, parameter or "
+                         f"box endpoint names: {sorted(clash)}")
+    return names
 
 
 def _emit(args, document: dict, latex: str, text: str) -> None:
@@ -296,11 +312,7 @@ def cmd_constraint(args) -> int:
     op = _load_operator(args)
     if isinstance(op, MatrixPDO):
         raise UsageError("constraint varieties are emitted for scalar operators")
-    names = (
-        [n.strip() for n in args.spectral_names.split(",")]
-        if args.spectral_names
-        else [f"s{j + 1}" for j in range(op.dimension)]
-    )
+    names = _spectral_names(args, op)
     if len(names) != op.dimension:
         raise UsageError("need one spectral name per axis")
     variety = adjoint_constraint(op, names)
@@ -323,11 +335,8 @@ def cmd_global_relation(args) -> int:
         raise UsageError(
             "global relations for systems go through the stokes subcommand"
         )
-    names = (
-        [n.strip() for n in args.spectral_names.split(",")]
-        if args.spectral_names
-        else [f"s{j + 1}" for j in range(op.dimension)]
-    )
+    box = _parse_box(op, args.box)
+    names = _spectral_names(args, op, box)
     if args.sigma:
         chunks = args.sigma.split(",")
         if len(chunks) != op.dimension:
@@ -337,7 +346,6 @@ def cmd_global_relation(args) -> int:
         if len(names) != op.dimension:
             raise UsageError("need one spectral name per axis")
         sigma = [Poly.var(n) for n in names]
-    box = _parse_box(op, args.box)
     dec = decompose(op)
     sub = substitute_exponential(assemble(dec), sigma, args.exp_sign)
     rel = global_relation(sub, box)
@@ -436,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--op-file", help="file with operator text or JSON")
         p.add_argument("--format", choices=("json", "latex", "text"),
                        default="json")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("decompose", help="fluxes plus verification verdict")
     add_common(p)
@@ -478,6 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, help="|".join(CATALOG_TAGS))
     p.add_argument("--nodes", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the interior check's sample points")
     p.add_argument("--solution",
                    help="override first-field solution text (control runs)")
     p.set_defaults(func=cmd_verify)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .algebra import BilinearExpr, MultiIndex
 from .decompose import DivergenceDecomposition
-from .ring import Poly, pretty_name
+from .ring import Poly, pretty_name, signed_sum
 from .spectral import (
     GlobalRelation,
     IntegralRepresentation,
@@ -42,8 +42,6 @@ def _slot_text(field: int, deriv: MultiIndex, axes: Sequence[str],
 def bilinear_text(expr: BilinearExpr, axes: Sequence[str] | None = None,
                   fields: Sequence[str] | None = None,
                   latex: bool = False) -> str:
-    if expr.is_zero:
-        return "0"
     if axes is None:
         axes = tuple(f"x{k + 1}" for k in range(expr.dimension))
     parts = []
@@ -62,10 +60,7 @@ def bilinear_text(expr: BilinearExpr, axes: Sequence[str] | None = None,
                 ctext = f"({ctext})"
             piece = f"{ctext}{' ' if latex else '*'}{body}"
         parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+    return signed_sum(parts)
 
 
 def bilinear_terms_json(expr: BilinearExpr) -> list:
@@ -102,7 +97,7 @@ def decomposition_latex(dec: DivergenceDecomposition) -> str:
         f"\\partial_{{{axis}}}\\left({bilinear_text(flux, dec.axes, fields, latex=True)}\\right)"
         for axis, flux in zip(dec.axes, dec.fluxes)
     ]
-    lines = [" + ".join(pieces).replace("+ \\partial", "+ \\partial")]
+    lines = [" + ".join(pieces)]
     lines.append(f"% verified: {str(dec.verified).lower()}")
     return "\n".join(lines)
 
@@ -180,8 +175,6 @@ def relation_json(rel: GlobalRelation) -> dict:
 
 
 def relation_latex(rel: GlobalRelation) -> str:
-    if not rel.terms:
-        return "0 = 0"
     pieces = []
     for t in rel.terms:
         axis = rel.axes[t.axis]
@@ -205,15 +198,9 @@ def relation_latex(rel: GlobalRelation) -> str:
             trace = f"q^{{({t.field + 1})}}" + _subscript(t.deriv, rel.axes, True)
         kernel = f"e^{{{weight}}}\\," if weight != "0" else ""
         body = f"{ctext}\\, " if ctext else ""
-        pieces.append(
-            ("-" if sign < 0 else "+", f"{body}{kernel}"
-             f"\\mathcal{{T}}_{{{axis}={endpoint}}}\\!\\left[{trace}\\right]")
-        )
-    first_sign, first = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return "0 = " + out
+        pieces.append(("-" if sign < 0 else "") + f"{body}{kernel}"
+                      f"\\mathcal{{T}}_{{{axis}={endpoint}}}\\!\\left[{trace}\\right]")
+    return "0 = " + signed_sum(pieces)
 
 
 def representation_json(rep: IntegralRepresentation) -> dict:

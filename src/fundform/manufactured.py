@@ -11,18 +11,20 @@ closed under differentiation without growing:
 so every trace is differentiated in closed form, and a linear combination
 of traces (times an exponential weight) is again one exponential-polynomial,
 merged once before it is evaluated (one point at a time) or integrated.
-Small text grammar::
 
-    expr   := ['+'|'-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := atom ('^' INT)?
-    atom   := NUMBER['i'] | 'i' | coordinate | exp(expr) | sin(expr)
-              | cos(expr) | '(' expr ')'
+Solution text is read by the expression parser of ``parser`` (signs,
+``*``, ``^ INT`` and parentheses; no ``/``), whose atoms here are::
 
-The argument of exp, sin and cos must be affine in the coordinates
-(degree at most one, no exp, sin or cos inside); sin and cos become
-exponential pairs.  An expansion that could exceed ``MAX_TERMS`` terms is
-refused before it is computed.
+    atom := NUMBER['i'] | 'i' | coordinate | exp(expr) | sin(expr)
+            | cos(expr) | '(' expr ')'
+
+with NUMBER := INT ['.' INT].  The argument of exp, sin and cos must be
+affine in the coordinates (degree at most one, no exp, sin or cos
+inside); sin and cos become exponential pairs.  A power is computed by
+square-and-multiply, and ``x^0`` is 1.  An expansion that could exceed
+``MAX_TERMS`` terms is refused before it is computed, and text whose
+values leave the finite float range is refused.  Every refusal is a
+``SolutionSyntaxError`` with a line and a column.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .parser import MAX_NESTING, MAX_TERMS
+from .parser import MAX_TERMS, Parser, TextSyntaxError
 
 
 def _merge(axes: tuple, triples) -> "ExpPoly":
@@ -89,10 +91,6 @@ def _constant(axes: tuple, value: complex) -> ExpPoly:
 
 
 def _product(p: ExpPoly, q: ExpPoly) -> ExpPoly:
-    if len(p.terms) * len(q.terms) > MAX_TERMS:
-        raise SolutionSyntaxError(
-            f"solution expands beyond the limit of {MAX_TERMS} terms"
-        )
     return _merge(p.axes, (
         (tuple(x + y for x, y in zip(a, b)),
          tuple(x + y for x, y in zip(lam, mu)), c * d)
@@ -104,32 +102,16 @@ def _scaled(p: ExpPoly, factor: complex) -> ExpPoly:
     return _merge(p.axes, ((a, lam, factor * c) for a, lam, c in p.terms))
 
 
-def _exp_of(name: str, arg: ExpPoly, rates: tuple) -> ExpPoly:
-    """sum_r weight_r * exp(rate_r * arg) for an affine arg."""
-    n = len(arg.axes)
-    offset = 0j
-    slopes = [0j] * n
-    for a, lam, c in arg.terms:
-        if any(lam) or sum(a) > 1:
-            raise SolutionSyntaxError(
-                f"{name} needs an argument affine in the coordinates"
-            )
-        if sum(a):
-            slopes[a.index(1)] = c
-        else:
-            offset = c
-    return _merge(arg.axes, (
-        ((0,) * n, tuple(rate * s for s in slopes), weight * cmath.exp(rate * offset))
-        for weight, rate in rates
-    ))
+def _finite(p: ExpPoly) -> bool:
+    return all(cmath.isfinite(v) for _, lam, c in p.terms for v in (c, *lam))
 
 
 # ---------------------------------------------------------------------------
 # Text grammar
 
 _SOLUTION_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?i?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[-+*^()]))"
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?i|\d+\.\d+)|(?P<int>\d+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*^()]))"
 )
 
 # (weight, rate) pairs: f(u) = sum weight * exp(rate * u).
@@ -138,120 +120,86 @@ _FUNCTIONS = {
     "sin": ((-0.5j, 1j), (0.5j, -1j)),
     "cos": ((0.5, 1j), (0.5, -1j)),
 }
+_OVERFLOW = "solution coefficients overflow the float range"
 
 
-class SolutionSyntaxError(ValueError):
-    pass
+class SolutionSyntaxError(TextSyntaxError):
+    """Raised on malformed solution text; carries the source position."""
 
 
-def _tokenize_solution(source: str) -> list:
-    out = []
-    pos = 0
-    while pos < len(source):
-        if not source[pos:].strip():
-            break
-        m = _SOLUTION_TOKEN.match(source, pos)
-        if m is None:
-            raise SolutionSyntaxError(
-                f"unexpected character {source[pos:].lstrip()[0]!r} in solution text"
-            )
-        kind = m.lastgroup
-        out.append((kind, m.group(kind)))
-        pos = m.end()
-    out.append(("eof", ""))
-    return out
+class _SolutionParser(Parser):
+    """Solution text as an ExpPoly on the given axes.  With `locate`, each
+    value is checked, and `overflow` is the position of the first one that
+    left the finite float range."""
 
+    TOKEN = _SOLUTION_TOKEN
+    Error = SolutionSyntaxError
 
-class _SolutionParser:
-    def __init__(self, source: str, axes: Sequence[str]) -> None:
-        self.tokens = _tokenize_solution(source)
+    def __init__(self, source: str, axes: Sequence[str], locate: bool = False) -> None:
+        super().__init__(source)
         self.axes = tuple(axes)
-        self.index = 0
-        self.depth = 0
+        self.locate = locate
+        self.overflow = None
 
-    def peek(self):
-        return self.tokens[self.index]
+    def _checked(self, value: ExpPoly, pos: int) -> ExpPoly:
+        if self.locate and self.overflow is None and not _finite(value):
+            self.overflow = pos
+        return value
 
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+    def negate(self, a: ExpPoly) -> ExpPoly:
+        return _scaled(a, -1)
 
-    def parse(self) -> ExpPoly:
-        expr = self.expr()
-        kind, text = self.peek()
-        if kind != "eof":
-            raise SolutionSyntaxError(f"unexpected trailing {text!r}")
-        return expr
+    def add(self, a: ExpPoly, b: ExpPoly, pos: int) -> ExpPoly:
+        return self._checked(_merge(self.axes, a.terms + b.terms), pos)
 
-    def expr(self) -> ExpPoly:
-        sign = 1
-        while self.peek()[1] in ("+", "-"):
-            if self.next()[1] == "-":
-                sign = -sign
-        total = self.term()
-        if sign < 0:
-            total = _scaled(total, -1)
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            if op == "-":
-                rhs = _scaled(rhs, -1)
-            total = _merge(self.axes, total.terms + rhs.terms)
-        return total
+    def multiply(self, a: ExpPoly, b: ExpPoly, pos: int) -> ExpPoly:
+        if len(a.terms) * len(b.terms) > MAX_TERMS:
+            raise self.error(
+                f"solution expands beyond the limit of {MAX_TERMS} terms", pos)
+        return self._checked(_product(a, b), pos)
 
-    def term(self) -> ExpPoly:
-        total = self.factor()
-        while self.peek()[1] == "*":
-            self.next()
-            total = _product(total, self.factor())
-        return total
-
-    def factor(self) -> ExpPoly:
-        base = self.atom()
-        if self.peek()[1] != "^":
-            return base
-        self.next()
-        kind, text = self.next()
-        if kind != "num" or not text.isdigit():
-            raise SolutionSyntaxError("expected integer exponent after '^'")
+    def power(self, base: ExpPoly, n: int, pos: int) -> ExpPoly:
         # square-and-multiply: a few products even for a huge exponent
         out = _constant(self.axes, 1)
-        power = int(text)
-        while power:
-            if power & 1:
-                out = _product(out, base)
-            power >>= 1
-            if power:
-                base = _product(base, base)
+        while n:
+            if n & 1:
+                out = self.multiply(out, base, pos)
+            n >>= 1
+            if n:
+                base = self.multiply(base, base, pos)
         return out
 
-    def nested(self) -> ExpPoly:
-        """An expression inside parentheses, at most MAX_NESTING deep."""
-        if self.depth == MAX_NESTING:
-            raise SolutionSyntaxError(
-                f"parentheses nested deeper than {MAX_NESTING} levels"
-            )
-        self.depth += 1
-        inner = self.expr()
-        self.depth -= 1
-        return inner
+    def _function(self, name: str, arg: ExpPoly, pos: int) -> ExpPoly:
+        """sum_r weight_r * exp(rate_r * arg) for an affine arg."""
+        n = len(self.axes)
+        offset = 0j
+        slopes = [0j] * n
+        for a, lam, c in arg.terms:
+            if any(lam) or sum(a) > 1:
+                raise self.error(
+                    f"{name} needs an argument affine in the coordinates", pos)
+            if sum(a):
+                slopes[a.index(1)] = c
+            else:
+                offset = c
+        try:
+            weights = [(weight * cmath.exp(rate * offset), rate)
+                       for weight, rate in _FUNCTIONS[name]]
+        except (OverflowError, ValueError):
+            raise self.error(_OVERFLOW, pos) from None
+        return _merge(self.axes, (((0,) * n, tuple(rate * s for s in slopes), weight)
+                                  for weight, rate in weights))
 
     def atom(self) -> ExpPoly:
-        kind, text = self.next()
-        if kind == "num":
-            if text.endswith("i"):
-                return _constant(self.axes, complex(0, float(text[:-1])))
-            return _constant(self.axes, float(text))
+        kind, text, pos = self.next()
+        if kind in ("int", "num"):
+            value = complex(0, float(text[:-1])) if text.endswith("i") else float(text)
+            return self._checked(_constant(self.axes, value), pos)
         if kind == "ident":
             if text in _FUNCTIONS:
                 if self.peek()[1] != "(":
-                    raise SolutionSyntaxError(f"{text} needs a parenthesised argument")
-                self.next()
-                inner = self.nested()
-                if self.next()[1] != ")":
-                    raise SolutionSyntaxError(f"unclosed argument of {text}")
-                return _exp_of(text, inner, _FUNCTIONS[text])
+                    raise self.error(f"{text} needs a parenthesised argument", pos)
+                return self._function(text, self.nested(self.next()[2]), pos)
             if text in self.axes:
                 k = self.axes.index(text)
                 n = len(self.axes)
@@ -259,25 +207,21 @@ class _SolutionParser:
                 return ExpPoly(self.axes, ((power, (0j,) * n, 1 + 0j),))
             if text == "i":
                 return _constant(self.axes, 1j)
-            raise SolutionSyntaxError(f"unknown name {text!r} in solution text")
+            raise self.error(f"unknown name {text!r} in solution text", pos)
         if text == "(":
-            inner = self.nested()
-            if self.next()[1] != ")":
-                raise SolutionSyntaxError("unclosed parenthesis")
-            return inner
-        raise SolutionSyntaxError(f"unexpected token {text or 'end of input'!r}")
+            return self.nested(pos)
+        raise self.error(f"unexpected token {text or 'end of input'!r}", pos)
 
 
 def parse_solution(source: str, axes: Sequence[str]) -> ExpPoly:
     """Parse solution text; text whose coefficients or slopes leave the
-    finite float range is refused."""
-    try:
-        expr = _SolutionParser(source, axes).parse()
-        finite = all(cmath.isfinite(v) for _, lam, c in expr.terms for v in (c, *lam))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise SolutionSyntaxError("solution coefficients overflow the float range")
+    finite float range is refused at the first value that does."""
+    expr = _SolutionParser(source, axes).parse()
+    if not _finite(expr):
+        # read the text again, checking every value, to find that place
+        parser = _SolutionParser(source, axes, locate=True)
+        parser.parse()
+        raise parser.error(_OVERFLOW, parser.overflow)
     return expr
 
 

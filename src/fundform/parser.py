@@ -1,13 +1,19 @@
-"""Text front end for operators.
+"""Text front end: one expression parser for every text input.
 
-Scalar grammar (UTF-8 text)::
+Every text grammar of fundform is read by one recursive descent::
+
+    expr   := ('+'|'-')* term (('+'|'-') term)*
+    term   := factor ('*' factor | '/' INT)*
+    factor := atom ('^' INT)?
+
+Parentheses nest at most ``MAX_NESTING`` levels deep, and every error
+carries its line and column.  A grammar (a ``Parser`` subclass) supplies
+its token pattern, its atoms and the arithmetic of its values.  This
+module holds the operator grammar, which reads operator text, matrix
+entries and spectral values (UTF-8 text)::
 
     [params name(,name)*;] axes name(,name)*; expr
-
-    expr     := ['+'|'-'] term (('+'|'-') term)*
-    term     := factor ('*' factor | '/' INT)*
-    factor   := primary ('^' INT)?
-    primary  := INT ('/' INT)? | IDENT | '(' expr ')'
+    atom := INT ('/' INT)? | IDENT | '(' expr ')'
 
 ``D<axis>`` is a derivative factor, a declared parameter name is a
 symbolic constant, and a bare ``i`` (when not declared) is the imaginary
@@ -16,8 +22,7 @@ unit.  A ``/`` right after an integer literal belongs to the literal, so
 nonzero integer, as in ``nu/3*Dx^2`` or ``Dx^2/2``.  Matrix operators
 come in as JSON:
 ``{"axes": [...], "params": [...], "fields": [...], "entries": [[expr text, ...], ...]}``.
-
-Errors carry the offending position so the CLI can point at it.
+The solution grammar lives in ``manufactured``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Sequence
 
 from .algebra import MultiIndex
 from .operators import MatrixPDO, Operator, ScalarPDO
-from .ring import P_I, Poly, merge_terms
+from .ring import P_I, Poly, merge_terms, signed_sum
 
 # Deepest parenthesis nesting the recursive-descent grammars accept; it
 # keeps hostile input far from the interpreter's recursion limit.
@@ -50,8 +55,8 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
                        r"|(?P<sym>[-+*^(),;/]))")
 
 
-class OperatorSyntaxError(ValueError):
-    """Raised on malformed operator text; carries the source position."""
+class TextSyntaxError(ValueError):
+    """Raised on malformed text; carries the source position."""
 
     def __init__(self, message: str, source: str, pos: int) -> None:
         line = source.count("\n", 0, pos) + 1
@@ -62,26 +67,41 @@ class OperatorSyntaxError(ValueError):
         self.column = col
 
 
-class _Tokens:
+class OperatorSyntaxError(TextSyntaxError):
+    """Raised on malformed operator, matrix-entry or spectral text."""
+
+
+class Parser:
+    """The recursive descent of the module docstring over one text.
+
+    A grammar sets ``TOKEN`` (a pattern with the groups ``int``, ``ident``
+    and ``sym``, and any of its own) and ``Error``, and supplies
+    ``atom()`` and the arithmetic of its values: ``negate(a)``,
+    ``add(a, b, pos)``, ``multiply(a, b, pos)``, ``power(a, n, pos)`` and,
+    when its ``sym`` group has '/', ``divide(a, n)``.  ``pos`` is the
+    index of the operator in the text.
+    """
+
+    TOKEN: re.Pattern
+    Error = TextSyntaxError
+
     def __init__(self, source: str) -> None:
         self.source = source
         self.items = []
         pos = 0
-        while pos < len(source):
-            m = _TOKEN_RE.match(source, pos)
-            if m is None or m.end() == m.start():
-                stripped = source[pos:].lstrip()
-                if not stripped:
-                    break
-                bad = len(source) - len(stripped)
-                raise OperatorSyntaxError(
-                    f"unexpected character {source[bad]!r}", source, bad
-                )
+        while (m := self.TOKEN.match(source, pos)) is not None:
             kind = m.lastgroup
             self.items.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
-        self.items.append(("eof", "", len(source)))
+        pos = len(source) - len(source[pos:].lstrip())
+        if pos < len(source):
+            raise self.error(f"unexpected character {source[pos]!r}", pos)
+        self.items.append(("eof", "", pos))
         self.index = 0
+        self.depth = 0
+
+    def error(self, message: str, pos: int) -> TextSyntaxError:
+        return self.Error(message, self.source, pos)
 
     def peek(self) -> tuple:
         return self.items[self.index]
@@ -91,205 +111,192 @@ class _Tokens:
         self.index += 1
         return tok
 
-    def expect(self, value: str, what: str | None = None) -> tuple:
-        kind, text, pos = self.peek()
+    def expect(self, value: str) -> None:
+        _, text, pos = self.next()
         if text != value:
-            expected = what or f"{value!r}"
-            found = text or "end of input"
-            raise OperatorSyntaxError(
-                f"expected {expected}, found {found!r}" if text else
-                f"expected {expected} before end of input",
-                self.source, pos,
-            )
-        return self.next()
+            raise self.error(f"expected {value!r}, found {text!r}" if text else
+                             f"expected {value!r} before end of input", pos)
+
+    def end(self) -> None:
+        kind, text, pos = self.peek()
+        if kind != "eof":
+            raise self.error(f"unexpected trailing input {text!r}", pos)
+
+    def parse(self):
+        """The whole text as one expression."""
+        value = self.expr()
+        self.end()
+        return value
+
+    def expr(self):
+        negative = False
+        while self.peek()[1] in ("+", "-"):
+            negative ^= self.next()[1] == "-"
+        total = self.term()
+        if negative:
+            total = self.negate(total)
+        while self.peek()[1] in ("+", "-"):
+            _, op, pos = self.next()
+            rhs = self.term()
+            total = self.add(total, self.negate(rhs) if op == "-" else rhs, pos)
+        return total
+
+    def term(self):
+        total = self.factor()
+        while self.peek()[1] in ("*", "/"):
+            _, op, pos = self.next()
+            if op == "*":
+                total = self.multiply(total, self.factor(), pos)
+            else:
+                total = self.divide(total, self.denominator())
+        return total
+
+    def denominator(self) -> int:
+        """The nonzero integer literal that follows a '/'."""
+        kind, text, pos = self.next()
+        if kind != "int" or int(text) == 0:
+            raise self.error("expected nonzero integer denominator", pos)
+        return int(text)
+
+    def factor(self):
+        base = self.atom()
+        if self.peek()[1] != "^":
+            return base
+        self.next()
+        kind, text, pos = self.next()
+        if kind != "int":
+            raise self.error("expected integer exponent", pos)
+        return self.power(base, int(text), pos)
+
+    def nested(self, pos: int):
+        """The expression after the '(' at `pos`, and its ')'."""
+        if self.depth == MAX_NESTING:
+            raise self.error(
+                f"parentheses nested deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        self.expect(")")
+        return inner
 
 
-def _parse_name_list(tokens: _Tokens, what: str) -> list:
+def _parse_name_list(parser: Parser, what: str) -> list:
     names = []
     while True:
-        kind, text, pos = tokens.next()
+        kind, text, pos = parser.next()
         if kind != "ident":
-            raise OperatorSyntaxError(f"expected {what} name", tokens.source, pos)
+            raise parser.error(f"expected {what} name", pos)
         if text in names:
-            raise OperatorSyntaxError(f"duplicate {what} name {text!r}",
-                                      tokens.source, pos)
+            raise parser.error(f"duplicate {what} name {text!r}", pos)
         names.append(text)
-        if tokens.peek()[1] != ",":
+        if parser.peek()[1] != ",":
             return names
-        tokens.next()
+        parser.next()
 
 
-class _ExprParser:
-    """Parses an expression into (multi-index, Poly coefficient) pairs."""
+def _parse_header(parser: Parser) -> tuple:
+    params: list = []
+    kind, text, pos = parser.peek()
+    if text == "params":
+        parser.next()
+        params = _parse_name_list(parser, "parameter")
+        parser.expect(";")
+        kind, text, pos = parser.peek()
+    if text != "axes":
+        raise parser.error("expected 'axes' declaration", pos)
+    parser.next()
+    axes = _parse_name_list(parser, "axis")
+    parser.expect(";")
+    clash = set(axes) & set(params)
+    if clash:
+        raise parser.error(
+            f"name declared as both axis and parameter: {sorted(clash)}", pos)
+    return axes, params
 
-    def __init__(self, tokens: _Tokens, axes: Sequence[str],
-                 params: Sequence[str]) -> None:
-        self.tokens = tokens
+
+class _OperatorParser(Parser):
+    """Operator text as (multi-index, Poly coefficient) pairs.  Without
+    `axes` the text starts with its own header."""
+
+    TOKEN = _TOKEN_RE
+    Error = OperatorSyntaxError
+
+    def __init__(self, source: str, axes: Sequence[str] | None = None,
+                 params: Sequence[str] = ()) -> None:
+        super().__init__(source)
+        if axes is None:
+            axes, params = _parse_header(self)
         self.axes = list(axes)
         self.params = set(params)
-        self.depth = 0
 
-    def _mono(self, axis: int, exp: int = 1) -> tuple:
-        alpha = [0] * len(self.axes)
-        alpha[axis] = exp
-        return ((MultiIndex(alpha), Poly.const(1)),)
+    def _const(self, poly: Poly) -> tuple:
+        return ((MultiIndex.zero(len(self.axes)), poly),)
 
-    @staticmethod
-    def _const(poly: Poly, n: int) -> tuple:
-        return ((MultiIndex.zero(n), poly),)
+    def negate(self, a: tuple) -> tuple:
+        return tuple((alpha, -c) for alpha, c in a)
 
-    def _mul(self, a: tuple, b: tuple, pos: int) -> tuple:
+    def add(self, a: tuple, b: tuple, pos: int) -> tuple:
+        return merge_terms(a + b)
+
+    def divide(self, a: tuple, n: int) -> tuple:
+        scale = Fraction(1, n)
+        return tuple((alpha, c.scale(scale)) for alpha, c in a)
+
+    def multiply(self, a: tuple, b: tuple, pos: int) -> tuple:
         """Product of two expansions, refused before any work when it
         could pass MAX_ORDER or MAX_TERMS."""
         order = max((alpha.order for alpha, _ in a), default=0) + max(
             (beta.order for beta, _ in b), default=0)
         if order > MAX_ORDER:
-            raise OperatorSyntaxError(
-                f"operator exceeds the order limit of {MAX_ORDER}",
-                self.tokens.source, pos)
+            raise self.error(f"operator exceeds the order limit of {MAX_ORDER}", pos)
         size = sum(len(c.terms) for _, c in a) * sum(len(c.terms) for _, c in b)
         if size > MAX_TERMS:
-            raise OperatorSyntaxError(
-                f"operator expands beyond the limit of {MAX_TERMS} terms",
-                self.tokens.source, pos)
+            raise self.error(
+                f"operator expands beyond the limit of {MAX_TERMS} terms", pos)
         return merge_terms(
             (alpha + beta, ca * cb) for alpha, ca in a for beta, cb in b
         )
 
-    def expr(self) -> tuple:
-        sign = 1
-        if self.tokens.peek()[1] in ("+", "-"):
-            sign = -1 if self.tokens.next()[1] == "-" else 1
-        total = self.term()
-        if sign < 0:
-            total = tuple((a, -c) for a, c in total)
-        while self.tokens.peek()[1] in ("+", "-"):
-            op = self.tokens.next()[1]
-            rhs = self.term()
-            if op == "-":
-                rhs = tuple((a, -c) for a, c in rhs)
-            total = merge_terms(total + rhs)
-        return total
-
-    def term(self) -> tuple:
-        total = self.factor()
-        while self.tokens.peek()[1] in ("*", "/"):
-            _, op, pos = self.tokens.next()
-            if op == "*":
-                total = self._mul(total, self.factor(), pos)
-            else:
-                scale = Fraction(1, self._denominator())
-                total = tuple((alpha, c.scale(scale)) for alpha, c in total)
-        return total
-
-    def _denominator(self) -> int:
-        """The nonzero integer literal that follows a '/'."""
-        kind, text, pos = self.tokens.next()
-        if kind != "int" or int(text) == 0:
-            raise OperatorSyntaxError("expected nonzero integer denominator",
-                                      self.tokens.source, pos)
-        return int(text)
-
-    def factor(self) -> tuple:
-        base = self.primary()
-        if self.tokens.peek()[1] != "^":
-            return base
-        self.tokens.next()
-        kind, text, pos = self.tokens.next()
-        if kind != "int" or int(text) < 1:
-            raise OperatorSyntaxError("expected positive integer exponent",
-                                      self.tokens.source, pos)
-        power = int(text)
-        if power > MAX_ORDER:
-            raise OperatorSyntaxError(
-                f"exponent exceeds the order limit of {MAX_ORDER}",
-                self.tokens.source, pos)
-        out = self._const(Poly.const(1), len(self.axes))
-        for _ in range(power):
-            out = self._mul(out, base, pos)
+    def power(self, base: tuple, n: int, pos: int) -> tuple:
+        if n < 1:
+            raise self.error("expected positive integer exponent", pos)
+        if n > MAX_ORDER:
+            raise self.error(f"exponent exceeds the order limit of {MAX_ORDER}", pos)
+        out = self._const(Poly.const(1))
+        for _ in range(n):
+            out = self.multiply(out, base, pos)
         return out
 
-    def primary(self) -> tuple:
-        kind, text, pos = self.tokens.next()
-        n = len(self.axes)
+    def atom(self) -> tuple:
+        kind, text, pos = self.next()
         if kind == "int":
             value = Fraction(int(text))
-            if self.tokens.peek()[1] == "/":
-                self.tokens.next()
-                value /= self._denominator()
-            return self._const(Poly.const(value), n)
+            if self.peek()[1] == "/":
+                self.next()
+                value /= self.denominator()
+            return self._const(Poly.const(value))
         if kind == "ident":
             if text.startswith("D") and text[1:] in self.axes:
-                return self._mono(self.axes.index(text[1:]))
+                alpha = [0] * len(self.axes)
+                alpha[self.axes.index(text[1:])] = 1
+                return ((MultiIndex(alpha), Poly.const(1)),)
             if text in self.params:
-                return self._const(Poly.var(text), n)
+                return self._const(Poly.var(text))
             if text == "i":
-                return self._const(P_I, n)
+                return self._const(P_I)
             if text.startswith("D") and len(text) > 1:
-                raise OperatorSyntaxError(f"unknown axis {text[1:]!r}",
-                                          self.tokens.source, pos)
-            raise OperatorSyntaxError(f"unknown parameter or axis name {text!r}",
-                                      self.tokens.source, pos)
+                raise self.error(f"unknown axis {text[1:]!r}", pos)
+            raise self.error(f"unknown parameter or axis name {text!r}", pos)
         if text == "(":
-            if self.depth == MAX_NESTING:
-                raise OperatorSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels",
-                    self.tokens.source, pos,
-                )
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.tokens.expect(")")
-            return inner
+            return self.nested(pos)
         found = text or "end of input"
-        raise OperatorSyntaxError(
-            f"expected a coefficient, D<axis> factor or '(', found {found!r}",
-            self.tokens.source, pos,
-        )
-
-
-def _parse_header(tokens: _Tokens) -> tuple:
-    params: list = []
-    kind, text, pos = tokens.peek()
-    if text == "params":
-        tokens.next()
-        params = _parse_name_list(tokens, "parameter")
-        tokens.expect(";")
-        kind, text, pos = tokens.peek()
-    if text != "axes":
-        raise OperatorSyntaxError("expected 'axes' declaration", tokens.source, pos)
-    tokens.next()
-    axes = _parse_name_list(tokens, "axis")
-    tokens.expect(";")
-    clash = set(axes) & set(params)
-    if clash:
-        raise OperatorSyntaxError(
-            f"name declared as both axis and parameter: {sorted(clash)}",
-            tokens.source, pos,
-        )
-    return axes, params
+        raise self.error(
+            f"expected a coefficient, D<axis> factor or '(', found {found!r}", pos)
 
 
 def parse_scalar_operator(source: str) -> ScalarPDO:
-    tokens = _Tokens(source)
-    axes, params = _parse_header(tokens)
-    terms = _ExprParser(tokens, axes, params).expr()
-    kind, text, pos = tokens.peek()
-    if kind != "eof":
-        raise OperatorSyntaxError(f"unexpected trailing input {text!r}",
-                                  tokens.source, pos)
-    return ScalarPDO.build(axes, terms)
-
-
-def _parse_entry(source: str, axes: Sequence[str],
-                 params: Sequence[str]) -> ScalarPDO:
-    tokens = _Tokens(source)
-    terms = _ExprParser(tokens, axes, params).expr()
-    kind, text, pos = tokens.peek()
-    if kind != "eof":
-        raise OperatorSyntaxError(f"unexpected trailing input {text!r}",
-                                  tokens.source, pos)
-    return ScalarPDO.build(axes, terms)
+    parser = _OperatorParser(source)
+    return ScalarPDO.build(parser.axes, parser.parse())
 
 
 def parse_matrix_operator(source: str | dict) -> MatrixPDO:
@@ -307,7 +314,8 @@ def parse_matrix_operator(source: str | dict) -> MatrixPDO:
             f"matrix operator must be square: expected {m}x{m} entries"
         )
     grid = tuple(
-        tuple(_parse_entry(text, axes, params) for text in row)
+        tuple(ScalarPDO.build(axes, _OperatorParser(text, axes, params).parse())
+              for text in row)
         for row in entries
     )
     return MatrixPDO(tuple(axes), tuple(fields), grid)
@@ -351,14 +359,8 @@ def _poly_dsl(poly: Poly) -> str:
     pieces = []
     for mono, coeff in poly.terms:
         sign, text = _coeff_dsl(Poly([(mono, coeff)]))
-        pieces.append(("-" if sign < 0 else "+", text))
-    if not pieces:
-        return "0"
-    first_sign, first = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out
+        pieces.append(("-" if sign < 0 else "") + text)
+    return signed_sum(pieces)
 
 
 def format_scalar_operator(op: ScalarPDO, header: bool = True) -> str:
@@ -375,13 +377,8 @@ def format_scalar_operator(op: ScalarPDO, header: bool = True) -> str:
             text = f"{ctext}*{mono}"
         else:
             text = mono
-        chunks.append(("-" if sign < 0 else "+", text))
-    if not chunks:
-        body = "0"
-    else:
-        body = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
-        for sign, text in chunks[1:]:
-            body += f" {sign} {text}"
+        chunks.append(("-" if sign < 0 else "") + text)
+    body = signed_sum(chunks)
     if not header:
         return body
     params = sorted(
@@ -424,10 +421,14 @@ def format_operator(op: Operator) -> str:
 def parse_poly(source: str, names: Sequence[str]) -> Poly:
     """Parse a polynomial in the given names with the expression grammar
     (no derivative factors); used for spectral values on the CLI."""
-    tokens = _Tokens(source)
-    table = _ExprParser(tokens, [], names).expr()
-    kind, text, pos = tokens.peek()
-    if kind != "eof":
-        raise OperatorSyntaxError(f"unexpected trailing input {text!r}",
-                                  tokens.source, pos)
+    table = _OperatorParser(source, (), names).parse()
     return dict(table).get(MultiIndex(()), Poly())
+
+
+def parse_names(source: str, what: str) -> list:
+    """A comma-separated list of distinct names, read by the header's
+    rule; `what` names them in errors."""
+    parser = _OperatorParser(source, ())
+    names = _parse_name_list(parser, what)
+    parser.end()
+    return names

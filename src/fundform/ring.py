@@ -206,6 +206,16 @@ def pretty_name(name: str) -> str:
     return f"{head}_{{{sub}}}" if sub else head
 
 
+def signed_sum(parts: Iterable[str]) -> str:
+    """``a - b + c`` from the rendered terms ``a``, ``-b`` and ``c``: a term
+    that starts with '-' is subtracted, any other added; no terms give 0."""
+    parts = iter(parts)
+    out = next(parts, "0")
+    for part in parts:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
+
+
 def merge_terms(pairs: Iterable) -> tuple:
     """Sum the coefficients of equal keys, drop zero sums and return the
     (key, coefficient) pairs sorted by key.
@@ -442,13 +452,8 @@ class Poly:
         return joiner.join([coeff.to_text()] + factors)
 
     def _render(self, latex: bool) -> str:
-        if not self._terms:
-            return "0"
-        parts = [self._term_text(mono, coeff, latex) for mono, coeff in self._terms]
-        text = parts[0]
-        for part in parts[1:]:
-            text += " - " + part[1:] if part.startswith("-") else " + " + part
-        return text
+        return signed_sum(self._term_text(mono, coeff, latex)
+                          for mono, coeff in self._terms)
 
     def to_text(self) -> str:
         return self._render(latex=False)

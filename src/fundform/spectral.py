@@ -47,6 +47,12 @@ class SubstitutedForm:
         return tuple(unit * s for s in self.sigma)
 
 
+def _refuse_clash(names, taken, what: str) -> None:
+    clash = set(names) & set(taken)
+    if clash:
+        raise ValueError(f"spectral names collide with {what} names: {sorted(clash)}")
+
+
 def _merge_spectral_terms(pairs) -> tuple:
     """Flux terms (coeff, field, deriv) from ((field, deriv), coeff) pairs."""
     return tuple(
@@ -82,11 +88,7 @@ def substitute_exponential(form: DivergenceDecomposition,
         for t in flux
         for name in t.coeff.variables()
     }
-    clash = spectral_names & (set(form.axes) | param_names)
-    if clash:
-        raise ValueError(
-            f"spectral names collide with axis or parameter names: {sorted(clash)}"
-        )
+    _refuse_clash(spectral_names, set(form.axes) | param_names, "axis or parameter")
     unit = P_I if sign == 1 else Poly.const(-QI_I)
     slopes = [unit * s for s in sigma]
     out = []
@@ -157,7 +159,13 @@ def _solved_forms(poly: Poly, names: Sequence[str]) -> tuple:
 def adjoint_constraint(op: ScalarPDO, names: Sequence[str],
                        sign: int = 1) -> ConstraintVariety:
     """Polynomial condition on sigma for exp(sign*i*sigma.x) to solve the
-    adjoint equation, with solved forms  s_k^2 = num/den  where extractable."""
+    adjoint equation, with solved forms  s_k^2 = num/den  where extractable.
+    The names must be distinct identifiers, none an axis or parameter."""
+    if len(set(names)) != len(names) or not all(
+            isinstance(name, str) and name.isidentifier() for name in names):
+        raise ValueError(f"spectral names must be distinct identifiers: {list(names)}")
+    params = {name for _, coeff in op.terms for name in coeff.variables()}
+    _refuse_clash(names, set(op.axes) | params, "axis or parameter")
     poly = symbol(adjoint(op), names, sign)
     return ConstraintVariety(tuple(names), poly, _solved_forms(poly, names))
 
@@ -216,11 +224,15 @@ def global_relation(sf: SubstitutedForm, box: Sequence) -> GlobalRelation:
     For each axis j the flux a_j is restricted to the two faces x_j = hi
     (orientation +1) and x_j = lo (orientation -1); the weight contributes
     exp(E_j * endpoint) on the fixed coordinate and stays implicit in the
-    trace transforms on the running coordinates.
+    trace transforms on the running coordinates.  No spectral name may
+    also name a box endpoint.
     """
     if len(box) != sf.dimension:
         raise ValueError("box must give one interval per axis")
     intervals = tuple((Poly.coerce(lo), Poly.coerce(hi)) for lo, hi in box)
+    _refuse_clash({name for p in sf.sigma + sf.amplitudes for name in p.variables()},
+                  {name for span in intervals for p in span for name in p.variables()},
+                  "box endpoint")
     slopes = sf.exponent_slopes()
     faces = {
         (j, end): (orientation, slopes[j] * endpoint)

@@ -490,7 +490,40 @@ def test_stokes_pipeline(capsys):
 
 
 def test_repeated_runs_byte_identical(capsys):
-    _, first, _ = run(capsys, "decompose", "--op", TRIPLE, "--seed", "3")
-    _, second, _ = run(capsys, "decompose", "--op", TRIPLE, "--seed", "3")
+    _, first, _ = run(capsys, "decompose", "--op", TRIPLE)
+    _, second, _ = run(capsys, "decompose", "--op", TRIPLE)
     assert first == second
+
+
+def test_seed_is_a_verify_option_only(capsys):
+    code, out, _ = run(capsys, "verify", "--case", "heat", "--seed", "3",
+                       "--format", "text")
+    assert code == 0 and "pass" in out
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "decompose", "--op", TRIPLE, "--seed", "3")
+    assert exc.value.code == 2
+
+
+HEAT_NU = "params nu; axes x,t; nu*Dx^2 - Dt"
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("constraint", "--op", HEAT_NU, "--spectral-names", "nu,s"), "collide"),
+    (("constraint", "--op", HEAT_NU, "--spectral-names", "s,s"), "duplicate spectral name"),
+    (("constraint", "--op", HEAT_NU, "--spectral-names", "a, "), "expected spectral name"),
+    (("constraint", "--op", HEAT_NU, "--spectral-names", "x,s"), "collide"),
+    (("global-relation", "--op", "axes x,t; Dt^2 - Dx^2", "--spectral-names", "k",
+      "--sigma", "k,-k", "--box", "x=0..l,t=0..k"), "collide"),
+    (("global-relation", "--op", "axes x,t; Dt^2 - Dx^2",
+      "--box", "x=0..l,t=0..s2"), "collide"),
+], ids=["parameter", "repeated", "empty", "axis", "box-endpoint", "default-name"])
+def test_bad_spectral_names_exit_2(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert refused(code, err, reason) and out == ""
+
+
+def test_spectral_names_take_the_header_list(capsys):
+    code, out, _ = run(capsys, "constraint", "--op", HEAT_NU,
+                       "--spectral-names", " a , b", "--format", "text")
+    assert code == 0 and out == "-a^2*nu + i*b = 0\n"
 

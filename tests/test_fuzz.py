@@ -1,5 +1,6 @@
-"""Fuzz property: for any generated operator, sigma or solution text,
-``main`` exits 0, 1 or 2 and never raises."""
+"""Fuzz properties: for any generated operator, sigma or solution text,
+``main`` exits 0, 1 or 2 and never raises; solution text is either read
+or refused with a SolutionSyntaxError that points into the text."""
 
 import contextlib
 import io
@@ -16,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from fundform.catalog import CATALOG_TAGS  # noqa: E402
 from fundform.cli import main  # noqa: E402
 from fundform.decompose import count_forms  # noqa: E402
+from fundform.manufactured import SolutionSyntaxError, parse_solution  # noqa: E402
 from fundform.parser import parse_operator  # noqa: E402
 
 FUZZ_AXES = ("x", "y", "z", "t", "u", "w")  # at most 6 odd axes per term
@@ -136,3 +138,14 @@ def test_generated_text_exits_0_1_or_2(argv):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(text=st.one_of(_solution_text, st.text(max_size=12)))
+def test_solution_refusals_point_into_the_text(text):
+    try:
+        parse_solution(text, ("x", "t"))
+    except SolutionSyntaxError as exc:
+        assert 1 <= exc.column <= len(text) + 1
+        assert exc.line == text.count("\n", 0, exc.pos) + 1

@@ -63,6 +63,27 @@ def test_parse_solution_rejects_garbage():
         parse_solution("cos(x^2)", ("x",))
 
 
+@pytest.mark.parametrize("text,message,column", [
+    ("1.5.2", "unexpected character '.'", 4),
+    ("x*t t", "unexpected trailing input 't'", 5),
+    ("x^1.5", "expected integer exponent", 3),
+    ("x^t", "expected integer exponent", 3),
+    ("sin(2x)", "expected ')', found 'x'", 6),
+    ("t + sin(x", "expected ')' before end of input", 10),
+    ("2^100000", "overflow", 3),
+], ids=["character", "trailing", "decimal-exponent", "name-exponent",
+        "unclosed-sin", "unclosed-at-end", "overflow"])
+def test_solution_errors_carry_line_and_column(text, message, column):
+    with pytest.raises(SolutionSyntaxError) as err:
+        parse_solution(text, ("x", "t"))
+    assert message in str(err.value)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert str(err.value).endswith(f"(line 1, column {column})")
+    with pytest.raises(SolutionSyntaxError) as err:
+        parse_solution("x +\n  " + text, ("x", "t"))
+    assert (err.value.line, err.value.column) == (2, column + 2)
+
+
 def test_terms_merge_and_zeros_drop():
     axes = ("x", "y")
     one = parse_solution("sin(x+y)^2 + cos(x+y)^2", axes)

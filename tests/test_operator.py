@@ -18,6 +18,7 @@ from fundform.parser import (
     format_operator,
     parse_matrix_operator,
     parse_operator,
+    parse_poly,
     parse_scalar_operator,
 )
 from fundform.ring import Poly, QI_I
@@ -92,6 +93,19 @@ def test_parse_division_by_integer_after_any_factor():
                 "axes x; Dx/(2)"):
         with pytest.raises(OperatorSyntaxError):
             parse_operator(bad)
+
+
+def test_repeated_leading_signs():
+    assert parse_operator("axes x; --Dx") == parse_operator("axes x; Dx")
+    # each '-' flips the sign of the first term, as in solution text
+    assert parse_operator("axes x; -+-Dx^2") == parse_operator("axes x; Dx^2")
+    assert parse_operator("axes x; -+-+-Dx^2") == parse_operator("axes x; -Dx^2")
+    assert parse_operator("axes x,t; Dt - (--Dx^2)") == parse_operator("axes x,t; Dt - Dx^2")
+    entry = parse_matrix_operator({"axes": ["x"], "fields": ["a"], "entries": [["+-Dx"]]})
+    assert entry.entry(0, 0) == parse_operator("axes x; -Dx")
+    assert parse_poly("--k", ["k"]) == Poly.var("k")
+    assert parse_poly("-+-k^2", ["k"]) == Poly.var("k") ** 2
+    assert parse_poly("- -k", ["k"]) == Poly.var("k")
 
 
 def test_parse_cancellation_and_zero():

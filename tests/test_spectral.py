@@ -395,3 +395,19 @@ def test_amplitude_independence_check():
     amps = list(triple.k) + [var("xi3")]
     assert amplitudes_pairwise_independent(amps)
     assert not amplitudes_pairwise_independent([var("a"), var("a").scale(3)])
+
+
+@pytest.mark.parametrize("names", [("nu", "s"), ("s", "s"), ("x", "s"), ("a", "")],
+                         ids=["parameter", "repeated", "axis", "empty"])
+def test_adjoint_constraint_refuses_bad_names(names):
+    op = parse_operator("params nu; axes x,t; nu*Dx^2 - Dt")
+    with pytest.raises(ValueError):
+        adjoint_constraint(op, names)
+
+
+def test_global_relation_refuses_spectral_box_endpoints():
+    sub = substitute_exponential(assemble(decompose(wave_operator())),
+                                 [var("k"), -var("k")])
+    with pytest.raises(ValueError, match="box endpoint"):
+        global_relation(sub, [(0, var("l")), (0, var("k"))])
+    assert global_relation(sub, [(0, var("l")), (0, var("T"))]).terms
