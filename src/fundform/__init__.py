@@ -17,6 +17,7 @@ from .algebra import (
     partial,
     term,
 )
+from .catalog import verify_stokes_adjoint
 from .decompose import (
     DecompositionPlan,
     DivergenceDecomposition,
@@ -68,7 +69,6 @@ from .spectral import (
     spectral_exterior_derivative,
     spinor_isotropic,
     substitute_exponential,
-    verify_stokes_adjoint,
 )
 from .verify import QuadratureSpec, ResidualReport, boundary_residual
 

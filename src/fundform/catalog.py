@@ -1,9 +1,10 @@
 """Built-in operators and verified trial solutions used by the CLI and
 the test rig.
 
-Spectral points are chosen exactly on the relevant constraint variety
-(Gaussian-rational points where one exists), so the numeric harness only
-sees floating error from quadrature, never from the data.
+Spectral points are exact Gaussian integers on the relevant constraint
+variety, so the numeric harness only sees floating error from quadrature,
+never from the data.  The Stokes adjoint check lives here, next to the
+operator it checks.
 """
 
 from __future__ import annotations
@@ -12,8 +13,17 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .manufactured import ManufacturedSolution
-from .operators import MatrixPDO, Operator, ScalarPDO
+from .operators import (
+    MatrixPDO,
+    Operator,
+    ScalarPDO,
+    adjoint,
+    apply_symbol_rows,
+    exponential_slopes,
+)
 from .parser import parse_matrix_operator, parse_scalar_operator
+from .ring import Poly, PolyLike, QI_I
+from .spectral import SpinorTriple, spinor_isotropic
 
 WAVE_TEXT = "axes x,t; Dt^2 - Dx^2"
 HEAT_TEXT = "axes x,t; Dt - Dx^2"
@@ -59,6 +69,27 @@ def stokes_operator() -> MatrixPDO:
     return parse_matrix_operator(STOKES_JSON)
 
 
+def _stokes_test_function(triple: SpinorTriple, xi3: PolyLike) -> tuple:
+    """(sigma, sign, amplitudes) of the test function
+    (k, xi3) exp(-i k.x + i xi3 t): sigma = (k, -xi3) with sign -1."""
+    return (*triple.k, -xi3), -1, (*triple.k, xi3)
+
+
+def stokes_adjoint_residual(triple: SpinorTriple,
+                            xi3: PolyLike | None = None) -> tuple:
+    """Rows of L^+ applied to (k, xi3) exp(-i k.x + i xi3 t); all rows are
+    identically zero because k.k = 0 holds as a polynomial identity."""
+    xi3 = Poly.var("xi3") if xi3 is None else Poly.coerce(xi3)
+    sigma, sign, amplitudes = _stokes_test_function(triple, xi3)
+    return apply_symbol_rows(adjoint(stokes_operator()),
+                             exponential_slopes(sigma, sign), amplitudes)
+
+
+def verify_stokes_adjoint(triple: SpinorTriple,
+                          xi3: PolyLike | None = None) -> bool:
+    return all(row.is_zero for row in stokes_adjoint_residual(triple, xi3))
+
+
 @dataclass(frozen=True)
 class CatalogCase:
     """One ready-to-run verification case: operator, exact-on-variety
@@ -67,19 +98,11 @@ class CatalogCase:
     tag: str
     operator: Operator
     solution: ManufacturedSolution
-    sigma: tuple  # per-axis spectral values (complex)
+    sigma: tuple  # per-axis spectral values (exact)
     sign: int
-    amplitudes: tuple | None  # per-field test-slot amplitudes (complex)
+    amplitudes: tuple | None  # per-field test-slot amplitudes (exact)
     params: Mapping
     box: tuple
-
-
-def _spinor_numeric(xi1: complex, xi2: complex) -> tuple:
-    return (
-        xi1 * xi1 - xi2 * xi2,
-        1j * (xi1 * xi1 + xi2 * xi2),
-        -2 * xi1 * xi2,
-    )
 
 
 def builtin_solutions(tag: str) -> list:
@@ -90,30 +113,26 @@ def builtin_solutions(tag: str) -> list:
             ("x", "t"), "(x-t)^3 + (x+t)^2"
         )
         return [CatalogCase("wave", wave_operator(), solution,
-                            (1.0, -1.0), 1, None, {}, (unit, unit))]
+                            (1, -1), 1, None, {}, (unit, unit))]
     if tag == "heat":
         solution = ManufacturedSolution.scalar(("x", "t"), "exp(x+t)")
         return [CatalogCase("heat", heat_operator(), solution,
-                            (1.0, -1j), 1, None, {}, (unit, unit))]
+                            (1, -QI_I), 1, None, {}, (unit, unit))]
     if tag == "biharmonic":
         solution = ManufacturedSolution.scalar(
             ("x", "y", "z"), "x^3 - 3*x*y^2 + z"
         )
         return [CatalogCase("biharmonic", biharmonic_operator(), solution,
-                            (3.0, 4.0, 5j), 1, None, {},
+                            (3, 4, 5 * QI_I), 1, None, {},
                             (unit, unit, unit))]
     if tag == "stokes":
         solution = ManufacturedSolution.system(
             ("x", "y", "z", "t"),
             ["exp(-1*t)*sin(y)", "0", "0", "0"],
         )
-        xi1, xi2, xi3 = 1.0 + 0j, 2.0 + 0j, 1.0 + 0j
-        k = _spinor_numeric(xi1, xi2)
-        # weight exp(-i k.x + i xi3 t) realised as sigma with sign -1
-        sigma = (k[0], k[1], k[2], -xi3)
-        amplitudes = (k[0], k[1], k[2], xi3)
+        sigma, sign, amplitudes = _stokes_test_function(spinor_isotropic(1, 2), 1)
         return [CatalogCase("stokes", stokes_operator(), solution,
-                            sigma, -1, amplitudes, {"nu": 1.0},
+                            sigma, sign, amplitudes, {"nu": 1.0},
                             (unit, unit, unit, unit))]
     raise KeyError(f"unknown catalog tag {tag!r}; "
                    "have wave, heat, biharmonic, stokes")

@@ -16,7 +16,12 @@ from fractions import Fraction
 
 from . import emit
 from .algebra import divergence, expr_sum
-from .catalog import CATALOG_TAGS, builtin_solutions, stokes_operator
+from .catalog import (
+    CATALOG_TAGS,
+    builtin_solutions,
+    stokes_adjoint_residual,
+    stokes_operator,
+)
 from .decompose import (
     DEFAULT_PLAN_CEILING,
     DecompositionPlan,
@@ -34,7 +39,7 @@ from .decompose import (
 )
 from .forms import assemble, forms_equivalent
 from .manufactured import ManufacturedSolution
-from .operators import MatrixPDO, Operator, bilinear_rhs
+from .operators import MatrixPDO, Operator, bilinear_rhs, refuse_clash
 from .parser import parse_names, parse_operator, parse_poly
 from .ring import Poly
 from .spectral import (
@@ -42,7 +47,6 @@ from .spectral import (
     global_relation,
     integral_representation,
     spinor_isotropic,
-    stokes_adjoint_residual,
     substitute_exponential,
     amplitudes_pairwise_independent,
 )
@@ -156,10 +160,7 @@ def _spectral_names(args, op: Operator, box=()) -> list:
     taken = set(op.axes).union(
         *(coeff.variables() for _, coeff in op.terms),
         *(end.variables() for span in box for end in span))
-    clash = taken.intersection(names)
-    if clash:
-        raise UsageError(f"spectral names collide with axis, parameter or "
-                         f"box endpoint names: {sorted(clash)}")
+    refuse_clash(names, taken, "axis, parameter or box endpoint")
     return names
 
 

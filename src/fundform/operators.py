@@ -4,7 +4,9 @@ A scalar operator is a finite sum  sum_alpha c_alpha d^alpha  with exact
 coefficients; a matrix operator is a square grid of scalar ones acting on
 named fields.  This module supplies the formal adjoint, the even/odd
 (self-/skew-adjoint) split, polynomial symbols, and the bilinear pairing
-``qt L q - q L^+ qt`` that the decomposition engine consumes.
+``qt L q - q L^+ qt`` that the decomposition engine consumes.  The slopes
+``sign * i * sigma_k`` of an exponential ``exp(sign * i * sigma . x)`` come
+from ``exponential_slopes`` alone, for symbols and substitutions alike.
 """
 
 from __future__ import annotations
@@ -151,6 +153,14 @@ def bilinear_rhs(op: Operator) -> BilinearExpr:
     )
 
 
+def monomial(coeff: Poly, values: Sequence[Poly], alpha: Iterable[int]) -> Poly:
+    """coeff * prod_k values[k]^alpha_k."""
+    for k, e in enumerate(alpha):
+        if e:
+            coeff = coeff * values[k] ** e
+    return coeff
+
+
 def apply_symbol(op: ScalarPDO, values: Sequence[PolyLike]) -> Poly:
     """Evaluate sum_alpha c_alpha * prod_k values[k]^alpha_k."""
     if len(values) != op.dimension:
@@ -158,11 +168,7 @@ def apply_symbol(op: ScalarPDO, values: Sequence[PolyLike]) -> Poly:
     values = [Poly.coerce(v) for v in values]
     total = Poly()
     for alpha, coeff in op.terms:
-        factor = coeff
-        for k, e in enumerate(alpha):
-            if e:
-                factor = factor * values[k] ** e
-        total = total + factor
+        total = total + monomial(coeff, values, alpha)
     return total
 
 
@@ -178,9 +184,28 @@ def apply_symbol_rows(op: Operator, values: Sequence[PolyLike],
     )
 
 
-def symbol(op: ScalarPDO, names: Sequence[str], sign: int = 1) -> Poly:
-    """Polynomial symbol with d_k replaced by sign * i * s_k."""
+def exponential_slopes(sigma: Sequence[PolyLike], sign: int) -> tuple:
+    """Per-axis slopes sign * i * sigma_k of exp(sign * i * sigma . x): the
+    one place where a sign chooses between i and -i."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     unit = P_I if sign == 1 else Poly.const(-QI_I)
-    return apply_symbol(op, [unit * Poly.var(name) for name in names])
+    return tuple(unit * s for s in sigma)
+
+
+def refuse_clash(names, taken, what: str) -> None:
+    """ValueError when a spectral name is also one of the `taken` names."""
+    clash = set(names) & set(taken)
+    if clash:
+        raise ValueError(f"spectral names collide with {what} names: {sorted(clash)}")
+
+
+def symbol(op: ScalarPDO, names: Sequence[str], sign: int = 1) -> Poly:
+    """Polynomial symbol with d_k replaced by sign * i * s_k.  The names
+    must be distinct identifiers, none an axis or parameter."""
+    if len(set(names)) != len(names) or not all(
+            isinstance(name, str) and name.isidentifier() for name in names):
+        raise ValueError(f"spectral names must be distinct identifiers: {list(names)}")
+    params = {name for _, coeff in op.terms for name in coeff.variables()}
+    refuse_clash(names, set(op.axes) | params, "axis or parameter")
+    return apply_symbol(op, exponential_slopes([Poly.var(name) for name in names], sign))

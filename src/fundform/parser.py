@@ -151,12 +151,21 @@ class Parser:
                 total = self.divide(total, self.denominator())
         return total
 
+    def integer(self, text: str, pos: int) -> int:
+        """The integer token `text` at `pos`; refused there when too long."""
+        try:
+            return int(text)
+        except ValueError:
+            raise self.error(
+                f"integer of {len(text)} digits is too long", pos) from None
+
     def denominator(self) -> int:
         """The nonzero integer literal that follows a '/'."""
         kind, text, pos = self.next()
-        if kind != "int" or int(text) == 0:
+        value = self.integer(text, pos) if kind == "int" else 0
+        if value == 0:
             raise self.error("expected nonzero integer denominator", pos)
-        return int(text)
+        return value
 
     def factor(self):
         base = self.atom()
@@ -166,7 +175,7 @@ class Parser:
         kind, text, pos = self.next()
         if kind != "int":
             raise self.error("expected integer exponent", pos)
-        return self.power(base, int(text), pos)
+        return self.power(base, self.integer(text, pos), pos)
 
     def nested(self, pos: int):
         """The expression after the '(' at `pos`, and its ')'."""
@@ -270,7 +279,7 @@ class _OperatorParser(Parser):
     def atom(self) -> tuple:
         kind, text, pos = self.next()
         if kind == "int":
-            value = Fraction(int(text))
+            value = Fraction(self.integer(text, pos))
             if self.peek()[1] == "/":
                 self.next()
                 value /= self.denominator()

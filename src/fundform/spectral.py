@@ -17,11 +17,18 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import MultiIndex
-from .catalog import stokes_operator
 from .decompose import DivergenceDecomposition, decompose, default_plan
 from .forms import assemble
-from .operators import MatrixPDO, ScalarPDO, adjoint, apply_symbol_rows, symbol
-from .ring import GaussianRational, P_I, Poly, PolyLike, QI_I, QI_ONE, merge_terms
+from .operators import (
+    MatrixPDO,
+    ScalarPDO,
+    adjoint,
+    exponential_slopes,
+    monomial,
+    refuse_clash,
+    symbol,
+)
+from .ring import GaussianRational, P_I, Poly, PolyLike, QI_ONE, merge_terms
 
 
 @dataclass(frozen=True)
@@ -43,14 +50,7 @@ class SubstitutedForm:
         return len(self.axes)
 
     def exponent_slopes(self) -> tuple:
-        unit = P_I if self.sign == 1 else Poly.const(-QI_I)
-        return tuple(unit * s for s in self.sigma)
-
-
-def _refuse_clash(names, taken, what: str) -> None:
-    clash = set(names) & set(taken)
-    if clash:
-        raise ValueError(f"spectral names collide with {what} names: {sorted(clash)}")
+        return exponential_slopes(self.sigma, self.sign)
 
 
 def _merge_spectral_terms(pairs) -> tuple:
@@ -66,12 +66,10 @@ def substitute_exponential(form: DivergenceDecomposition,
                            amplitudes: Sequence[PolyLike] | None = None) -> SubstitutedForm:
     """Replace every test-slot derivative d^nu qt_g by
     amplitudes[g] * prod_j (sign*i*sigma_j)^nu_j times the common weight."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    n = form.dimension
-    if len(sigma) != n:
+    if len(sigma) != form.dimension:
         raise ValueError("one spectral value per axis required")
     sigma = tuple(Poly.coerce(s) for s in sigma)
+    slopes = exponential_slopes(sigma, sign)
     nfields = 1 + max(
         (max(t.left_field, t.right_field) for flux in form.fluxes for t in flux),
         default=0,
@@ -80,28 +78,18 @@ def substitute_exponential(form: DivergenceDecomposition,
         amplitudes = tuple(Poly.const(1) for _ in range(nfields))
     else:
         amplitudes = tuple(Poly.coerce(a) for a in amplitudes)
-    spectral_names = {name for s in sigma for name in s.variables()}
-    spectral_names |= {name for a in amplitudes for name in a.variables()}
-    param_names = {
-        name
+    spectral_names = {name for p in sigma + amplitudes for name in p.variables()}
+    param_names = {name for flux in form.fluxes for t in flux
+                   for name in t.coeff.variables()}
+    refuse_clash(spectral_names, set(form.axes) | param_names, "axis or parameter")
+    out = tuple(
+        _merge_spectral_terms(
+            ((t.left_field, t.left),
+             monomial(t.coeff * amplitudes[t.right_field], slopes, t.right))
+            for t in flux)
         for flux in form.fluxes
-        for t in flux
-        for name in t.coeff.variables()
-    }
-    _refuse_clash(spectral_names, set(form.axes) | param_names, "axis or parameter")
-    unit = P_I if sign == 1 else Poly.const(-QI_I)
-    slopes = [unit * s for s in sigma]
-    out = []
-    for flux in form.fluxes:
-        terms = []
-        for t in flux:
-            coeff = t.coeff * amplitudes[t.right_field]
-            for j, e in enumerate(t.right):
-                if e:
-                    coeff = coeff * slopes[j] ** e
-            terms.append(((t.left_field, t.left), coeff))
-        out.append(_merge_spectral_terms(terms))
-    return SubstitutedForm(form.axes, sign, sigma, amplitudes, tuple(out))
+    )
+    return SubstitutedForm(form.axes, sign, sigma, amplitudes, out)
 
 
 def spectral_exterior_derivative(sf: SubstitutedForm) -> tuple:
@@ -161,11 +149,6 @@ def adjoint_constraint(op: ScalarPDO, names: Sequence[str],
     """Polynomial condition on sigma for exp(sign*i*sigma.x) to solve the
     adjoint equation, with solved forms  s_k^2 = num/den  where extractable.
     The names must be distinct identifiers, none an axis or parameter."""
-    if len(set(names)) != len(names) or not all(
-            isinstance(name, str) and name.isidentifier() for name in names):
-        raise ValueError(f"spectral names must be distinct identifiers: {list(names)}")
-    params = {name for _, coeff in op.terms for name in coeff.variables()}
-    _refuse_clash(names, set(op.axes) | params, "axis or parameter")
     poly = symbol(adjoint(op), names, sign)
     return ConstraintVariety(tuple(names), poly, _solved_forms(poly, names))
 
@@ -230,9 +213,9 @@ def global_relation(sf: SubstitutedForm, box: Sequence) -> GlobalRelation:
     if len(box) != sf.dimension:
         raise ValueError("box must give one interval per axis")
     intervals = tuple((Poly.coerce(lo), Poly.coerce(hi)) for lo, hi in box)
-    _refuse_clash({name for p in sf.sigma + sf.amplitudes for name in p.variables()},
-                  {name for span in intervals for p in span for name in p.variables()},
-                  "box endpoint")
+    refuse_clash({name for p in sf.sigma + sf.amplitudes for name in p.variables()},
+                 {name for span in intervals for p in span for name in p.variables()},
+                 "box endpoint")
     slopes = sf.exponent_slopes()
     faces = {
         (j, end): (orientation, slopes[j] * endpoint)
@@ -360,23 +343,6 @@ def spinor_isotropic(xi1: PolyLike | None = None,
         Poly.const(-2) * xi1 * xi2,
     )
     return SpinorTriple(xi1, xi2, k)
-
-
-def stokes_adjoint_residual(triple: SpinorTriple,
-                            xi3: PolyLike | None = None) -> tuple:
-    """Rows of L^+ applied to (k, xi3) exp(-i k.x + i xi3 t); all rows are
-    identically zero because k.k = 0 holds as a polynomial identity."""
-    xi3 = Poly.var("xi3") if xi3 is None else Poly.coerce(xi3)
-    minus_i = Poly.const(-QI_I)
-    slopes = [minus_i * triple.k[0], minus_i * triple.k[1], minus_i * triple.k[2],
-              P_I * xi3]
-    amplitudes = [triple.k[0], triple.k[1], triple.k[2], xi3]
-    return apply_symbol_rows(adjoint(stokes_operator()), slopes, amplitudes)
-
-
-def verify_stokes_adjoint(triple: SpinorTriple,
-                          xi3: PolyLike | None = None) -> bool:
-    return all(row.is_zero for row in stokes_adjoint_residual(triple, xi3))
 
 
 def amplitudes_pairwise_independent(amplitudes: Sequence[Poly]) -> bool:

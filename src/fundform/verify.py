@@ -33,9 +33,9 @@ from .catalog import builtin_solutions
 from .decompose import decompose
 from .forms import assemble
 from .manufactured import ManufacturedSolution
-from .operators import Operator, adjoint, apply_symbol_rows, grid
+from .operators import Operator, adjoint, apply_symbol_rows, exponential_slopes, grid
 from .parser import MAX_NODES
-from .ring import P_ONE, QI_I, Poly
+from .ring import P_ONE, PolyLike
 from .spectral import SubstitutedForm, substitute_exponential
 
 DEFAULT_RELATIVE_TOL = 1e-8
@@ -261,39 +261,18 @@ def interior_residual(op: Operator, solution: ManufacturedSolution,
 CONSTRAINT_TOL = 1e-12
 
 
-def _spectral_slots(sigma: Sequence[complex],
-                    amplitudes: Sequence[complex] | None,
-                    params: Mapping | None) -> tuple:
-    """Named Poly slots sg<j> and am<j> for numeric spectral data, plus the
-    assignment binding them and the operator parameters."""
-    names = [f"sg{j}" for j in range(len(sigma))]
-    assignment = dict(zip(names, sigma))
-    assignment.update(params or {})
-    amplitude_slots = None
-    if amplitudes is not None:
-        anames = [f"am{j}" for j in range(len(amplitudes))]
-        amplitude_slots = [Poly.var(a) for a in anames]
-        assignment.update(zip(anames, amplitudes))
-    return [Poly.var(n) for n in names], amplitude_slots, assignment
-
-
-def adjoint_point_residual(op: Operator, sigma: Sequence[complex], sign: int,
-                           amplitudes: Sequence[complex] | None,
+def adjoint_point_residual(op: Operator, sigma: Sequence[PolyLike], sign: int,
+                           amplitudes: Sequence[PolyLike] | None,
                            params: Mapping | None = None) -> float:
-    """|rows of the adjoint symbol applied to the exponential data|; must be
-    ~0 for the spectral point to sit on the constraint variety.  Values
-    that leave the float range raise ValueError."""
-    sigma_slots, amplitude_slots, assignment = _spectral_slots(
-        sigma, amplitudes, params
-    )
+    """|rows of the adjoint symbol applied to the exact exponential data|,
+    evaluated at the parameter values; 0 when the spectral point sits on the
+    constraint variety.  Values that leave the float range raise ValueError."""
     adj = adjoint(op)
-    if amplitude_slots is None:
-        amplitude_slots = [P_ONE] * len(grid(adj))
-    unit = Poly.const(QI_I * sign)
-    rows = apply_symbol_rows(adj, [unit * s for s in sigma_slots],
-                             amplitude_slots)
+    if amplitudes is None:
+        amplitudes = [P_ONE] * len(grid(adj))
+    rows = apply_symbol_rows(adj, exponential_slopes(sigma, sign), amplitudes)
     try:
-        return max(abs(row.evaluate(assignment)) for row in rows)
+        return max(abs(row.evaluate(params or {})) for row in rows)
     except OverflowError:
         raise ValueError(
             "adjoint symbol overflows the float range at the spectral point"
@@ -301,16 +280,13 @@ def adjoint_point_residual(op: Operator, sigma: Sequence[complex], sign: int,
 
 
 def case_substituted_form(case, dec=None) -> tuple:
-    """Substituted form of a catalog case at named spectral slots, plus the
-    numeric assignment binding them (spectral data and parameters)."""
+    """Substituted form of a catalog case at its exact spectral point, plus
+    the numeric assignment of the operator parameters."""
     if dec is None:
         dec = decompose(case.operator)
-    sigma_slots, amplitude_slots, assignment = _spectral_slots(
-        case.sigma, case.amplitudes, case.params
-    )
-    sf = substitute_exponential(assemble(dec), sigma_slots, case.sign,
-                                amplitude_slots)
-    return sf, assignment
+    sf = substitute_exponential(assemble(dec), case.sigma, case.sign,
+                                case.amplitudes)
+    return sf, dict(case.params)
 
 
 def run_catalog_case(tag: str, nodes: int = 20, seed: int = 0,

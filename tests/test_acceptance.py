@@ -29,7 +29,6 @@ from fundform.spectral import (
     spectral_exterior_derivative,
     spinor_isotropic,
     substitute_exponential,
-    verify_stokes_adjoint,
 )
 from fundform.verify import run_catalog_case
 from fundform.catalog import (
@@ -37,6 +36,7 @@ from fundform.catalog import (
     biharmonic_operator,
     stokes_operator,
     triple_product_operator,
+    verify_stokes_adjoint,
     wave_operator,
 )
 from fundform.emit import representation_latex

@@ -411,6 +411,28 @@ def refused(code: int, err: str, reason: str) -> bool:
             and err.count("\n") == 1 and "Traceback" not in err)
 
 
+LONG = "9" * 5000  # more digits than the interpreter converts to an int
+WAVE_SIGMA = ("global-relation", "--op", "axes x,t; Dt^2 - Dx^2",
+              "--spectral-names", "k", "--sigma")
+
+
+@pytest.mark.parametrize("argv,column", [
+    (("decompose", "--op", f"axes x; {LONG}*Dx"), 9),
+    (("decompose", "--op", f"axes x; Dx^{LONG}"), 12),
+    (("decompose", "--op", f"axes x; Dx/{LONG}"), 12),
+    (WAVE_SIGMA + (f"{LONG}*k,-k",), 1),
+    (WAVE_SIGMA + (f"k^{LONG},-k",), 3),
+    (WAVE_SIGMA + (f"k/{LONG},-k",), 3),
+    (("verify", "--case", "wave", "--solution", f"{LONG}*x"), 1),
+    (("verify", "--case", "wave", "--solution", f"x^{LONG}"), 3),
+    (("verify", "--case", "wave", "--solution", f"x/{LONG}"), 2),
+], ids=[f"{text}-{place}" for text in ("operator", "sigma", "solution")
+        for place in ("literal", "exponent", "denominator")])
+def test_long_integers_refused_with_a_position(capsys, argv, column):
+    code, _, err = run(capsys, *argv)
+    assert refused(code, err, f"(line 1, column {column})"), err[:200]
+
+
 @pytest.mark.parametrize("solution", ["exp(x^2)", "sin(x*t)"])
 def test_non_affine_solution_exits_2(capsys, solution):
     code, _, err = run(capsys, "verify", "--case", "wave", "--solution", solution)

@@ -18,7 +18,7 @@ from fundform.manufactured import (
 )
 from fundform.parser import MAX_NODES, parse_operator
 from fundform.ring import Poly
-from fundform.spectral import substitute_exponential
+from fundform.spectral import spinor_isotropic, substitute_exponential
 from fundform.verify import (
     QuadratureSpec,
     _axis_sum,
@@ -208,6 +208,15 @@ def test_catalog_spectral_points_sit_on_the_variety():
         residual = adjoint_point_residual(case.operator, case.sigma, case.sign,
                                           case.amplitudes, case.params)
         assert residual <= 1e-12, tag
+
+
+def test_catalog_spectral_data_are_exact():
+    for tag in CATALOG_TAGS:
+        case = builtin_solutions(tag)[0]
+        residual = adjoint_point_residual(case.operator, case.sigma, case.sign,
+                                          case.amplitudes, case.params)
+        assert residual == 0.0, tag
+    assert builtin_solutions("stokes")[0].sigma[:3] == spinor_isotropic(1, 2).k
 
 
 def test_unknown_catalog_tag():

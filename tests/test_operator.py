@@ -11,6 +11,7 @@ from fundform.operators import (
     apply_symbol,
     bilinear_rhs,
     even_odd_split,
+    exponential_slopes,
     symbol,
 )
 from fundform.parser import (
@@ -284,6 +285,15 @@ def test_symbol_adjoint_sign_flip_randomized():
         op = random_operator(rng)
         used = names[: op.dimension]
         assert symbol(adjoint(op), used, sign=1) == symbol(op, used, sign=-1)
+
+
+def test_exponential_slopes():
+    s = Poly.var("s")
+    assert exponential_slopes([s, 2], 1) == (Poly.const(QI_I) * s, Poly.const(2 * QI_I))
+    assert exponential_slopes([s, 2], -1) == (Poly.const(-QI_I) * s, Poly.const(-2 * QI_I))
+    for sign in (0, 2):
+        with pytest.raises(ValueError, match="sign"):
+            exponential_slopes([s], sign)
 
 
 def test_apply_symbol_arity_check():

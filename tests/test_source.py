@@ -37,6 +37,29 @@ def test_no_module_imports_numpy():
     assert SOURCES and not found
 
 
+ENGINE_MODULES = {"ring", "algebra", "operators", "parser", "decompose", "forms",
+                  "spectral", "manufactured"}
+FRONT_END_MODULES = {"catalog", "verify", "emit", "cli"}
+
+
+def test_engine_modules_do_not_import_front_end_modules():
+    found = []
+    for path in SOURCES:
+        if path.stem not in ENGINE_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.removeprefix("fundform.") for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("fundform").lstrip(".")
+                names = [module] if module else [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] in FRONT_END_MODULES]
+    assert ENGINE_MODULES <= {path.stem for path in SOURCES} and not found
+
+
 NUMPY_BLOCKED = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError

@@ -19,14 +19,14 @@ from fundform.spectral import (
     reduce_mod_quadric,
     spectral_exterior_derivative,
     spinor_isotropic,
-    stokes_adjoint_residual,
     substitute_exponential,
-    verify_stokes_adjoint,
 )
 from fundform.catalog import (
     biharmonic_operator,
     heat_operator,
+    stokes_adjoint_residual,
     triple_product_operator,
+    verify_stokes_adjoint,
     wave_operator,
 )
 
@@ -397,12 +397,19 @@ def test_amplitude_independence_check():
     assert not amplitudes_pairwise_independent([var("a"), var("a").scale(3)])
 
 
-@pytest.mark.parametrize("names", [("nu", "s"), ("s", "s"), ("x", "s"), ("a", "")],
-                         ids=["parameter", "repeated", "axis", "empty"])
-def test_adjoint_constraint_refuses_bad_names(names):
+BAD_NAMES = {"parameter": ("nu", "s"), "repeated": ("s", "s"), "axis": ("x", "s"),
+             "empty": ("a", "")}
+
+
+@pytest.mark.parametrize(
+    "entry,names",
+    [(adjoint_constraint, names) for names in BAD_NAMES.values()]
+    + [(integral_representation, names) for names in BAD_NAMES.values()],
+    ids=list(BAD_NAMES) + [f"represent-{case}" for case in BAD_NAMES])
+def test_adjoint_constraint_refuses_bad_names(entry, names):
     op = parse_operator("params nu; axes x,t; nu*Dx^2 - Dt")
     with pytest.raises(ValueError):
-        adjoint_constraint(op, names)
+        entry(op, names)
 
 
 def test_global_relation_refuses_spectral_box_endpoints():
