@@ -53,6 +53,9 @@ from .spectral import (
 from .verify import run_catalog_case
 
 PAIRWISE_SUMMARY_LIMIT = 500
+# Most digits of a form count that `count` and `enumerate` print: the
+# interpreter's default limit on converting an int to text.
+MAX_COUNT_DIGITS = 4300
 
 
 class UsageError(ValueError):
@@ -235,6 +238,20 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _form_count(op: Operator) -> int:
+    """count_forms(op), refused when it has more than MAX_COUNT_DIGITS
+    digits."""
+    total = count_forms(op)
+    # 10^d has more than 3d bits, so the power is computed only for a long count
+    if (total.bit_length() > 3 * MAX_COUNT_DIGITS
+            and total >= 10 ** MAX_COUNT_DIGITS):
+        raise UsageError(
+            f"the form count of this operator has more than {MAX_COUNT_DIGITS} "
+            "digits, the most that count and enumerate print"
+        )
+    return total
+
+
 def cmd_count(args) -> int:
     op = _load_operator(args)
     breakdown = []
@@ -247,7 +264,7 @@ def cmd_count(args) -> int:
             "sigma": sigma_count(alpha),
             "plans": term_plan_count(alpha),
         })
-    total = count_forms(op)
+    total = _form_count(op)
     document = {"count": total, "terms": breakdown}
     text = "\n".join(
         [f"N = {total}"] + [
@@ -285,7 +302,7 @@ def _pairwise_equivalent(op: Operator) -> bool:
 
 def cmd_enumerate(args) -> int:
     op = _load_operator(args)
-    total = count_forms(op)
+    total = _form_count(op)
     document: dict = {"count": total, "ceiling": DEFAULT_PLAN_CEILING}
     if total > DEFAULT_PLAN_CEILING:
         document["plans"] = None
@@ -429,60 +446,39 @@ def cmd_stokes(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fundform",
-        description=(
-            "Divergence decompositions, fundamental (n-1)-forms and "
-            "boundary relations for constant-coefficient operators."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, op: bool = True) -> None:
+    if op:
+        p.add_argument("--op", help="operator text (scalar grammar or matrix JSON)")
+        p.add_argument("--op-file", help="file with operator text or JSON")
+    p.add_argument("--format", choices=("json", "latex", "text"),
+                   default="json")
 
-    def add_common(p, op: bool = True):
-        if op:
-            p.add_argument("--op", help="operator text (scalar grammar or matrix JSON)")
-            p.add_argument("--op-file", help="file with operator text or JSON")
-        p.add_argument("--format", choices=("json", "latex", "text"),
-                       default="json")
 
-    p = sub.add_parser("decompose", help="fluxes plus verification verdict")
-    add_common(p)
+def _decompose_options(p) -> None:
+    _common(p)
     p.add_argument("--path", action="append",
                    help="reduction order per term, e.g. x,y,z (repeatable)")
     p.add_argument("--transfer", action="append",
                    help="transferred odd axes per term (repeatable)")
     p.add_argument("--exchange", action="append",
                    help="exchange pairs per term, e.g. x:y (repeatable)")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("count", help="size of the constructible family")
-    add_common(p)
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("enumerate", help="all plans up to the ceiling")
-    add_common(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("constraint", help="adjoint constraint variety")
-    add_common(p)
+def _constraint_options(p) -> None:
+    _common(p)
     p.add_argument("--spectral-names", help="comma-separated names per axis")
-    p.set_defaults(func=cmd_constraint)
 
-    p = sub.add_parser("global-relation", help="boundary relation on a box")
-    add_common(p)
+
+def _global_relation_options(p) -> None:
+    _common(p)
     p.add_argument("--spectral-names", help="free spectral names")
     p.add_argument("--sigma", help="per-axis spectral values, e.g. k,-k")
     p.add_argument("--box", help="axis=lo..hi per axis, e.g. x=0..l,t=0..T")
     p.add_argument("--exp-sign", type=int, choices=(1, -1), default=1)
-    p.set_defaults(func=cmd_global_relation)
 
-    p = sub.add_parser("represent", help="integral representation document")
-    add_common(p)
-    p.set_defaults(func=cmd_represent)
 
-    p = sub.add_parser("verify", help="numeric residual of a catalog relation")
-    add_common(p, op=False)
+def _verify_options(p) -> None:
+    _common(p, op=False)
     p.add_argument("--case", required=True, help="|".join(CATALOG_TAGS))
     p.add_argument("--nodes", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -490,18 +486,63 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the interior check's sample points")
     p.add_argument("--solution",
                    help="override first-field solution text (control runs)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("stokes", help="full incompressible-system pipeline")
-    add_common(p, op=False)
-    p.set_defaults(func=cmd_stokes)
 
+def _stokes_options(p) -> None:
+    _common(p, op=False)
+
+
+# name: (help, handler, add_options), in the order `--help` lists them
+COMMANDS = {
+    "decompose": ("fluxes plus verification verdict", cmd_decompose,
+                  _decompose_options),
+    "count": ("size of the constructible family", cmd_count, _common),
+    "enumerate": ("all plans up to the ceiling", cmd_enumerate, _common),
+    "constraint": ("adjoint constraint variety", cmd_constraint,
+                   _constraint_options),
+    "global-relation": ("boundary relation on a box", cmd_global_relation,
+                        _global_relation_options),
+    "represent": ("integral representation document", cmd_represent, _common),
+    "verify": ("numeric residual of a catalog relation", cmd_verify,
+               _verify_options),
+    "stokes": ("full incompressible-system pipeline", cmd_stokes,
+               _stokes_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `fundform` parser: every subcommand when `command` is None, and
+    only `command` otherwise.  Both print the same help, usage and errors
+    for a call that names `command` first."""
+    parser = argparse.ArgumentParser(
+        prog="fundform",
+        description=(
+            "Divergence decompositions, fundamental (n-1)-forms and "
+            "boundary relations for constant-coefficient operators."
+        ),
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = COMMANDS
+    else:
+        # The usage line, printed for unrecognized arguments, still names
+        # every command.  On the full parser this metavar would also rename
+        # `command` in its "required" and "invalid choice" errors.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+        names = (command,)
+    for name in names:
+        help_text, handler, add_options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

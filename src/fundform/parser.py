@@ -47,8 +47,8 @@ MAX_ORDER = 32
 # A product is refused when len(a) * len(b) exceeds it, before the work.
 MAX_TERMS = 1024
 # Most Gauss-Legendre nodes per axis a quadrature may use.  The 1000-node
-# rule takes about 0.1 s to compute, and the cost grows faster than the
-# node count.
+# rule takes about 0.2 s to compute (Python 3.11, shared 2-CPU host), and
+# the cost grows with the square of the node count.
 MAX_NODES = 1000
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"

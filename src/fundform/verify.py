@@ -80,9 +80,9 @@ def _numeric_fluxes(sf: SubstitutedForm, assignment: Mapping) -> tuple:
     return slopes, fluxes
 
 
-# Newton steps from Tricomi's estimates that reach rounding level for
-# every node count up to MAX_NODES.
-NEWTON_STEPS = 4
+# Newton steps from Tricomi's second-order estimates that reach rounding
+# level for every node count up to MAX_NODES.
+NEWTON_STEPS = 3
 
 
 @lru_cache(maxsize=8)
@@ -91,7 +91,8 @@ def _gauss_legendre(nodes: int) -> tuple:
     of floats (Golub & Welsch 1969 give reference values).
 
     Each root of P_n is found by Newton's method on the Legendre recurrence,
-    started from Tricomi's estimate cos(pi (i + 3/4) / (n + 1/2)).  Only
+    started from Tricomi's second-order estimate
+    (1 - (n - 1) / (8 n^3)) cos(pi (i + 3/4) / (n + 1/2)).  Only
     the positive roots are solved; the negative ones are their mirror
     images, so the rule is exactly symmetric.  A weight is
     2 (1 - x^2) / (n (P_(n-1)(x) - x P_n(x)))^2.  n (P_(n-1) - x P_n) is
@@ -110,11 +111,12 @@ def _gauss_legendre(nodes: int) -> tuple:
 
     points = [0.0] * nodes
     weights = [0.0] * nodes
+    shrink = 1 - (nodes - 1) / (8 * nodes ** 3)
     for i in range((nodes + 1) // 2):
         if 2 * i + 1 == nodes:
             x = 0.0
         else:
-            x = math.cos(math.pi * (i + 0.75) / (nodes + 0.5))
+            x = shrink * math.cos(math.pi * (i + 0.75) / (nodes + 0.5))
             for _ in range(NEWTON_STEPS):
                 p, q = legendre(x)
                 x -= p * (x * x - 1) / (nodes * (x * p - q))

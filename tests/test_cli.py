@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import json
@@ -308,6 +309,25 @@ def test_enumerate_ceiling_fallback(capsys):
     assert document["plans"] is None
 
 
+def paired_axes(factors: int) -> str:
+    """(Da+Db)*(Dc+Dd)*... with `factors` factors over 2*factors axes."""
+    axes = [chr(ord("a") + k) for k in range(2 * factors)]
+    return (f"axes {','.join(axes)}; "
+            + "*".join(f"(D{axes[2 * k]}+D{axes[2 * k + 1]})"
+                       for k in range(factors)))
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_form_count_digit_limit(capsys, command):
+    # nine factors: N has 2,847 digits and prints; ten: 6,718 digits, refused
+    total = count_forms(parse_operator(paired_axes(9)))
+    code, out, _ = run(capsys, command, "--op", paired_axes(9), "--format", "text")
+    assert code == 0 and out.split()[:3] == ["N", "=", str(total)]
+    assert len(str(total)) == 2847
+    code, out, err = run(capsys, command, "--op", paired_axes(10))
+    assert out == "" and refused(code, err, f"more than {cli.MAX_COUNT_DIGITS} digits")
+
+
 def test_constraint_document(capsys):
     code, out, _ = run(capsys, "constraint", "--op", TRIPLE,
                        "--spectral-names", "s1,s2,s0")
@@ -549,3 +569,67 @@ def test_spectral_names_take_the_header_list(capsys):
                        "--spectral-names", " a , b", "--format", "text")
     assert code == 0 and out == "-a^2*nu + i*b = 0\n"
 
+
+
+# ---------------------------------------------------------------------------
+# main builds the parser of the requested subcommand only
+
+WAVE = "axes x,t; Dt^2 - Dx^2"
+PARSER_ARGV = [
+    [], ["--help"], ["nosuch"], ["-h", "count"], ["count", "--op", WAVE, "extra"],
+    ["verify"], ["verify", "--nodes", "x", "--case", "heat"],
+    ["global-relation", "--op", WAVE, "--exp-sign", "2"],
+    ["decompose", "--op", WAVE], ["count", "--op", WAVE, "--format", "text"],
+    ["enumerate", "--op", WAVE], ["constraint", "--op", WAVE],
+    ["global-relation", "--op", WAVE, "--box", "x=0..1,t=0..1"],
+    ["represent", "--op", WAVE, "--format", "latex"],
+    ["verify", "--case", "heat", "--nodes", "3"], ["stokes", "--format", "text"],
+] + [[name, *tail] for name in cli.COMMANDS
+     for tail in (["--help"], ["--bogus"], ["--format", "xml"])]
+
+
+def outcome(capsys, call) -> tuple:
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def full_parser_main(argv):
+    """main's work with every subcommand registered."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_narrowed_parser_matches_the_full_one(capsys, argv):
+    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
+    assert (outcome(capsys, lambda: vars(cli.build_parser(command).parse_args(argv)))
+            == outcome(capsys, lambda: vars(cli.build_parser().parse_args(argv))))
+    assert (outcome(capsys, lambda: main(argv))
+            == outcome(capsys, lambda: full_parser_main(argv)))
+
+
+def registered(parser: argparse.ArgumentParser) -> list:
+    sub, = (action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_build_parser_registers_only_the_requested_command():
+    assert registered(cli.build_parser("count")) == ["count"]
+    assert registered(cli.build_parser()) == list(cli.COMMANDS)
+    assert len(cli.COMMANDS) == 8
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["fundform", "count", "--op", WAVE,
+                                      "--format", "text"])
+    assert main() == 0
+    assert capsys.readouterr().out.splitlines()[0] == "N = 1"
+    monkeypatch.setattr(sys, "argv", ["fundform", "nosuch"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
