@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from . import emit
-from .algebra import divergence, expr_sum
 from .catalog import (
     CATALOG_TAGS,
     builtin_solutions,
@@ -28,6 +27,7 @@ from .decompose import (
     EngineError,
     EnumerationLimit,
     TermPlan,
+    _gate,
     _operator_terms,
     count_forms,
     decompose,
@@ -39,7 +39,7 @@ from .decompose import (
 )
 from .forms import assemble, forms_equivalent
 from .manufactured import ManufacturedSolution
-from .operators import MatrixPDO, Operator, bilinear_rhs, refuse_clash
+from .operators import MatrixPDO, Operator, bilinear_rhs, parameters, refuse_clash
 from .parser import parse_names, parse_operator, parse_poly
 from .ring import Poly
 from .spectral import (
@@ -80,49 +80,37 @@ def _axis_index(op: Operator, name: str) -> int:
     return op.axes.index(name)
 
 
-def _parse_plan(op: Operator, args) -> DecompositionPlan | None:
-    paths = args.path or []
-    transfers = args.transfer or []
-    exchanges = args.exchange or []
-    if not (paths or transfers or exchanges):
-        return None
-    keys = [key for key, *_ in _operator_terms(op)]
-
-    def nth(seq, index):
-        return seq[index] if index < len(seq) else None
-
+def _flag_items(op: Operator, text: str, pairs: bool) -> tuple:
+    """One plan flag's comma list as axis indices; with `pairs` (an
+    --exchange list, which also splits on ';') as trial:test index pairs."""
     items = []
-    for index, key in enumerate(keys):
-        alpha = key[2]
-        plan = next(term_plans(alpha))
-        path_text = nth(paths, index)
-        if path_text is not None:
-            path = tuple(
-                _axis_index(op, part)
-                for part in path_text.split(",") if part.strip()
-            )
-            plan = TermPlan(path, plan.transfer, plan.exchanges)
-        transfer_text = nth(transfers, index)
-        if transfer_text is not None:
-            transfer = tuple(
-                _axis_index(op, part)
-                for part in transfer_text.split(",") if part.strip()
-            )
-            plan = TermPlan(plan.path, transfer, plan.exchanges)
-        exchange_text = nth(exchanges, index)
-        if exchange_text is not None:
-            pairs = []
-            for chunk in exchange_text.replace(";", ",").split(","):
-                if not chunk.strip():
-                    continue
-                if ":" not in chunk:
-                    raise UsageError(
-                        f"exchange {chunk!r} must look like trialaxis:testaxis"
-                    )
-                left, right = chunk.split(":", 1)
-                pairs.append((_axis_index(op, left), _axis_index(op, right)))
-            plan = TermPlan(plan.path, plan.transfer, tuple(pairs))
-        items.append((key, plan))
+    for chunk in (text.replace(";", ",") if pairs else text).split(","):
+        if not chunk.strip():
+            continue
+        if not pairs:
+            items.append(_axis_index(op, chunk))
+        elif ":" in chunk:
+            items.append(tuple(_axis_index(op, part) for part in chunk.split(":", 1)))
+        else:
+            raise UsageError(f"exchange {chunk!r} must look like trialaxis:testaxis")
+    return tuple(items)
+
+
+def _parse_plan(op: Operator, args) -> DecompositionPlan | None:
+    """--path, --transfer and --exchange, the n-th of each for the n-th
+    term; a term without one keeps that part of its first plan."""
+    flags = ((args.path or [], False), (args.transfer or [], False),
+             (args.exchange or [], True))
+    if not any(texts for texts, _ in flags):
+        return None
+    items = []
+    for index, (key, alpha, *_) in enumerate(_operator_terms(op)):
+        first = next(term_plans(alpha))
+        parts = [first.path, first.transfer, first.exchanges]
+        for slot, (texts, pairs) in enumerate(flags):
+            if index < len(texts):
+                parts[slot] = _flag_items(op, texts[index], pairs)
+        items.append((key, TermPlan(*parts)))
     return DecompositionPlan(tuple(items))
 
 
@@ -161,8 +149,7 @@ def _spectral_names(args, op: Operator, box=()) -> list:
         return [f"s{j + 1}" for j in range(op.dimension)]
     names = parse_names(args.spectral_names, "spectral")
     taken = set(op.axes).union(
-        *(coeff.variables() for _, coeff in op.terms),
-        *(end.variables() for span in box for end in span))
+        parameters(op), *(end.variables() for span in box for end in span))
     refuse_clash(names, taken, "axis, parameter or box endpoint")
     return names
 
@@ -289,13 +276,10 @@ def _pairwise_equivalent(op: Operator) -> bool:
     pairing.
     """
     pieces = [term for _, term in term_pieces(op)]
-    whole = tuple(expr_sum(term[0].fluxes[j] for term in pieces)
-                  for j in range(op.dimension))
-    if divergence(whole) != bilinear_rhs(op):
-        raise EngineError(
-            "the first per-term pieces do not sum to a decomposition of the "
-            "whole operator"
-        )
+    _gate(op, DecompositionPlan(tuple(item for term in pieces
+                                      for item in term[0].plan.items)),
+          [pair for term in pieces for pair in enumerate(term[0].fluxes)],
+          bilinear_rhs(op))
     return all(forms_equivalent(first, piece)
                for first, *rest in pieces for piece in rest)
 
@@ -393,22 +377,12 @@ def cmd_verify(args) -> int:
         solution = ManufacturedSolution.system(case.solution.axes, fields)
     report = run_catalog_case(args.case, nodes=args.nodes, seed=args.seed,
                               solution=solution, tol=args.tol)
-    document = {
-        "case": report["tag"],
-        "nodes": report["nodes"],
-        "pde_residual": report["pde_residual"],
-        "constraint_residual": report["constraint_residual"],
-        "residual": [report["residual"].real, report["residual"].imag],
-        "scale": report["scale"],
-        "relative": report["relative"],
-        "passed": report["passed"],
-    }
     text = (
-        f"case {report['tag']}: relative residual {report['relative']:.3e} "
+        f"case {report['case']}: relative residual {report['relative']:.3e} "
         f"(scale {report['scale']:.3e}) -> "
         f"{'pass' if report['passed'] else 'FAIL'}"
     )
-    _emit(args, document, f"% {text}", text)
+    _emit(args, report, f"% {text}", text)
     return 0 if report["passed"] else 1
 
 

@@ -422,9 +422,6 @@ def _walk_term(alpha: MultiIndex, coeff: Poly, lf: int, rf: int,
     root = PairTerm(kind, coeff, alpha, MultiIndex.zero(len(alpha)), lf, rf)
     stack: list = []
     for plan in plans:
-        if alpha.order == 0:
-            yield plan, []  # [0, 0] vanishes by antisymmetry
-            continue
         _validate_term_plan(alpha, plan)
         # an int is a reduction on that axis, a pair an exchange
         steps = (*plan.path, *sorted(plan.transfer), *plan.exchanges)

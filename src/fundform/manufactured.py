@@ -21,8 +21,9 @@ Solution text is read by the expression parser of ``parser`` (signs,
 with NUMBER := INT ['.' INT].  The argument of exp, sin and cos must be
 affine in the coordinates (degree at most one, no exp, sin or cos
 inside); sin and cos become exponential pairs.  A power is computed by
-square-and-multiply, and ``x^0`` is 1.  An expansion that could exceed
-``MAX_TERMS`` terms is refused before it is computed, and text whose
+square-and-multiply, and ``x^0`` is 1.  A product that could exceed
+``MAX_TERMS`` terms is refused before it is computed, a sum whose merged
+terms exceed it as soon as it is merged, and text whose
 values leave the finite float range is refused.  Every refusal is a
 ``SolutionSyntaxError`` with a line and a column.
 """
@@ -128,21 +129,19 @@ class SolutionSyntaxError(TextSyntaxError):
 
 
 class _SolutionParser(Parser):
-    """Solution text as an ExpPoly on the given axes.  With `locate`, each
-    value is checked, and `overflow` is the position of the first one that
-    left the finite float range."""
+    """Solution text as an ExpPoly on the given axes; `overflow` is the
+    position of the first value that left the finite float range."""
 
     TOKEN = _SOLUTION_TOKEN
     Error = SolutionSyntaxError
 
-    def __init__(self, source: str, axes: Sequence[str], locate: bool = False) -> None:
+    def __init__(self, source: str, axes: Sequence[str]) -> None:
         super().__init__(source)
         self.axes = tuple(axes)
-        self.locate = locate
         self.overflow = None
 
     def _checked(self, value: ExpPoly, pos: int) -> ExpPoly:
-        if self.locate and self.overflow is None and not _finite(value):
+        if self.overflow is None and not _finite(value):
             self.overflow = pos
         return value
 
@@ -150,7 +149,11 @@ class _SolutionParser(Parser):
         return _scaled(a, -1)
 
     def add(self, a: ExpPoly, b: ExpPoly, pos: int) -> ExpPoly:
-        return self._checked(_merge(self.axes, a.terms + b.terms), pos)
+        total = _merge(self.axes, a.terms + b.terms)
+        if len(total.terms) > MAX_TERMS:
+            raise self.error(
+                f"solution expands beyond the limit of {MAX_TERMS} terms", pos)
+        return self._checked(total, pos)
 
     def multiply(self, a: ExpPoly, b: ExpPoly, pos: int) -> ExpPoly:
         if len(a.terms) * len(b.terms) > MAX_TERMS:
@@ -216,11 +219,10 @@ class _SolutionParser(Parser):
 def parse_solution(source: str, axes: Sequence[str]) -> ExpPoly:
     """Parse solution text; text whose coefficients or slopes leave the
     finite float range is refused at the first value that does."""
-    expr = _SolutionParser(source, axes).parse()
+    parser = _SolutionParser(source, axes)
+    expr = parser.parse()
+    # a value that overflowed may cancel later, as in (2^2000)^0
     if not _finite(expr):
-        # read the text again, checking every value, to find that place
-        parser = _SolutionParser(source, axes, locate=True)
-        parser.parse()
         raise parser.error(_OVERFLOW, parser.overflow)
     return expr
 
@@ -238,9 +240,7 @@ class ManufacturedSolution:
 
     @staticmethod
     def scalar(axes: Sequence[str], expr: ExpPoly | str) -> "ManufacturedSolution":
-        if isinstance(expr, str):
-            expr = parse_solution(expr, axes)
-        return ManufacturedSolution(tuple(axes), (expr,))
+        return ManufacturedSolution.system(axes, (expr,))
 
     @staticmethod
     def system(axes: Sequence[str], exprs: Sequence) -> "ManufacturedSolution":

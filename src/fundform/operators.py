@@ -193,6 +193,12 @@ def exponential_slopes(sigma: Sequence[PolyLike], sign: int) -> tuple:
     return tuple(unit * s for s in sigma)
 
 
+def parameters(op: Operator) -> set:
+    """The parameter names used in the operator's coefficients."""
+    return {name for row in grid(op) for entry in row
+            for _, coeff in entry.terms for name in coeff.variables()}
+
+
 def refuse_clash(names, taken, what: str) -> None:
     """ValueError when a spectral name is also one of the `taken` names."""
     clash = set(names) & set(taken)
@@ -206,6 +212,5 @@ def symbol(op: ScalarPDO, names: Sequence[str], sign: int = 1) -> Poly:
     if len(set(names)) != len(names) or not all(
             isinstance(name, str) and name.isidentifier() for name in names):
         raise ValueError(f"spectral names must be distinct identifiers: {list(names)}")
-    params = {name for _, coeff in op.terms for name in coeff.variables()}
-    refuse_clash(names, set(op.axes) | params, "axis or parameter")
+    refuse_clash(names, set(op.axes) | parameters(op), "axis or parameter")
     return apply_symbol(op, exponential_slopes([Poly.var(name) for name in names], sign))

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import MultiIndex
-from .operators import MatrixPDO, Operator, ScalarPDO
+from .operators import MatrixPDO, Operator, ScalarPDO, parameters
 from .ring import P_I, Poly, merge_terms, signed_sum
 
 # Deepest parenthesis nesting the recursive-descent grammars accept; it
@@ -44,7 +44,9 @@ MAX_NESTING = 100
 MAX_ORDER = 32
 # Most terms an expansion may reach: (multi-index, coefficient monomial)
 # pairs in operator text, exponential-polynomial terms in solution text.
-# A product is refused when len(a) * len(b) exceeds it, before the work.
+# A product is refused when len(a) * len(b) exceeds it, before the work,
+# and a sum when its merged terms do.  The entries of a matrix operator
+# share one budget of MAX_TERMS terms.
 MAX_TERMS = 1024
 # Most Gauss-Legendre nodes per axis a quadrature may use.  The 1000-node
 # rule takes about 0.2 s to compute (Python 3.11, shared 2-CPU host), and
@@ -223,6 +225,11 @@ def _parse_header(parser: Parser) -> tuple:
     return axes, params
 
 
+def term_count(terms: tuple) -> int:
+    """The (multi-index, coefficient monomial) pairs of an expansion."""
+    return sum(len(coeff.terms) for _, coeff in terms)
+
+
 class _OperatorParser(Parser):
     """Operator text as (multi-index, Poly coefficient) pairs.  Without
     `axes` the text starts with its own header."""
@@ -245,7 +252,11 @@ class _OperatorParser(Parser):
         return tuple((alpha, -c) for alpha, c in a)
 
     def add(self, a: tuple, b: tuple, pos: int) -> tuple:
-        return merge_terms(a + b)
+        total = merge_terms(a + b)
+        if term_count(total) > MAX_TERMS:
+            raise self.error(
+                f"operator expands beyond the limit of {MAX_TERMS} terms", pos)
+        return total
 
     def divide(self, a: tuple, n: int) -> tuple:
         scale = Fraction(1, n)
@@ -258,8 +269,7 @@ class _OperatorParser(Parser):
             (beta.order for beta, _ in b), default=0)
         if order > MAX_ORDER:
             raise self.error(f"operator exceeds the order limit of {MAX_ORDER}", pos)
-        size = sum(len(c.terms) for _, c in a) * sum(len(c.terms) for _, c in b)
-        if size > MAX_TERMS:
+        if term_count(a) * term_count(b) > MAX_TERMS:
             raise self.error(
                 f"operator expands beyond the limit of {MAX_TERMS} terms", pos)
         return merge_terms(
@@ -308,25 +318,65 @@ def parse_scalar_operator(source: str) -> ScalarPDO:
     return ScalarPDO.build(parser.axes, parser.parse())
 
 
+def _json_names(data: dict, key: str, what: str, optional: bool = False) -> list:
+    """data[key] as a list of distinct names, each an identifier of the
+    operator grammar, and at least one unless `optional` (the header's
+    rules)."""
+    names = data.get(key, [])
+    if not isinstance(names, list) or not (names or optional) or not all(
+            isinstance(name, str) and name.isascii() and name.isidentifier()
+            for name in names):
+        kind = "list" if optional else "non-empty list"
+        raise ValueError(f"matrix operator {key!r} must be a {kind} of {what} names")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"duplicate {what} name {name!r} in matrix operator {key!r}")
+        seen.add(name)
+    return names
+
+
 def parse_matrix_operator(source: str | dict) -> MatrixPDO:
-    data = json.loads(source) if isinstance(source, str) else source
+    """A matrix operator from its JSON object.  The names follow the
+    header's rules, the entries are m lists of m operator texts, and all
+    entries together count at most MAX_TERMS terms, each at least one."""
+    try:
+        data = json.loads(source) if isinstance(source, str) else source
+    except RecursionError:
+        raise ValueError("matrix operator JSON is nested deeper than the JSON "
+                         "reader allows") from None
     for key in ("axes", "fields", "entries"):
         if key not in data:
             raise ValueError(f"matrix operator JSON is missing {key!r}")
-    axes = list(data["axes"])
-    params = list(data.get("params", []))
-    fields = list(data["fields"])
+    axes = _json_names(data, "axes", "axis")
+    params = _json_names(data, "params", "parameter", optional=True)
+    fields = _json_names(data, "fields", "field")
+    clash = set(axes) & set(params)
+    if clash:
+        raise ValueError(f"name declared as both axis and parameter: {sorted(clash)}")
     entries = data["entries"]
     m = len(fields)
-    if len(entries) != m or any(len(row) != m for row in entries):
+    if not isinstance(entries, list) or len(entries) != m or not all(
+            isinstance(row, list) and len(row) == m
+            and all(isinstance(text, str) for text in row) for row in entries):
         raise ValueError(
-            f"matrix operator must be square: expected {m}x{m} entries"
+            f"matrix operator entries must be a {m}x{m} list of lists of "
+            "operator texts"
         )
-    grid = tuple(
-        tuple(ScalarPDO.build(axes, _OperatorParser(text, axes, params).parse())
-              for text in row)
-        for row in entries
-    )
+    if m * m > MAX_TERMS:
+        raise ValueError(f"matrix operator has more than {MAX_TERMS} entries")
+    budget = MAX_TERMS
+    grid = []
+    for row in entries:
+        grid.append([])
+        for text in row:
+            terms = _OperatorParser(text, axes, params).parse()
+            budget -= max(1, term_count(terms))
+            if budget < 0:
+                raise ValueError(
+                    f"matrix operator expands beyond the limit of {MAX_TERMS} "
+                    "terms in all")
+            grid[-1].append(ScalarPDO.build(axes, terms))
     return MatrixPDO(tuple(axes), tuple(fields), grid)
 
 
@@ -390,27 +440,16 @@ def format_scalar_operator(op: ScalarPDO, header: bool = True) -> str:
     body = signed_sum(chunks)
     if not header:
         return body
-    params = sorted(
-        {name for _, coeff in op.terms for name in coeff.variables()}
-    )
+    params = sorted(parameters(op))
     prefix = f"params {','.join(params)}; " if params else ""
     return f"{prefix}axes {','.join(op.axes)}; {body}"
 
 
 def format_matrix_operator(op: MatrixPDO) -> str:
-    params = sorted(
-        {
-            name
-            for row in op.entries
-            for entry in row
-            for _, coeff in entry.terms
-            for name in coeff.variables()
-        }
-    )
     return json.dumps(
         {
             "axes": list(op.axes),
-            "params": params,
+            "params": sorted(parameters(op)),
             "fields": list(op.fields),
             "entries": [
                 [format_scalar_operator(entry, header=False) for entry in row]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import MultiIndex
-from .decompose import DivergenceDecomposition, decompose, default_plan
+from .decompose import DivergenceDecomposition, decompose
 from .forms import assemble
 from .operators import (
     MatrixPDO,
@@ -263,7 +263,7 @@ def integral_representation(op: ScalarPDO,
     denominator = symbol(op, names, sign=1)
     if denominator.is_zero:
         raise ValueError("operator symbol vanishes identically; no representation")
-    form = assemble(decompose(op, default_plan(op)))
+    form = assemble(decompose(op))
     eta = substitute_exponential(form, [Poly.var(n) for n in names], sign=-1)
     return IntegralRepresentation(op.axes, names, -1, -op.dimension,
                                   denominator, eta)

@@ -295,8 +295,10 @@ def run_catalog_case(tag: str, nodes: int = 20, seed: int = 0,
                      solution: ManufacturedSolution | None = None,
                      tol: float = DEFAULT_RELATIVE_TOL) -> dict:
     """Full pipeline for one catalog tag: pre-check the solution and the
-    spectral point, then integrate the substituted form over the box.  A
-    tolerance that is not a finite positive number raises ValueError."""
+    spectral point, then integrate the substituted form over the box.
+    Returns the document `fundform verify` prints, the complex residual as
+    [re, im].  A tolerance that is not a finite positive number raises
+    ValueError."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a finite positive number, not {tol}")
     case = builtin_solutions(tag)[0]
@@ -314,11 +316,11 @@ def run_catalog_case(tag: str, nodes: int = 20, seed: int = 0,
     report = boundary_residual(sf, used_solution, case.box,
                                QuadratureSpec(nodes), assignment)
     return {
-        "tag": tag,
+        "case": tag,
         "nodes": nodes,
         "pde_residual": pde_residual,
         "constraint_residual": constraint_residual,
-        "residual": report.residual,
+        "residual": [report.residual.real, report.residual.imag],
         "scale": report.scale,
         "relative": report.relative,
         "passed": report.passes(tol) and pde_residual <= 1e-10,

@@ -81,6 +81,46 @@ def test_decompose_with_explicit_plan(capsys):
     assert {tuple(t["dq"]) for t in z_terms} == {(0, 0, 0), (2, 2, 1)}
 
 
+PLAN_OP = "axes x,y; Dx*Dy + Dx^2"  # terms Dx*Dy, then Dx^2
+FIRST_PLANS = "a_x = -q*q~_x + q_y*q~ + q_x*q~\na_y = -q*q~_x\nverified: true\n"
+EXCHANGED = "a_x = -q*q~_y - q*q~_x + q_x*q~\na_y = q_x*q~\nverified: true\n"
+
+
+@pytest.mark.parametrize("flags,expected", [
+    ((), FIRST_PLANS),
+    (("--transfer", "y", "--exchange", "x:y"), EXCHANGED),
+    (("--transfer", "y", "--exchange", "x:y;"), EXCHANGED),
+    (("--transfer", "y", "--transfer", "", "--exchange", "x:y", "--exchange", ";",
+      "--path", ",", "--path", "x"), EXCHANGED),
+    (("--transfer", "x", "--exchange", "y:x", "--path", "", "--path", " x "),
+     FIRST_PLANS),
+], ids=["none", "one-term", "one-term-semicolon", "both-terms", "both-terms-first"])
+def test_plan_flags_pick_each_terms_plan(capsys, flags, expected):
+    assert run(capsys, "decompose", "--op", PLAN_OP, *flags,
+               "--format", "text") == (0, expected, "")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--exchange", "x"), "exchange 'x' must look like trialaxis:testaxis"),
+    (("--transfer", "x", "--exchange", "x:y"),
+     "exchanges must consume each transferred axis exactly once"),
+    (("--path", "q"), "unknown axis 'q'; operator axes are ('x', 'y')"),
+    (("--path", "", "--path", "x,q"), "unknown axis 'q'; operator axes are ('x', 'y')"),
+], ids=["exchange-without-colon", "transferred-trial-axis", "unknown-axis",
+        "unknown-axis-second-term"])
+def test_bad_plan_flags_exit_2(capsys, flags, message):
+    assert run(capsys, "decompose", "--op", PLAN_OP, *flags) == (
+        2, "", f"error: {message}\n")
+
+
+def test_plan_of_an_order_zero_term_is_checked(capsys):
+    # the constant term's only plan is empty; a path for it is refused
+    code, _, err = run(capsys, "decompose", "--op", "axes x; 1 + Dx^2", "--path", "x")
+    assert refused(code, err, "path (0,) does not use each axis")
+    assert run(capsys, "decompose", "--op", "axes x; 1 + Dx^2", "--path", "",
+               "--path", "x")[0] == 0
+
+
 def test_enumerate_summary(capsys):
     code, out, _ = run(capsys, "enumerate", "--op", TRIPLE)
     document = json.loads(out)
@@ -418,6 +458,7 @@ DEEP = "(" * 3000 + "{}" + ")" * 3000
     ("global-relation", "--op", "axes x,t; Dt^2 - Dx^2", "--spectral-names", "k",
      "--sigma", DEEP.format("k") + ",-k"),
     ("verify", "--case", "wave", "--solution", DEEP.format("x")),
+    ("decompose", "--op", '{"axes": ' + "[" * 100000),
 ])
 def test_deep_nesting_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -479,6 +520,25 @@ def test_operator_term_limit_exits_2(capsys):
     assert refused(code, err, f"limit of {MAX_TERMS} terms")
 
 
+# each power is inside the limit, the sum of all eight (1,176 terms) is not
+CUBE_POWERS = " + ".join(f"(Dx+Dy+Dz)^{k}" for k in range(12, 20))
+
+
+@pytest.mark.parametrize("op", [
+    "axes x,y,z; " + CUBE_POWERS,
+    json.dumps({"axes": ["x", "y", "z"], "fields": ["u"], "entries": [[CUBE_POWERS]]}),
+], ids=["scalar", "matrix-entry"])
+def test_operator_sum_term_limit_exits_2(capsys, op):
+    code, _, err = run(capsys, "count", "--op", op)
+    assert refused(code, err, f"limit of {MAX_TERMS} terms")
+
+
+def test_solution_sum_term_limit_exits_2(capsys):
+    solution = "+".join(f"x^{k}*t^{j}" for k in range(40) for j in range(30))
+    code, _, err = run(capsys, "verify", "--case", "wave", "--solution", solution)
+    assert refused(code, err, f"limit of {MAX_TERMS} terms")
+
+
 @pytest.mark.parametrize("solution", ["2^100000", "exp(1000)", "9" * 400],
                          ids=["power", "exp", "digits"])
 def test_overflowing_solution_exits_2(capsys, solution):
@@ -510,6 +570,57 @@ def test_bad_box_exits_2(capsys):
                        "--box", "x=0..l")
     assert code == 2
     assert "box" in err
+
+
+@pytest.mark.parametrize("change,reason", [
+    ({"entries": [[1]]}, "1x1 list of lists of operator texts"),
+    ({"entries": 5}, "1x1 list of lists of operator texts"),
+    ({"entries": [5]}, "1x1 list of lists of operator texts"),
+    ({"entries": [["Dx", "0"]]}, "1x1 list of lists of operator texts"),
+    ({"fields": 3}, "'fields' must be a non-empty list of field names"),
+    ({"fields": [], "entries": []}, "'fields' must be a non-empty list of field names"),
+    ({"params": 5}, "'params' must be a list of parameter names"),
+    ({"params": None}, "'params' must be a list of parameter names"),
+    ({"axes": None}, "'axes' must be a non-empty list of axis names"),
+    ({"axes": [], "entries": [["1"]]}, "'axes' must be a non-empty list of axis names"),
+    ({"axes": ["x y"]}, "'axes' must be a non-empty list of axis names"),
+    ({"axes": ["x", "x"]}, "duplicate axis name 'x' in matrix operator 'axes'"),
+    ({"fields": ["u", "u"], "entries": [["Dx", "0"], ["0", "Dx"]]},
+     "duplicate field name 'u'"),
+    ({"params": ["x"]}, "name declared as both axis and parameter: ['x']"),
+], ids=["entry-int", "entries-int", "row-int", "row-too-long", "fields-int",
+        "no-fields", "params-int", "params-null", "axes-null", "no-axes",
+        "axis-not-identifier",
+        "repeated-axis", "repeated-field", "axis-and-parameter"])
+def test_malformed_matrix_json_exits_2(capsys, change, reason):
+    op = json.dumps({"axes": ["x"], "fields": ["u"], "entries": [["Dx"]], **change})
+    code, _, err = run(capsys, "decompose", "--op", op)
+    assert refused(code, err, reason), err
+
+
+def cube_grid(m: int, entry: str = "(Dx+Dy+Dz)^12") -> str:
+    """An m x m matrix operator with every entry `entry` (91 terms)."""
+    return json.dumps({"axes": ["x", "y", "z"],
+                       "fields": [f"f{i}" for i in range(m)],
+                       "entries": [[entry] * m for _ in range(m)]})
+
+
+@pytest.mark.parametrize("command", ["decompose", "count"])
+@pytest.mark.parametrize("op,reason", [
+    (cube_grid(12), f"limit of {MAX_TERMS} terms in all"),
+    (cube_grid(4), f"limit of {MAX_TERMS} terms in all"),
+    (cube_grid(33, "0"), f"more than {MAX_TERMS} entries"),
+], ids=["12x12", "4x4", "33x33-zeros"])
+def test_matrix_term_budget_exits_2(capsys, command, op, reason):
+    code, _, err = run(capsys, command, "--op", op)
+    assert refused(code, err, reason), err
+
+
+@pytest.mark.parametrize("op", [cube_grid(3), cube_grid(32, "0")],
+                         ids=["3x3", "32x32-zeros"])
+def test_matrix_within_term_budget_is_read(capsys, op):
+    code, out, err = run(capsys, "count", "--op", op, "--format", "text")
+    assert (code, err) == (0, "") and out.startswith("N = ")
 
 
 def test_op_file_and_matrix(tmp_path, capsys):

@@ -82,10 +82,35 @@ _scalar_text = st.one_of(
     st.text(max_size=20),
 )
 _matrix_entry = st.one_of(_soup(_op_tokens, 4), structured_expression(("x", "t")))
-_matrix_text = st.lists(_matrix_entry, min_size=4, max_size=4).map(
-    lambda entries: json.dumps({"axes": ["x", "t"], "params": ["nu"],
-                                "fields": ["a", "b"],
-                                "entries": [entries[:2], entries[2:]]}))
+# values that break the shape or the name rules of one matrix JSON key
+_malformed = st.sampled_from([None, 3, "x", [], [1], [None], ["x", "x"], ["nu"],
+                              ["x"], ["a b"], [["Dx"]], [5], [["Dx", 2]]])
+
+
+@st.composite
+def well_formed_matrix(draw):
+    """A matrix JSON object of 1-4 fields whose entries are all text: in
+    half of them all operator text, in the others token soup as well."""
+    m = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([structured_expression(("x", "t")), _matrix_entry]))
+    return {"axes": ["x", "t"], "params": ["nu"], "fields": list("abcd"[:m]),
+            "entries": [[draw(entry) for _ in range(m)] for _ in range(m)]}
+
+
+@st.composite
+def malformed_matrix(draw):
+    """A well-formed object with one key, or one entry, broken."""
+    document = draw(well_formed_matrix())
+    key = draw(st.sampled_from(["axes", "params", "fields", "entries", "entry"]))
+    if key == "entry":
+        row = draw(st.sampled_from(document["entries"]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([1, None, ["Dx"]]))
+    else:
+        document[key] = draw(_malformed)
+    return document
+
+
+_matrix_text = st.one_of(well_formed_matrix(), malformed_matrix()).map(json.dumps)
 _op_text = st.one_of(_scalar_text, _matrix_text)
 _format = st.sampled_from(["json", "latex", "text"])
 
@@ -106,10 +131,10 @@ _solution_text = st.one_of(
     st.lists(st.lists(_solution_factor, min_size=1, max_size=3).map("*".join),
              min_size=1, max_size=3).map("+".join),
 )
+_op_command = st.sampled_from(["decompose", "count", "enumerate", "constraint",
+                               "represent"])
 fuzz_argv = st.one_of(
-    st.tuples(st.sampled_from(["decompose", "count", "enumerate", "constraint",
-                               "represent"]),
-              st.just("--op"), _op_text, st.just("--format"), _format),
+    st.tuples(_op_command, st.just("--op"), _op_text, st.just("--format"), _format),
     global_relation_argv(),
     st.tuples(st.just("verify"), st.just("--case"), st.sampled_from(CATALOG_TAGS),
               st.just("--solution"), _solution_text, st.just("--format"), _format),
@@ -123,10 +148,7 @@ def _plan_count(text: str):
         return None
 
 
-@settings(max_examples=80, deadline=timedelta(seconds=10), derandomize=True,
-          database=None)
-@given(argv=fuzz_argv)
-def test_generated_text_exits_0_1_or_2(argv):
+def _assert_exits_0_1_or_2(argv):
     argv = list(argv)
     if argv[0] == "enumerate" and (_plan_count(argv[2]) or 0) > FUZZ_PLAN_LIMIT:
         argv[0] = "count"
@@ -138,6 +160,20 @@ def test_generated_text_exits_0_1_or_2(argv):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(argv=fuzz_argv)
+def test_generated_text_exits_0_1_or_2(argv):
+    _assert_exits_0_1_or_2(argv)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(command=_op_command, text=_matrix_text)
+def test_generated_matrix_json_exits_0_1_or_2(command, text):
+    _assert_exits_0_1_or_2((command, "--op", text))
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True,

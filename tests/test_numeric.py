@@ -84,6 +84,19 @@ def test_solution_errors_carry_line_and_column(text, message, column):
     assert (err.value.line, err.value.column) == (2, column + 2)
 
 
+@pytest.mark.parametrize("text,value", [("(2^2000)^0", 1), ("(1-1)*2^2000", 0)])
+def test_overflow_that_cancels_is_read(text, value):
+    assert parse_solution(text, ("x",)).evaluate({"x": 0.5}) == value
+
+
+@pytest.mark.parametrize("text,column", [("1 + 2^2000", 7),
+                                         ("x*(3*2^2000 - 2^2000)", 8)])
+def test_overflow_refused_at_its_first_value(text, column):
+    with pytest.raises(SolutionSyntaxError, match="overflow") as err:
+        parse_solution(text, ("x",))
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_terms_merge_and_zeros_drop():
     axes = ("x", "y")
     one = parse_solution("sin(x+y)^2 + cos(x+y)^2", axes)
