@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import emit
 from .catalog import (
@@ -68,8 +67,13 @@ def _load_operator(args) -> Operator:
     if getattr(args, "op", None):
         return parse_operator(args.op)
     if getattr(args, "op_file", None):
-        with open(args.op_file, "r", encoding="utf-8") as handle:
-            return parse_operator(handle.read())
+        try:
+            with open(args.op_file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --op-file {args.op_file!r}: "
+                             f"{exc.strerror}") from None
+        return parse_operator(text)
     raise UsageError("an operator is required (--op or --op-file)")
 
 
@@ -125,7 +129,10 @@ def _parse_box(op: Operator, text: str | None) -> list:
             )
         axis, rest = chunk.split("=", 1)
         lo, hi = rest.split("..", 1)
-        spans[_axis_index(op, axis)] = (_endpoint(lo), _endpoint(hi))
+        j = _axis_index(op, axis)
+        if j in spans:
+            raise UsageError(f"box names axis {op.axes[j]!r} twice")
+        spans[j] = (_endpoint(lo), _endpoint(hi))
     missing = [op.axes[j] for j in range(op.dimension) if j not in spans]
     if missing:
         raise UsageError(f"box misses axes {missing}")
@@ -133,13 +140,14 @@ def _parse_box(op: Operator, text: str | None) -> list:
 
 
 def _endpoint(text: str) -> Poly:
+    """A box endpoint: a bare name, or else a constant `expr`."""
     text = text.strip()
-    try:
-        return Poly.const(Fraction(text))
-    except ValueError:
-        if not text.isidentifier():
-            raise UsageError(f"box endpoint {text!r} is neither rational nor a name")
+    if text.isidentifier():
         return Poly.var(text)
+    try:
+        return parse_poly(text, ())
+    except ValueError as exc:
+        raise UsageError(f"box endpoint {text!r}: {exc}") from None
 
 
 def _spectral_names(args, op: Operator, box=()) -> list:
@@ -312,11 +320,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_constraint(args) -> int:
     op = _load_operator(args)
-    if isinstance(op, MatrixPDO):
-        raise UsageError("constraint varieties are emitted for scalar operators")
     names = _spectral_names(args, op)
-    if len(names) != op.dimension:
-        raise UsageError("need one spectral name per axis")
     variety = adjoint_constraint(op, names)
     document = {
         "names": names,
@@ -340,13 +344,8 @@ def cmd_global_relation(args) -> int:
     box = _parse_box(op, args.box)
     names = _spectral_names(args, op, box)
     if args.sigma:
-        chunks = args.sigma.split(",")
-        if len(chunks) != op.dimension:
-            raise UsageError("need one sigma entry per axis")
-        sigma = [parse_poly(chunk, names) for chunk in chunks]
+        sigma = [parse_poly(chunk, names) for chunk in args.sigma.split(",")]
     else:
-        if len(names) != op.dimension:
-            raise UsageError("need one spectral name per axis")
         sigma = [Poly.var(n) for n in names]
     dec = decompose(op)
     sub = substitute_exponential(assemble(dec), sigma, args.exp_sign)
@@ -359,8 +358,6 @@ def cmd_global_relation(args) -> int:
 
 def cmd_represent(args) -> int:
     op = _load_operator(args)
-    if isinstance(op, MatrixPDO):
-        raise UsageError("integral representations are emitted for scalar operators")
     rep = integral_representation(op)
     _emit(args, emit.representation_json(rep), emit.representation_latex(rep),
           f"denominator: {rep.denominator.to_text()}")

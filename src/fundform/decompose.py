@@ -463,19 +463,13 @@ def decompose(op: Operator,
     bilinear pairing.  Never returns an unverified result."""
     if plan is None:
         plan = default_plan(op)
-    return _gated_decompose(op, plan, bilinear_rhs(op))
-
-
-def _gated_decompose(op: Operator, plan: DecompositionPlan,
-                     rhs: BilinearExpr) -> DivergenceDecomposition:
-    """``decompose`` with the pairing ``rhs = bilinear_rhs(op)`` already
-    computed: each term walks its one plan."""
+    # each term walks its one plan
     emitted = [pair
                for key, alpha, coeff, lf, rf in _operator_terms(op)
                for _, pairs in _walk_term(alpha, coeff, lf, rf,
                                           (plan.get(key),))
                for pair in pairs]
-    return _gate(op, plan, emitted, rhs)
+    return _gate(op, plan, emitted, bilinear_rhs(op))
 
 
 def _gate(op: Operator, plan: DecompositionPlan, emitted: list,

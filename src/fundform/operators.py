@@ -164,7 +164,7 @@ def monomial(coeff: Poly, values: Sequence[Poly], alpha: Iterable[int]) -> Poly:
 def apply_symbol(op: ScalarPDO, values: Sequence[PolyLike]) -> Poly:
     """Evaluate sum_alpha c_alpha * prod_k values[k]^alpha_k."""
     if len(values) != op.dimension:
-        raise ValueError("one value per axis required")
+        raise ValueError("one spectral value per axis required")
     values = [Poly.coerce(v) for v in values]
     total = Poly()
     for alpha, coeff in op.terms:

@@ -149,6 +149,8 @@ def adjoint_constraint(op: ScalarPDO, names: Sequence[str],
     """Polynomial condition on sigma for exp(sign*i*sigma.x) to solve the
     adjoint equation, with solved forms  s_k^2 = num/den  where extractable.
     The names must be distinct identifiers, none an axis or parameter."""
+    if isinstance(op, MatrixPDO):
+        raise ValueError("constraint varieties are emitted for scalar operators")
     poly = symbol(adjoint(op), names, sign)
     return ConstraintVariety(tuple(names), poly, _solved_forms(poly, names))
 
@@ -256,7 +258,7 @@ class IntegralRepresentation:
 def integral_representation(op: ScalarPDO,
                             names: Sequence[str] | None = None) -> IntegralRepresentation:
     if isinstance(op, MatrixPDO):
-        raise TypeError("integral representations are emitted for scalar operators")
+        raise ValueError("integral representations are emitted for scalar operators")
     if names is None:
         names = tuple(f"k{j + 1}" for j in range(op.dimension))
     names = tuple(names)

@@ -27,7 +27,14 @@ from fundform.decompose import (
 )
 from fundform.forms import forms_equivalent
 from fundform.operators import ScalarPDO
-from fundform.parser import MAX_NODES, MAX_ORDER, MAX_TERMS, format_operator, parse_operator
+from fundform.parser import (
+    MAX_AXES,
+    MAX_NODES,
+    MAX_ORDER,
+    MAX_TERMS,
+    format_operator,
+    parse_operator,
+)
 from fundform.ring import Poly
 
 TRIPLE = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
@@ -572,6 +579,79 @@ def test_bad_box_exits_2(capsys):
     assert "box" in err
 
 
+def global_relation_run(capsys, box: str):
+    return run(capsys, "global-relation", "--op", "axes x,t; Dt^2 - Dx^2",
+               "--box", box)
+
+
+@pytest.mark.parametrize("endpoint", ["1/0", "-1/0", "1e5000", "0.5", "1_0"])
+def test_box_endpoint_refused_with_its_text(capsys, endpoint):
+    # an endpoint that is not a name is a constant expr, read as --sigma is
+    code, out, err = global_relation_run(capsys, f"x=0..{endpoint},t=0..1")
+    assert refused(code, err, f"box endpoint {endpoint!r}: ") and out == "", err
+
+
+def test_box_endpoint_with_a_huge_exponent_exits_at_once():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fundform", "global-relation", "--op",
+         "axes x,t; Dt - Dx^2", "--box", "x=0..1e100000000,t=0..1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert refused(proc.returncode, proc.stderr, "box endpoint '1e100000000'")
+
+
+@pytest.mark.parametrize("box,ends,weights", [
+    ("x=0..l,t=0..T", ["0", "l", "0", "T"],
+     ["i*l*s1", "i*l*s1", "0", "0", "i*T*s2", "i*T*s2", "0", "0"]),
+    ("x=-1/2..3,t=0..i", ["-1/2", "3", "0", "i"],
+     ["3i*s1", "3i*s1", "-1/2i*s1", "-1/2i*s1", "i*i*s2", "i*i*s2", "0", "0"]),
+    ("x= 2/4 ..+7,t=0..1", ["1/2", "7", "0", "1"],
+     ["7i*s1", "7i*s1", "1/2i*s1", "1/2i*s1", "i*s2", "i*s2", "0", "0"]),
+], ids=["names", "rational-and-i", "spaced-and-signed"])
+def test_box_endpoint_documents_pinned(capsys, box, ends, weights):
+    # a bare name, `i` included, stays a name; the rest are constants
+    code, out, _ = global_relation_run(capsys, box)
+    document = json.loads(out)
+    assert code == 0
+    assert [end for span in document["box"] for end in (span["lo"], span["hi"])] == ends
+    assert [record["weight"] for record in document["terms"]] == weights
+
+
+@pytest.mark.parametrize("endpoint,text", [("2^3", "8"), ("2*i", "2i"),
+                                           ("(1+i)/2", "(1/2+1/2i)")])
+def test_box_endpoint_is_a_constant_expr(capsys, endpoint, text):
+    code, out, _ = global_relation_run(capsys, f"x=0..{endpoint},t=0..1")
+    assert code == 0 and json.loads(out)["box"][0]["hi"] == text
+
+
+def test_box_naming_an_axis_twice_exits_2(capsys):
+    code, out, err = global_relation_run(capsys, "x=0..1,x=0..2,t=0..1")
+    assert refused(code, err, "box names axis 'x' twice") and out == ""
+
+
+@pytest.mark.parametrize("command,what", [
+    ("constraint", "constraint varieties"),
+    ("represent", "integral representations"),
+])
+def test_matrix_refusals_of_scalar_only_commands_pinned(capsys, command, what):
+    code, out, err = run(capsys, command, "--op", json.dumps(STOKES_JSON))
+    assert (code, out, err) == (
+        2, "", f"error: {what} are emitted for scalar operators\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("constraint", "--op", "axes x,t; Dt - Dx^2", "--spectral-names", "a,b,c"),
+    ("global-relation", "--op", "axes x,t; Dt - Dx^2", "--spectral-names", "k",
+     "--sigma", "k"),
+    ("global-relation", "--op", "axes x,t; Dt - Dx^2", "--spectral-names", "k"),
+], ids=["constraint-names", "sigma-entries", "relation-names"])
+def test_per_axis_counts_refused_by_the_engine(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: one spectral value per axis required\n")
+
+
 @pytest.mark.parametrize("change,reason", [
     ({"entries": [[1]]}, "1x1 list of lists of operator texts"),
     ({"entries": 5}, "1x1 list of lists of operator texts"),
@@ -621,6 +701,32 @@ def test_matrix_term_budget_exits_2(capsys, command, op, reason):
 def test_matrix_within_term_budget_is_read(capsys, op):
     code, out, err = run(capsys, "count", "--op", op, "--format", "text")
     assert (code, err) == (0, "") and out.startswith("N = ")
+
+
+@pytest.mark.parametrize("name,reason", [("missing", "No such file"),
+                                         (".", "Is a directory")])
+def test_unreadable_op_file_exits_2(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    code, out, err = run(capsys, "decompose", "--op-file", str(path))
+    assert refused(code, err, f"cannot read --op-file {str(path)!r}: {reason}")
+    assert out == ""
+
+
+def wide_header(n: int) -> str:
+    return f"axes {','.join(f'a{k}' for k in range(n))}; Da0*Da{n - 1}"
+
+
+def wide_matrix(n: int) -> str:
+    return json.dumps({"axes": [f"a{k}" for k in range(n)], "fields": ["u"],
+                       "entries": [[f"Da0*Da{n - 1}"]]})
+
+
+@pytest.mark.parametrize("wide", [wide_header, wide_matrix], ids=["header", "matrix"])
+def test_axis_limit(capsys, wide):
+    code, out, err = run(capsys, "count", "--op", wide(MAX_AXES), "--format", "text")
+    assert (code, err) == (0, "") and out.startswith("N = 2\n")
+    code, out, err = run(capsys, "count", "--op", wide(MAX_AXES + 1))
+    assert refused(code, err, f"more than {MAX_AXES} axes") and out == "", err
 
 
 def test_op_file_and_matrix(tmp_path, capsys):

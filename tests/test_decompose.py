@@ -439,9 +439,8 @@ def test_term_walk_runs_each_shared_step_once(monkeypatch):
     assert calls == {"reduce_step": 10, "exchange_step": 12, "collapse_step": 12}
     assert len(pieces) == 12
     calls.update(dict.fromkeys(calls, 0))
-    rhs = bilinear_rhs(op)
     for tp in term_plans(key[2]):
-        engine._gated_decompose(op, DecompositionPlan(((key, tp),)), rhs)
+        decompose(op, DecompositionPlan(((key, tp),)))
     assert sum(calls.values()) == 60
 
 
@@ -473,12 +472,11 @@ def test_term_walk_matches_per_plan_route(text):
     seen = 0
     for key, pieces in term_pieces(op):
         alone = _term_alone(op, key, coeffs[key])
-        rhs = bilinear_rhs(alone)
         plans = list(term_plans(key[2]))
         assert len(pieces) == len(plans)
         for piece, tp in zip(pieces, plans):
             plan = DecompositionPlan(((key, tp),))
-            expected = engine._gated_decompose(alone, plan, rhs)
+            expected = decompose(alone, plan)
             assert piece.verified and piece.source == alone
             assert (piece.fluxes, piece.plan) == (expected.fluxes, expected.plan)
             seen += 1

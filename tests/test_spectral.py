@@ -25,6 +25,7 @@ from fundform.catalog import (
     biharmonic_operator,
     heat_operator,
     stokes_adjoint_residual,
+    stokes_operator,
     triple_product_operator,
     verify_stokes_adjoint,
     wave_operator,
@@ -418,3 +419,13 @@ def test_global_relation_refuses_spectral_box_endpoints():
     with pytest.raises(ValueError, match="box endpoint"):
         global_relation(sub, [(0, var("l")), (0, var("k"))])
     assert global_relation(sub, [(0, var("l")), (0, var("T"))]).terms
+
+
+@pytest.mark.parametrize("entry,what", [
+    (adjoint_constraint, "constraint varieties"),
+    (integral_representation, "integral representations"),
+])
+def test_matrix_operators_refused_by_the_scalar_only_entries(entry, what):
+    with pytest.raises(ValueError,
+                       match=f"^{what} are emitted for scalar operators$"):
+        entry(stokes_operator(), ["k1", "k2", "k3", "k4"])
