@@ -103,6 +103,10 @@ class BilinearTerm(NamedTuple):
             self.left_field, self.left, self.right_field, self.right,
         )
 
+    def negated(self) -> "BilinearTerm":
+        """``scaled(-1)`` without coercing -1: only the coefficient changes."""
+        return tuple.__new__(BilinearTerm, (-self.coeff, *self[1:]))
+
 
 def term(coeff: PolyLike, left, right, left_field: int = 0,
          right_field: int = 0) -> BilinearTerm:
@@ -176,7 +180,7 @@ class BilinearExpr:
         return self + (-other)
 
     def __neg__(self) -> "BilinearExpr":
-        return BilinearExpr(t.scaled(-1) for t in self._terms)
+        return BilinearExpr(t.negated() for t in self._terms)
 
     def scale(self, value: PolyLike) -> "BilinearExpr":
         return BilinearExpr(t.scaled(value) for t in self._terms)
@@ -214,8 +218,12 @@ def brace(alpha, beta, left_field: int = 0, right_field: int = 0,
 def expr_sum(exprs: Iterable[BilinearExpr]) -> BilinearExpr:
     """Sum of many expressions in one merge of all their terms, where a
     chain of ``+`` would merge (and sort) the running total once per
-    operand.  Mixed dimensions raise ValueError."""
-    return BilinearExpr([t for expr in exprs for t in expr._terms])
+    operand.  A lone nonzero operand is the sum as it stands.  Mixed
+    dimensions raise ValueError."""
+    nonzero = [expr for expr in exprs if expr._terms]
+    if len(nonzero) == 1:
+        return nonzero[0]
+    return BilinearExpr([t for expr in nonzero for t in expr._terms])
 
 
 def product_rule(expr: BilinearExpr, k: int) -> list:

@@ -36,13 +36,14 @@ from .decompose import (
     term_plan_count,
     term_plans,
 )
-from .forms import assemble, forms_equivalent
+from .forms import assemble, exterior_derivative
 from .manufactured import ManufacturedSolution
 from .operators import MatrixPDO, Operator, bilinear_rhs, parameters, refuse_clash
 from .parser import parse_names, parse_operator, parse_poly
 from .ring import Poly
 from .spectral import (
     adjoint_constraint,
+    check_sigma_count,
     global_relation,
     integral_representation,
     spinor_isotropic,
@@ -278,18 +279,22 @@ def _pairwise_equivalent(op: Operator) -> bool:
     A member's fluxes are a sum of one piece per term (``term_pieces``),
     so any two members differ by a sum of per-term piece differences, and
     a bad piece shows in the member that differs from the first only in
-    that term: comparing each piece with its term's first piece decides
-    every pair.  The first member is the sum of the first pieces, and it
-    must pass the final divergence gate against the whole operator's
-    pairing.
+    that term: comparing each piece's exterior derivative with that of
+    its term's first piece decides every pair, and each piece is
+    differentiated once, from the fluxes given here.  The first member is
+    the sum of the first pieces, and it must pass the final divergence
+    gate against the whole operator's pairing.
     """
     pieces = [term for _, term in term_pieces(op)]
     _gate(op, DecompositionPlan(tuple(item for term in pieces
                                       for item in term[0].plan.items)),
           [pair for term in pieces for pair in enumerate(term[0].fluxes)],
           bilinear_rhs(op))
-    return all(forms_equivalent(first, piece)
-               for first, *rest in pieces for piece in rest)
+    for first, *rest in pieces:
+        target = exterior_derivative(first)
+        if any(exterior_derivative(piece) != target for piece in rest):
+            return False
+    return True
 
 
 def cmd_enumerate(args) -> int:
@@ -347,6 +352,7 @@ def cmd_global_relation(args) -> int:
         sigma = [parse_poly(chunk, names) for chunk in args.sigma.split(",")]
     else:
         sigma = [Poly.var(n) for n in names]
+    check_sigma_count(sigma, op.dimension)
     dec = decompose(op)
     sub = substitute_exponential(assemble(dec), sigma, args.exp_sign)
     rel = global_relation(sub, box)

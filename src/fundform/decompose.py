@@ -86,9 +86,9 @@ class PairTerm:
         """The two constituent products (first, mirror) as BilinearTerm."""
         first = BilinearTerm(self.coeff, self.left_field, self.alpha,
                              self.right_field, self.beta)
-        sign = -1 if self.kind == BRACKET else 1
-        mirror = BilinearTerm(self.coeff.scale(sign), self.left_field,
-                              self.beta, self.right_field, self.alpha)
+        coeff = -self.coeff if self.kind == BRACKET else self.coeff
+        mirror = BilinearTerm(coeff, self.left_field, self.beta,
+                              self.right_field, self.alpha)
         return first, mirror
 
 
@@ -139,7 +139,7 @@ def _exchange(term: BilinearTerm, k: int, j: int) -> tuple:
                      term.right)
     ])
     flux_j = BilinearExpr([
-        BilinearTerm(term.coeff.scale(-1), term.left_field, lowered,
+        BilinearTerm(-term.coeff, term.left_field, lowered,
                      term.right_field, moved)
     ])
     return swapped, flux_k, flux_j
@@ -153,7 +153,7 @@ def exchange_step(term: BilinearTerm, k: int, j: int) -> tuple:
     swapped, flux_k, flux_j = _exchange(term, k, j)
     # swapped + d_k flux_k + d_j flux_j - term, in one merge
     if BilinearExpr([swapped, *product_rule(flux_k, k),
-                     *product_rule(flux_j, j), term.scaled(-1)]):
+                     *product_rule(flux_j, j), term.negated()]):
         raise EngineError(f"exchange step failed its identity on axes {k},{j}")
     return swapped, ((k, flux_k), (j, flux_j))
 
@@ -189,8 +189,8 @@ def collapse_step(first: BilinearTerm, second: BilinearTerm) -> tuple:
     """
     r, flux = _collapse(first, second)
     # d_r flux - first - second, in one merge
-    if BilinearExpr([*product_rule(flux, r), first.scaled(-1),
-                     second.scaled(-1)]):
+    if BilinearExpr([*product_rule(flux, r), first.negated(),
+                     second.negated()]):
         raise EngineError("pair collapse failed its identity")
     return r, flux
 

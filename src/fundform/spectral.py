@@ -60,14 +60,20 @@ def _merge_spectral_terms(pairs) -> tuple:
     )
 
 
+def check_sigma_count(sigma: Sequence, dimension: int) -> None:
+    """Refuse a spectral point that does not give one value per axis; a
+    caller can run this before it pays for the decomposition."""
+    if len(sigma) != dimension:
+        raise ValueError("one spectral value per axis required")
+
+
 def substitute_exponential(form: DivergenceDecomposition,
                            sigma: Sequence[PolyLike],
                            sign: int = 1,
                            amplitudes: Sequence[PolyLike] | None = None) -> SubstitutedForm:
     """Replace every test-slot derivative d^nu qt_g by
     amplitudes[g] * prod_j (sign*i*sigma_j)^nu_j times the common weight."""
-    if len(sigma) != form.dimension:
-        raise ValueError("one spectral value per axis required")
+    check_sigma_count(sigma, form.dimension)
     sigma = tuple(Poly.coerce(s) for s in sigma)
     slopes = exponential_slopes(sigma, sign)
     nfields = 1 + max(

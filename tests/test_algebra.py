@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_bilinear, random_multiindex
+from conftest import random_bilinear, random_gaussian, random_multiindex, random_poly
 from fundform.algebra import (
     BilinearExpr,
     BilinearTerm,
@@ -187,6 +187,42 @@ def test_expr_sum_small_cases():
     assert expr_sum([a]) == a
     assert expr_sum([a, b, -a]) == b
     assert expr_sum(iter([a, BilinearExpr(), b])) == a + b
+
+
+def test_negated_matches_scaled_minus_one_seeded():
+    # Gaussian-rational and parameter coefficients alike
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        coeff = (Poly.const(random_gaussian(rng)) if rng.random() < 0.5
+                 else random_poly(rng, names=("nu", "mu")))
+        t = BilinearTerm(coeff, rng.randint(0, 2), random_multiindex(rng, n, 4),
+                         rng.randint(0, 2), random_multiindex(rng, n, 4))
+        negated = t.negated()
+        assert type(negated) is BilinearTerm
+        assert negated == t.scaled(-1) and hash(negated) == hash(t.scaled(-1))
+        assert negated.negated() == t
+        expr = BilinearExpr([t])
+        assert -expr == expr.scale(-1) and (-expr + expr).is_zero
+
+
+def test_expr_sum_of_one_nonzero_operand_matches_fold_seeded():
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        lone = random_bilinear(rng, n)
+        exprs = [BilinearExpr() for _ in range(rng.randint(0, 3))]
+        exprs.insert(rng.randint(0, len(exprs)), lone)
+        fold = BilinearExpr()
+        for expr in exprs:
+            fold = fold + expr
+        total = expr_sum(iter(exprs))
+        assert total == fold and hash(total) == hash(fold)
+        assert total.terms == fold.terms
+    # two nonzero operands of different dimensions still meet the merge
+    with pytest.raises(ValueError):
+        expr_sum([BilinearExpr(), bracket((1, 0), (0, 0)),
+                  bracket((1, 0, 0), (0, 0, 0))])
 
 
 def _reference_sum(terms) -> dict:

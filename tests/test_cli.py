@@ -186,6 +186,39 @@ def test_enumerate_detects_inequivalent_member(capsys, monkeypatch):
     assert json.loads(out)["pairwise_equivalent"] is False
 
 
+def test_enumerate_detects_bad_sibling_of_a_middle_term(capsys, monkeypatch):
+    # TRIPLE's terms in plan-item order: Dz^2 (one piece), Dx^2*Dy^2 (two),
+    # Dx^2*Dy^2*Dz^2 (six); the second piece of the middle term is bad
+    counts = [len(pieces) for _, pieces in cli.term_pieces(parse_operator(TRIPLE))]
+    assert counts == [1, 2, 6]
+    _planted_pieces(monkeypatch, 1, 1)
+    code, out, _ = run(capsys, "enumerate", "--op", TRIPLE)
+    assert code == 0
+    assert json.loads(out)["pairwise_equivalent"] is False
+
+
+def test_pairwise_verdict_differentiates_each_piece_once(monkeypatch):
+    # beyond the gates (one per piece and one for the first member), the
+    # verdict takes one exterior derivative per piece, first pieces included
+    engine = importlib.import_module("fundform.decompose")
+    calls = {"verdict": 0, "gates": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "exterior_derivative",
+                        counted("verdict", cli.exterior_derivative))
+    monkeypatch.setattr(engine, "divergence", counted("gates", engine.divergence))
+    op = parse_operator(TRIPLE)
+    pieces = sum(term_plan_count(key[2]) for key, *_ in cli._operator_terms(op))
+    assert pieces == 9
+    assert cli._pairwise_equivalent(op) is True
+    assert calls == {"verdict": pieces, "gates": pieces + 1}
+
+
 def test_enumerate_pieces_must_sum_to_whole(capsys, monkeypatch):
     # a bad first piece no longer sums to decompose(op) with the others
     _planted_pieces(monkeypatch, 0, 0)
@@ -397,6 +430,23 @@ def test_global_relation_document(capsys):
     assert len(document["terms"]) == 8
     sample = document["terms"][0]
     assert set(sample) == {"axis", "end", "sign", "coeff", "weight", "trace"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--sigma", "1"),
+    ("--sigma", "1,2,3,4"),
+    ("--spectral-names", "a,b"),
+])
+def test_global_relation_miscount_refused_before_decomposing(capsys, monkeypatch,
+                                                             argv):
+    def no_decompose(*args):
+        raise AssertionError("decompose ran before the count was checked")
+
+    monkeypatch.setattr(cli, "decompose", no_decompose)
+    code, out, err = run(capsys, "global-relation", "--op",
+                         "axes x,y,z; (Dx+Dy+Dz)^24", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: one spectral value per axis required\n"
 
 
 def test_represent_document(capsys):
