@@ -9,8 +9,7 @@ operator it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .manufactured import ManufacturedSolution
 from .operators import (
@@ -90,8 +89,7 @@ def verify_stokes_adjoint(triple: SpinorTriple,
     return all(row.is_zero for row in stokes_adjoint_residual(triple, xi3))
 
 
-@dataclass(frozen=True)
-class CatalogCase:
+class CatalogCase(NamedTuple):
     """One ready-to-run verification case: operator, exact-on-variety
     spectral data, a trial solution, and parameter values."""
 

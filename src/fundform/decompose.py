@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (BilinearExpr, BilinearTerm, MultiIndex, divergence,
                       expr_sum, product_rule)
 from .operators import MatrixPDO, Operator, ScalarPDO, bilinear_rhs, grid
+from .records import Record
 from .ring import Poly
 
 BRACKET = "bracket"
@@ -60,24 +60,31 @@ class EngineError(RuntimeError):
     """An internal rewrite failed its oracle check; always a bug."""
 
 
-@dataclass(frozen=True)
-class PairTerm:
+_set = object.__setattr__
+
+
+class PairTerm(Record):
     """A signed bracket or brace:  coeff * [alpha, beta]  or  coeff * {alpha, beta}.
 
     Built as given, like ``BilinearTerm``: callers pass a Poly and two
-    MultiIndexes of one dimension.
+    MultiIndexes of one dimension.  Not a tuple, so that ``_walk_term``
+    can tell it from a (current, mirror) pair of products.
     """
 
-    kind: str
-    coeff: Poly
-    alpha: MultiIndex
-    beta: MultiIndex
-    left_field: int = 0
-    right_field: int = 0
+    __slots__ = _fields = ("kind", "coeff", "alpha", "beta", "left_field",
+                           "right_field")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (BRACKET, BRACE):
-            raise ValueError(f"unknown pairing kind {self.kind!r}")
+    def __init__(self, kind: str, coeff: Poly, alpha: MultiIndex,
+                 beta: MultiIndex, left_field: int = 0,
+                 right_field: int = 0) -> None:
+        if kind not in (BRACKET, BRACE):
+            raise ValueError(f"unknown pairing kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "coeff", coeff)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "left_field", left_field)
+        _set(self, "right_field", right_field)
 
     def to_expr(self) -> BilinearExpr:
         return BilinearExpr(self.products())
@@ -203,8 +210,13 @@ _pair_collapse = collapse_step
 # Plans
 
 
-@dataclass(frozen=True)
-class TermPlan:
+class _TermPlanFields(NamedTuple):
+    path: tuple
+    transfer: tuple
+    exchanges: tuple
+
+
+class TermPlan(_TermPlanFields):
     """Free choices for one operator term.
 
     path       : axis order for the reduction stage (axis k listed
@@ -213,36 +225,45 @@ class TermPlan:
                  (floor(#odd / 2) of them, applied in ascending order);
     exchanges  : ordered (trial-axis, test-axis) pairs, consuming each
                  transferred axis exactly once.
+
+    The constructor makes tuples of its parts; ``term_plans``, whose parts
+    are tuples already, builds with ``tuple.__new__``.
     """
 
-    path: tuple = ()
-    transfer: tuple = ()
-    exchanges: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "path", tuple(self.path))
-        object.__setattr__(self, "transfer", tuple(self.transfer))
-        object.__setattr__(
-            self, "exchanges", tuple(tuple(p) for p in self.exchanges)
-        )
+    def __new__(cls, path=(), transfer=(), exchanges=()) -> "TermPlan":
+        return tuple.__new__(cls, (tuple(path), tuple(transfer),
+                                   tuple(tuple(p) for p in exchanges)))
 
 
-@dataclass(frozen=True)
-class DecompositionPlan:
-    """Per-term plans keyed by (test field, trial field, multi-index)."""
+class DecompositionPlan(Record):
+    """Per-term plans keyed by (test field, trial field, multi-index),
+    held sorted by key and looked up by key; a plan that names one term
+    twice is refused."""
 
-    items: tuple
+    __slots__ = ("items", "_plans")
+    _fields = ("items",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(sorted(self.items)))
+    def __init__(self, items) -> None:
+        items = tuple(items)
+        plans = dict(items)
+        if len(plans) < len(items):
+            seen = set()
+            for key, _ in items:
+                if key in seen:
+                    raise PlanError(f"plan names operator term {key} twice")
+                seen.add(key)
+        _set(self, "items", tuple(sorted(items)))
+        _set(self, "_plans", plans)
 
     def get(self, key) -> TermPlan:
         row, col, alpha = key
-        key = (row, col, MultiIndex(alpha))
-        for item_key, plan in self.items:
-            if item_key == key:
-                return plan
-        raise PlanError(f"no plan for operator term {key}")
+        key = (row, col, tuple(alpha))
+        plan = self._plans.get(key)
+        if plan is None:
+            raise PlanError(f"no plan for operator term {key}")
+        return plan
 
 
 def _validate_term_plan(alpha: MultiIndex, plan: TermPlan) -> None:
@@ -348,7 +369,8 @@ def term_plans(alpha) -> Iterator[TermPlan]:
             kept = [a for a in odd if a not in transfer]
             for lefts in itertools.permutations(kept, m):
                 for rights in itertools.permutations(transfer):
-                    yield TermPlan(path, transfer, tuple(zip(lefts, rights)))
+                    yield tuple.__new__(TermPlan, (path, transfer,
+                                                   tuple(zip(lefts, rights))))
 
 
 def enumerate_plans(op: Operator,
@@ -381,8 +403,7 @@ def enumerate_plans(op: Operator,
 # Decomposition
 
 
-@dataclass(frozen=True)
-class DivergenceDecomposition:
+class DivergenceDecomposition(NamedTuple):
     """Fluxes a_1..a_n with  sum_j d_j a_j  equal to the operator pairing.
 
     Once verified it is also the fundamental form (see ``forms``); a form

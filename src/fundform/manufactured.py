@@ -31,12 +31,12 @@ values leave the finite float range is refused.  Every refusal is a
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .parser import MAX_TERMS, Parser, TextSyntaxError
+from .records import Record
 
 
 def _merge(axes: tuple, triples) -> "ExpPoly":
@@ -227,16 +227,18 @@ def parse_solution(source: str, axes: Sequence[str]) -> ExpPoly:
     return expr
 
 
-@dataclass(frozen=True)
-class ManufacturedSolution:
-    """Per-field exponential-polynomials on named axes.  Traces are
-    memoised per (field, deriv) on the instance; the memo takes no part
-    in equality or hashing."""
+class ManufacturedSolution(Record):
+    """Per-field exponential-polynomials on named axes, one ExpPoly per
+    field.  Traces are memoised per (field, deriv) on the instance; the
+    memo takes no part in equality, hashing or the repr."""
 
-    axes: tuple
-    fields: tuple  # one ExpPoly per field
-    _traces: dict = dataclasses.field(default_factory=dict, compare=False,
-                                      repr=False)
+    __slots__ = ("axes", "fields", "_traces")
+    _fields = ("axes", "fields")
+
+    def __init__(self, axes: tuple, fields: tuple) -> None:
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "_traces", {})
 
     @staticmethod
     def scalar(axes: Sequence[str], expr: ExpPoly | str) -> "ManufacturedSolution":

@@ -12,9 +12,8 @@ orientation, coefficient, weight, trace), never an evaluated integral.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import MultiIndex
 from .decompose import DivergenceDecomposition, decompose
@@ -31,8 +30,7 @@ from .operators import (
 from .ring import GaussianRational, P_I, Poly, PolyLike, QI_ONE, merge_terms
 
 
-@dataclass(frozen=True)
-class SubstitutedForm:
+class SubstitutedForm(NamedTuple):
     """A form with the test slot bound to an exponential.
 
     fluxes[j] is a tuple of (coeff: Poly, field, deriv) terms; all share
@@ -114,8 +112,7 @@ def spectral_exterior_derivative(sf: SubstitutedForm) -> tuple:
 # Constraint varieties
 
 
-@dataclass(frozen=True)
-class ConstraintVariety:
+class ConstraintVariety(NamedTuple):
     """Zero set of the adjoint symbol in the spectral variables."""
 
     names: tuple
@@ -179,8 +176,7 @@ def reduce_mod_quadric(poly: Poly, name: str, replacement: PolyLike) -> Poly:
 # Global relations on boxes
 
 
-@dataclass(frozen=True)
-class RelationTerm:
+class RelationTerm(NamedTuple):
     axis: int
     end: str  # "lo" | "hi"
     sign: int  # divergence-theorem orientation: hi +1, lo -1
@@ -190,8 +186,7 @@ class RelationTerm:
     deriv: MultiIndex
 
 
-@dataclass(frozen=True)
-class GlobalRelation:
+class GlobalRelation(NamedTuple):
     """Structured statement that the boundary integral of the substituted
     form vanishes: one record per (face, trace) pair, traces unevaluated."""
 
@@ -203,10 +198,7 @@ class GlobalRelation:
     terms: tuple
 
     def term_multiset(self) -> tuple:
-        return tuple(
-            (t.axis, t.end, t.sign, t.coeff, t.weight_exponent, t.field, t.deriv)
-            for t in self.terms
-        )
+        return tuple(self.terms)
 
 
 def global_relation(sf: SubstitutedForm, box: Sequence) -> GlobalRelation:
@@ -248,8 +240,7 @@ def global_relation(sf: SubstitutedForm, box: Sequence) -> GlobalRelation:
 # Integral representation
 
 
-@dataclass(frozen=True)
-class IntegralRepresentation:
+class IntegralRepresentation(NamedTuple):
     """q(x) = -(2 pi)^(-n) int_R^n dk int_boundary e^(ik.x) eta(y, k) / D(k)
     with D the operator's symbol at ik and eta substituted at exp(-ik.y)."""
 
@@ -328,8 +319,7 @@ def check_parameterization(constraint: ConstraintVariety | Poly,
 # Isotropic spinor construction for the incompressible system
 
 
-@dataclass(frozen=True)
-class SpinorTriple:
+class SpinorTriple(NamedTuple):
     """Isotropic 3-vector built from a 2-spinor:
     k = (xi1^2 - xi2^2, i(xi1^2 + xi2^2), -2 xi1 xi2), so k.k = 0 identically."""
 

@@ -25,9 +25,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import builtin_solutions
 from .decompose import decompose
@@ -35,29 +34,29 @@ from .forms import assemble
 from .manufactured import ManufacturedSolution
 from .operators import Operator, adjoint, apply_symbol_rows, exponential_slopes, grid
 from .parser import MAX_NODES
+from .records import Record
 from .ring import P_ONE, PolyLike
 from .spectral import SubstitutedForm, substitute_exponential
 
 DEFAULT_RELATIVE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Gauss-Legendre nodes per axis for the face integrals."""
 
-    nodes: int = 20
+    __slots__ = _fields = ("nodes",)
 
-    def __post_init__(self) -> None:
-        if self.nodes < 1:
+    def __init__(self, nodes: int = 20) -> None:
+        if nodes < 1:
             raise ValueError("quadrature needs at least one node per axis")
-        if self.nodes > MAX_NODES:
+        if nodes > MAX_NODES:
             raise ValueError(
                 f"quadrature takes at most {MAX_NODES} nodes per axis"
             )
+        object.__setattr__(self, "nodes", nodes)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     residual: complex
     scale: float
     face_integrals: tuple

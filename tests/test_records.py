@@ -1,0 +1,254 @@
+"""The engine's immutable records: repr text, equality, hashing and
+immutability, and the checks each constructor makes.  The repr of a
+record is its class name and its public fields, in declaration order,
+each written with repr; the hash is that of the tuple of those fields."""
+
+import copy
+import hashlib
+import pickle
+
+import pytest
+
+from fundform import emit
+from fundform.algebra import MultiIndex
+from fundform.catalog import CatalogCase, builtin_solutions
+from fundform.decompose import (
+    BRACE,
+    BRACKET,
+    DecompositionPlan,
+    DivergenceDecomposition,
+    PairTerm,
+    PlanError,
+    TermPlan,
+    decompose,
+)
+from fundform.manufactured import ManufacturedSolution
+from fundform.operators import ScalarPDO
+from fundform.parser import parse_scalar_operator
+from fundform.ring import QI_I, Poly
+from fundform.spectral import (
+    ConstraintVariety,
+    GlobalRelation,
+    IntegralRepresentation,
+    RelationTerm,
+    SpinorTriple,
+    SubstitutedForm,
+    adjoint_constraint,
+    global_relation,
+    integral_representation,
+    spinor_isotropic,
+    substitute_exponential,
+)
+from fundform.verify import QuadratureSpec, ResidualReport
+
+HEAT = "axes x,t; Dt - Dx^2"
+
+
+def _heat_form(coeff: int = 1):
+    return decompose(parse_scalar_operator(f"axes x,t; Dt - {coeff}*Dx^2"))
+
+
+def _heat_relation(hi: int = 1):
+    sf = substitute_exponential(_heat_form(), (1, -QI_I))
+    return global_relation(sf, ((0, hi), (0, 1)))
+
+
+def _unverified():
+    dec = _heat_form()
+    return DivergenceDecomposition(dec.axes, dec.fluxes, dec.source, dec.plan)
+
+
+# (class, public fields, build a record, build one that differs in a field)
+RECORDS = [
+    (CatalogCase,
+     ("tag", "operator", "solution", "sigma", "sign", "amplitudes", "params",
+      "box"),
+     lambda: builtin_solutions("heat")[0],
+     lambda: builtin_solutions("wave")[0]),
+    (PairTerm,
+     ("kind", "coeff", "alpha", "beta", "left_field", "right_field"),
+     lambda: PairTerm(BRACKET, Poly.const(2), MultiIndex((1, 0)),
+                      MultiIndex((0, 1)), 0, 1),
+     lambda: PairTerm(BRACKET, Poly.const(2), MultiIndex((1, 0)),
+                      MultiIndex((0, 1)), 0, 0)),
+    (TermPlan, ("path", "transfer", "exchanges"),
+     lambda: TermPlan((0,), (1,), ((0, 1),)),
+     lambda: TermPlan((0,), (1,), ((1, 1),))),
+    (DecompositionPlan, ("items",),
+     lambda: _heat_form().plan,
+     lambda: DecompositionPlan(())),
+    (DivergenceDecomposition,
+     ("axes", "fluxes", "source", "plan", "verified"),
+     _heat_form, _unverified),
+    (SubstitutedForm, ("axes", "sign", "sigma", "amplitudes", "fluxes"),
+     lambda: substitute_exponential(_heat_form(), (1, -QI_I)),
+     lambda: substitute_exponential(_heat_form(), (1, -QI_I), sign=-1)),
+    (ConstraintVariety, ("names", "poly", "solved"),
+     lambda: adjoint_constraint(parse_scalar_operator(HEAT), ("s1", "s2")),
+     lambda: adjoint_constraint(parse_scalar_operator(HEAT), ("a", "b"))),
+    (RelationTerm,
+     ("axis", "end", "sign", "coeff", "weight_exponent", "field", "deriv"),
+     lambda: _heat_relation().terms[0],
+     lambda: _heat_relation().terms[1]),
+    (GlobalRelation, ("axes", "box", "sigma", "sign", "amplitudes", "terms"),
+     _heat_relation, lambda: _heat_relation(2)),
+    (IntegralRepresentation,
+     ("axes", "spectral_names", "prefactor_sign", "two_pi_power",
+      "denominator", "eta"),
+     lambda: integral_representation(parse_scalar_operator(HEAT)),
+     lambda: integral_representation(parse_scalar_operator(HEAT), ("u", "v"))),
+    (SpinorTriple, ("xi1", "xi2", "k"),
+     lambda: spinor_isotropic(1, 2), lambda: spinor_isotropic(2, 1)),
+    (QuadratureSpec, ("nodes",),
+     lambda: QuadratureSpec(8), lambda: QuadratureSpec(9)),
+    (ResidualReport, ("residual", "scale", "face_integrals"),
+     lambda: ResidualReport(1 + 2j, 3.0, ((("x", "hi"), 1j),)),
+     lambda: ResidualReport(1 + 2j, 4.0, ((("x", "hi"), 1j),))),
+    (ManufacturedSolution, ("axes", "fields"),
+     lambda: ManufacturedSolution.scalar(("x",), "x^2"),
+     lambda: ManufacturedSolution.scalar(("x",), "x^3")),
+]
+IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, make, other", RECORDS, ids=IDS)
+def test_record_repr_lists_its_fields(cls, fields, make, other):
+    record = make()
+    assert type(record) is cls
+    assert repr(record) == cls.__name__ + "(" + ", ".join(
+        f"{name}={getattr(record, name)!r}" for name in fields) + ")"
+
+
+@pytest.mark.parametrize("cls, fields, make, other", RECORDS, ids=IDS)
+def test_record_equality_and_hash(cls, fields, make, other):
+    record, copy, changed = make(), make(), other()
+    assert record is not copy
+    assert record == copy and not record != copy
+    assert record != changed and not record == changed
+    values = tuple(getattr(record, name) for name in fields)
+    if cls is CatalogCase:  # its params are a dict
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(copy) == hash(values)
+        assert len({record, copy, changed}) == 2
+
+
+@pytest.mark.parametrize("cls, fields, make, other", RECORDS, ids=IDS)
+def test_record_is_immutable(cls, fields, make, other):
+    record = make()
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert tuple(getattr(record, name) for name in fields) == tuple(
+        getattr(make(), name) for name in fields)
+
+
+@pytest.mark.parametrize("cls, fields, make, other", RECORDS, ids=IDS)
+def test_record_copies_and_pickles(cls, fields, make, other):
+    record = make()
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record
+
+
+def test_leaf_record_reprs_pinned():
+    assert repr(PairTerm(BRACKET, Poly.const(2), MultiIndex((1, 0)),
+                         MultiIndex((0, 1)), 0, 1)) == (
+        "PairTerm(kind='bracket', coeff=Poly(2), alpha=(1, 0), beta=(0, 1), "
+        "left_field=0, right_field=1)")
+    assert repr(TermPlan((0,), (1,), ((0, 1),))) == (
+        "TermPlan(path=(0,), transfer=(1,), exchanges=((0, 1),))")
+    assert repr(TermPlan()) == "TermPlan(path=(), transfer=(), exchanges=())"
+    assert repr(QuadratureSpec()) == "QuadratureSpec(nodes=20)"
+    assert repr(ResidualReport(1 + 2j, 3.0, ((("x", "hi"), 1j),))) == (
+        "ResidualReport(residual=(1+2j), scale=3.0, "
+        "face_integrals=((('x', 'hi'), 1j),))")
+    assert repr(ManufacturedSolution.scalar(("x",), "x^2")) == (
+        "ManufacturedSolution(axes=('x',), fields=(ExpPoly(axes=('x',), "
+        "terms=(((2,), (0j,), (1+0j)),)),))")
+
+
+def test_record_defaults():
+    assert TermPlan() == TermPlan((), (), ())
+    assert QuadratureSpec().nodes == 20
+    dec = _heat_form()
+    bare = DivergenceDecomposition(dec.axes, dec.fluxes, None)
+    assert bare.plan is None and bare.verified is False
+    assert ConstraintVariety(("s",), Poly.var("s")).solved == ()
+
+
+def test_pair_term_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown pairing kind 'bogus'"):
+        PairTerm("bogus", Poly.const(1), MultiIndex((1,)), MultiIndex((0,)))
+    assert PairTerm(BRACE, Poly.const(1), MultiIndex((1,)),
+                    MultiIndex((0,))).kind == BRACE
+
+
+def test_term_plan_coerces_its_parts_to_tuples():
+    plan = TermPlan([0], [1], [[0, 1]])
+    assert plan == TermPlan((0,), (1,), ((0, 1),))
+    assert hash(plan) == hash(TermPlan((0,), (1,), ((0, 1),)))
+    assert plan.path == (0,) and type(plan.path) is tuple
+    assert plan.exchanges == ((0, 1),) and type(plan.exchanges[0]) is tuple
+    assert TermPlan(path=iter([2, 1])).path == (2, 1)
+
+
+def test_decomposition_plan_sorts_its_items():
+    first = ((0, 0, MultiIndex((0, 2))), TermPlan((1,)))
+    second = ((0, 0, MultiIndex((2, 0))), TermPlan((0,)))
+    plan = DecompositionPlan((second, first))
+    assert plan.items == (first, second)
+    assert plan == DecompositionPlan((first, second))
+    assert hash(plan) == hash(DecompositionPlan((first, second)))
+    assert plan.get((0, 0, (2, 0))) == TermPlan((0,))
+    with pytest.raises(PlanError, match="no plan for operator term"):
+        plan.get((0, 0, (1, 1)))
+
+
+def test_decomposition_plan_refuses_a_term_named_twice():
+    key = (0, 0, MultiIndex((2, 0)))
+    with pytest.raises(PlanError, match="names operator term .* twice"):
+        DecompositionPlan(((key, TermPlan((0,))), (key, TermPlan((1,)))))
+    with pytest.raises(PlanError, match="names operator term .* twice"):
+        DecompositionPlan(((key, TermPlan((0,))), (key, TermPlan((0,)))))
+    # a plain tuple and a MultiIndex name the same term
+    with pytest.raises(PlanError, match="twice"):
+        DecompositionPlan(((key, TermPlan((0,))), ((0, 0, (2, 0)), TermPlan((0,)))))
+
+
+def test_manufactured_solution_memo_stays_out_of_equality():
+    used = ManufacturedSolution.scalar(("x", "t"), "x^3*t + exp(x)")
+    fresh = ManufacturedSolution.scalar(("x", "t"), "x^3*t + exp(x)")
+    before = repr(used)
+    used.trace(0, (2, 1))
+    assert used._traces and not fresh._traces
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == before == repr(fresh)
+    assert "trace" in vars(ManufacturedSolution)
+
+
+# 1024 distinct second-order terms on 64 axes: the first 1024 pairs (i, j),
+# i <= j, in lexicographic order, with coefficients 1, 2, 3, 1, 2, 3, ...
+WIDE_AXES = tuple(f"a{k}" for k in range(64))
+WIDE_DIGEST = "a7483a9839c5cfe62733835d3eb3710855546af16c3fcd02b3aba95896eb8d0b"
+
+
+def _wide_operator() -> ScalarPDO:
+    pairs = [(i, j) for i in range(64) for j in range(i, 64)][:1024]
+    terms = []
+    for n, (i, j) in enumerate(pairs):
+        alpha = [0] * 64
+        alpha[i] += 1
+        alpha[j] += 1
+        terms.append((MultiIndex(alpha), Poly.const(1 + n % 3)))
+    return ScalarPDO(WIDE_AXES, tuple(terms))
+
+
+def test_wide_decomposition_unchanged():
+    dec = decompose(_wide_operator())
+    assert dec.verified and len(dec.plan.items) == 1024
+    text = emit.to_pretty_json(emit.decomposition_json(dec))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WIDE_DIGEST

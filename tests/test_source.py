@@ -37,8 +37,8 @@ def test_no_module_imports_numpy():
     assert SOURCES and not found
 
 
-ENGINE_MODULES = {"ring", "algebra", "operators", "parser", "decompose", "forms",
-                  "spectral", "manufactured"}
+ENGINE_MODULES = {"ring", "algebra", "operators", "parser", "records",
+                  "decompose", "forms", "spectral", "manufactured"}
 FRONT_END_MODULES = {"catalog", "verify", "emit", "cli"}
 
 
@@ -78,3 +78,34 @@ def test_cli_runs_with_numpy_blocked():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert '"passed": true' in proc.stdout and '"verified": true' in proc.stdout
+
+
+# The benchmark's tracer reads these three as dataclasses: it wraps the
+# operators' __post_init__ and walks ExpPoly trees with dataclasses.fields.
+DATACLASS_MODULES = {"operators", "manufactured"}
+DATACLASS_RECORDS = {"ScalarPDO", "MatrixPDO", "ExpPoly"}
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_only_the_traced_records_are_dataclasses():
+    importers, decorated = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.add(path.stem)
+            if isinstance(node, ast.ClassDef) and any(
+                    map(_is_dataclass_decorator, node.decorator_list)):
+                decorated.add(node.name)
+    assert importers == DATACLASS_MODULES
+    assert decorated == DATACLASS_RECORDS
