@@ -40,7 +40,7 @@ from .forms import assemble, exterior_derivative
 from .manufactured import ManufacturedSolution
 from .operators import MatrixPDO, Operator, bilinear_rhs, parameters, refuse_clash
 from .parser import parse_names, parse_operator, parse_poly
-from .ring import Poly
+from .ring import Poly, is_name
 from .spectral import (
     adjoint_constraint,
     check_sigma_count,
@@ -141,9 +141,10 @@ def _parse_box(op: Operator, text: str | None) -> list:
 
 
 def _endpoint(text: str) -> Poly:
-    """A box endpoint: a bare name, or else a constant `expr`."""
+    """A box endpoint: a bare name, or else a constant `expr` (so a bare
+    `i` is the imaginary unit)."""
     text = text.strip()
-    if text.isidentifier():
+    if is_name(text):
         return Poly.var(text)
     try:
         return parse_poly(text, ())

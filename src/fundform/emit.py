@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .algebra import BilinearExpr, MultiIndex
 from .decompose import DivergenceDecomposition
-from .ring import Poly, pretty_name, signed_sum
+from .ring import Poly, pretty_name, signed_sum, times_text
 from .spectral import (
     GlobalRelation,
     IntegralRepresentation,
@@ -49,17 +49,7 @@ def bilinear_text(expr: BilinearExpr, axes: Sequence[str] | None = None,
         trial = _slot_text(t.left_field, t.left, axes, fields, False, latex)
         test = _slot_text(t.right_field, t.right, axes, fields, True, latex)
         body = f"{trial} {test}" if latex else f"{trial}*{test}"
-        coeff = t.coeff
-        if coeff == Poly.const(1):
-            piece = body
-        elif coeff == Poly.const(-1):
-            piece = f"-{body}"
-        else:
-            ctext = coeff.to_latex() if latex else coeff.to_text()
-            if len(coeff.terms) > 1:
-                ctext = f"({ctext})"
-            piece = f"{ctext}{' ' if latex else '*'}{body}"
-        parts.append(piece)
+        parts.append(times_text(t.coeff, body, latex))
     return signed_sum(parts)
 
 

@@ -203,13 +203,13 @@ class _SolutionParser(Parser):
                 if self.peek()[1] != "(":
                     raise self.error(f"{text} needs a parenthesised argument", pos)
                 return self._function(text, self.nested(self.next()[2]), pos)
+            if text == "i":
+                return _constant(self.axes, 1j)
             if text in self.axes:
                 k = self.axes.index(text)
                 n = len(self.axes)
                 power = tuple(int(j == k) for j in range(n))
                 return ExpPoly(self.axes, ((power, (0j,) * n, 1 + 0j),))
-            if text == "i":
-                return _constant(self.axes, 1j)
             raise self.error(f"unknown name {text!r} in solution text", pos)
         if text == "(":
             return self.nested(pos)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import BilinearExpr, MultiIndex, brace, bracket, expr_sum
-from .ring import P_I, Poly, PolyLike, QI_I, merge_terms
+from .ring import P_I, Poly, PolyLike, QI_I, is_name, merge_terms
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,9 @@ def refuse_clash(names, taken, what: str) -> None:
 
 def symbol(op: ScalarPDO, names: Sequence[str], sign: int = 1) -> Poly:
     """Polynomial symbol with d_k replaced by sign * i * s_k.  The names
-    must be distinct identifiers, none an axis or parameter."""
-    if len(set(names)) != len(names) or not all(
-            isinstance(name, str) and name.isidentifier() for name in names):
-        raise ValueError(f"spectral names must be distinct identifiers: {list(names)}")
+    must be distinct identifiers other than i, none an axis or parameter."""
+    if len(set(names)) != len(names) or not all(map(is_name, names)):
+        raise ValueError("spectral names must be distinct identifiers other than "
+                         f"'i': {list(names)}")
     refuse_clash(names, set(op.axes) | parameters(op), "axis or parameter")
     return apply_symbol(op, exponential_slopes([Poly.var(name) for name in names], sign))

@@ -10,17 +10,23 @@ Parentheses nest at most ``MAX_NESTING`` levels deep, and every error
 carries its line and column.  A grammar (a ``Parser`` subclass) supplies
 its token pattern, its atoms and the arithmetic of its values.  This
 module holds the operator grammar, which reads operator text, matrix
-entries and spectral values (UTF-8 text)::
+entries, spectral values and box endpoints (UTF-8 text)::
 
     [params name(,name)*;] axes name(,name)*; expr
-    atom := INT ('/' INT)? | IDENT | '(' expr ')'
+    atom := INT ('/' INT)? ['i'] | IDENT | '(' expr ')'
 
 ``D<axis>`` is a derivative factor, a declared parameter name is a
-symbolic constant, and a bare ``i`` (when not declared) is the imaginary
-unit.  A ``/`` right after an integer literal belongs to the literal, so
-``2/3^2`` is (2/3)^2; any other ``/`` divides the term so far by a
-nonzero integer, as in ``nu/3*Dx^2`` or ``Dx^2/2``.  Matrix operators
-come in as JSON:
+symbolic constant, and ``i`` is the imaginary unit.  A ``/`` right after
+an integer literal belongs to the literal, so ``2/3^2`` is (2/3)^2; any
+other ``/`` divides the term so far by a nonzero integer, as in
+``nu/3*Dx^2`` or ``Dx^2/2``.  An ``i`` right after a literal's last
+digit makes the whole literal imaginary: ``2i`` is 2*i and ``-1/2i`` is
+-(1/2)*i.  A divisor takes no suffix, so ``Dx^2/2i`` is refused.  This is
+how ``Poly.to_text`` writes exact values, so every expression the engine
+prints reads back to its value.
+
+No axis, parameter, field or spectral name is ``i`` (``ring.is_name``).
+Matrix operators come in as JSON:
 ``{"axes": [...], "params": [...], "fields": [...], "entries": [[expr text, ...], ...]}``.
 The solution grammar lives in ``manufactured``.
 """
@@ -34,7 +40,8 @@ from typing import Sequence
 
 from .algebra import MultiIndex
 from .operators import MatrixPDO, Operator, ScalarPDO, parameters
-from .ring import P_I, Poly, merge_terms, signed_sum
+from .ring import (P_I, GaussianRational, Poly, is_name, merge_terms, signed_sum,
+                   times_text)
 
 # Deepest parenthesis nesting the recursive-descent grammars accept; it
 # keeps hostile input far from the interpreter's recursion limit.
@@ -57,8 +64,8 @@ MAX_AXES = 64
 # the cost grows with the square of the node count.
 MAX_NODES = 1000
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-                       r"|(?P<sym>[-+*^(),;/]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<imag>\d+i)|(?P<int>\d+)"
+                       r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*^(),;/]))")
 
 
 class TextSyntaxError(ValueError):
@@ -199,9 +206,9 @@ def _parse_name_list(parser: Parser, what: str) -> list:
     names = []
     seen = set()
     while True:
-        kind, text, pos = parser.next()
-        if kind != "ident":
-            raise parser.error(f"expected {what} name", pos)
+        _, text, pos = parser.next()
+        if not is_name(text):
+            raise parser.error(f"expected {what} name other than 'i'", pos)
         if text in seen:
             raise parser.error(f"duplicate {what} name {text!r}", pos)
         names.append(text)
@@ -296,21 +303,28 @@ class _OperatorParser(Parser):
 
     def atom(self) -> tuple:
         kind, text, pos = self.next()
-        if kind == "int":
-            value = Fraction(self.integer(text, pos))
-            if self.peek()[1] == "/":
+        if kind in ("int", "imag"):
+            value = Fraction(self.integer(text.rstrip("i"), pos))
+            if kind == "int" and self.peek()[1] == "/":
                 self.next()
-                value /= self.denominator()
+                # the divisor's 'i' suffix makes the whole literal imaginary
+                kind, text, pos = self.next()
+                q = self.integer(text.rstrip("i"), pos) if kind in ("int", "imag") else 0
+                if q == 0:
+                    raise self.error("expected nonzero integer denominator", pos)
+                value /= q
+            if kind == "imag":
+                value = GaussianRational(0, value)
             return self._const(Poly.const(value))
         if kind == "ident":
+            if text == "i":
+                return self._const(P_I)
             if text.startswith("D") and text[1:] in self.axes:
                 alpha = [0] * len(self.axes)
                 alpha[self.axes.index(text[1:])] = 1
                 return ((MultiIndex(alpha), Poly.const(1)),)
             if text in self.params:
                 return self._const(Poly.var(text))
-            if text == "i":
-                return self._const(P_I)
             if text.startswith("D") and len(text) > 1:
                 raise self.error(f"unknown axis {text[1:]!r}", pos)
             raise self.error(f"unknown parameter or axis name {text!r}", pos)
@@ -327,15 +341,14 @@ def parse_scalar_operator(source: str) -> ScalarPDO:
 
 
 def _json_names(data: dict, key: str, what: str, optional: bool = False) -> list:
-    """data[key] as a list of distinct names, each an identifier of the
-    operator grammar, and at least one unless `optional` (the header's
-    rules)."""
+    """data[key] as a list of distinct names (see ``is_name``), and at
+    least one unless `optional` (the header's rules)."""
     names = data.get(key, [])
     if not isinstance(names, list) or not (names or optional) or not all(
-            isinstance(name, str) and name.isascii() and name.isidentifier()
-            for name in names):
+            map(is_name, names)):
         kind = "list" if optional else "non-empty list"
-        raise ValueError(f"matrix operator {key!r} must be a {kind} of {what} names")
+        raise ValueError(f"matrix operator {key!r} must be a {kind} of {what} "
+                         "names other than 'i'")
     seen = set()
     for name in names:
         if name in seen:
@@ -397,57 +410,12 @@ def parse_operator(source: str) -> Operator:
     return parse_scalar_operator(source)
 
 
-def _coeff_dsl(poly: Poly) -> tuple:
-    """Render a coefficient in grammar-compatible text, factoring a leading
-    minus sign out of single-term negative-real coefficients."""
-    terms = poly.terms
-    if len(terms) != 1:
-        return 1, "(" + _poly_dsl(poly) + ")"
-    mono, coeff = terms[0]
-    sign = 1
-    if coeff.re < 0 or (coeff.re == 0 and coeff.im < 0):
-        sign, coeff = -1, -coeff
-    parts = []
-    if coeff.im == 0:
-        if coeff.re != 1 or not mono:
-            parts.append(str(coeff.re))
-    elif coeff.re == 0:
-        if coeff.im != 1:
-            parts.append(str(coeff.im))
-        parts.append("i")
-    else:
-        parts.append(f"({coeff.re}+{coeff.im}*i)" if coeff.im > 0
-                     else f"({coeff.re}-{-coeff.im}*i)")
-    parts.extend(
-        name if exp == 1 else f"{name}^{exp}" for name, exp in mono
-    )
-    return sign, "*".join(parts)
-
-
-def _poly_dsl(poly: Poly) -> str:
-    pieces = []
-    for mono, coeff in poly.terms:
-        sign, text = _coeff_dsl(Poly([(mono, coeff)]))
-        pieces.append(("-" if sign < 0 else "") + text)
-    return signed_sum(pieces)
-
-
 def format_scalar_operator(op: ScalarPDO, header: bool = True) -> str:
-    chunks = []
-    for alpha, coeff in op.terms:
-        mono = "*".join(
-            f"D{op.axes[k]}" + (f"^{e}" if e > 1 else "")
-            for k, e in enumerate(alpha) if e
-        )
-        sign, ctext = _coeff_dsl(coeff)
-        if not mono:
-            text = ctext
-        elif ctext:
-            text = f"{ctext}*{mono}"
-        else:
-            text = mono
-        chunks.append(("-" if sign < 0 else "") + text)
-    body = signed_sum(chunks)
+    body = signed_sum(
+        times_text(coeff, "*".join(f"D{op.axes[k]}" + (f"^{e}" if e > 1 else "")
+                                   for k, e in enumerate(alpha) if e))
+        for alpha, coeff in op.terms
+    )
     if not header:
         return body
     params = sorted(parameters(op))

@@ -216,6 +216,28 @@ def signed_sum(parts: Iterable[str]) -> str:
     return out
 
 
+def is_name(text: object) -> bool:
+    """True when `text` can name an axis, parameter, field or generator in
+    the text form: an ASCII identifier other than ``i``, which the text
+    form reads as the imaginary unit."""
+    return (isinstance(text, str) and text.isascii() and text.isidentifier()
+            and text != "i")
+
+
+def times_text(coeff: "Poly", body: str, latex: bool = False) -> str:
+    """`coeff` times `body` as one term of ``signed_sum``: a coefficient of
+    1 or -1 leaves only its sign, one of several terms is parenthesised,
+    and an empty body leaves the coefficient alone."""
+    text = coeff.to_latex() if latex else coeff.to_text()
+    if len(coeff.terms) > 1:
+        text = f"({text})"
+    if not body:
+        return text
+    if text in ("1", "-1"):
+        return text[:-1] + body
+    return f"{text}{' ' if latex else '*'}{body}"
+
+
 def merge_terms(pairs: Iterable) -> tuple:
     """Sum the coefficients of equal keys, drop zero sums and return the
     (key, coefficient) pairs sorted by key.

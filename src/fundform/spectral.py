@@ -151,7 +151,8 @@ def adjoint_constraint(op: ScalarPDO, names: Sequence[str],
                        sign: int = 1) -> ConstraintVariety:
     """Polynomial condition on sigma for exp(sign*i*sigma.x) to solve the
     adjoint equation, with solved forms  s_k^2 = num/den  where extractable.
-    The names must be distinct identifiers, none an axis or parameter."""
+    The names must be distinct identifiers other than i, none an axis or
+    parameter."""
     if isinstance(op, MatrixPDO):
         raise ValueError("constraint varieties are emitted for scalar operators")
     poly = symbol(adjoint(op), names, sign)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from conftest import random_multiindex, random_poly
 from fundform.algebra import BilinearExpr, product_rule, term
 from fundform.catalog import STOKES_JSON
-from fundform import cli
+from fundform import cli, emit
 from fundform.cli import main
 from fundform.decompose import (
     DEFAULT_PLAN_CEILING,
@@ -25,8 +26,8 @@ from fundform.decompose import (
     enumerate_plans,
     term_plan_count,
 )
-from fundform.forms import forms_equivalent
-from fundform.operators import ScalarPDO
+from fundform.forms import assemble, forms_equivalent
+from fundform.operators import ScalarPDO, parameters
 from fundform.parser import (
     MAX_AXES,
     MAX_NODES,
@@ -34,8 +35,15 @@ from fundform.parser import (
     MAX_TERMS,
     format_operator,
     parse_operator,
+    parse_poly,
 )
-from fundform.ring import Poly
+from fundform.ring import P_I, Poly
+from fundform.spectral import (
+    adjoint_constraint,
+    global_relation,
+    integral_representation,
+    substitute_exponential,
+)
 
 TRIPLE = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
 BIHARM = "axes x,y,z; Dx^4 + Dy^4 + Dz^4 + 2*Dx^2*Dy^2 + 2*Dy^2*Dz^2 + 2*Dz^2*Dx^2"
@@ -158,6 +166,85 @@ def test_exact_coefficient_documents_pinned(capsys, name, command):
         code, out, err = run(capsys, command, "--op", op, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == expected, f"{command} --format {fmt}"
+
+
+def _library_relation(op, sigma, box=None):
+    box = box or [(Poly(), Poly.const(1))] * op.dimension
+    return global_relation(substitute_exponential(assemble(decompose(op)), sigma), box)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_OPERATORS))
+def test_every_printed_expression_reads_back(capsys, name):
+    # each expression field of each JSON document, read by the grammar
+    # with the document's names, is the engine's value
+    text = EXACT_OPERATORS[name]
+    op = parse_operator(text)
+    params = sorted(parameters(op))
+
+    document = json.loads(run(capsys, "decompose", "--op", text)[1])
+    assert [[parse_poly(t["coeff"], params) for t in flux["terms"]]
+            for flux in document["fluxes"]] == [
+        [t.coeff for t in flux] for flux in decompose(op).fluxes]
+
+    document = json.loads(run(capsys, "constraint", "--op", text)[1])
+    names = document["names"] + params
+    variety = adjoint_constraint(op, document["names"])
+    assert parse_poly(document["poly"], names) == variety.poly
+    assert [(s["name"], parse_poly(s["num"], names), parse_poly(s["den"], names))
+            for s in document["solved"]] == list(variety.solved)
+
+    # a named, a rational and an imaginary endpoint
+    x, y = op.axes
+    document = json.loads(run(capsys, "global-relation", "--op", text,
+                              "--box", f"{x}=-1/2..l,{y}=0..i")[1])
+    names = ["s1", "s2", "l"] + params
+    rel = _library_relation(op, [Poly.var("s1"), Poly.var("s2")],
+                            [(Poly.const(Fraction(-1, 2)), Poly.var("l")), (Poly(), P_I)])
+    assert [(parse_poly(span["lo"], names), parse_poly(span["hi"], names))
+            for span in document["box"]] == list(rel.box)
+    assert [parse_poly(s, names) for s in document["sigma"]] == list(rel.sigma)
+    assert [(parse_poly(t["coeff"], names), parse_poly(t["weight"], names))
+            for t in document["terms"]] == [
+        (t.coeff, t.weight_exponent) for t in rel.terms]
+
+    document = json.loads(run(capsys, "represent", "--op", text)[1])
+    rep = integral_representation(op)
+    names = document["spectral_names"] + params
+    eta = document["eta"]
+    assert parse_poly(document["denominator"], names) == rep.denominator
+    assert [parse_poly(s, names) for s in eta["sigma"] + eta["amplitudes"]] == list(
+        rep.eta.sigma + rep.eta.amplitudes)
+    assert [[parse_poly(t["coeff"], names) for t in flux["terms"]]
+            for flux in eta["fluxes"]] == [
+        [coeff for coeff, _, _ in flux] for flux in rep.eta.fluxes]
+
+
+@pytest.mark.parametrize("text", [
+    "axes x,t; (1/3+2*i)*Dx^2 + i*Dt",
+    EXACT_OPERATORS["third-plus-2i"],
+    "axes x,y; Dx^2 + (2-i)*Dy^2 + 5/3*i",
+])
+def test_solved_numerator_chains_into_global_relation(capsys, text):
+    # pick sigma on the constraint variety, then couple the data through it:
+    # a solved numerator over 1, printed by `constraint`, is a --sigma entry
+    op = parse_operator(text)
+    document = json.loads(run(capsys, "constraint", "--op", text)[1])
+    names = document["names"]
+    solved = adjoint_constraint(op, names).solved
+    chained = 0
+    for (name, num, den), printed in zip(solved, document["solved"]):
+        if printed["den"] != "1":
+            continue
+        assert den == Poly.const(1)
+        j = names.index(name)
+        sigma = [num if k == j else Poly.var(n) for k, n in enumerate(names)]
+        entries = [printed["num"] if k == j else n for k, n in enumerate(names)]
+        code, out, err = run(capsys, "global-relation", "--op", text,
+                             "--sigma", ",".join(entries))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == emit.relation_json(_library_relation(op, sigma))
+        chained += 1
+    assert chained
 
 
 def _planted_pieces(monkeypatch, index: int, piece: int) -> None:
@@ -390,8 +477,9 @@ def test_enumerate_ceiling_fallback(capsys):
 
 
 def paired_axes(factors: int) -> str:
-    """(Da+Db)*(Dc+Dd)*... with `factors` factors over 2*factors axes."""
-    axes = [chr(ord("a") + k) for k in range(2 * factors)]
+    """(Da+Db)*(Dc+Dd)*... with `factors` factors over 2*factors axes,
+    lettered from a and skipping i (the imaginary unit, never a name)."""
+    axes = [c for c in map(chr, range(ord("a"), ord("z") + 1)) if c != "i"][:2 * factors]
     return (f"axes {','.join(axes)}; "
             + "*".join(f"(D{axes[2 * k]}+D{axes[2 * k + 1]})"
                        for k in range(factors)))
@@ -656,12 +744,12 @@ def test_box_endpoint_with_a_huge_exponent_exits_at_once():
     ("x=0..l,t=0..T", ["0", "l", "0", "T"],
      ["i*l*s1", "i*l*s1", "0", "0", "i*T*s2", "i*T*s2", "0", "0"]),
     ("x=-1/2..3,t=0..i", ["-1/2", "3", "0", "i"],
-     ["3i*s1", "3i*s1", "-1/2i*s1", "-1/2i*s1", "i*i*s2", "i*i*s2", "0", "0"]),
+     ["3i*s1", "3i*s1", "-1/2i*s1", "-1/2i*s1", "-s2", "-s2", "0", "0"]),
     ("x= 2/4 ..+7,t=0..1", ["1/2", "7", "0", "1"],
      ["7i*s1", "7i*s1", "1/2i*s1", "1/2i*s1", "i*s2", "i*s2", "0", "0"]),
 ], ids=["names", "rational-and-i", "spaced-and-signed"])
 def test_box_endpoint_documents_pinned(capsys, box, ends, weights):
-    # a bare name, `i` included, stays a name; the rest are constants
+    # a bare name stays a name; the rest, a bare `i` included, are constants
     code, out, _ = global_relation_run(capsys, box)
     document = json.loads(out)
     assert code == 0
@@ -670,10 +758,33 @@ def test_box_endpoint_documents_pinned(capsys, box, ends, weights):
 
 
 @pytest.mark.parametrize("endpoint,text", [("2^3", "8"), ("2*i", "2i"),
-                                           ("(1+i)/2", "(1/2+1/2i)")])
+                                           ("(1+i)/2", "(1/2+1/2i)"), ("i", "i"),
+                                           ("2i", "2i"), ("-1/2i", "-1/2i"),
+                                           ("(3/37-18/37i)", "(3/37-18/37i)")])
 def test_box_endpoint_is_a_constant_expr(capsys, endpoint, text):
     code, out, _ = global_relation_run(capsys, f"x=0..{endpoint},t=0..1")
     assert code == 0 and json.loads(out)["box"][0]["hi"] == text
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("decompose", "--op", "params i; axes x; i*Dx"),
+     "expected parameter name other than 'i' (line 1, column 8)"),
+    (("decompose", "--op", "axes i,t; i*Di - Dt"),
+     "expected axis name other than 'i' (line 1, column 6)"),
+    (("decompose", "--op", json.dumps({"axes": ["x"], "params": ["i"], "fields": ["u"],
+                                       "entries": [["Dx"]]})),
+     "matrix operator 'params' must be a list of parameter names other than 'i'"),
+    (("decompose", "--op", json.dumps({"axes": ["x"], "fields": ["i"],
+                                       "entries": [["Dx"]]})),
+     "matrix operator 'fields' must be a non-empty list of field names other than 'i'"),
+    (("constraint", "--op", "axes x,t; Dt - Dx^2", "--spectral-names", "i,j"),
+     "expected spectral name other than 'i' (line 1, column 1)"),
+    (("decompose", "--op", "axes x; Dx^2/2i"),
+     "expected nonzero integer denominator (line 1, column 14)"),
+], ids=["header-param", "header-axis", "json-param", "json-field", "spectral-names",
+        "suffixed-divisor"])
+def test_i_is_the_unit_never_a_name_pinned(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 def test_box_naming_an_axis_twice_exits_2(capsys):

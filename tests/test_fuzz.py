@@ -1,11 +1,13 @@
 """Fuzz properties: for any generated operator, sigma or solution text,
 ``main`` exits 0, 1 or 2 and never raises; solution text is either read
-or refused with a SolutionSyntaxError that points into the text."""
+or refused with a SolutionSyntaxError that points into the text; every
+polynomial's text form reads back to the polynomial."""
 
 import contextlib
 import io
 import json
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 
@@ -18,20 +20,22 @@ from fundform.catalog import CATALOG_TAGS  # noqa: E402
 from fundform.cli import main  # noqa: E402
 from fundform.decompose import count_forms  # noqa: E402
 from fundform.manufactured import SolutionSyntaxError, parse_solution  # noqa: E402
-from fundform.parser import parse_operator  # noqa: E402
+from fundform.parser import parse_operator, parse_poly  # noqa: E402
+from fundform.ring import GaussianRational, Poly  # noqa: E402
 
 FUZZ_AXES = ("x", "y", "z", "t", "u", "w")  # at most 6 odd axes per term
 FUZZ_PLAN_LIMIT = 720  # 6!: larger families are counted, not enumerated
 
-_coefficients = st.sampled_from(["", "2*", "nu*", "(1/2+3*i)*", "0*", "7/3*"])
+_coefficients = st.sampled_from(["", "2*", "nu*", "(1/2+3*i)*", "0*", "7/3*",
+                                 "2i*", "(1/2-3/4i)*"])
 _op_tokens = st.sampled_from([
     "Dx", "Dy", "Dz", "Dt", "Dq", "nu", "i", "x", "0", "1", "2", "3", "1/2",
     "+", "-", "*", "^", "(", ")", ",", ";", " ", "axes", "params", "@", "Dx^2",
-    "/", "/0",
+    "/", "/0", "2i", "1/2i", "0i",
 ])
 _sigma_tokens = st.sampled_from([
     "k", "-k", "s1", "nu", "i", "2", "1/3", "0", "(", ")", "^", "*", "+", "-",
-    ",", "k^2", "@",
+    ",", "k^2", "@", "2i", "-1/3i",
 ])
 _sigma_atoms = st.sampled_from(["k", "-k", "2*k", "i*k", "1/2", "k^2", "0"])
 _solution_tokens = st.sampled_from([
@@ -84,7 +88,7 @@ _scalar_text = st.one_of(
 _matrix_entry = st.one_of(_soup(_op_tokens, 4), structured_expression(("x", "t")))
 # values that break the shape or the name rules of one matrix JSON key
 _malformed = st.sampled_from([None, 3, "x", [], [1], [None], ["x", "x"], ["nu"],
-                              ["x"], ["a b"], [["Dx"]], [5], [["Dx", 2]]])
+                              ["x"], ["a b"], [["Dx"]], [5], [["Dx", 2]], ["i"]])
 
 
 @st.composite
@@ -185,3 +189,30 @@ def test_solution_refusals_point_into_the_text(text):
     except SolutionSyntaxError as exc:
         assert 1 <= exc.column <= len(text) + 1
         assert exc.line == text.count("\n", 0, exc.pos) + 1
+
+
+# Generator names are identifiers other than i; coefficient parts are
+# small integers or p/q, so values come negative, pure imaginary or p/q
+# with an imaginary part.
+_names = st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,4}", fullmatch=True).filter(
+    lambda name: name != "i")
+_parts = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                             st.integers(1, 10 ** 4)))
+
+
+@st.composite
+def named_polys(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=3, unique=True))
+    monos = st.lists(st.tuples(st.sampled_from(names), st.integers(1, 4)), max_size=3)
+    terms = draw(st.lists(st.tuples(monos, st.builds(GaussianRational, _parts, _parts)),
+                          max_size=5))
+    return Poly(terms), names
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(case=named_polys())
+def test_printed_polynomials_read_back(case):
+    poly, names = case
+    assert parse_poly(poly.to_text(), names) == poly

@@ -46,6 +46,8 @@ def test_parse_solution_evaluates():
     assert trig.evaluate({"x": x, "y": y}) == pytest.approx(
         cmath.exp(2 * x) * cmath.sin(y) + 3j * cmath.cos(y)
     )
+    # i is the imaginary unit even where a caller names an axis i
+    assert parse_solution("i", ("i", "t")).terms == (((0, 0), (0j, 0j), 1j),)
 
 
 def test_parse_solution_rejects_garbage():

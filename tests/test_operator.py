@@ -76,6 +76,10 @@ def test_parse_rational_and_imaginary_coefficients():
     assert terms_of(op)[(1,)] == Poly.const(Poly.const(3).constant_value() / 2)
     assert terms_of(op)[(3,)] == Poly.const(-QI_I)
     assert terms_of(op)[(2,)].constant_value().to_text() == "(1-2i)"
+    # i is always the unit, never an axis or parameter name
+    with pytest.raises(OperatorSyntaxError, match="expected axis name other than 'i'"):
+        parse_operator("axes i,t; i*Di - Dt")
+    assert parse_poly("i", ["i"]) == Poly.const(QI_I)
 
 
 def test_parse_division_by_integer_after_any_factor():
@@ -90,8 +94,15 @@ def test_parse_division_by_integer_after_any_factor():
     # a '/' after an integer literal still belongs to the literal
     same("axes x; 2/3^2*Dx", "axes x; 4/9*Dx")
     same("axes x; 2/3/4*Dx", "axes x; 1/6*Dx")
+    # an 'i' suffix on the literal's last integer scales the whole literal
+    same("axes x; 2i*Dx", "axes x; 2*i*Dx")
+    same("axes x; -1/2i*Dx", "axes x; -(1/2)*i*Dx")
+    same("axes x; 1/2i^2*Dx", "axes x; -(1/4)*Dx")
+    same("axes x; 2i/3*Dx", "axes x; (2/3)*i*Dx")
+    same("axes x; 3*2i*Dx", "axes x; 6*i*Dx")
     for bad in ("axes x; Dx/0", "axes x; Dx/", "axes x; Dx/Dx", "axes x; Dx/2^2",
-                "axes x; Dx/(2)"):
+                "axes x; Dx/(2)", "axes x; Dx/2i", "axes x; 1/0i*Dx",
+                "axes x; 2^2i*Dx", "axes x; 2 i*Dx"):
         with pytest.raises(OperatorSyntaxError):
             parse_operator(bad)
 
@@ -154,10 +165,20 @@ def test_format_parse_roundtrip_fixed():
         "params nu; axes x,y,z,t; Dt - nu*(Dx^2+Dy^2+Dz^2)",
         "axes x; 3/2*Dx - i*Dx^3",
         "axes x,y; 2",
+        "axes x,t; (1/3+2i)*Dx^2 + 2i*Dt",
+        "params nu; axes x,y; -1/2i*nu*Dx*Dy + (nu^2 - i)*Dy - 3/7i",
+        "axes x; 2i/3*Dx^2 + (3/37-18/37i) - 0i*Dx",
     ]
     for text in texts:
         op = parse_operator(text)
         assert parse_operator(format_operator(op)) == op
+    # the printer writes each coefficient as Poly.to_text does
+    assert format_operator(parse_operator(texts[4])) == (
+        "axes x,t; 2i*Dt + (1/3+2i)*Dx^2")
+    assert format_operator(parse_operator(texts[5])) == (
+        "params nu; axes x,y; -3/7i + (-i + nu^2)*Dy - 1/2i*nu*Dx*Dy")
+    assert format_operator(parse_operator(texts[6])) == (
+        "axes x; (3/37-18/37i) + 2/3i*Dx^2")
 
 
 def test_format_parse_roundtrip_randomized():
@@ -269,6 +290,13 @@ def test_symbol_wave():
     # (i s_t)^2 - (i s_x)^2 = s_x^2 - s_t^2
     sx, st = Poly.var("sx"), Poly.var("st")
     assert symbol(wave, ("sx", "st")) == sx * sx - st * st
+
+
+def test_symbol_refuses_the_unit_as_a_name():
+    with pytest.raises(ValueError) as err:
+        symbol(wave_operator(), ("i", "j"))
+    assert str(err.value) == (
+        "spectral names must be distinct identifiers other than 'i': ['i', 'j']")
 
 
 def test_symbol_triple_product():
