@@ -8,12 +8,15 @@ from typing import Sequence
 
 from .algebra import BilinearExpr, MultiIndex
 from .decompose import DivergenceDecomposition
-from .ring import Poly, pretty_name, signed_sum, times_text
+from .ring import P_ONE, pretty_name, signed_sum, times_text
 from .spectral import (
     GlobalRelation,
     IntegralRepresentation,
     SubstitutedForm,
 )
+
+# relation_latex elides a coefficient of 1 or -1 into the term's sign
+_P_MINUS_ONE = -P_ONE
 
 
 def _subscript(deriv: MultiIndex, axes: Sequence[str], latex: bool) -> str:
@@ -172,9 +175,9 @@ def relation_latex(rel: GlobalRelation) -> str:
         endpoint = (hi if t.end == "hi" else lo).to_latex()
         sign = t.sign
         coeff = t.coeff
-        if coeff == Poly.const(1):
+        if coeff == P_ONE:
             ctext = ""
-        elif coeff == Poly.const(-1):
+        elif coeff == _P_MINUS_ONE:
             sign, ctext = -sign, ""
         elif len(coeff.terms) > 1:
             ctext = f"\\left({coeff.to_latex()}\\right)"

@@ -25,6 +25,14 @@ digit makes the whole literal imaginary: ``2i`` is 2*i and ``-1/2i`` is
 how ``Poly.to_text`` writes exact values, so every expression the engine
 prints reads back to its value.
 
+An operator expression is a sorted tuple of (multi-index, nonzero
+coefficient) pairs, one per multi-index.  A product or power that could
+pass ``MAX_ORDER`` or ``MAX_TERMS`` is refused before it is formed.  A
+product with a one-term factor is then formed with no merge (every key
+of the other factor moves by one multi-index), and a one-term power
+whose coefficient is one monomial in one step; any other power
+multiplies one factor at a time, each step checked.
+
 No axis, parameter, field or spectral name is ``i`` (``ring.is_name``).
 Matrix operators come in as JSON:
 ``{"axes": [...], "params": [...], "fields": [...], "entries": [[expr text, ...], ...]}``.
@@ -40,8 +48,8 @@ from typing import Sequence
 
 from .algebra import MultiIndex
 from .operators import MatrixPDO, Operator, ScalarPDO, parameters
-from .ring import (P_I, GaussianRational, Poly, is_name, merge_terms, signed_sum,
-                   times_text)
+from .ring import (P_I, P_ONE, GaussianRational, Poly, is_name, merge_terms,
+                   signed_sum, times_text)
 
 # Deepest parenthesis nesting the recursive-descent grammars accept; it
 # keeps hostile input far from the interpreter's recursion limit.
@@ -287,17 +295,36 @@ class _OperatorParser(Parser):
         if term_count(a) * term_count(b) > MAX_TERMS:
             raise self.error(
                 f"operator expands beyond the limit of {MAX_TERMS} terms", pos)
+        # Times one term, every key moves by the same multi-index, which
+        # keeps the keys distinct and in order, and no product of nonzero
+        # coefficients is zero: the result is already canonical.
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            (alpha, ca), = a
+            return tuple((alpha + beta, ca * cb) for beta, cb in b)
         return merge_terms(
             (alpha + beta, ca * cb) for alpha, ca in a for beta, cb in b
         )
 
     def power(self, base: tuple, n: int, pos: int) -> tuple:
+        """`base` to the `n`th power, refused where the products that form
+        it one factor at a time would be."""
         if n < 1:
             raise self.error("expected positive integer exponent", pos)
         if n > MAX_ORDER:
             raise self.error(f"exponent exceeds the order limit of {MAX_ORDER}", pos)
-        out = self._const(Poly.const(1))
-        for _ in range(n):
+        # One term with a one-monomial coefficient stays one term of one
+        # monomial, so only the order bound can refuse it.  A coefficient
+        # of several monomials grows, and keeps the per-step checks.
+        if len(base) == 1 and len(base[0][1].terms) == 1:
+            (alpha, c), = base
+            if n * alpha.order > MAX_ORDER:
+                raise self.error(
+                    f"operator exceeds the order limit of {MAX_ORDER}", pos)
+            return ((MultiIndex._trusted([e * n for e in alpha]), c ** n),)
+        out = base
+        for _ in range(n - 1):
             out = self.multiply(out, base, pos)
         return out
 
@@ -315,14 +342,16 @@ class _OperatorParser(Parser):
                 value /= q
             if kind == "imag":
                 value = GaussianRational(0, value)
-            return self._const(Poly.const(value))
+            # a zero literal is the empty expansion: no expansion holds a
+            # zero coefficient
+            return self._const(Poly.const(value)) if value else ()
         if kind == "ident":
             if text == "i":
                 return self._const(P_I)
             if text.startswith("D") and text[1:] in self.axes:
                 alpha = [0] * len(self.axes)
                 alpha[self.axes.index(text[1:])] = 1
-                return ((MultiIndex(alpha), Poly.const(1)),)
+                return ((MultiIndex._trusted(alpha), P_ONE),)
             if text in self.params:
                 return self._const(Poly.var(text))
             if text.startswith("D") and len(text) > 1:

@@ -247,10 +247,13 @@ def merge_terms(pairs: Iterable) -> tuple:
     canonicalise through it.
     """
     acc: dict = {}
+    get = acc.get
     for key, coeff in pairs:
-        prev = acc.get(key)
+        prev = get(key)
         acc[key] = coeff if prev is None else prev + coeff
-    return tuple(sorted(item for item in acc.items() if item[1]))
+    items = [item for item in acc.items() if item[1]]
+    items.sort()
+    return tuple(items)
 
 
 def _normalize_mono(mono: Iterable) -> Mono:
@@ -271,10 +274,10 @@ class Poly:
 
     def __init__(self, terms: Mapping | Iterable = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        object.__setattr__(self, "_terms", merge_terms(
+        self._terms = merge_terms(
             (_normalize_mono(mono), GaussianRational.coerce(coeff))
             for mono, coeff in items
-        ))
+        )
 
     @staticmethod
     def _trusted(terms: tuple) -> "Poly":
@@ -282,7 +285,7 @@ class Poly:
         GaussianRational coefficients, sorted, no zeros), skipping the
         normalisation of the public constructor; arithmetic results use it."""
         value = object.__new__(Poly)
-        object.__setattr__(value, "_terms", terms)
+        value._terms = terms
         return value
 
     @staticmethod
@@ -341,7 +344,8 @@ class Poly:
         return hash(self._terms)
 
     def __add__(self, other: "PolyLike") -> "Poly":
-        other = Poly.coerce(other)
+        if type(other) is not Poly:
+            other = Poly.coerce(other)
         mine, theirs = self._terms, other._terms
         if not theirs:
             return self
@@ -364,7 +368,8 @@ class Poly:
         return Poly.coerce(other) - self
 
     def __mul__(self, other: "PolyLike") -> "Poly":
-        other = Poly.coerce(other)
+        if type(other) is not Poly:
+            other = Poly.coerce(other)
         mine, theirs = self._terms, other._terms
         if len(mine) == 1 and mine[0][0] == ():
             return other.scale(mine[0][1])
@@ -380,6 +385,13 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative polynomial power")
+        if exponent == 0:
+            return P_ONE
+        if len(self._terms) == 1:
+            # one term: raise its coefficient once, scale its exponents
+            (mono, coeff), = self._terms
+            mono = tuple((name, exp * exponent) for name, exp in mono)
+            return Poly._trusted(((mono, coeff ** exponent),))
         result = P_ONE
         base = self
         n = exponent

@@ -660,6 +660,32 @@ def test_operator_order_limit_exits_2(capsys, op):
     assert refused(code, err, f"order limit of {MAX_ORDER}")
 
 
+@pytest.mark.parametrize("op,message", [
+    # a single term whose coefficient has several monomials keeps the
+    # per-step term budget; each power would otherwise grow unchecked
+    ("params nu,mu; axes x; ((nu+mu+1)*Dx)^30",
+     f"operator expands beyond the limit of {MAX_TERMS} terms (line 1, column 38)"),
+    ("params a,b,c,d; axes x; ((a+b+c+d+1)*Dx)^20",
+     f"operator expands beyond the limit of {MAX_TERMS} terms (line 1, column 42)"),
+    # a single term of one monomial is raised in one step, after the
+    # order bound
+    ("axes x,y; (Dx*Dy)^17",
+     f"operator exceeds the order limit of {MAX_ORDER} (line 1, column 19)"),
+], ids=["two-params", "four-params", "one-monomial"])
+def test_single_term_power_refused_at_once(capsys, op, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--op", op)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_single_term_power_at_the_order_limit_accepted(capsys):
+    code, out, _ = run(capsys, "count", "--op", "axes x,y; (Dx*Dy)^16")
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    assert [t["alpha"] for t in terms] == [[16, 16]]
+
+
 def test_operator_term_limit_exits_2(capsys):
     code, _, err = run(capsys, "count", "--op", "axes x,y,z,w; (Dx+Dy+Dz+Dw)^30")
     assert refused(code, err, f"limit of {MAX_TERMS} terms")

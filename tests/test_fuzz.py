@@ -1,7 +1,8 @@
 """Fuzz properties: for any generated operator, sigma or solution text,
 ``main`` exits 0, 1 or 2 and never raises; solution text is either read
 or refused with a SolutionSyntaxError that points into the text; every
-polynomial's text form reads back to the polynomial."""
+polynomial's text form reads back to the polynomial; the operator
+reader's products and powers equal the generic merge they shortcut."""
 
 import contextlib
 import io
@@ -16,12 +17,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from fundform.algebra import MultiIndex  # noqa: E402
 from fundform.catalog import CATALOG_TAGS  # noqa: E402
 from fundform.cli import main  # noqa: E402
 from fundform.decompose import count_forms  # noqa: E402
 from fundform.manufactured import SolutionSyntaxError, parse_solution  # noqa: E402
-from fundform.parser import parse_operator, parse_poly  # noqa: E402
-from fundform.ring import GaussianRational, Poly  # noqa: E402
+from fundform.parser import _OperatorParser, parse_operator, parse_poly  # noqa: E402
+from fundform.ring import P_ONE, GaussianRational, Poly, merge_terms  # noqa: E402
 
 FUZZ_AXES = ("x", "y", "z", "t", "u", "w")  # at most 6 odd axes per term
 FUZZ_PLAN_LIMIT = 720  # 6!: larger families are counted, not enumerated
@@ -216,3 +218,56 @@ def named_polys(draw):
 def test_printed_polynomials_read_back(case):
     poly, names = case
     assert parse_poly(poly.to_text(), names) == poly
+
+
+# Expansions read from operator text over two axes: zero, constant,
+# parameter, Gaussian and several-monomial coefficients, with or without
+# derivative factors.
+_EXPANSION_AXES = ("x", "y")
+_EXPANSION_PARAMS = ("nu", "mu")
+_expansion_coefficients = st.sampled_from([
+    "", "0*", "3*", "(-1/3)*", "2i*", "(1/2+3i)*", "nu*", "nu^2*mu*", "(nu+1)*",
+    "(mu-2i*nu)*",
+])
+
+
+@st.composite
+def expansions(draw):
+    text = draw(st.sampled_from(["", "-"]))
+    for index in range(draw(st.integers(1, 3))):
+        if index:
+            text += draw(st.sampled_from([" + ", " - "]))
+        powers = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2))
+        factors = [f"D{a}^{e}" for a, e in zip(_EXPANSION_AXES, powers) if e]
+        text += draw(_expansion_coefficients) + ("*".join(factors) or "1")
+    return _OperatorParser(text, _EXPANSION_AXES, _EXPANSION_PARAMS).parse()
+
+
+def _merged_product(a, b):
+    return merge_terms((alpha + beta, ca * cb) for alpha, ca in a for beta, cb in b)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(a=expansions(), b=expansions(), n=st.integers(1, 3))
+def test_products_and_powers_match_the_generic_merge(a, b, n):
+    reader = _OperatorParser("", _EXPANSION_AXES, _EXPANSION_PARAMS)
+    assert reader.multiply(a, b, 0) == _merged_product(a, b)
+    assert reader.multiply(b, a, 0) == _merged_product(b, a)
+    repeated = ((MultiIndex((0, 0)), P_ONE),)
+    for _ in range(n):
+        repeated = _merged_product(repeated, a)
+    assert reader.power(a, n, 0) == repeated
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(value=st.builds(GaussianRational, _parts, _parts),
+       mono=st.lists(st.tuples(st.sampled_from(["nu", "mu"]), st.integers(1, 3)),
+                     max_size=2, unique_by=lambda pair: pair[0]))
+def test_one_term_powers_match_repeated_multiplication(value, mono):
+    for poly in (Poly.const(value), Poly([(mono, value)])):
+        repeated = P_ONE
+        for n in range(9):
+            assert poly ** n == repeated
+            repeated = repeated * poly
