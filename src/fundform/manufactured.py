@@ -4,13 +4,20 @@ A solution field is a finite sum of terms ``c * x^a * exp(lam . x)``: per-axis
 powers ``a``, complex per-axis slopes ``lam`` and a complex coefficient
 ``c``.  By the Ehrenpreis-Palamodov fundamental principle such sums span
 the solution spaces of constant-coefficient systems, and the class is
-closed under differentiation without growing:
+closed under differentiation without growing.  ``ExpPoly.diff`` takes one
+derivative:
 
     d/dx_k c x^a e^(lam.x) = lam_k c x^a e^(lam.x) + a_k c x^(a-e_k) e^(lam.x)
 
-so every trace is differentiated in closed form, and a linear combination
-of traces (times an exponential weight) is again one exponential-polynomial,
-merged once before it is evaluated (one point at a time) or integrated.
+A linear combination of derivatives, P(D) with P(xi) = sum coeff xi^beta,
+is formed in one step by the shift rule
+
+    P(D) (x^a e^(lam.x)) = e^(lam.x) P(D + lam) x^a
+
+so each term gives one term per gamma <= a, and the combination (times an
+exponential weight) is one exponential-polynomial, merged once before it
+is evaluated (one point at a time) or integrated.  A trace is the
+combination of one derivative.
 
 Solution text is read by the expression parser of ``parser`` (signs,
 ``*``, ``^ INT`` and parentheses; no ``/``), whose atoms here are::
@@ -22,9 +29,10 @@ with NUMBER := INT ['.' INT].  The argument of exp, sin and cos must be
 affine in the coordinates (degree at most one, no exp, sin or cos
 inside); sin and cos become exponential pairs.  A power is computed by
 square-and-multiply, and ``x^0`` is 1.  A product that could exceed
-``MAX_TERMS`` terms is refused before it is computed, a sum whose merged
-terms exceed it as soon as it is merged, and text whose
-values leave the finite float range is refused.  Every refusal is a
+``MAX_TERMS`` terms is refused before it is computed, a sum at the first
+'+' or '-' that takes its running count of merged terms past it (the sum
+is merged once, at its end), and text whose values leave the finite float
+range is refused.  Every refusal is a
 ``SolutionSyntaxError`` with a line and a column.
 """
 
@@ -33,6 +41,8 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
+from math import comb, perm, prod
+from operator import add, le, sub
 from typing import Mapping, Sequence
 
 from .parser import MAX_TERMS, Parser, TextSyntaxError
@@ -103,6 +113,31 @@ def _scaled(p: ExpPoly, factor: complex) -> ExpPoly:
     return _merge(p.axes, ((a, lam, factor * c) for a, lam, c in p.terms))
 
 
+def _shifted_symbol(symbol: dict, lam: tuple, top: tuple) -> dict:
+    """The coefficients Q_gamma of P(xi + lam) for gamma <= `top`, where
+    `symbol` maps each beta to its coefficient in P(xi):
+
+        Q_gamma = sum_beta coeff prod_k C(beta_k, gamma_k) lam_k^(beta_k - gamma_k)
+
+    One axis at a time: the shift along axis k replaces beta_k by every
+    gamma_k <= min(beta_k, top_k), and equal multi-indices merge before the
+    next axis.  A zero slope keeps gamma_k = beta_k only."""
+    for k, (s, t) in enumerate(zip(lam, top)):
+        current, symbol = symbol, {}
+        for beta, coeff in current.items():
+            b = beta[k]
+            if not s:
+                if b <= t:
+                    symbol[beta] = symbol.get(beta, 0) + coeff
+                continue
+            head, tail = beta[:k], beta[k + 1:]
+            for g in range(min(b, t) + 1):
+                key = head + (g,) + tail
+                value = coeff * (comb(b, g) * s ** (b - g)) if b > g else coeff
+                symbol[key] = symbol.get(key, 0) + value
+    return symbol
+
+
 def _finite(p: ExpPoly) -> bool:
     return all(cmath.isfinite(v) for _, lam, c in p.terms for v in (c, *lam))
 
@@ -128,12 +163,49 @@ class SolutionSyntaxError(TextSyntaxError):
     """Raised on malformed solution text; carries the source position."""
 
 
+class _SolutionSum:
+    """A sum of solution terms read term by term: the coefficients by
+    (a, lam), so that every '+' is checked against MAX_TERMS, and for a
+    value that leaves the float range, as a merge of the sum so far would
+    be; the sum is merged once, at its end."""
+
+    def __init__(self, parser: "_SolutionParser", first: ExpPoly) -> None:
+        self.parser = parser
+        self.coeffs = {(a, lam): c for a, lam, c in first.terms}
+
+    def add(self, b: ExpPoly, pos: int) -> None:
+        coeffs = self.coeffs
+        finite = True
+        for a, lam, c in b.terms:
+            # an equal key keeps its first spelling, as a merge does (lam
+            # may hold -0j where the sum so far holds 0j)
+            key = (a, lam)
+            c = coeffs.get(key, 0j) + c
+            if c != 0:
+                coeffs[key] = c
+                finite = finite and cmath.isfinite(c)
+            else:
+                coeffs.pop(key, None)
+        parser = self.parser
+        if len(coeffs) > MAX_TERMS:
+            raise parser.error(
+                f"solution expands beyond the limit of {MAX_TERMS} terms", pos)
+        # every other value was checked where it was formed
+        if parser.overflow is None and not finite:
+            parser.overflow = pos
+
+    def total(self) -> ExpPoly:
+        return _merge(self.parser.axes,
+                      ((a, lam, c) for (a, lam), c in self.coeffs.items()))
+
+
 class _SolutionParser(Parser):
     """Solution text as an ExpPoly on the given axes; `overflow` is the
     position of the first value that left the finite float range."""
 
     TOKEN = _SOLUTION_TOKEN
     Error = SolutionSyntaxError
+    Sum = _SolutionSum
 
     def __init__(self, source: str, axes: Sequence[str]) -> None:
         super().__init__(source)
@@ -147,13 +219,6 @@ class _SolutionParser(Parser):
 
     def negate(self, a: ExpPoly) -> ExpPoly:
         return _scaled(a, -1)
-
-    def add(self, a: ExpPoly, b: ExpPoly, pos: int) -> ExpPoly:
-        total = _merge(self.axes, a.terms + b.terms)
-        if len(total.terms) > MAX_TERMS:
-            raise self.error(
-                f"solution expands beyond the limit of {MAX_TERMS} terms", pos)
-        return self._checked(total, pos)
 
     def multiply(self, a: ExpPoly, b: ExpPoly, pos: int) -> ExpPoly:
         if len(a.terms) * len(b.terms) > MAX_TERMS:
@@ -252,19 +317,10 @@ class ManufacturedSolution(Record):
         return ManufacturedSolution(tuple(axes), parsed)
 
     def trace(self, field: int, deriv: Sequence[int]) -> ExpPoly:
+        """d^deriv of one field: the one-entry derivative sum."""
         key = (field, tuple(deriv))
         if key not in self._traces:
-            # climb axis by axis, reusing every memoised lower-order trace
-            expr = self.fields[field]
-            step = [0] * len(self.axes)
-            for k, count in enumerate(key[1]):
-                for _ in range(count):
-                    step[k] += 1
-                    lower, expr = expr, self._traces.get((field, tuple(step)))
-                    if expr is None:
-                        expr = lower.diff(self.axes[k])
-                        self._traces[field, tuple(step)] = expr
-            self._traces[key] = expr
+            self._traces[key] = self.derivative_sum(((1, field, deriv),))
         return self._traces[key]
 
     def derivative_sum(self, entries, shift: Sequence[complex] | None = None) -> ExpPoly:
@@ -272,17 +328,30 @@ class ManufacturedSolution(Record):
         merged once.  A `shift` (one complex slope per axis) is added to
         every term's lam, which multiplies the sum by exp(shift . x).
 
-        Derivatives are read from the trace memo.  A miss is filled by
-        calling `trace`, so that every derivation still happens, and can
-        be observed, there."""
-        triples = []
+        The entries of one field form its symbol P(xi) = sum coeff
+        xi^deriv, and by the shift rule each term c x^a e^(lam.x) of the
+        field contributes c (a)_gamma Q_gamma(lam) x^(a-gamma) e^(lam.x)
+        for every gamma <= a, with the falling factorial (a)_gamma =
+        prod_k a_k! / (a_k - gamma_k)! and Q_gamma(lam) the coefficients of
+        P(xi + lam).  Each Q is computed once per (field, lam) in the call,
+        and the terms are merged once, at the end."""
+        symbols: dict = {}
         for coeff, field, deriv in entries:
-            key = (field, tuple(deriv))
-            if key not in self._traces:
-                self.trace(field, deriv)
-            triples.extend((a, lam, coeff * c) for a, lam, c in self._traces[key].terms)
-        if shift is not None:
-            shift = tuple(shift)
-            triples = [(a, tuple(s + t for s, t in zip(lam, shift)), c)
-                       for a, lam, c in triples]
+            symbol = symbols.setdefault(field, {})
+            deriv = tuple(deriv)
+            symbol[deriv] = symbol.get(deriv, 0) + coeff
+        triples = []
+        for field, symbol in symbols.items():
+            terms = self.fields[field].terms
+            tops: dict = {}
+            for a, lam, _ in terms:
+                tops[lam] = tuple(map(max, tops.get(lam, a), a))
+            shifted = {lam: _shifted_symbol(symbol, lam, top)
+                       for lam, top in tops.items()}
+            for a, lam, c in terms:
+                out = lam if shift is None else tuple(map(add, lam, shift))
+                for gamma, q in shifted[lam].items():
+                    if all(map(le, gamma, a)):
+                        triples.append((tuple(map(sub, a, gamma)), out,
+                                        c * prod(map(perm, a, gamma)) * q))
         return _merge(self.axes, triples)

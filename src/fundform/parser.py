@@ -26,8 +26,11 @@ how ``Poly.to_text`` writes exact values, so every expression the engine
 prints reads back to its value.
 
 An operator expression is a sorted tuple of (multi-index, nonzero
-coefficient) pairs, one per multi-index.  A product or power that could
-pass ``MAX_ORDER`` or ``MAX_TERMS`` is refused before it is formed.  A
+coefficient) pairs, one per multi-index.  A sum keeps a running count of
+its merged terms, is refused at the first '+' or '-' that takes the count
+past ``MAX_TERMS``, and is merged once, at its end.  A product or power
+that could pass ``MAX_ORDER`` or ``MAX_TERMS`` is refused before it is
+formed.  A
 product with a one-term factor is then formed with no merge (every key
 of the other factor moves by one multi-index), and a one-term power
 whose coefficient is one monomial in one step; any other power
@@ -96,15 +99,18 @@ class Parser:
     """The recursive descent of the module docstring over one text.
 
     A grammar sets ``TOKEN`` (a pattern with the groups ``int``, ``ident``
-    and ``sym``, and any of its own) and ``Error``, and supplies
+    and ``sym``, and any of its own), ``Error`` and ``Sum``, and supplies
     ``atom()`` and the arithmetic of its values: ``negate(a)``,
-    ``add(a, b, pos)``, ``multiply(a, b, pos)``, ``power(a, n, pos)`` and,
-    when its ``sym`` group has '/', ``divide(a, n)``.  ``pos`` is the
-    index of the operator in the text.
+    ``multiply(a, b, pos)``, ``power(a, n, pos)`` and, when its ``sym``
+    group has '/', ``divide(a, n)``.  ``pos`` is the index of the operator
+    in the text.  ``Sum(parser, a)`` is a running sum that starts at `a`:
+    its ``add(b, pos)`` adds one term and checks the sum so far, and its
+    ``total()`` is the sum, merged once.
     """
 
     TOKEN: re.Pattern
     Error = TextSyntaxError
+    Sum: type
 
     def __init__(self, source: str) -> None:
         self.source = source
@@ -153,14 +159,17 @@ class Parser:
         negative = False
         while self.peek()[1] in ("+", "-"):
             negative ^= self.next()[1] == "-"
-        total = self.term()
+        first = self.term()
         if negative:
-            total = self.negate(total)
+            first = self.negate(first)
+        if self.peek()[1] not in ("+", "-"):
+            return first
+        total = self.Sum(self, first)
         while self.peek()[1] in ("+", "-"):
             _, op, pos = self.next()
             rhs = self.term()
-            total = self.add(total, self.negate(rhs) if op == "-" else rhs, pos)
-        return total
+            total.add(self.negate(rhs) if op == "-" else rhs, pos)
+        return total.total()
 
     def term(self):
         total = self.factor()
@@ -253,12 +262,44 @@ def term_count(terms: tuple) -> int:
     return sum(len(coeff.terms) for _, coeff in terms)
 
 
+class _OperatorSum:
+    """A sum of expansions read term by term: the coefficients by
+    multi-index and the count of their monomials, so that every '+' is
+    checked against MAX_TERMS as a merge of the sum so far would be, and
+    the sum is merged once, at its end."""
+
+    def __init__(self, parser: Parser, first: tuple) -> None:
+        self.parser = parser
+        self.coeffs = dict(first)
+        self.count = term_count(first)
+
+    def add(self, b: tuple, pos: int) -> None:
+        coeffs = self.coeffs
+        for alpha, c in b:
+            prev = coeffs.get(alpha)
+            if prev is not None:
+                self.count -= len(prev.terms)
+                c = prev + c
+            if c:
+                coeffs[alpha] = c
+                self.count += len(c.terms)
+            elif prev is not None:
+                del coeffs[alpha]
+        if self.count > MAX_TERMS:
+            raise self.parser.error(
+                f"operator expands beyond the limit of {MAX_TERMS} terms", pos)
+
+    def total(self) -> tuple:
+        return merge_terms(self.coeffs.items())
+
+
 class _OperatorParser(Parser):
     """Operator text as (multi-index, Poly coefficient) pairs.  Without
     `axes` the text starts with its own header."""
 
     TOKEN = _TOKEN_RE
     Error = OperatorSyntaxError
+    Sum = _OperatorSum
 
     def __init__(self, source: str, axes: Sequence[str] | None = None,
                  params: Sequence[str] = ()) -> None:
@@ -273,13 +314,6 @@ class _OperatorParser(Parser):
 
     def negate(self, a: tuple) -> tuple:
         return tuple((alpha, -c) for alpha, c in a)
-
-    def add(self, a: tuple, b: tuple, pos: int) -> tuple:
-        total = merge_terms(a + b)
-        if term_count(total) > MAX_TERMS:
-            raise self.error(
-                f"operator expands beyond the limit of {MAX_TERMS} terms", pos)
-        return total
 
     def divide(self, a: tuple, n: int) -> tuple:
         scale = Fraction(1, n)

@@ -8,9 +8,10 @@ residual against the largest single face integral, which measures exactly
 the cancellation the relation asserts.
 
 On the faces normal to axis k the integrand sum coeff * trace * exp(E . x)
-is merged into one exponential-polynomial sum c x^a exp(lam . x), the
-spectral slopes E folded into every lam.  Each term is a product of
-one-axis factors, so its tensor Gauss-Legendre sum over a face is
+is formed as one exponential-polynomial sum c x^a exp(lam . x) by the
+shift rule of ``manufactured``, the spectral slopes E folded into every
+lam.  Each term is a product of one-axis factors, so its tensor
+Gauss-Legendre sum over a face is
 c v^(a_k) exp(lam_k v) prod_(j != k) S_j(a_j, lam_j) with the one-axis sums
 S_j(p, mu) = sum_i w_i x_i^p exp(mu x_i): the same tensor rule in O(d n)
 work per term instead of O(n^(d-1)).
@@ -177,10 +178,10 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
 
     `assignment` gives complex values for every spectral name and operator
     parameter appearing in the form.  The faces normal to one axis share
-    one integrand, the solution's traces merged with the weight
-    exp(sum_j E_j x^j) folded into their slopes; its tensor Gauss-Legendre
-    sum on each face is a product of one-axis sums, cached per (axis,
-    power, slope) for the call.  Integrals that leave the float range
+    one integrand, the solution's derivative sum (formed in closed form
+    and merged once) with the weight exp(sum_j E_j x^j) folded into its
+    slopes; its tensor Gauss-Legendre sum on each face is a product of
+    one-axis sums, cached per (axis, power, slope) for the call.  Integrals that leave the float range
     raise ValueError.
     """
     if solution.axes != sf.axes:

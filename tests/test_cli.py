@@ -725,6 +725,15 @@ def test_overflowing_evaluation_exits_2(capsys):
     assert refused(code, err, "overflows the float range")
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_derivative_exits_2(capsys):
+    # exp(1e160 i x) is finite on the box; its second x derivative is not
+    code, _, err = run(capsys, "verify", "--case", "heat",
+                       "--solution", f"exp(1{'0' * 160}i*x)")
+    assert refused(code, err, "overflows the float range")
+    assert err == "error: solution overflows the float range at interior points\n"
+
+
 def test_engine_fault_exits_1(capsys, monkeypatch):
     engine = importlib.import_module("fundform.decompose")
     # the product-rule oracle doubles every term: the first rewrite step fails

@@ -16,7 +16,7 @@ from fundform.manufactured import (
     SolutionSyntaxError,
     parse_solution,
 )
-from fundform.parser import MAX_NODES, parse_operator
+from fundform.parser import MAX_NODES, MAX_TERMS, parse_operator
 from fundform.ring import Poly
 from fundform.spectral import spinor_isotropic, substitute_exponential
 from fundform.verify import (
@@ -97,6 +97,32 @@ def test_overflow_refused_at_its_first_value(text, column):
     with pytest.raises(SolutionSyntaxError, match="overflow") as err:
         parse_solution(text, ("x",))
     assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_solution_sum_overflow_refused_at_its_plus():
+    # two finite values whose sum leaves the float range
+    text = "9" * 308 + " + " + "9" * 308
+    with pytest.raises(SolutionSyntaxError, match="overflow") as err:
+        parse_solution(text, ("x",))
+    assert (err.value.line, err.value.column) == (1, 310)
+
+
+def test_solution_sum_refused_at_the_plus_that_crosses_the_term_limit():
+    powers = [f"x^{k}" for k in range(MAX_TERMS + 1)]
+    assert len(parse_solution(" + ".join(powers[:-1]), ("x",)).terms) == MAX_TERMS
+    text = " + ".join(powers)
+    with pytest.raises(SolutionSyntaxError,
+                       match=f"limit of {MAX_TERMS} terms") as err:
+        parse_solution(text, ("x",))
+    assert (err.value.line, err.value.column) == (1, text.rindex("+") + 1)
+
+
+def test_solution_sum_that_cancels_back_under_the_term_limit_is_read():
+    # 2,100 summands, but the sum so far never holds more than 1,000 terms
+    up = [f"x^{k}" for k in range(1000)]
+    rest = " + ".join(f"y^{k}" for k in range(1, 101))
+    text = " + ".join(up) + " - " + " - ".join(up) + " + " + rest
+    assert parse_solution(text, ("x", "y")) == parse_solution(rest, ("x", "y"))
 
 
 def test_terms_merge_and_zeros_drop():
@@ -196,6 +222,71 @@ def test_traces_against_sympy(axes, text, tag):
             expected = complex(exact.evalf(subs={names[k]: v for k, v in point.items()}))
             got = complex(solution.trace(0, deriv).evaluate(point))
             assert got == pytest.approx(expected, rel=1e-9), (text, deriv, point)
+
+
+def random_solution_text(rng, axes):
+    """Two to four terms c x^a exp(lam . x): decimal and imaginary
+    coefficients and slopes, powers up to 4 per axis."""
+    def number():
+        """A signed decimal, real or imaginary, in parentheses."""
+        return (f"({rng.choice(['', '-'])}{rng.randint(0, 9)}.{rng.randint(1, 99)}"
+                f"{rng.choice(['', 'i'])})")
+
+    terms = []
+    for _ in range(rng.randint(2, 4)):
+        factors = [f"({number()} + {number()})"]
+        factors += [f"{axis}^{rng.randint(0, 4)}" for axis in axes]
+        slopes = " + ".join(f"{number()}*{axis}" for axis in axes
+                            if rng.random() < 0.8)
+        if slopes:
+            factors.append(f"exp({slopes})")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+def diff_chain(expr, axes, deriv):
+    for axis, count in zip(axes, deriv):
+        for _ in range(count):
+            expr = expr.diff(axis)
+    return expr
+
+
+def test_derivative_sums_match_diff_chains():
+    # the shift rule against one ExpPoly.diff per derivative, on seeded
+    # two-field systems over two and three axes
+    rng = random.Random(2020)
+    nonzero = 0
+    for case in range(40):
+        axes = ("x", "y", "z")[:rng.choice([2, 3])]
+        solution = ManufacturedSolution.system(
+            axes, [random_solution_text(rng, axes) for _ in range(2)])
+        entries = []
+        for _ in range(rng.randint(1, 8)):
+            order = rng.randint(0, 8)
+            deriv = [0] * len(axes)
+            for _ in range(order):
+                deriv[rng.randrange(len(axes))] += 1
+            coeff = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            entries.append((coeff, rng.randrange(2), tuple(deriv)))
+        entries.append(entries[0])  # one derivative twice
+        shift = None if case % 2 else tuple(
+            complex(rng.uniform(-1, 1), rng.uniform(-2, 2)) for _ in axes)
+        got = solution.derivative_sum(entries, shift)
+        chains = [(coeff, diff_chain(solution.fields[field], axes, deriv))
+                  for coeff, field, deriv in entries]
+        _, field, deriv = entries[0]
+        assert solution.trace(field, deriv) == solution.derivative_sum(
+            [(1, field, deriv)])
+        for _ in range(4):
+            point = {axis: rng.uniform(-1, 1) for axis in axes}
+            weight = cmath.exp(sum(s * point[axis] for s, axis in zip(shift, axes))
+                               ) if shift else 1
+            parts = [coeff * chain.evaluate(point) * weight for coeff, chain in chains]
+            scale = sum(map(abs, parts))
+            nonzero += scale > 0
+            assert abs(got.evaluate(point) - sum(parts)) <= 1e-12 * scale, (
+                case, point)
+    assert nonzero >= 100
 
 
 def test_trace_orders_match_mixed_partials():
@@ -332,6 +423,24 @@ def test_overflowing_solution_refused():
     with pytest.raises(ValueError, match="overflow"):
         boundary_residual(wide_form, case.solution, case.box, QuadratureSpec(4),
                           {"k": 1})
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_derivative_coefficients_refused():
+    # exp(1e110 i x) has modulus one on the box, but its third and fourth
+    # x derivatives have coefficients beyond the float range
+    case = builtin_solutions("biharmonic")[0]
+    spin = ManufacturedSolution.scalar(("x", "y", "z"), f"exp(1{'0' * 110}i*x)")
+    assert spin.derivative_sum([(1, 0, (2, 0, 0))]).terms
+    with pytest.raises(OverflowError):
+        spin.derivative_sum([(1, 0, (3, 0, 0))])
+    sf, assignment = case_substituted_form(case)
+    with pytest.raises(ValueError) as err:
+        boundary_residual(sf, spin, case.box, QuadratureSpec(4), assignment)
+    assert str(err.value) == "face integrals overflow the float range on the box"
+    with pytest.raises(ValueError) as err:
+        interior_residual(case.operator, spin, case.box)
+    assert str(err.value) == "solution overflows the float range at interior points"
 
 
 def test_overflowing_operator_refused_at_spectral_point():

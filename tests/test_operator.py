@@ -15,12 +15,14 @@ from fundform.operators import (
     symbol,
 )
 from fundform.parser import (
+    MAX_TERMS,
     OperatorSyntaxError,
     format_operator,
     parse_matrix_operator,
     parse_operator,
     parse_poly,
     parse_scalar_operator,
+    term_count,
 )
 from fundform.ring import Poly, QI_I
 from fundform.catalog import STOKES_JSON, stokes_operator, wave_operator
@@ -123,6 +125,41 @@ def test_repeated_leading_signs():
 def test_parse_cancellation_and_zero():
     assert parse_operator("axes x; Dx - Dx").is_zero
     assert parse_operator("axes x; 0").is_zero
+
+
+# 2,080 distinct second-order terms on 64 axes
+SUM_AXES = [f"a{j}" for j in range(64)]
+SUM_HEAD = f"axes {','.join(SUM_AXES)}; "
+SUM_PAIRS = [f"D{SUM_AXES[j]}*D{SUM_AXES[k]}"
+             for j in range(64) for k in range(j, 64)]
+
+
+@pytest.mark.parametrize("text", [
+    SUM_HEAD + " + ".join(SUM_PAIRS[:MAX_TERMS + 1]),
+    # one multi-index whose coefficient grows to MAX_TERMS + 1 monomials
+    f"params {','.join(f'p{j}' for j in range(MAX_TERMS + 1))}; axes x; "
+    + " + ".join(f"p{j}*Dx" for j in range(MAX_TERMS + 1)),
+], ids=["terms", "monomials"])
+def test_sum_refused_at_the_plus_that_crosses_the_term_limit(text):
+    head = text.rpartition(" + ")[0]
+    assert term_count(parse_operator(head).terms) == MAX_TERMS
+    with pytest.raises(OperatorSyntaxError) as err:
+        parse_operator(text)
+    column = len(head) + 2
+    assert str(err.value) == (f"operator expands beyond the limit of {MAX_TERMS} "
+                              f"terms (line 1, column {column})")
+
+
+def test_sum_that_cancels_back_under_the_term_limit_is_read():
+    # 2,100 summands, but the sum so far never holds more than 1,000 terms
+    rest = " + ".join(SUM_PAIRS[1000:1100])
+    text = (SUM_HEAD + " + ".join(SUM_PAIRS[:1000]) + " - "
+            + " - ".join(SUM_PAIRS[:1000]) + " + " + rest)
+    assert parse_operator(text) == parse_operator(SUM_HEAD + rest)
+    # a coefficient that cancels to fewer monomials frees its count
+    params = f"params {','.join(f'p{j}' for j in range(MAX_TERMS))}; axes x; "
+    text = params + " + ".join(f"p{j}*Dx - p{j}*Dx" for j in range(MAX_TERMS)) + " + Dx"
+    assert parse_operator(text) == parse_operator("axes x; Dx")
 
 
 def test_parse_errors_carry_positions():
