@@ -6,6 +6,26 @@ indices (both 0 for scalar problems).  Expressions are kept in a sorted,
 merged canonical form, so ``==`` on two expressions is the engine's
 ground-truth identity test: every rewrite rule is validated against it
 through the product rule (``product_rule``, merged by ``partial``).
+
+Packed keys.  An expression holds its merged terms as (key, coeff) pairs,
+where the key packs (f, g, mu, nu) into one int: the bytes
+``(f, g, *mu, *nu)`` read big-endian, one W = 8-bit byte per field index
+and per entry.  Within one dimension n every key is 2 + 2n bytes long, so
+comparing two keys compares their bytes lexicographically, which is the
+order of the tuples (f, g, mu, nu): ``merge_terms`` sorts packed keys into
+the order tuple keys had, and every printed document keeps its term
+order.  Keys of different dimensions can coincide (``q_x qt`` on one axis
+and ``q qt_x`` on two both read 0x100), so an expression also stores its
+dimension, and ``==`` and every sum compare it.
+
+The product rule adds a unit to a key: 1 << 8(2n-1-k) raises mu_k, and
+1 << 8(n-1-k) raises nu_k.  A byte that passed 255 would carry silently
+into its neighbour, so each expression keeps a bound on its largest byte
+(the maximum of its key bytes, fields included; a derivative adds one),
+and ``product_rule`` refuses in O(1) a derivative that could pass 255.
+Packing refuses an entry or field index outside 0..255 with ValueError.
+Terms are unpacked into ``BilinearTerm``s with ``MultiIndex`` slots only
+when ``terms`` or iteration asks for them, once per expression.
 """
 
 from __future__ import annotations
@@ -82,9 +102,9 @@ class BilinearTerm(NamedTuple):
     """One product  coeff * d^left q_{left_field} * d^right qt_{right_field}.
 
     A tuple, so that building one is cheap: the engine passes a Poly and
-    two MultiIndexes of one dimension, and expressions rebuild their
-    merged terms with ``tuple.__new__``.  ``term`` is the constructor that
-    coerces and checks.
+    two MultiIndexes of one dimension, and expressions unpack their merged
+    keys into terms with ``tuple.__new__``.  ``term`` is the constructor
+    that coerces and checks, the packed width included.
     """
 
     coeff: Poly
@@ -112,81 +132,139 @@ def term(coeff: PolyLike, left, right, left_field: int = 0,
          right_field: int = 0) -> BilinearTerm:
     left, right = MultiIndex(left), MultiIndex(right)
     left._check(right)
+    _key_bytes(left_field, right_field, left, right)
     return BilinearTerm(Poly.coerce(coeff), left_field, left, right_field, right)
+
+
+# Bits per field index and per entry of a packed key, and the largest
+# value a byte holds.
+_WIDTH = 8
+_LIMIT = (1 << _WIDTH) - 1
+
+
+def _key_bytes(left_field: int, right_field: int, left, right) -> bytes:
+    try:
+        return bytes((left_field, right_field, *left, *right))
+    except ValueError:
+        raise ValueError(
+            f"field indices and derivative counts must lie in 0..{_LIMIT}: "
+            f"{(left_field, right_field, tuple(left), tuple(right))}"
+        ) from None
+
+
+def pack(terms: Iterable[BilinearTerm]) -> list:
+    """(key, coeff) pairs of the terms, unmerged: the form ``product_rule``
+    returns, so that a rewrite step merges both in one identity."""
+    return [(int.from_bytes(_key_bytes(lf, rf, left, right), "big"), coeff)
+            for coeff, lf, left, rf, right in terms]
+
+
+def _packed(pairs: tuple, dim: int | None, top: int) -> "BilinearExpr":
+    """An expression from merged (key, coeff) pairs of dimension `dim`
+    whose key bytes are at most `top`; the zero expression has no
+    dimension."""
+    expr = object.__new__(BilinearExpr)
+    expr._pairs = pairs
+    expr._dim = dim if pairs else None
+    expr._top = top if pairs else 0
+    expr._terms = None
+    return expr
 
 
 class BilinearExpr:
     """Canonical finite sum of BilinearTerm, ordered by
-    (left_field, right_field, left, right); no zero coefficients."""
+    (left_field, right_field, left, right); no zero coefficients.  Held as
+    packed (key, coeff) pairs; see the module docstring."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_pairs", "_dim", "_top", "_terms")
 
     def __init__(self, terms: Iterable[BilinearTerm] = ()) -> None:
-        pairs = [((lf, rf, left, right), coeff)
-                 for coeff, lf, left, rf, right in terms]
-        if len({len(key[2]) for key, _ in pairs}) > 1:
+        pairs = []
+        dims = set()
+        top = 0
+        for coeff, lf, left, rf, right in terms:
+            raw = _key_bytes(lf, rf, left, right)
+            dims.add(len(left))
+            dims.add(len(right))
+            top = max(top, max(raw))
+            pairs.append((int.from_bytes(raw, "big"), coeff))
+        if len(dims) > 1:
             raise ValueError("mixed ambient dimensions in one expression")
-        new = tuple.__new__
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple([
-                new(BilinearTerm, (coeff, lf, left, rf, right))
-                for (lf, rf, left, right), coeff in merge_terms(pairs)
-            ]),
-        )
+        self._pairs = pairs = merge_terms(pairs)
+        self._dim = dims.pop() if pairs else None
+        self._top = top if pairs else 0
+        self._terms = None
 
     @property
     def terms(self) -> tuple:
-        return self._terms
+        terms = self._terms
+        if terms is None:
+            n = self._dim or 0
+            size, mid = 2 + 2 * n, 2 + n
+            new = tuple.__new__
+            terms = []
+            for key, coeff in self._pairs:
+                raw = key.to_bytes(size, "big")
+                terms.append(new(BilinearTerm, (
+                    coeff, raw[0], new(MultiIndex, raw[2:mid]),
+                    raw[1], new(MultiIndex, raw[mid:]),
+                )))
+            self._terms = terms = tuple(terms)
+        return terms
 
     @property
     def dimension(self) -> int | None:
-        return len(self._terms[0].left) if self._terms else None
+        return self._dim
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._pairs
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._pairs)
 
     def __iter__(self) -> Iterator[BilinearTerm]:
-        return iter(self._terms)
+        return iter(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BilinearExpr):
             return NotImplemented
-        return self._terms == other._terms
+        return self._dim == other._dim and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(self._pairs)
 
     def _check_dim(self, other: "BilinearExpr") -> None:
         if (
-            self.dimension is not None
-            and other.dimension is not None
-            and self.dimension != other.dimension
+            self._dim is not None
+            and other._dim is not None
+            and self._dim != other._dim
         ):
-            raise ValueError(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}"
-            )
+            raise ValueError(f"dimension mismatch: {self._dim} vs {other._dim}")
 
     def __add__(self, other: "BilinearExpr") -> "BilinearExpr":
         self._check_dim(other)
-        return BilinearExpr(self._terms + other._terms)
+        dim = self._dim if other._dim is None else other._dim
+        return _packed(merge_terms(self._pairs + other._pairs), dim,
+                       max(self._top, other._top))
 
     def __sub__(self, other: "BilinearExpr") -> "BilinearExpr":
         return self + (-other)
 
     def __neg__(self) -> "BilinearExpr":
-        return BilinearExpr(t.negated() for t in self._terms)
+        # still sorted, and no coefficient becomes zero: nothing to merge
+        return _packed(tuple([(key, -coeff) for key, coeff in self._pairs]),
+                       self._dim, self._top)
 
     def scale(self, value: PolyLike) -> "BilinearExpr":
-        return BilinearExpr(t.scaled(value) for t in self._terms)
+        value = Poly.coerce(value)
+        return _packed(
+            merge_terms([(key, coeff * value) for key, coeff in self._pairs]),
+            self._dim, self._top,
+        )
 
     def __repr__(self) -> str:
-        return f"BilinearExpr({list(self._terms)!r})"
+        return f"BilinearExpr({list(self.terms)!r})"
 
 
 def bracket(alpha, beta, left_field: int = 0, right_field: int = 0,
@@ -220,39 +298,50 @@ def expr_sum(exprs: Iterable[BilinearExpr]) -> BilinearExpr:
     chain of ``+`` would merge (and sort) the running total once per
     operand.  A lone nonzero operand is the sum as it stands.  Mixed
     dimensions raise ValueError."""
-    nonzero = [expr for expr in exprs if expr._terms]
+    nonzero = [expr for expr in exprs if expr._pairs]
     if len(nonzero) == 1:
         return nonzero[0]
-    return BilinearExpr([t for expr in nonzero for t in expr._terms])
+    dims = {expr._dim for expr in nonzero}
+    if len(dims) > 1:
+        raise ValueError("mixed ambient dimensions in one expression")
+    return _packed(
+        merge_terms([pair for expr in nonzero for pair in expr._pairs]),
+        dims.pop() if dims else None,
+        max([expr._top for expr in nonzero], default=0),
+    )
 
 
 def product_rule(expr: BilinearExpr, k: int) -> list:
-    """The terms of d_k expr before they are merged: each product
-    c d^mu q d^nu qt gives c d^(mu+e_k) q d^nu qt + c d^mu q d^(nu+e_k) qt.
+    """The terms of d_k expr before they are merged, as packed (key,
+    coeff) pairs: each product c d^mu q d^nu qt gives
+    c d^(mu+e_k) q d^nu qt + c d^mu q d^(nu+e_k) qt, a key plus a unit.
 
     This is the oracle every rewrite rule in the engine is checked
     against; it is deliberately the dumbest possible implementation.  A
-    rule merges these terms with the rest of its identity, so that the
-    identity costs one merge.
+    rule merges these pairs with the packed rest of its identity, so that
+    the identity costs one merge.  A derivative count that could pass
+    the packed width is refused, never carried.
     """
-    if expr.is_zero:
+    pairs = expr._pairs
+    if not pairs:
         return []
-    n = expr.dimension
+    n = expr._dim
     if not 0 <= k < n:
         raise ValueError(f"axis {k} out of range for dimension {n}")
-    new = tuple.__new__
-    out = []
-    for coeff, lf, left, rf, right in expr._terms:
-        out.append(new(BilinearTerm, (coeff, lf, left.incr(k), rf, right)))
-        out.append(new(BilinearTerm, (coeff, lf, left, rf, right.incr(k))))
-    return out
+    if expr._top >= _LIMIT:
+        raise ValueError(
+            f"a derivative count could pass {_LIMIT}, the packed width"
+        )
+    # the units that raise entry k of the trial and of the test slot
+    units = (1 << _WIDTH * (2 * n - 1 - k), 1 << _WIDTH * (n - 1 - k))
+    return [(key + unit, coeff) for key, coeff in pairs for unit in units]
 
 
 def partial(expr: BilinearExpr, k: int) -> BilinearExpr:
     """Derivative along axis k by the product rule."""
     if expr.is_zero:
         return expr
-    return BilinearExpr(product_rule(expr, k))
+    return _packed(merge_terms(product_rule(expr, k)), expr._dim, expr._top + 1)
 
 
 def divergence(fluxes: Iterable[BilinearExpr]) -> BilinearExpr:

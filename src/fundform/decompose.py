@@ -11,8 +11,9 @@ Three rules do all the work:
   single flux term.
 
 Signs are never tracked by hand.  Every step asserts its defining identity
-through the product-rule oracle, as one residual expression that must be
-empty, and a completed decomposition is re-checked as a whole before it
+through the product-rule oracle, as one merge of packed terms (the
+product rule's pairs and the step's own terms) that must come out empty,
+and a completed decomposition is re-checked as a whole before it
 is returned, so a bookkeeping slip is a loud failure at the step where it
 happens rather than a wrong answer.
 
@@ -30,10 +31,10 @@ import math
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (BilinearExpr, BilinearTerm, MultiIndex, divergence,
-                      expr_sum, product_rule)
+                      expr_sum, pack, product_rule)
 from .operators import MatrixPDO, Operator, ScalarPDO, bilinear_rhs, grid
 from .records import Record
-from .ring import Poly
+from .ring import Poly, merge_terms
 
 BRACKET = "bracket"
 BRACE = "brace"
@@ -123,9 +124,9 @@ def reduce_step(pair: PairTerm, k: int) -> tuple:
     flux, remainder = _reduce(pair, k)
     negated = PairTerm(pair.kind, -pair.coeff, pair.alpha, pair.beta,
                        pair.left_field, pair.right_field)
-    # d_k flux + remainder - pair, in one merge
-    if BilinearExpr([*product_rule(flux, k), *remainder.products(),
-                     *negated.products()]):
+    # d_k flux + remainder - pair, in one merge of packed terms
+    if merge_terms([*product_rule(flux, k),
+                    *pack((*remainder.products(), *negated.products()))]):
         raise EngineError(f"reduction step failed its identity on axis {k}")
     return flux, remainder
 
@@ -158,9 +159,9 @@ def exchange_step(term: BilinearTerm, k: int, j: int) -> tuple:
     with signs folded in, so  term = swapped + d_k flux_k + d_j flux_j.
     """
     swapped, flux_k, flux_j = _exchange(term, k, j)
-    # swapped + d_k flux_k + d_j flux_j - term, in one merge
-    if BilinearExpr([swapped, *product_rule(flux_k, k),
-                     *product_rule(flux_j, j), term.negated()]):
+    # swapped + d_k flux_k + d_j flux_j - term, in one merge of packed terms
+    if merge_terms([*product_rule(flux_k, k), *product_rule(flux_j, j),
+                    *pack((swapped, term.negated()))]):
         raise EngineError(f"exchange step failed its identity on axes {k},{j}")
     return swapped, ((k, flux_k), (j, flux_j))
 
@@ -195,9 +196,9 @@ def collapse_step(first: BilinearTerm, second: BilinearTerm) -> tuple:
     here pins the factor.
     """
     r, flux = _collapse(first, second)
-    # d_r flux - first - second, in one merge
-    if BilinearExpr([*product_rule(flux, r), first.negated(),
-                     second.negated()]):
+    # d_r flux - first - second, in one merge of packed terms
+    if merge_terms([*product_rule(flux, r),
+                    *pack((first.negated(), second.negated()))]):
         raise EngineError("pair collapse failed its identity")
     return r, flux
 

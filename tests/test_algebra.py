@@ -1,3 +1,4 @@
+import math
 import random
 from datetime import timedelta
 from fractions import Fraction
@@ -13,10 +14,12 @@ from fundform.algebra import (
     bracket,
     divergence,
     expr_sum,
+    pack,
     partial,
+    product_rule,
     term,
 )
-from fundform.ring import GaussianRational, Poly
+from fundform.ring import P_ONE, GaussianRational, Poly
 
 try:
     from hypothesis import given, settings
@@ -225,6 +228,50 @@ def test_expr_sum_of_one_nonzero_operand_matches_fold_seeded():
                   bracket((1, 0, 0), (0, 0, 0))])
 
 
+def test_packed_width_refused_never_carried():
+    # one byte per entry: 255 packs, 256 is refused, fields alike
+    assert term(1, (255,), (0,)).left == (255,)
+    for bad in (dict(left=(256,), right=(0,)), dict(left=(0,), right=(256,))):
+        with pytest.raises(ValueError, match="0..255"):
+            term(1, **bad)
+    with pytest.raises(ValueError, match="0..255"):
+        term(1, (0,), (0,), left_field=256)
+    with pytest.raises(ValueError, match="0..255"):
+        BilinearExpr([BilinearTerm(P_ONE, 0, MultiIndex((256, 0)), 0,
+                                   MultiIndex((0, 0)))])
+    # 255 derivatives of q qt give the binomial row; the 256th would carry
+    # the top entry into the test field, and is refused instead
+    expr = BilinearExpr([term(1, (0,), (0,))])
+    for _ in range(255):
+        expr = partial(expr, 0)
+    assert keys(expr) == {(0, 0, (255 - j,), (j,)): Poly.const(math.comb(255, j))
+                          for j in range(256)}
+    with pytest.raises(ValueError, match="packed width"):
+        partial(expr, 0)
+    with pytest.raises(ValueError, match="packed width"):
+        product_rule(expr, 0)
+
+
+def test_equality_includes_the_dimension():
+    # q_x qt on one axis and q qt_x on two pack to the same key
+    one = BilinearExpr([term(1, (1,), (0,))])
+    two = BilinearExpr([term(1, (0, 0), (1, 0))])
+    assert [key for key, _ in pack(one.terms)] == [0x100]
+    assert [key for key, _ in pack(two.terms)] == [0x100]
+    assert one != two and not one == two
+    assert one.dimension == 1 and two.dimension == 2
+    for bad in ([one, two], [two, one]):
+        with pytest.raises(ValueError):
+            expr_sum(bad)
+        with pytest.raises(ValueError):
+            bad[0] + bad[1]
+    # zero expressions have no dimension, whatever they came from
+    zeros = [BilinearExpr(), one - one, two - two, partial(BilinearExpr(), 3),
+             two.scale(0), expr_sum([])]
+    assert all(z == BilinearExpr() and hash(z) == hash(BilinearExpr())
+               and z.dimension is None for z in zeros)
+
+
 def _reference_sum(terms) -> dict:
     """Coefficient per (fields, indices) key with zero sums dropped,
     written without the engine's merge."""
@@ -318,3 +365,58 @@ else:
             assert BilinearTerm(*t) == t and rebuilt.key == t.key
             assert t.scaled(1) == t and t.scaled(2) != t
             assert len({rebuilt, t, t.scaled(2)}) == 2
+
+
+if st is None:
+    def test_packed_keys_keep_tuple_order_and_round_trip():
+        pytest.skip("hypothesis is not installed")
+else:
+    @st.composite
+    def _tuple_keys(draw):
+        """Keys (left_field, right_field, left, right) of 1-64 axes, with
+        entries up to MAX_ORDER + 1 and fields up to 31, and one axis.  The
+        keys edit a few entries of one base, so that they share long
+        prefixes and compare deep into their entries."""
+        n = draw(st.integers(1, 64))
+        base = draw(st.lists(st.integers(0, 33), min_size=2 * n, max_size=2 * n))
+        edits = st.lists(st.tuples(st.integers(0, 2 * n - 1), st.integers(0, 33)),
+                         max_size=3)
+        field = st.integers(0, 31)
+        keys = []
+        for lf, rf, changes in draw(st.lists(st.tuples(field, field, edits),
+                                             min_size=1, max_size=8)):
+            entries = list(base)
+            for pos, value in changes:
+                entries[pos] = value
+            keys.append((lf, rf, MultiIndex(entries[:n]), MultiIndex(entries[n:])))
+        return keys, draw(st.integers(0, n - 1))
+
+    @settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
+    @given(_tuple_keys())
+    def test_packed_keys_keep_tuple_order_and_round_trip(drawn):
+        keys, k = drawn
+        terms = [BilinearTerm(P_ONE, lf, left, rf, right)
+                 for lf, rf, left, right in keys]
+        packed = [key for key, _ in pack(terms)]
+        for a, pa in zip(keys, packed):
+            for b, pb in zip(keys, packed):
+                assert (pa < pb) == (a < b) and (pa == pb) == (a == b)
+        # merged in tuple order, unpacked to the keys they came from
+        expr = BilinearExpr(terms)
+        assert [t.key for t in expr] == sorted(set(keys))
+        assert all(t.coeff == Poly.const(keys.count(t.key)) for t in expr)
+        assert all(type(t.left) is MultiIndex and type(t.right) is MultiIndex
+                   for t in expr)
+        # one derivative is a key plus a unit, in each slot
+        lf, rf, left, right = keys[0]
+        raised = pack([BilinearTerm(P_ONE, lf, left.incr(k), rf, right),
+                       BilinearTerm(P_ONE, lf, left, rf, right.incr(k))])
+        single = BilinearExpr(terms[:1])
+        assert product_rule(single, k) == raised
+        assert partial(single, k) == BilinearExpr(
+            [term(1, left.incr(k), right, lf, rf),
+             term(1, left, right.incr(k), lf, rf)])
+        # an entry at 255 refuses the derivative instead of carrying it
+        full = MultiIndex([255 if i == k else e for i, e in enumerate(left)])
+        with pytest.raises(ValueError, match="packed width"):
+            product_rule(BilinearExpr([term(1, full, right, lf, rf)]), k)

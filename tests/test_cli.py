@@ -738,7 +738,8 @@ def test_engine_fault_exits_1(capsys, monkeypatch):
     engine = importlib.import_module("fundform.decompose")
     # the product-rule oracle doubles every term: the first rewrite step fails
     monkeypatch.setattr(engine, "product_rule",
-                        lambda expr, k: [t.scaled(2) for t in product_rule(expr, k)])
+                        lambda expr, k: [(key, coeff * 2)
+                                         for key, coeff in product_rule(expr, k)])
     code, out, err = run(capsys, "decompose", "--op", "axes x,t; Dt^2 - Dx^2")
     assert code == 1 and out == ""
     assert err.startswith("error: internal check failed: ")
