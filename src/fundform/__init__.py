@@ -44,7 +44,6 @@ from .operators import (
     adjoint,
     apply_symbol,
     bilinear_rhs,
-    even_odd_split,
     symbol,
 )
 from .parser import (

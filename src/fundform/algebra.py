@@ -55,12 +55,6 @@ class MultiIndex(tuple):
     def zero(cls, n: int) -> "MultiIndex":
         return cls((0,) * n)
 
-    @classmethod
-    def unit(cls, n: int, k: int) -> "MultiIndex":
-        if not 0 <= k < n:
-            raise ValueError(f"axis {k} out of range for dimension {n}")
-        return cls(tuple(1 if i == k else 0 for i in range(n)))
-
     @property
     def order(self) -> int:
         return sum(self)
@@ -117,14 +111,9 @@ class BilinearTerm(NamedTuple):
     def key(self) -> tuple:
         return (self.left_field, self.right_field, self.left, self.right)
 
-    def scaled(self, value: PolyLike) -> "BilinearTerm":
-        return BilinearTerm(
-            self.coeff * Poly.coerce(value),
-            self.left_field, self.left, self.right_field, self.right,
-        )
-
     def negated(self) -> "BilinearTerm":
-        """``scaled(-1)`` without coercing -1: only the coefficient changes."""
+        """The term with its coefficient negated; the fields and
+        multi-indices are kept as they are, unchecked."""
         return tuple.__new__(BilinearTerm, (-self.coeff, *self[1:]))
 
 

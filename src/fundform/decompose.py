@@ -421,9 +421,6 @@ class DivergenceDecomposition(NamedTuple):
     def dimension(self) -> int:
         return len(self.axes)
 
-    def flux(self, axis: str) -> BilinearExpr:
-        return self.fluxes[self.axes.index(axis)]
-
 
 def _walk_term(alpha: MultiIndex, coeff: Poly, lf: int, rf: int,
                plans) -> Iterator[tuple]:

@@ -17,7 +17,8 @@ is formed in one step by the shift rule
 so each term gives one term per gamma <= a, and the combination (times an
 exponential weight) is one exponential-polynomial, merged once before it
 is evaluated (one point at a time) or integrated.  A trace is the
-combination of one derivative.
+combination of one derivative.  Every merge goes through
+``ring.merge_terms``, keyed on a and the (real, imag) pairs of lam.
 
 Solution text is read by the expression parser of ``parser`` (signs,
 ``*``, ``^ INT`` and parentheses; no ``/``), whose atoms here are::
@@ -27,12 +28,13 @@ Solution text is read by the expression parser of ``parser`` (signs,
 
 with NUMBER := INT ['.' INT].  The argument of exp, sin and cos must be
 affine in the coordinates (degree at most one, no exp, sin or cos
-inside); sin and cos become exponential pairs.  A power is computed by
-square-and-multiply, and ``x^0`` is 1.  A product that could exceed
-``MAX_TERMS`` terms is refused before it is computed, a sum at the first
-'+' or '-' that takes its running count of merged terms past it (the sum
-is merged once, at its end), and text whose values leave the finite float
-range is refused.  Every refusal is a
+inside); sin and cos become exponential pairs.  Only a product, a sum and
+such a pair are merged: a negation flips each coefficient, and a power is
+computed by square-and-multiply from its base (``x^0`` is 1).  A product
+that could exceed ``MAX_TERMS`` terms is refused before it is computed, a
+sum at the first '+' or '-' that takes its running count of merged terms
+past it (the sum is merged once, at its end), and text whose values leave
+the finite float range is refused.  Every refusal is a
 ``SolutionSyntaxError`` with a line and a column.
 """
 
@@ -47,21 +49,26 @@ from typing import Mapping, Sequence
 
 from .parser import MAX_TERMS, Parser, TextSyntaxError
 from .records import Record
+from .ring import merge_terms
 
 
 def _merge(axes: tuple, triples) -> "ExpPoly":
-    """Sum coefficients of equal (a, lam), drop zeros and sort by a, then
-    by the (real, imag) pairs of lam.  The slope key is built once per
-    distinct lam, and terms sort on (a, rank of lam)."""
-    acc: dict = {}
+    """Sum coefficients of equal (a, lam) through ``ring.merge_terms``, drop
+    zeros and order by a, then by the (real, imag) pairs of lam.  The pairs
+    are built once per distinct lam, and each term is keyed on (a, pairs,
+    lam): a and the pairs decide the order, so lam is never compared for
+    it, and an equal (a, lam) keeps the spelling of its first term (-0j
+    against 0j).  A coefficient's zero parts read +0, whatever the order of
+    its sum."""
+    slopes: dict = {}
+    keyed = []
     for a, lam, c in triples:
-        key = (a, lam)
-        acc[key] = acc.get(key, 0j) + c
-    slopes = sorted({lam for _, lam in acc},
-                    key=lambda lam: tuple((s.real, s.imag) for s in lam))
-    rank = {lam: r for r, lam in enumerate(slopes)}
-    ranked = sorted((a, rank[lam], lam, c) for (a, lam), c in acc.items() if c != 0)
-    return ExpPoly(axes, tuple((a, lam, c) for a, _, lam, c in ranked))
+        parts = slopes.get(lam)
+        if parts is None:
+            parts = slopes[lam] = tuple([(s.real, s.imag) for s in lam])
+        keyed.append(((a, parts, lam), c))
+    return ExpPoly(axes, tuple((a, lam, c + 0j)
+                               for (a, _, lam), c in merge_terms(keyed)))
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,7 @@ class ExpPoly:
 
 def _constant(axes: tuple, value: complex) -> ExpPoly:
     n = len(axes)
-    return _merge(axes, [((0,) * n, (0j,) * n, complex(value))])
+    return ExpPoly(axes, (((0,) * n, (0j,) * n, complex(value)),) if value else ())
 
 
 def _product(p: ExpPoly, q: ExpPoly) -> ExpPoly:
@@ -107,10 +114,6 @@ def _product(p: ExpPoly, q: ExpPoly) -> ExpPoly:
          tuple(x + y for x, y in zip(lam, mu)), c * d)
         for a, lam, c in p.terms for b, mu, d in q.terms
     ))
-
-
-def _scaled(p: ExpPoly, factor: complex) -> ExpPoly:
-    return _merge(p.axes, ((a, lam, factor * c) for a, lam, c in p.terms))
 
 
 def _shifted_symbol(symbol: dict, lam: tuple, top: tuple) -> dict:
@@ -218,7 +221,9 @@ class _SolutionParser(Parser):
         return value
 
     def negate(self, a: ExpPoly) -> ExpPoly:
-        return _scaled(a, -1)
+        # the product by -1, term by term: an infinite part makes its partner
+        # nan, as in every product, and zero parts read +0, as after a merge
+        return ExpPoly(a.axes, tuple((k, lam, -1 * c + 0j) for k, lam, c in a.terms))
 
     def multiply(self, a: ExpPoly, b: ExpPoly, pos: int) -> ExpPoly:
         if len(a.terms) * len(b.terms) > MAX_TERMS:
@@ -227,14 +232,18 @@ class _SolutionParser(Parser):
         return self._checked(_product(a, b), pos)
 
     def power(self, base: ExpPoly, n: int, pos: int) -> ExpPoly:
-        # square-and-multiply: a few products even for a huge exponent
-        out = _constant(self.axes, 1)
-        while n:
+        # square-and-multiply from the base: a few products even for a huge
+        # exponent
+        if not n:
+            return _constant(self.axes, 1)
+        while not n & 1:
+            base = self.multiply(base, base, pos)
+            n >>= 1
+        out = base
+        while n := n >> 1:
+            base = self.multiply(base, base, pos)
             if n & 1:
                 out = self.multiply(out, base, pos)
-            n >>= 1
-            if n:
-                base = self.multiply(base, base, pos)
         return out
 
     def _function(self, name: str, arg: ExpPoly, pos: int) -> ExpPoly:

@@ -99,9 +99,6 @@ class MatrixPDO:
     def size(self) -> int:
         return len(self.fields)
 
-    def entry(self, i: int, j: int) -> ScalarPDO:
-        return self.entries[i][j]
-
 
 Operator = ScalarPDO | MatrixPDO
 
@@ -130,14 +127,6 @@ def adjoint(op: Operator) -> Operator:
             tuple(adjoint(op.entries[j][i]) for j in range(m)) for i in range(m)
         ),
     )
-
-
-def even_odd_split(op: ScalarPDO) -> tuple:
-    """Split into (even-order part, odd-order part); the parts are exactly
-    the self-adjoint and skew-adjoint pieces."""
-    even = [(a, c) for a, c in op.terms if a.order % 2 == 0]
-    odd = [(a, c) for a, c in op.terms if a.order % 2 == 1]
-    return ScalarPDO(op.axes, tuple(even)), ScalarPDO(op.axes, tuple(odd))
 
 
 def bilinear_rhs(op: Operator) -> BilinearExpr:

@@ -125,9 +125,6 @@ class GaussianRational:
             n >>= 1
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return _gaussian(self._a, -self._b, self._d)
-
     @property
     def is_zero(self) -> bool:
         return not self._a and not self._b
@@ -243,8 +240,8 @@ def merge_terms(pairs: Iterable) -> tuple:
     (key, coefficient) pairs sorted by key.
 
     The one sparse merge of the engine: monomials, polynomials, bilinear
-    expressions, operators, parsed expressions and substituted fluxes all
-    canonicalise through it.
+    expressions, operators, parsed expressions, substituted fluxes and
+    exponential-polynomial terms all canonicalise through it.
     """
     acc: dict = {}
     get = acc.get

@@ -119,19 +119,6 @@ class ConstraintVariety(NamedTuple):
     poly: Poly
     solved: tuple = ()
 
-    def reduces_to(self, reduced: Poly) -> bool:
-        """True when the constraint is a unit multiple of a power of
-        `reduced` (e.g. a squared Laplacian symbol)."""
-        reduced = Poly.coerce(reduced)
-        if reduced.is_zero:
-            return self.poly.is_zero
-        power = reduced
-        for _ in range(8):
-            if self.poly.proportional_to(power):
-                return True
-            power = power * reduced
-        return False
-
 
 def _solved_forms(poly: Poly, names: Sequence[str]) -> tuple:
     out = []
@@ -197,9 +184,6 @@ class GlobalRelation(NamedTuple):
     sign: int
     amplitudes: tuple
     terms: tuple
-
-    def term_multiset(self) -> tuple:
-        return tuple(self.terms)
 
 
 def global_relation(sf: SubstitutedForm, box: Sequence) -> GlobalRelation:

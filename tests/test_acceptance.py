@@ -127,7 +127,7 @@ def _stokes_flux_fixture():
     )
     currents = []
     for axis in range(3):
-        step = MultiIndex.unit(4, axis)
+        step = zero.incr(axis)
         terms = [
             term(one, zero, zero, 3, axis),   # pressure times test velocity
             term(one, zero, zero, axis, 3),   # trial velocity times test pressure
@@ -192,7 +192,7 @@ def test_criterion_5_wave_global_relations():
             got = tuple(
                 (axis, end, sign, coeff, weight, field, tuple(deriv))
                 for axis, end, sign, coeff, weight, field, deriv
-                in rel.term_multiset()
+                in rel.terms
             )
             assert got == _wave_relation_fixture(branch)
 

@@ -563,8 +563,8 @@ def test_coupled_system_gains_mixed_field_flux():
 def _stokes_flux_fixture():
     nu = Poly.var("nu")
     one = Poly.const(1)
-    e = {axis: MultiIndex.unit(4, axis) for axis in range(3)}
     zero = MultiIndex.zero(4)
+    e = {axis: zero.incr(axis) for axis in range(3)}
     rho = {(m, m, tuple(zero), tuple(zero)): one for m in range(3)}
     js = []
     for axis in range(3):

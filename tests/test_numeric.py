@@ -14,6 +14,7 @@ from fundform.forms import assemble
 from fundform.manufactured import (
     ManufacturedSolution,
     SolutionSyntaxError,
+    _merge,
     parse_solution,
 )
 from fundform.parser import MAX_NODES, MAX_TERMS, parse_operator
@@ -130,6 +131,74 @@ def test_terms_merge_and_zeros_drop():
     one = parse_solution("sin(x+y)^2 + cos(x+y)^2", axes)
     assert one.terms == parse_solution("1", axes).terms
     assert parse_solution("exp(x)*x - x*exp(x)", axes).terms == ()
+
+
+def _oracle_merge(triples):
+    """A plain dict summed in input order, zeros dropped, sorted on a and
+    then the (real, imag) pairs of lam."""
+    acc = {}
+    for a, lam, c in triples:
+        acc[a, lam] = acc.get((a, lam), 0) + c
+    return sorted(((a, lam, c) for (a, lam), c in acc.items() if c != 0),
+                  key=lambda t: (t[0], [(s.real, s.imag) for s in t[1]]))
+
+
+def _zero_signs(lam):
+    return [(math.copysign(1, s.real), math.copysign(1, s.imag)) for s in lam]
+
+
+def test_merge_matches_a_dict_and_sort_oracle():
+    # seeded triples on two axes: repeated slopes, zero parts spelled +0 and
+    # -0, and coefficients that cancel; halves keep every sum exact
+    rng = random.Random(2222)
+    zeros = [0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    parts = [1j, -2 + 0j, 0.5 - 1j, complex(-0.0, 3.0)]
+    respelled = cancelled = 0
+    for _ in range(300):
+        triples = []
+        for _ in range(rng.randint(1, 12)):
+            if triples and rng.random() < 0.3:
+                # an earlier (a, lam), its zero parts spelled anew, and its
+                # coefficient taken back out
+                a, lam, c = rng.choice(triples)
+                triples.append((a, tuple(s if s else rng.choice(zeros) for s in lam), -c))
+                continue
+            a = (rng.randint(0, 2), rng.randint(0, 2))
+            lam = tuple(rng.choice(zeros if rng.random() < 0.5 else parts)
+                        for _ in range(2))
+            triples.append((a, lam, complex(rng.randint(-3, 3), rng.randint(-3, 3)) / 2))
+        got = _merge(("x", "y"), triples).terms
+        want = _oracle_merge(triples)
+        # the oracle's terms, in the oracle's order; zeros drop
+        assert list(got) == want
+        assert all(c != 0 for *_, c in got)
+        cancelled += len({(a, lam) for a, lam, _ in triples}) - len(got)
+        # an equal (a, lam) keeps the spelling of its first triple
+        for a, lam, _ in got:
+            spellings = [_zero_signs(mu) for b, mu, _ in triples if (b, mu) == (a, lam)]
+            assert _zero_signs(lam) == spellings[0]
+            respelled += any(signs != spellings[0] for signs in spellings)
+    assert cancelled >= 100 and respelled >= 50
+
+
+def test_negation_and_powers_match_products():
+    # halves and small integers throughout, so that every product is exact
+    rng = random.Random(2223)
+    axes = ("x", "t")
+    for _ in range(15):
+        text = " + ".join(
+            f"{rng.choice(['1', '2', '0.5', '3i'])}*{rng.choice(axes)}^{rng.randint(0, 2)}"
+            f"*{rng.choice(['exp', 'sin', 'cos'])}({rng.choice(['x', '-x', '2*t', 'x-t'])})"
+            for _ in range(rng.randint(1, 2)))
+        p = parse_solution(text, axes)
+        neg = parse_solution(f"-({text})", axes)
+        # each coefficient flips; the keys, their spellings and order stay
+        assert [(a, repr(lam)) for a, lam, _ in neg.terms] == [
+            (a, repr(lam)) for a, lam, _ in p.terms]
+        assert [c for *_, c in neg.terms] == [-c for *_, c in p.terms]
+        for n in range(6):
+            chain = "*".join([f"({text})"] * n) or "1"
+            assert parse_solution(f"({text})^{n}", axes) == parse_solution(chain, axes)
 
 
 def test_symbolic_derivative_against_finite_differences():

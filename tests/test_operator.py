@@ -10,7 +10,6 @@ from fundform.operators import (
     adjoint,
     apply_symbol,
     bilinear_rhs,
-    even_odd_split,
     exponential_slopes,
     symbol,
 )
@@ -116,7 +115,7 @@ def test_repeated_leading_signs():
     assert parse_operator("axes x; -+-+-Dx^2") == parse_operator("axes x; -Dx^2")
     assert parse_operator("axes x,t; Dt - (--Dx^2)") == parse_operator("axes x,t; Dt - Dx^2")
     entry = parse_matrix_operator({"axes": ["x"], "fields": ["a"], "entries": [["+-Dx"]]})
-    assert entry.entry(0, 0) == parse_operator("axes x; -Dx")
+    assert entry.entries[0][0] == parse_operator("axes x; -Dx")
     assert parse_poly("--k", ["k"]) == Poly.var("k")
     assert parse_poly("-+-k^2", ["k"]) == Poly.var("k") ** 2
     assert parse_poly("- -k", ["k"]) == Poly.var("k")
@@ -191,9 +190,9 @@ def test_parse_matrix_stokes():
     op = parse_matrix_operator(STOKES_JSON)
     assert op.size == 4
     assert op.fields == ("u1", "u2", "u3", "p")
-    assert terms_of(op.entry(0, 3)) == {(1, 0, 0, 0): Poly.const(1)}
-    assert terms_of(op.entry(0, 0))[(0, 0, 0, 1)] == Poly.const(1)
-    assert terms_of(op.entry(0, 0))[(2, 0, 0, 0)] == -Poly.var("nu")
+    assert terms_of(op.entries[0][3]) == {(1, 0, 0, 0): Poly.const(1)}
+    assert terms_of(op.entries[0][0])[(0, 0, 0, 1)] == Poly.const(1)
+    assert terms_of(op.entries[0][0])[(2, 0, 0, 0)] == -Poly.var("nu")
 
 
 def test_format_parse_roundtrip_fixed():
@@ -244,9 +243,9 @@ def test_adjoint_stokes_displayed_form():
         "params nu; axes x,y,z,t; -Dt - nu*(Dx^2+Dy^2+Dz^2)"
     )
     for m in range(3):
-        assert adj.entry(m, m).terms == expected_diag.terms
-    assert terms_of(adj.entry(0, 3)) == {(1, 0, 0, 0): Poly.const(-1)}
-    assert terms_of(adj.entry(3, 0)) == {(1, 0, 0, 0): Poly.const(-1)}
+        assert adj.entries[m][m].terms == expected_diag.terms
+    assert terms_of(adj.entries[0][3]) == {(1, 0, 0, 0): Poly.const(-1)}
+    assert terms_of(adj.entries[3][0]) == {(1, 0, 0, 0): Poly.const(-1)}
 
 
 def test_adjoint_involution_randomized():
@@ -256,24 +255,35 @@ def test_adjoint_involution_randomized():
         assert adjoint(adjoint(op)) == op
 
 
+def _even_odd_parts(op: ScalarPDO) -> tuple:
+    """The even-order and the odd-order part of a scalar operator."""
+    return tuple(ScalarPDO(op.axes, tuple((a, c) for a, c in op.terms
+                                          if a.order % 2 == parity))
+                 for parity in (0, 1))
+
+
 def test_even_odd_split_examples():
     wave = wave_operator()
-    even, odd = even_odd_split(wave)
+    even, odd = _even_odd_parts(wave)
     assert even == wave and odd.is_zero
     heat = parse_operator("axes x,t; Dt - Dx^2")
-    even, odd = even_odd_split(heat)
+    even, odd = _even_odd_parts(heat)
     assert even == parse_operator("axes x,t; -Dx^2")
     assert odd == parse_operator("axes x,t; Dt")
     airy = parse_operator("axes x,t; Dt + Dx^3")
-    even, odd = even_odd_split(airy)
+    even, odd = _even_odd_parts(airy)
     assert even.is_zero and odd == airy
+    # the even-order part is the self-adjoint piece, the odd-order part
+    # the skew-adjoint one
+    assert heat + adjoint(heat) == parse_operator("axes x,t; -2*Dx^2")
+    assert heat - adjoint(heat) == parse_operator("axes x,t; 2*Dt")
 
 
 def test_even_odd_split_adjointness_randomized():
     rng = random.Random(17)
     for _ in range(30):
         op = random_operator(rng)
-        even, odd = even_odd_split(op)
+        even, odd = _even_odd_parts(op)
         assert even + odd == op
         assert adjoint(even) == even
         assert adjoint(odd) == -odd

@@ -36,7 +36,8 @@ def test_gaussian_pow_and_conjugate():
     assert z ** 0 == QI_ONE
     assert z ** 3 == z * z * z
     assert z ** -1 == QI_ONE / z
-    assert (z * z.conjugate()).im == 0
+    # the product with the conjugate is |z|^2
+    assert z * GaussianRational(z.re, -z.im) == GaussianRational(z.re ** 2 + z.im ** 2)
 
 
 def test_gaussian_text():
@@ -182,7 +183,6 @@ else:
         _check_against(gx - gy, (x[0] - y[0], x[1] - y[1]))
         _check_against(gx * gy, _ref_mul(x, y))
         _check_against(-gx, (-x[0], -x[1]))
-        _check_against(gx.conjugate(), (x[0], -x[1]))
         _check_against(gx + y[0], (x[0] + y[0], x[1]))
         _check_against(y[0] * gx, (y[0] * x[0], y[0] * x[1]))
         assert (gx == gy) == (x == y)
