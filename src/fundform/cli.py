@@ -38,12 +38,12 @@ from .decompose import (
 )
 from .forms import assemble, exterior_derivative
 from .manufactured import ManufacturedSolution
-from .operators import MatrixPDO, Operator, bilinear_rhs, parameters, refuse_clash
+from .operators import (MatrixPDO, Operator, bilinear_rhs, check_sigma_count,
+                        parameters, refuse_clash)
 from .parser import parse_names, parse_operator, parse_poly
 from .ring import Poly, is_name
 from .spectral import (
     adjoint_constraint,
-    check_sigma_count,
     global_relation,
     integral_representation,
     spinor_isotropic,

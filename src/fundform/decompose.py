@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (BilinearExpr, BilinearTerm, MultiIndex, divergence,
                       expr_sum, pack, product_rule)
 from .operators import MatrixPDO, Operator, ScalarPDO, bilinear_rhs, grid
-from .records import Record
 from .ring import Poly, merge_terms
 
 BRACKET = "bracket"
@@ -61,31 +61,31 @@ class EngineError(RuntimeError):
     """An internal rewrite failed its oracle check; always a bug."""
 
 
-_set = object.__setattr__
+class _PairTermFields(NamedTuple):
+    kind: str
+    coeff: Poly
+    alpha: MultiIndex
+    beta: MultiIndex
+    left_field: int
+    right_field: int
 
 
-class PairTerm(Record):
+class PairTerm(_PairTermFields):
     """A signed bracket or brace:  coeff * [alpha, beta]  or  coeff * {alpha, beta}.
 
     Built as given, like ``BilinearTerm``: callers pass a Poly and two
-    MultiIndexes of one dimension.  Not a tuple, so that ``_walk_term``
-    can tell it from a (current, mirror) pair of products.
+    MultiIndexes of one dimension.
     """
 
-    __slots__ = _fields = ("kind", "coeff", "alpha", "beta", "left_field",
-                           "right_field")
+    __slots__ = ()
 
-    def __init__(self, kind: str, coeff: Poly, alpha: MultiIndex,
-                 beta: MultiIndex, left_field: int = 0,
-                 right_field: int = 0) -> None:
+    def __new__(cls, kind: str, coeff: Poly, alpha: MultiIndex,
+                beta: MultiIndex, left_field: int = 0,
+                right_field: int = 0) -> "PairTerm":
         if kind not in (BRACKET, BRACE):
             raise ValueError(f"unknown pairing kind {kind!r}")
-        _set(self, "kind", kind)
-        _set(self, "coeff", coeff)
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "left_field", left_field)
-        _set(self, "right_field", right_field)
+        return tuple.__new__(cls, (kind, coeff, alpha, beta, left_field,
+                                   right_field))
 
     def to_expr(self) -> BilinearExpr:
         return BilinearExpr(self.products())
@@ -238,33 +238,32 @@ class TermPlan(_TermPlanFields):
                                    tuple(tuple(p) for p in exchanges)))
 
 
-class DecompositionPlan(Record):
+class _DecompositionPlanFields(NamedTuple):
+    items: tuple
+
+
+class DecompositionPlan(_DecompositionPlanFields):
     """Per-term plans keyed by (test field, trial field, multi-index),
-    held sorted by key and looked up by key; a plan that names one term
-    twice is refused."""
+    held sorted by key and looked up by bisection; a plan that names one
+    term twice is refused."""
 
-    __slots__ = ("items", "_plans")
-    _fields = ("items",)
+    __slots__ = ()
 
-    def __init__(self, items) -> None:
-        items = tuple(items)
-        plans = dict(items)
-        if len(plans) < len(items):
-            seen = set()
-            for key, _ in items:
-                if key in seen:
-                    raise PlanError(f"plan names operator term {key} twice")
-                seen.add(key)
-        _set(self, "items", tuple(sorted(items)))
-        _set(self, "_plans", plans)
+    def __new__(cls, items) -> "DecompositionPlan":
+        items = tuple(sorted(items))
+        for (key, _), (after, _) in zip(items, items[1:]):
+            if key == after:
+                raise PlanError(f"plan names operator term {after} twice")
+        return tuple.__new__(cls, (items,))
 
     def get(self, key) -> TermPlan:
         row, col, alpha = key
         key = (row, col, tuple(alpha))
-        plan = self._plans.get(key)
-        if plan is None:
+        items = self.items
+        at = bisect_left(items, (key,))
+        if at == len(items) or items[at][0] != key:
             raise PlanError(f"no plan for operator term {key}")
-        return plan
+        return items[at][1]
 
 
 def _validate_term_plan(alpha: MultiIndex, plan: TermPlan) -> None:
@@ -456,8 +455,8 @@ def _walk_term(alpha: MultiIndex, coeff: Poly, lf: int, rf: int,
                 flux, state = reduce_step(state, step)
                 pairs = ((step, flux),)
             else:
-                current, mirror = (state if isinstance(state, tuple)
-                                   else state.products())
+                current, mirror = (state.products()
+                                   if isinstance(state, PairTerm) else state)
                 current, pairs = exchange_step(current, *step)
                 state = (current, mirror)
             stack.append((step, state, pairs))
@@ -467,7 +466,8 @@ def _walk_term(alpha: MultiIndex, coeff: Poly, lf: int, rf: int,
                 raise EngineError("even-term reduction did not close on a diagonal")
             yield plan, emitted  # [gamma, gamma] = 0
             continue
-        current, mirror = state if isinstance(state, tuple) else state.products()
+        current, mirror = (state.products() if isinstance(state, PairTerm)
+                           else state)
         if len(odd) % 2 == 0:
             if BilinearExpr([current, mirror]):
                 raise EngineError("exchange chain failed to cancel the mirror term")

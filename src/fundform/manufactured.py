@@ -45,11 +45,10 @@ import re
 from dataclasses import dataclass
 from math import comb, perm, prod
 from operator import add, le, sub
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .parser import MAX_TERMS, Parser, TextSyntaxError
-from .records import Record
-from .ring import merge_terms
+from .ring import merge_terms, square_and_multiply
 
 
 def _merge(axes: tuple, triples) -> "ExpPoly":
@@ -236,15 +235,8 @@ class _SolutionParser(Parser):
         # exponent
         if not n:
             return _constant(self.axes, 1)
-        while not n & 1:
-            base = self.multiply(base, base, pos)
-            n >>= 1
-        out = base
-        while n := n >> 1:
-            base = self.multiply(base, base, pos)
-            if n & 1:
-                out = self.multiply(out, base, pos)
-        return out
+        return square_and_multiply(base, n,
+                                   lambda a, b: self.multiply(a, b, pos))
 
     def _function(self, name: str, arg: ExpPoly, pos: int) -> ExpPoly:
         """sum_r weight_r * exp(rate_r * arg) for an affine arg."""
@@ -301,18 +293,12 @@ def parse_solution(source: str, axes: Sequence[str]) -> ExpPoly:
     return expr
 
 
-class ManufacturedSolution(Record):
+class ManufacturedSolution(NamedTuple):
     """Per-field exponential-polynomials on named axes, one ExpPoly per
-    field.  Traces are memoised per (field, deriv) on the instance; the
-    memo takes no part in equality, hashing or the repr."""
+    field."""
 
-    __slots__ = ("axes", "fields", "_traces")
-    _fields = ("axes", "fields")
-
-    def __init__(self, axes: tuple, fields: tuple) -> None:
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "_traces", {})
+    axes: tuple
+    fields: tuple
 
     @staticmethod
     def scalar(axes: Sequence[str], expr: ExpPoly | str) -> "ManufacturedSolution":
@@ -327,10 +313,7 @@ class ManufacturedSolution(Record):
 
     def trace(self, field: int, deriv: Sequence[int]) -> ExpPoly:
         """d^deriv of one field: the one-entry derivative sum."""
-        key = (field, tuple(deriv))
-        if key not in self._traces:
-            self._traces[key] = self.derivative_sum(((1, field, deriv),))
-        return self._traces[key]
+        return self.derivative_sum(((1, field, deriv),))
 
     def derivative_sum(self, entries, shift: Sequence[complex] | None = None) -> ExpPoly:
         """sum coeff * d^deriv q_field over (coeff, field, deriv) entries,

@@ -2,11 +2,12 @@
 
 A scalar operator is a finite sum  sum_alpha c_alpha d^alpha  with exact
 coefficients; a matrix operator is a square grid of scalar ones acting on
-named fields.  This module supplies the formal adjoint, the even/odd
-(self-/skew-adjoint) split, polynomial symbols, and the bilinear pairing
-``qt L q - q L^+ qt`` that the decomposition engine consumes.  The slopes
-``sign * i * sigma_k`` of an exponential ``exp(sign * i * sigma . x)`` come
-from ``exponential_slopes`` alone, for symbols and substitutions alike.
+named fields.  This module supplies the formal adjoint, polynomial
+symbols, and the bilinear pairing ``qt L q - q L^+ qt`` that the
+decomposition engine consumes.  The slopes ``sign * i * sigma_k`` of an
+exponential ``exp(sign * i * sigma . x)`` come from ``exponential_slopes``
+alone, for symbols and substitutions alike, and ``check_sigma_count`` is
+the one rule that a spectral point gives one value per axis.
 """
 
 from __future__ import annotations
@@ -150,10 +151,16 @@ def monomial(coeff: Poly, values: Sequence[Poly], alpha: Iterable[int]) -> Poly:
     return coeff
 
 
+def check_sigma_count(sigma: Sequence, dimension: int) -> None:
+    """Refuse a spectral point that does not give one value per axis; a
+    caller can run this before it pays for the decomposition."""
+    if len(sigma) != dimension:
+        raise ValueError("one spectral value per axis required")
+
+
 def apply_symbol(op: ScalarPDO, values: Sequence[PolyLike]) -> Poly:
     """Evaluate sum_alpha c_alpha * prod_k values[k]^alpha_k."""
-    if len(values) != op.dimension:
-        raise ValueError("one spectral value per axis required")
+    check_sigma_count(values, op.dimension)
     values = [Poly.coerce(v) for v in values]
     total = Poly()
     for alpha, coeff in op.terms:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
+from operator import mul
+from typing import Callable, Iterable, Mapping, Union
 
 RatLike = Union[int, Fraction]
 
@@ -115,15 +116,9 @@ class GaussianRational:
     def __pow__(self, exponent: int) -> "GaussianRational":
         if exponent < 0:
             return (QI_ONE / self) ** (-exponent)
-        result = QI_ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if exponent == 0:
+            return QI_ONE
+        return square_and_multiply(self, exponent, mul)
 
     @property
     def is_zero(self) -> bool:
@@ -251,6 +246,21 @@ def merge_terms(pairs: Iterable) -> tuple:
     items = [item for item in acc.items() if item[1]]
     items.sort()
     return tuple(items)
+
+
+def square_and_multiply(base, n: int, multiply: Callable):
+    """base^n for n >= 1, starting from the base itself: n.bit_length() - 1
+    squarings and one product per set bit of n after the lowest, so
+    ``multiply`` never sees the unit or a square that goes unused."""
+    while not n & 1:
+        base = multiply(base, base)
+        n >>= 1
+    out = base
+    while n := n >> 1:
+        base = multiply(base, base)
+        if n & 1:
+            out = multiply(out, base)
+    return out
 
 
 def _normalize_mono(mono: Iterable) -> Mono:
@@ -389,15 +399,7 @@ class Poly:
             (mono, coeff), = self._terms
             mono = tuple((name, exp * exponent) for name, exp in mono)
             return Poly._trusted(((mono, coeff ** exponent),))
-        result = P_ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return square_and_multiply(self, exponent, mul)
 
     def scale(self, value: ScalarLike) -> "Poly":
         value = GaussianRational.coerce(value)

@@ -22,6 +22,7 @@ from .operators import (
     MatrixPDO,
     ScalarPDO,
     adjoint,
+    check_sigma_count,
     exponential_slopes,
     monomial,
     refuse_clash,
@@ -56,13 +57,6 @@ def _merge_spectral_terms(pairs) -> tuple:
     return tuple(
         (coeff, field, deriv) for (field, deriv), coeff in merge_terms(pairs)
     )
-
-
-def check_sigma_count(sigma: Sequence, dimension: int) -> None:
-    """Refuse a spectral point that does not give one value per axis; a
-    caller can run this before it pays for the decomposition."""
-    if len(sigma) != dimension:
-        raise ValueError("one spectral value per axis required")
 
 
 def substitute_exponential(form: DivergenceDecomposition,

@@ -35,26 +35,29 @@ from .forms import assemble
 from .manufactured import ManufacturedSolution
 from .operators import Operator, adjoint, apply_symbol_rows, exponential_slopes, grid
 from .parser import MAX_NODES
-from .records import Record
 from .ring import P_ONE, PolyLike
 from .spectral import SubstitutedForm, substitute_exponential
 
 DEFAULT_RELATIVE_TOL = 1e-8
 
 
-class QuadratureSpec(Record):
+class _QuadratureSpecFields(NamedTuple):
+    nodes: int
+
+
+class QuadratureSpec(_QuadratureSpecFields):
     """Gauss-Legendre nodes per axis for the face integrals."""
 
-    __slots__ = _fields = ("nodes",)
+    __slots__ = ()
 
-    def __init__(self, nodes: int = 20) -> None:
+    def __new__(cls, nodes: int = 20) -> "QuadratureSpec":
         if nodes < 1:
             raise ValueError("quadrature needs at least one node per axis")
         if nodes > MAX_NODES:
             raise ValueError(
                 f"quadrature takes at most {MAX_NODES} nodes per axis"
             )
-        object.__setattr__(self, "nodes", nodes)
+        return tuple.__new__(cls, (nodes,))
 
 
 class ResidualReport(NamedTuple):

@@ -120,6 +120,13 @@ def test_record_repr_lists_its_fields(cls, fields, make, other):
 
 
 @pytest.mark.parametrize("cls, fields, make, other", RECORDS, ids=IDS)
+def test_record_is_the_tuple_of_its_fields(cls, fields, make, other):
+    record = make()
+    assert isinstance(record, tuple)
+    assert record == tuple(getattr(record, name) for name in fields)
+
+
+@pytest.mark.parametrize("cls, fields, make, other", RECORDS, ids=IDS)
 def test_record_equality_and_hash(cls, fields, make, other):
     record, copy, changed = make(), make(), other()
     assert record is not copy
@@ -203,9 +210,14 @@ def test_decomposition_plan_sorts_its_items():
     assert plan.items == (first, second)
     assert plan == DecompositionPlan((first, second))
     assert hash(plan) == hash(DecompositionPlan((first, second)))
+    assert plan.get((0, 0, (0, 2))) == TermPlan((1,))
     assert plan.get((0, 0, (2, 0))) == TermPlan((0,))
+    # below, between and above the stored keys
+    for key in ((0, 0, (0, 1)), (0, 0, (1, 1)), (0, 0, (3, 0)), (0, 1, (0, 0))):
+        with pytest.raises(PlanError, match="no plan for operator term"):
+            plan.get(key)
     with pytest.raises(PlanError, match="no plan for operator term"):
-        plan.get((0, 0, (1, 1)))
+        DecompositionPlan(()).get((0, 0, (2, 0)))
 
 
 def test_decomposition_plan_refuses_a_term_named_twice():
@@ -214,19 +226,25 @@ def test_decomposition_plan_refuses_a_term_named_twice():
         DecompositionPlan(((key, TermPlan((0,))), (key, TermPlan((1,)))))
     with pytest.raises(PlanError, match="names operator term .* twice"):
         DecompositionPlan(((key, TermPlan((0,))), (key, TermPlan((0,)))))
+    # the repeat is found wherever it stands in the input
+    other = ((0, 0, MultiIndex((1, 1))), TermPlan((), (0,), ()))
+    with pytest.raises(PlanError,
+                       match=r"names operator term \(0, 0, \(2, 0\)\) twice"):
+        DecompositionPlan(((key, TermPlan((0,))), other, (key, TermPlan((1,)))))
     # a plain tuple and a MultiIndex name the same term
     with pytest.raises(PlanError, match="twice"):
         DecompositionPlan(((key, TermPlan((0,))), ((0, 0, (2, 0)), TermPlan((0,)))))
 
 
-def test_manufactured_solution_memo_stays_out_of_equality():
+def test_manufactured_solution_is_unchanged_by_a_trace():
     used = ManufacturedSolution.scalar(("x", "t"), "x^3*t + exp(x)")
     fresh = ManufacturedSolution.scalar(("x", "t"), "x^3*t + exp(x)")
     before = repr(used)
+    assert used == fresh and hash(used) == hash(fresh)
     used.trace(0, (2, 1))
-    assert used._traces and not fresh._traces
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == before == repr(fresh)
+    # the benchmark's tracer wraps trace in the class dict
     assert "trace" in vars(ManufacturedSolution)
 
 

@@ -119,6 +119,38 @@ def test_poly_negative_power_rejected():
         Poly.var("s") ** -1
 
 
+def _counting(monkeypatch, cls):
+    calls = []
+    original = cls.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_power_squares_from_its_base(monkeypatch, n):
+    """bit_length - 1 squarings and one product per further set bit."""
+    base = Poly.var("s1") + Poly.var("s2")
+    chain = base
+    for _ in range(n - 1):
+        chain = chain * base
+    z = GaussianRational(3, 4)
+    z_chain = z
+    for _ in range(n - 1):
+        z_chain = z_chain * z
+    products = n.bit_length() - 1 + bin(n).count("1") - 1
+    calls = _counting(monkeypatch, Poly)
+    assert base ** n == chain
+    assert len(calls) == products
+    calls = _counting(monkeypatch, GaussianRational)
+    assert z ** n == z_chain
+    assert len(calls) == products
+
+
 # Reference model: a Gaussian rational as a pair of Fractions (re, im), with
 # the arithmetic and text of the Fraction-pair representation.
 

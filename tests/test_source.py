@@ -37,8 +37,8 @@ def test_no_module_imports_numpy():
     assert SOURCES and not found
 
 
-ENGINE_MODULES = {"ring", "algebra", "operators", "parser", "records",
-                  "decompose", "forms", "spectral", "manufactured"}
+ENGINE_MODULES = {"ring", "algebra", "operators", "parser", "decompose",
+                  "forms", "spectral", "manufactured"}
 FRONT_END_MODULES = {"catalog", "verify", "emit", "cli"}
 
 
