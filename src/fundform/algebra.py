@@ -26,6 +26,12 @@ and ``product_rule`` refuses in O(1) a derivative that could pass 255.
 Packing refuses an entry or field index outside 0..255 with ValueError.
 Terms are unpacked into ``BilinearTerm``s with ``MultiIndex`` slots only
 when ``terms`` or iteration asks for them, once per expression.
+
+The rewrite rules of ``decompose`` form packed keys directly: ``pack``, the
+one packing helper, turns their products into (key, coeff) pairs through
+the same byte check, and ``_packed`` wraps merged pairs, with the
+dimension and top byte ``BilinearExpr`` would compute, as an expression
+without building a term.
 """
 
 from __future__ import annotations
@@ -141,9 +147,12 @@ def _key_bytes(left_field: int, right_field: int, left, right) -> bytes:
         ) from None
 
 
-def pack(terms: Iterable[BilinearTerm]) -> list:
+def pack(terms: Iterable) -> list:
     """(key, coeff) pairs of the terms, unmerged: the form ``product_rule``
-    returns, so that a rewrite step merges both in one identity."""
+    returns, so that a rewrite step merges both in one identity.  A term
+    is a BilinearTerm or a plain (coeff, left_field, left, right_field,
+    right) tuple; a field index or count outside 0..255 raises
+    ValueError, never a key whose byte carried."""
     return [(int.from_bytes(_key_bytes(lf, rf, left, right), "big"), coeff)
             for coeff, lf, left, rf, right in terms]
 

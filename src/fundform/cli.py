@@ -164,13 +164,16 @@ def _spectral_names(args, op: Operator, box=()) -> list:
     return names
 
 
-def _emit(args, document: dict, latex: str, text: str) -> None:
+def _emit(args, document, latex, text) -> None:
+    """Print the rendering that --format asks for.  Each argument is a
+    callable of no arguments that renders one format (the JSON document as
+    a dict), and only the chosen one is called."""
     if args.format == "json":
-        print(emit.to_pretty_json(document))
+        print(emit.to_pretty_json(document()))
     elif args.format == "latex":
-        print(latex)
+        print(latex())
     else:
-        print(text)
+        print(text())
 
 
 def _json_array(items, pad: str) -> str:
@@ -230,8 +233,9 @@ def cmd_decompose(args) -> int:
     op = _load_operator(args)
     plan = _parse_plan(op, args)
     dec = decompose(op, plan)
-    _emit(args, emit.decomposition_json(dec), emit.decomposition_latex(dec),
-          emit.decomposition_text(dec))
+    _emit(args, lambda: emit.decomposition_json(dec),
+          lambda: emit.decomposition_latex(dec),
+          lambda: emit.decomposition_text(dec))
     return 0
 
 
@@ -262,15 +266,13 @@ def cmd_count(args) -> int:
             "plans": term_plan_count(alpha),
         })
     total = _form_count(op)
-    document = {"count": total, "terms": breakdown}
-    text = "\n".join(
-        [f"N = {total}"] + [
-            f"  alpha={tuple(t['alpha'])} sigma={t['sigma']} odd={t['odd_axes']} "
-            f"plans={t['plans']}"
-            for t in breakdown
-        ]
-    )
-    _emit(args, document, f"N(\\mathcal{{L}}) = {total}", text)
+    _emit(args, lambda: {"count": total, "terms": breakdown},
+          lambda: f"N(\\mathcal{{L}}) = {total}",
+          lambda: "\n".join([f"N = {total}"] + [
+              f"  alpha={tuple(t['alpha'])} sigma={t['sigma']} "
+              f"odd={t['odd_axes']} plans={t['plans']}"
+              for t in breakdown
+          ]))
     return 0
 
 
@@ -305,8 +307,9 @@ def cmd_enumerate(args) -> int:
     if total > DEFAULT_PLAN_CEILING:
         document["plans"] = None
         document["note"] = "plan family exceeds the ceiling; count only"
-        _emit(args, document, f"N(\\mathcal{{L}}) = {total}",
-              f"N = {total} (exceeds ceiling {DEFAULT_PLAN_CEILING}; count only)")
+        _emit(args, lambda: document, lambda: f"N(\\mathcal{{L}}) = {total}",
+              lambda: (f"N = {total} (exceeds ceiling {DEFAULT_PLAN_CEILING}; "
+                       "count only)"))
         return 0
     # The check costs one piece per (term, term plan); a family of at most
     # PAIRWISE_SUMMARY_LIMIT members is always checked.
@@ -320,7 +323,8 @@ def cmd_enumerate(args) -> int:
     text_lines = [f"N = {total}"]
     if verdict is not None:
         text_lines.append(f"pairwise equivalent: {str(verdict).lower()}")
-    _emit(args, document, f"N(\\mathcal{{L}}) = {total}", "\n".join(text_lines))
+    _emit(args, lambda: document, lambda: f"N(\\mathcal{{L}}) = {total}",
+          lambda: "\n".join(text_lines))
     return 0
 
 
@@ -328,16 +332,19 @@ def cmd_constraint(args) -> int:
     op = _load_operator(args)
     names = _spectral_names(args, op)
     variety = adjoint_constraint(op, names)
-    document = {
-        "names": names,
-        "poly": variety.poly.to_text(),
-        "solved": [
-            {"name": name, "num": num.to_text(), "den": den.to_text()}
-            for name, num, den in variety.solved
-        ],
-    }
-    _emit(args, document, f"{variety.poly.to_latex()} = 0",
-          f"{variety.poly.to_text()} = 0")
+
+    def document() -> dict:
+        return {
+            "names": names,
+            "poly": variety.poly.to_text(),
+            "solved": [
+                {"name": name, "num": num.to_text(), "den": den.to_text()}
+                for name, num, den in variety.solved
+            ],
+        }
+
+    _emit(args, document, lambda: f"{variety.poly.to_latex()} = 0",
+          lambda: f"{variety.poly.to_text()} = 0")
     return 0
 
 
@@ -357,17 +364,18 @@ def cmd_global_relation(args) -> int:
     dec = decompose(op)
     sub = substitute_exponential(assemble(dec), sigma, args.exp_sign)
     rel = global_relation(sub, box)
-    document = emit.relation_json(rel)
-    _emit(args, document, emit.relation_latex(rel),
-          json.dumps(document["terms"], indent=1))
+    _emit(args, lambda: emit.relation_json(rel),
+          lambda: emit.relation_latex(rel),
+          lambda: json.dumps(emit.relation_json(rel)["terms"], indent=1))
     return 0
 
 
 def cmd_represent(args) -> int:
     op = _load_operator(args)
     rep = integral_representation(op)
-    _emit(args, emit.representation_json(rep), emit.representation_latex(rep),
-          f"denominator: {rep.denominator.to_text()}")
+    _emit(args, lambda: emit.representation_json(rep),
+          lambda: emit.representation_latex(rep),
+          lambda: f"denominator: {rep.denominator.to_text()}")
     return 0
 
 
@@ -386,7 +394,7 @@ def cmd_verify(args) -> int:
         f"(scale {report['scale']:.3e}) -> "
         f"{'pass' if report['passed'] else 'FAIL'}"
     )
-    _emit(args, report, f"% {text}", text)
+    _emit(args, lambda: report, lambda: f"% {text}", lambda: text)
     return 0 if report["passed"] else 1
 
 
@@ -406,22 +414,22 @@ def cmd_stokes(args) -> int:
         ),
         "decomposition_verified": dec.verified,
     }
-    document = {
-        "fields": list(op.fields),
-        "decomposition": emit.decomposition_json(dec),
-        "form_latex": emit.form_latex(form),
-        "spinor": {
-            "k": [c.to_text() for c in triple.k],
-            "adjoint_rows": [row.to_text() for row in rows],
-        },
-        "checks": checks,
-    }
-    ok = all(checks.values())
-    text = "\n".join(
-        [f"{name}: {str(value).lower()}" for name, value in checks.items()]
-    )
-    _emit(args, document, emit.form_latex(form), text)
-    return 0 if ok else 1
+
+    def document() -> dict:
+        return {
+            "fields": list(op.fields),
+            "decomposition": emit.decomposition_json(dec),
+            "form_latex": emit.form_latex(form),
+            "spinor": {
+                "k": [c.to_text() for c in triple.k],
+                "adjoint_rows": [row.to_text() for row in rows],
+            },
+            "checks": checks,
+        }
+
+    _emit(args, document, lambda: emit.form_latex(form), lambda: "\n".join(
+        f"{name}: {str(value).lower()}" for name, value in checks.items()))
+    return 0 if all(checks.values()) else 1
 
 
 def _common(p, op: bool = True) -> None:

@@ -17,6 +17,13 @@ and a completed decomposition is re-checked as a whole before it
 is returned, so a bookkeeping slip is a loud failure at the step where it
 happens rather than a wrong answer.
 
+Each rule is a builder (``_reduce``, ``_exchange``, ``_collapse``) and the
+identity check around it.  The builders form their fluxes' packed keys
+directly, through ``algebra.pack``, which refuses a count past 255, and
+wrap them with ``algebra._packed``; the checks pack the products of the
+step's input and output with the same helper.  No ``BilinearExpr`` is
+constructed from terms on this path.
+
 Plans record the free choices (reduction order, transfer subset, exchange
 pairing order); enumerating them reproduces the full family of
 constructible decompositions, whose size is  prod_alpha O_alpha! sigma(alpha).
@@ -31,8 +38,8 @@ import math
 from bisect import bisect_left
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import (BilinearExpr, BilinearTerm, MultiIndex, divergence,
-                      expr_sum, pack, product_rule)
+from .algebra import (BilinearExpr, BilinearTerm, MultiIndex, _packed,
+                      divergence, expr_sum, pack, product_rule)
 from .operators import MatrixPDO, Operator, ScalarPDO, bilinear_rhs, grid
 from .ring import Poly, merge_terms
 
@@ -87,6 +94,11 @@ class PairTerm(_PairTermFields):
         return tuple.__new__(cls, (kind, coeff, alpha, beta, left_field,
                                    right_field))
 
+    @classmethod
+    def _make(cls, iterable) -> "PairTerm":
+        """Build through the checked constructor; ``_replace`` calls this."""
+        return cls(*iterable)
+
     def to_expr(self) -> BilinearExpr:
         return BilinearExpr(self.products())
 
@@ -102,16 +114,29 @@ class PairTerm(_PairTermFields):
 
 def _reduce(pair: PairTerm, k: int) -> tuple:
     """What ``reduce_step`` returns, before its identity is checked."""
-    if pair.alpha[k] < 1:
+    kind, coeff, alpha, beta, lf, rf = pair
+    if alpha[k] < 1:
         raise PlanError(
-            f"axis {k} has no derivative left to move in {tuple(pair.alpha)}"
+            f"axis {k} has no derivative left to move in {tuple(alpha)}"
         )
-    lowered = pair.alpha.decr(k)
-    flux = PairTerm(pair.kind, pair.coeff, lowered, pair.beta,
-                    pair.left_field, pair.right_field)
-    remainder = PairTerm(pair.kind, -pair.coeff, lowered, pair.beta.incr(k),
-                         pair.left_field, pair.right_field)
-    return flux.to_expr(), remainder
+    lowered = alpha.decr(k)
+    negated = -coeff
+    # the flux is the pairing coeff * K(lowered, beta): its two products,
+    # packed and merged as BilinearExpr would merge them
+    flux = _packed(merge_terms(pack((
+        (coeff, lf, lowered, rf, beta),
+        (negated if kind == BRACKET else coeff, lf, beta, rf, lowered),
+    ))), len(alpha), max(lf, rf, *lowered, *beta))
+    remainder = tuple.__new__(PairTerm, (kind, negated, lowered,
+                                         beta.incr(k), lf, rf))
+    return flux, remainder
+
+
+def _products(pair: PairTerm, coeff: Poly, mirror: Poly) -> tuple:
+    """The two products of the pairing `pair`, with `coeff` on the first
+    and `mirror` on the mirrored one, as ``pack`` takes them."""
+    _, _, alpha, beta, lf, rf = pair
+    return (coeff, lf, alpha, rf, beta), (mirror, lf, beta, rf, alpha)
 
 
 def reduce_step(pair: PairTerm, k: int) -> tuple:
@@ -122,11 +147,15 @@ def reduce_step(pair: PairTerm, k: int) -> tuple:
     Returns (flux expression for axis k, remaining PairTerm).
     """
     flux, remainder = _reduce(pair, k)
-    negated = PairTerm(pair.kind, -pair.coeff, pair.alpha, pair.beta,
-                       pair.left_field, pair.right_field)
+    coeff, rest = pair.coeff, remainder.coeff
+    negated = -coeff
+    # a bracket's mirror carries the opposite sign, a brace's the same
+    minus = _products(pair, negated,
+                      coeff if pair.kind == BRACKET else negated)
+    plus = _products(remainder, rest,
+                     -rest if remainder.kind == BRACKET else rest)
     # d_k flux + remainder - pair, in one merge of packed terms
-    if merge_terms([*product_rule(flux, k),
-                    *pack((*remainder.products(), *negated.products()))]):
+    if merge_terms([*product_rule(flux, k), *pack((*plus, *minus))]):
         raise EngineError(f"reduction step failed its identity on axis {k}")
     return flux, remainder
 
@@ -134,22 +163,20 @@ def reduce_step(pair: PairTerm, k: int) -> tuple:
 def _exchange(term: BilinearTerm, k: int, j: int) -> tuple:
     """What ``exchange_step`` returns, before its identity is checked:
     (swapped term, flux_k, flux_j)."""
-    if term.left[k] < 1:
+    coeff, lf, left, rf, right = term
+    if left[k] < 1:
         raise PlanError(f"trial slot has no axis-{k} derivative in {term.key}")
-    if term.right[j] < 1:
+    if right[j] < 1:
         raise PlanError(f"test slot has no axis-{j} derivative in {term.key}")
-    lowered = term.left.decr(k)
-    moved = term.right.decr(j).incr(k)
-    swapped = BilinearTerm(term.coeff, term.left_field, lowered.incr(j),
-                           term.right_field, moved)
-    flux_k = BilinearExpr([
-        BilinearTerm(term.coeff, term.left_field, lowered, term.right_field,
-                     term.right)
-    ])
-    flux_j = BilinearExpr([
-        BilinearTerm(-term.coeff, term.left_field, lowered,
-                     term.right_field, moved)
-    ])
+    lowered = left.decr(k)
+    moved = right.decr(j).incr(k)
+    swapped = tuple.__new__(BilinearTerm, (coeff, lf, lowered.incr(j), rf,
+                                           moved))
+    (key_k, _), (key_j, negated) = pack(((coeff, lf, lowered, rf, right),
+                                         (-coeff, lf, lowered, rf, moved)))
+    n = len(left)
+    flux_k = _packed(((key_k, coeff),), n, max(lf, rf, *lowered, *right))
+    flux_j = _packed(((key_j, negated),), n, max(lf, rf, *lowered, *moved))
     return swapped, flux_k, flux_j
 
 
@@ -161,29 +188,28 @@ def exchange_step(term: BilinearTerm, k: int, j: int) -> tuple:
     swapped, flux_k, flux_j = _exchange(term, k, j)
     # swapped + d_k flux_k + d_j flux_j - term, in one merge of packed terms
     if merge_terms([*product_rule(flux_k, k), *product_rule(flux_j, j),
-                    *pack((swapped, term.negated()))]):
+                    *pack((swapped, (-term.coeff, *term[1:])))]):
         raise EngineError(f"exchange step failed its identity on axes {k},{j}")
     return swapped, ((k, flux_k), (j, flux_j))
 
 
 def _collapse(first: BilinearTerm, second: BilinearTerm) -> tuple:
     """What ``collapse_step`` returns, before its identity is checked."""
-    if (first.left_field, first.right_field) != (second.left_field,
-                                                 second.right_field):
+    coeff, lf, left, rf, right = first
+    if (lf, rf) != (second.left_field, second.right_field):
         raise EngineError("collapse pair mixes fields")
-    if first.coeff != second.coeff:
+    if coeff != second.coeff:
         raise EngineError("collapse pair has mismatched coefficients")
-    diff = [a - b for a, b in zip(first.left, second.left)]
+    diff = [a - b for a, b in zip(left, second.left)]
     axes = [r for r, d in enumerate(diff) if d]
     if len(axes) != 1 or diff[axes[0]] != 1:
         raise EngineError("terms do not form a product-rule pair")
     r = axes[0]
-    if second.right != first.right.incr(r):
+    if second.right != right.incr(r):
         raise EngineError("terms do not form a product-rule pair")
-    return r, BilinearExpr([
-        BilinearTerm(first.coeff, first.left_field, second.left,
-                     first.right_field, first.right)
-    ])
+    lowered = second.left
+    return r, _packed(tuple(pack(((coeff, lf, lowered, rf, right),))),
+                      len(left), max(lf, rf, *lowered, *right))
 
 
 def collapse_step(first: BilinearTerm, second: BilinearTerm) -> tuple:
@@ -196,9 +222,13 @@ def collapse_step(first: BilinearTerm, second: BilinearTerm) -> tuple:
     here pins the factor.
     """
     r, flux = _collapse(first, second)
+    coeff, other = first.coeff, second.coeff
+    negated = -coeff
+    # the two products of one brace share their coefficient
+    other = negated if other is coeff else -other
     # d_r flux - first - second, in one merge of packed terms
     if merge_terms([*product_rule(flux, r),
-                    *pack((first.negated(), second.negated()))]):
+                    *pack(((negated, *first[1:]), (other, *second[1:])))]):
         raise EngineError("pair collapse failed its identity")
     return r, flux
 
@@ -237,6 +267,11 @@ class TermPlan(_TermPlanFields):
         return tuple.__new__(cls, (tuple(path), tuple(transfer),
                                    tuple(tuple(p) for p in exchanges)))
 
+    @classmethod
+    def _make(cls, iterable) -> "TermPlan":
+        """Build through the checked constructor; ``_replace`` calls this."""
+        return cls(*iterable)
+
 
 class _DecompositionPlanFields(NamedTuple):
     items: tuple
@@ -255,6 +290,11 @@ class DecompositionPlan(_DecompositionPlanFields):
             if key == after:
                 raise PlanError(f"plan names operator term {after} twice")
         return tuple.__new__(cls, (items,))
+
+    @classmethod
+    def _make(cls, iterable) -> "DecompositionPlan":
+        """Build through the checked constructor; ``_replace`` calls this."""
+        return cls(*iterable)
 
     def get(self, key) -> TermPlan:
         row, col, alpha = key

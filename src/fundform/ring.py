@@ -76,7 +76,11 @@ class GaussianRational:
             other = GaussianRational.coerce(other)
         d, e = self._d, other._d
         if d == 1 and e == 1:
-            return _gaussian(self._a + other._a, self._b + other._b, 1)
+            value = object.__new__(GaussianRational)
+            value._a = self._a + other._a
+            value._b = self._b + other._b
+            value._d = 1
+            return value
         return _reduced(self._a * e + other._a * d, self._b * e + other._b * d,
                         d * e)
 
@@ -89,7 +93,11 @@ class GaussianRational:
         return GaussianRational.coerce(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return _gaussian(-self._a, -self._b, self._d)
+        value = object.__new__(GaussianRational)
+        value._a = -self._a
+        value._b = -self._b
+        value._d = self._d
+        return value
 
     def __mul__(self, other: "ScalarLike") -> "GaussianRational":
         if type(other) is not GaussianRational:
@@ -359,14 +367,21 @@ class Poly:
         if not mine:
             return other
         if len(mine) == 1 and len(theirs) == 1 and mine[0][0] == theirs[0][0]:
+            # one monomial each: a cancellation is the shared zero
             coeff = mine[0][1] + theirs[0][1]
-            return Poly._trusted(((mine[0][0], coeff),) if coeff else ())
+            if not coeff:
+                return P_ZERO
+            value = object.__new__(Poly)
+            value._terms = ((mine[0][0], coeff),)
+            return value
         return Poly._trusted(merge_terms(mine + theirs))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(tuple((mono, -coeff) for mono, coeff in self._terms))
+        value = object.__new__(Poly)
+        value._terms = tuple([(mono, -coeff) for mono, coeff in self._terms])
+        return value
 
     def __sub__(self, other: "PolyLike") -> "Poly":
         return self + (-Poly.coerce(other))

@@ -59,6 +59,11 @@ class QuadratureSpec(_QuadratureSpecFields):
             )
         return tuple.__new__(cls, (nodes,))
 
+    @classmethod
+    def _make(cls, iterable) -> "QuadratureSpec":
+        """Build through the checked constructor; ``_replace`` calls this."""
+        return cls(*iterable)
+
 
 class ResidualReport(NamedTuple):
     residual: complex

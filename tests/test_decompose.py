@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_operator
+from conftest import random_operator, random_poly
 from fundform.algebra import (
     BilinearExpr,
     BilinearTerm,
@@ -202,6 +202,107 @@ def test_brace_collapse_pair_shape_errors():
     with pytest.raises(EngineError):  # mixed fields
         collapse_step(first, BilinearTerm(second.coeff, 1, second.left, 0,
                                           second.right))
+
+
+def _same_packing(flux, terms):
+    """`flux` holds the pairs, dimension and top byte of the expression
+    that BilinearExpr builds from `terms`."""
+    expect = BilinearExpr(terms)
+    assert (flux._pairs, flux._dim, flux._top) == (
+        expect._pairs, expect._dim, expect._top)
+    assert type(flux._pairs) is tuple and flux == expect
+
+
+def _entries(rng, n):
+    """n derivative counts in 0..254, the edges and small counts often."""
+    return MultiIndex(rng.choice((0, 1, 2, 253, 254, rng.randint(0, 254)))
+                      for _ in range(n))
+
+
+def test_builders_pack_their_fluxes_as_bilinear_expr_would():
+    # each builder forms its flux's packed keys directly; the flux must be
+    # the expression BilinearExpr would build from the same products
+    rng = random.Random(2024)
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        lf, rf = rng.randint(0, 3), rng.randint(0, 3)
+        coeff = random_poly(rng, names=("nu", "k"))
+        kind = rng.choice((BRACKET, BRACE))
+        alpha, beta = _entries(rng, n), _entries(rng, n)
+        k = rng.randrange(n)
+        if rng.random() < 0.2:  # on the diagonal the two products meet
+            beta = alpha
+        if alpha[k] == 0:
+            alpha = alpha.incr(k)
+        pair = PairTerm(kind, coeff, alpha, beta, lf, rf)
+        lowered = alpha.decr(k)
+        flux, remainder = engine._reduce(pair, k)
+        _same_packing(flux, PairTerm(kind, coeff, lowered, beta, lf,
+                                     rf).products())
+        assert remainder == PairTerm(kind, -coeff, lowered, beta.incr(k),
+                                     lf, rf)
+        if flux._top < 255:
+            assert reduce_step(pair, k) == (flux, remainder)
+
+        # exchange: axis k of the trial slot with axis j of the test slot
+        left, right = _entries(rng, n), _entries(rng, n)
+        j = rng.randrange(n)
+        if left[k] == 0:
+            left = left.incr(k)
+        if right[j] == 0:
+            right = right.incr(j)
+        start = BilinearTerm(coeff, lf, left, rf, right)
+        swapped, flux_k, flux_j = engine._exchange(start, k, j)
+        moved = right.decr(j).incr(k)
+        assert swapped == BilinearTerm(coeff, lf, left.decr(k).incr(j), rf,
+                                       moved)
+        _same_packing(flux_k, [BilinearTerm(coeff, lf, left.decr(k), rf,
+                                            right)])
+        _same_packing(flux_j, [BilinearTerm(-coeff, lf, left.decr(k), rf,
+                                            moved)])
+        if max(flux_k._top, flux_j._top, *swapped.left) < 255:
+            assert exchange_step(start, k, j) == (
+                swapped, ((k, flux_k), (j, flux_j)))
+
+        # collapse of T(c + e_r, d) + T(c, d + e_r) into T(c, d)
+        base, rest = _entries(rng, n), _entries(rng, n)
+        first = BilinearTerm(coeff, lf, base.incr(k), rf, rest)
+        second = BilinearTerm(coeff, lf, base, rf, rest.incr(k))
+        r, flux = engine._collapse(first, second)
+        assert r == k
+        _same_packing(flux, [BilinearTerm(coeff, lf, base, rf, rest)])
+        if flux._top < 255:
+            assert collapse_step(first, second) == (r, flux)
+
+
+def test_steps_refuse_a_count_past_the_packed_width():
+    # 255 is the largest count a key byte holds: a step whose result would
+    # hold 256 raises, and never carries into the neighbouring byte
+    one = Poly.const(1)
+    pair = PairTerm(BRACE, one, MultiIndex((2, 1)), MultiIndex((254, 0)), 0, 3)
+    flux, remainder = reduce_step(pair, 0)
+    assert remainder.beta == (255, 0) and flux._top == 254
+    with pytest.raises(ValueError, match="packed width"):
+        reduce_step(remainder, 0)
+    # the exchange's moved test slot, and its swapped trial slot
+    with pytest.raises(ValueError, match="0..255"):
+        exchange_step(BilinearTerm(one, 0, MultiIndex((1, 0)), 0,
+                                   MultiIndex((255, 1))), 0, 1)
+    with pytest.raises(ValueError, match="0..255"):
+        engine._exchange(BilinearTerm(one, 0, MultiIndex((1, 0)), 0,
+                                      MultiIndex((255, 1))), 0, 1)
+    with pytest.raises(ValueError):
+        exchange_step(BilinearTerm(one, 0, MultiIndex((1, 255)), 0,
+                                   MultiIndex((0, 1))), 0, 1)
+    # a collapse whose flux holds 255 cannot be differentiated
+    first = BilinearTerm(one, 0, MultiIndex((1, 255)), 0, MultiIndex((0, 0)))
+    second = BilinearTerm(one, 0, MultiIndex((0, 255)), 0, MultiIndex((1, 0)))
+    with pytest.raises(ValueError, match="packed width"):
+        collapse_step(first, second)
+    # field indices past 255 are refused by the same packing
+    with pytest.raises(ValueError, match="0..255"):
+        reduce_step(PairTerm(BRACKET, one, MultiIndex((1,)), MultiIndex((0,)),
+                             256, 0), 0)
 
 
 # ---------------------------------------------------------------------------

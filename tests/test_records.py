@@ -24,7 +24,7 @@ from fundform.decompose import (
 )
 from fundform.manufactured import ManufacturedSolution
 from fundform.operators import ScalarPDO
-from fundform.parser import parse_scalar_operator
+from fundform.parser import MAX_NODES, parse_scalar_operator
 from fundform.ring import QI_I, Poly
 from fundform.spectral import (
     ConstraintVariety,
@@ -234,6 +234,51 @@ def test_decomposition_plan_refuses_a_term_named_twice():
     # a plain tuple and a MultiIndex name the same term
     with pytest.raises(PlanError, match="twice"):
         DecompositionPlan(((key, TermPlan((0,))), ((0, 0, (2, 0)), TermPlan((0,)))))
+
+
+def test_make_and_replace_go_through_the_checked_constructor():
+    # NamedTuple's own _make and _replace build with tuple.__new__; each
+    # checked record routes them through its constructor instead
+    spec = QuadratureSpec(20)
+    for bad in (0, MAX_NODES + 1):
+        with pytest.raises(ValueError, match="quadrature"):
+            spec._replace(nodes=bad)
+        with pytest.raises(ValueError, match="quadrature"):
+            QuadratureSpec._make([bad])
+    assert spec._replace(nodes=8) == QuadratureSpec._make([8]) == (8,)
+    assert type(spec._replace(nodes=8)) is QuadratureSpec
+
+    pair = PairTerm(BRACKET, Poly.const(2), MultiIndex((1, 0)),
+                    MultiIndex((0, 1)))
+    with pytest.raises(ValueError, match="unknown pairing kind 'bogus'"):
+        pair._replace(kind="bogus")
+    with pytest.raises(ValueError, match="unknown pairing kind 'bogus'"):
+        PairTerm._make(("bogus", *pair[1:]))
+    assert pair._replace(kind=BRACE) == PairTerm(BRACE, *pair[1:])
+    assert PairTerm._make(pair) == pair and type(PairTerm._make(pair)) is PairTerm
+
+    plan = TermPlan._make(([0], iter([1]), [[0, 1]]))
+    assert plan == TermPlan([0], [1], [[0, 1]]) == ((0,), (1,), ((0, 1),))
+    assert type(plan.path) is type(plan.transfer) is tuple
+    assert type(plan.exchanges[0]) is tuple
+    replaced = plan._replace(exchanges=[[1, 0]])
+    assert replaced.exchanges == ((1, 0),) and type(replaced.exchanges[0]) is tuple
+
+    first = ((0, 0, MultiIndex((0, 2))), TermPlan((1,)))
+    second = ((0, 0, MultiIndex((2, 0))), TermPlan((0,)))
+    for built in (DecompositionPlan._make([(second, first)]),
+                  DecompositionPlan(())._replace(items=(second, first))):
+        assert built == DecompositionPlan((first, second))
+        assert built.items == (first, second)
+        assert built.get((0, 0, (0, 2))) == TermPlan((1,))
+        assert built.get((0, 0, (2, 0))) == TermPlan((0,))
+    with pytest.raises(PlanError, match="twice"):
+        DecompositionPlan._make([(first, second, first)])
+    with pytest.raises(PlanError, match="twice"):
+        DecompositionPlan(())._replace(items=(first, first))
+    # a wrong field name is still refused, as NamedTuple refuses it
+    with pytest.raises(ValueError, match="unexpected field"):
+        spec._replace(node=3)
 
 
 def test_manufactured_solution_is_unchanged_by_a_trace():

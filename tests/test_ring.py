@@ -119,6 +119,45 @@ def test_poly_negative_power_rejected():
         Poly.var("s") ** -1
 
 
+def _assert_canonical(poly):
+    """Sorted monomials, no zero coefficient, and each coefficient stored
+    as (a + b*i) / d with d > 0 and gcd(a, b, d) == 1."""
+    monos = [mono for mono, _ in poly.terms]
+    assert monos == sorted(set(monos))
+    for _, coeff in poly.terms:
+        assert coeff and coeff._d > 0 and gcd(coeff._a, coeff._b, coeff._d) == 1
+
+
+def test_one_term_sum_that_cancels_is_zero():
+    rng = random.Random(17)
+    for mono in ((), (("nu", 2),), (("k", 1), ("nu", 1))):
+        for _ in range(20):
+            z = random_gaussian(rng)
+            p = Poly([(mono, z)])
+            for total in (p + Poly([(mono, -z)]), p - p, -p + p, p + (-p)):
+                assert total == Poly() and not total and total.is_zero
+                assert total.terms == () and hash(total) == hash(Poly())
+                assert total + p == p and p + total == p
+    assert Poly.const(2) + (-2) == 0 and not Poly.var("nu") - Poly.var("nu")
+
+
+def test_one_term_sums_with_mixed_denominators_stay_canonical():
+    rng = random.Random(19)
+    for _ in range(300):
+        a, b = random_gaussian(rng, span=12), random_gaussian(rng, span=12)
+        for mono in ((), (("nu", 1),)):
+            total = Poly([(mono, a)]) + Poly([(mono, b)])
+            # the public constructor reduces the Fraction parts itself
+            expect = Poly([(mono, GaussianRational(a.re + b.re, a.im + b.im))])
+            assert total == expect and hash(total) == hash(expect)
+            _assert_canonical(total)
+            _assert_canonical(-total)
+            assert -total == Poly([(mono, GaussianRational(-(a.re + b.re),
+                                                           -(a.im + b.im)))])
+            assert -(-total) == total
+        _assert_canonical(Poly.const(a) + Poly.var("nu") * b)
+
+
 def _counting(monkeypatch, cls):
     calls = []
     original = cls.__mul__
