@@ -9,8 +9,10 @@ failure (or stdout closed by its reader), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 
 from . import emit
@@ -496,39 +498,68 @@ COMMANDS = {
 }
 
 
+def _formatter():
+    """The help formatter of one build, with the terminal width read once:
+    argparse would read it for every formatter it builds, one per option."""
+    return functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _add_command(p: argparse.ArgumentParser, name: str) -> None:
+    """Give `p` the options and handler of subcommand `name`."""
+    _, handler, add_options = COMMANDS[name]
+    add_options(p)
+    p.set_defaults(func=handler)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `fundform` parser: every subcommand when `command` is None, and
     only `command` otherwise.  Both print the same help, usage and errors
-    for a call that names `command` first."""
+    for a call that names `command` first.  The subcommands' prog prefix
+    is given, not derived from a rendered usage line."""
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="fundform",
         description=(
             "Divergence decompositions, fundamental (n-1)-forms and "
             "boundary relations for constant-coefficient operators."
         ),
+        formatter_class=formatter,
     )
     if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    prog=parser.prog)
         names = COMMANDS
     else:
         # The usage line, printed for unrecognized arguments, still names
         # every command.  On the full parser this metavar would also rename
         # `command` in its "required" and "invalid choice" errors.
         sub = parser.add_subparsers(dest="command", required=True,
+                                    prog=parser.prog,
                                     metavar="{" + ",".join(COMMANDS) + "}")
         names = (command,)
     for name in names:
-        help_text, handler, add_options = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_options(p)
-        p.set_defaults(func=handler)
+        _add_command(sub.add_parser(name, help=COMMANDS[name][0],
+                                    formatter_class=formatter), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        # A call that names its subcommand first is read by that
+        # subcommand's parser alone, built as `build_parser` builds it and
+        # given the arguments the top-level parser would hand it, so it
+        # prints the same help and errors.  Only arguments it leaves over
+        # need the top-level parser, which reports them.
+        parser = argparse.ArgumentParser(prog=f"fundform {argv[0]}",
+                                         formatter_class=_formatter())
+        _add_command(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if rest:
+            args = build_parser(argv[0]).parse_args(argv)
+    else:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

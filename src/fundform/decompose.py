@@ -465,6 +465,8 @@ def _walk_term(alpha: MultiIndex, coeff: Poly, lf: int, rf: int,
                plans) -> Iterator[tuple]:
     """Yield (plan, emitted) for each of the given plans of one operator
     term, where emitted lists the (axis, flux) pairs the plan's steps emit.
+    The plans must be valid for the term: ``term_plans`` makes only valid
+    plans, and ``decompose`` checks a supplied one before the walk.
 
     A plan is a chain of steps: its path reductions, then its sorted
     transfer reductions, then its exchanges.  Plans in ``term_plans``
@@ -480,7 +482,6 @@ def _walk_term(alpha: MultiIndex, coeff: Poly, lf: int, rf: int,
     root = PairTerm(kind, coeff, alpha, MultiIndex.zero(len(alpha)), lf, rf)
     stack: list = []
     for plan in plans:
-        _validate_term_plan(alpha, plan)
         # an int is a reduction on that axis, a pair an exchange
         steps = (*plan.path, *sorted(plan.transfer), *plan.exchanges)
         shared = 0
@@ -522,11 +523,16 @@ def decompose(op: Operator,
     bilinear pairing.  Never returns an unverified result."""
     if plan is None:
         plan = default_plan(op)
+    # every term's plan is found and checked before any rewrite step runs
+    terms = []
+    for key, alpha, coeff, lf, rf in _operator_terms(op):
+        term_plan = plan.get(key)
+        _validate_term_plan(alpha, term_plan)
+        terms.append((alpha, coeff, lf, rf, term_plan))
     # each term walks its one plan
     emitted = [pair
-               for key, alpha, coeff, lf, rf in _operator_terms(op)
-               for _, pairs in _walk_term(alpha, coeff, lf, rf,
-                                          (plan.get(key),))
+               for alpha, coeff, lf, rf, term_plan in terms
+               for _, pairs in _walk_term(alpha, coeff, lf, rf, (term_plan,))
                for pair in pairs]
     return _gate(op, plan, emitted, bilinear_rhs(op))
 

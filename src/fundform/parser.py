@@ -30,11 +30,14 @@ coefficient) pairs, one per multi-index.  A sum keeps a running count of
 its merged terms, is refused at the first '+' or '-' that takes the count
 past ``MAX_TERMS``, and is merged once, at its end.  A product or power
 that could pass ``MAX_ORDER`` or ``MAX_TERMS`` is refused before it is
-formed.  A
-product with a one-term factor is then formed with no merge (every key
-of the other factor moves by one multi-index), and a one-term power
-whose coefficient is one monomial in one step; any other power
-multiplies one factor at a time, each step checked.
+formed; for a product of two one-term expansions, the common case, both
+bounds are read off the two terms.  A product with a one-term factor is
+then formed with no merge (every key of the other factor moves by one
+multi-index), and a one-term power whose coefficient is one monomial in
+one step; any other power multiplies one factor at a time, each step
+checked.  An integer literal stays an ``int`` unless a '/' makes it a
+``Fraction``, and the unit coefficient of a derivative factor is kept
+through products and powers, not multiplied.
 
 No axis, parameter, field or spectral name is ``i`` (``ring.is_name``).
 Matrix operators come in as JSON:
@@ -308,9 +311,10 @@ class _OperatorParser(Parser):
             axes, params = _parse_header(self)
         self.axes = list(axes)
         self.params = set(params)
+        self.zero = MultiIndex._trusted((0,) * len(self.axes))
 
     def _const(self, poly: Poly) -> tuple:
-        return ((MultiIndex.zero(len(self.axes)), poly),)
+        return ((self.zero, poly),)
 
     def negate(self, a: tuple) -> tuple:
         return tuple((alpha, -c) for alpha, c in a)
@@ -322,21 +326,31 @@ class _OperatorParser(Parser):
     def multiply(self, a: tuple, b: tuple, pos: int) -> tuple:
         """Product of two expansions, refused before any work when it
         could pass MAX_ORDER or MAX_TERMS."""
-        order = max((alpha.order for alpha, _ in a), default=0) + max(
-            (beta.order for beta, _ in b), default=0)
+        if len(a) == 1 and len(b) == 1:
+            # the common case, read off the two terms
+            (alpha, ca), = a
+            (beta, cb), = b
+            order = alpha.order + beta.order
+            count = len(ca.terms) * len(cb.terms)
+        else:
+            order = max((alpha.order for alpha, _ in a), default=0) + max(
+                (beta.order for beta, _ in b), default=0)
+            count = term_count(a) * term_count(b)
         if order > MAX_ORDER:
             raise self.error(f"operator exceeds the order limit of {MAX_ORDER}", pos)
-        if term_count(a) * term_count(b) > MAX_TERMS:
+        if count > MAX_TERMS:
             raise self.error(
                 f"operator expands beyond the limit of {MAX_TERMS} terms", pos)
         # Times one term, every key moves by the same multi-index, which
         # keeps the keys distinct and in order, and no product of nonzero
-        # coefficients is zero: the result is already canonical.
+        # coefficients is zero: the result is already canonical.  A
+        # derivative factor's unit coefficient multiplies by nothing.
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
             (alpha, ca), = a
-            return tuple((alpha + beta, ca * cb) for beta, cb in b)
+            return tuple((alpha + beta, cb if ca is P_ONE else
+                          ca if cb is P_ONE else ca * cb) for beta, cb in b)
         return merge_terms(
             (alpha + beta, ca * cb) for alpha, ca in a for beta, cb in b
         )
@@ -356,7 +370,8 @@ class _OperatorParser(Parser):
             if n * alpha.order > MAX_ORDER:
                 raise self.error(
                     f"operator exceeds the order limit of {MAX_ORDER}", pos)
-            return ((MultiIndex._trusted([e * n for e in alpha]), c ** n),)
+            return ((MultiIndex._trusted([e * n for e in alpha]),
+                     c if c is P_ONE else c ** n),)
         out = base
         for _ in range(n - 1):
             out = self.multiply(out, base, pos)
@@ -365,7 +380,7 @@ class _OperatorParser(Parser):
     def atom(self) -> tuple:
         kind, text, pos = self.next()
         if kind in ("int", "imag"):
-            value = Fraction(self.integer(text.rstrip("i"), pos))
+            value = self.integer(text.rstrip("i"), pos)
             if kind == "int" and self.peek()[1] == "/":
                 self.next()
                 # the divisor's 'i' suffix makes the whole literal imaginary
@@ -373,7 +388,7 @@ class _OperatorParser(Parser):
                 q = self.integer(text.rstrip("i"), pos) if kind in ("int", "imag") else 0
                 if q == 0:
                     raise self.error("expected nonzero integer denominator", pos)
-                value /= q
+                value = Fraction(value, q)
             if kind == "imag":
                 value = GaussianRational(0, value)
             # a zero literal is the empty expansion: no expansion holds a

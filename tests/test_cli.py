@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -1024,6 +1025,55 @@ def test_narrowed_parser_matches_the_full_one(capsys, argv):
             == outcome(capsys, lambda: vars(cli.build_parser().parse_args(argv))))
     assert (outcome(capsys, lambda: main(argv))
             == outcome(capsys, lambda: full_parser_main(argv)))
+
+
+# Help, usage and error texts at 40 and 200 columns, as the program
+# printed them before its parser build stopped rendering a usage line and
+# reading the terminal width per option.  Captured with Python 3.10-3.12;
+# the argparse of 3.13 wraps the usage line differently.
+CLI_TEXTS = json.loads(
+    (Path(__file__).parent / "golden" / "cli_texts.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse of Python 3.13 wraps usage differently")
+@pytest.mark.parametrize("record", CLI_TEXTS, ids=lambda record: (
+    f"{record['columns']}: {' '.join(record['argv']) or '(no arguments)'}"))
+def test_help_usage_and_error_texts_pinned(capsys, monkeypatch, record):
+    monkeypatch.setenv("COLUMNS", str(record["columns"]))
+    assert outcome(capsys, lambda: main(record["argv"])) == (
+        ("exit", record["exit"]), record["stdout"], record["stderr"])
+
+
+def test_a_call_builds_the_parsers_it_reads_with_and_reads_the_width_once(
+        capsys, monkeypatch):
+    # a call that names its subcommand builds that subcommand's parser
+    # alone; arguments it leaves over build the top-level parser to report
+    # them; every build reads the terminal width once
+    built, reads = [], []
+    init, size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def counted_size(*args):
+        reads.append(args)
+        return size(*args)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(shutil, "get_terminal_size", counted_size)
+    assert main(["count", "--op", WAVE, "--format", "text"]) == 0
+    assert (built, len(reads)) == (["fundform count"], 1)
+    built.clear(), reads.clear()
+    assert outcome(capsys, lambda: main(["count", "--op", WAVE, "extra"]))[0] == (
+        "exit", 2)
+    assert (built, len(reads)) == (
+        ["fundform count", "fundform", "fundform count"], 2)
+    built.clear(), reads.clear()
+    assert outcome(capsys, lambda: main(["--help"]))[0] == ("exit", 0)
+    assert (built, len(reads)) == (
+        ["fundform", *(f"fundform {name}" for name in cli.COMMANDS)], 1)
 
 
 def registered(parser: argparse.ArgumentParser) -> list:

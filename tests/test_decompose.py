@@ -27,6 +27,7 @@ from fundform.decompose import (
     collapse_step,
     count_forms,
     decompose,
+    default_plan,
     ensure_verified,
     enumerate_plans,
     exchange_step,
@@ -543,6 +544,35 @@ def test_term_walk_runs_each_shared_step_once(monkeypatch):
     for tp in term_plans(key[2]):
         decompose(op, DecompositionPlan(((key, tp),)))
     assert sum(calls.values()) == 60
+
+
+def test_only_supplied_plans_are_validated(monkeypatch):
+    # term_plans makes only valid plans, so the term walk of term_pieces
+    # checks none; decompose checks every supplied term plan before any
+    # rewrite rule runs, here a bad plan for the term walked last
+    validated = []
+    real = engine._validate_term_plan
+
+    def counted(alpha, plan):
+        validated.append(plan)
+        return real(alpha, plan)
+
+    monkeypatch.setattr(engine, "_validate_term_plan", counted)
+    op = parse_operator("axes x,y,z,w; Dx^3*Dy^3*Dz + Dx*Dy")
+    pieces = list(term_pieces(op))
+    assert [len(term) for _, term in pieces] == [2, 12]
+    assert validated == []
+    calls = _count_rule_calls(monkeypatch)
+    (first, first_plan), (last, _) = default_plan(op).items
+    assert first[2] < last[2]
+    bad = DecompositionPlan(((first, first_plan), (last, TermPlan(path=(0,)))))
+    with pytest.raises(PlanError, match="does not use each axis"):
+        decompose(op, bad)
+    assert sum(calls.values()) == 0
+    assert len(validated) == 2
+    decompose(op)
+    assert len(validated) == 4
+    assert sum(calls.values()) > 0
 
 
 def _term_alone(op, key, coeff):

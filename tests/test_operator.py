@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from fundform.operators import (
     symbol,
 )
 from fundform.parser import (
+    MAX_ORDER,
     MAX_TERMS,
     OperatorSyntaxError,
     format_operator,
@@ -23,7 +25,7 @@ from fundform.parser import (
     parse_scalar_operator,
     term_count,
 )
-from fundform.ring import Poly, QI_I
+from fundform.ring import GaussianRational, Poly, QI_I
 from fundform.catalog import STOKES_JSON, stokes_operator, wave_operator
 
 
@@ -159,6 +161,78 @@ def test_sum_that_cancels_back_under_the_term_limit_is_read():
     params = f"params {','.join(f'p{j}' for j in range(MAX_TERMS))}; axes x; "
     text = params + " + ".join(f"p{j}*Dx - p{j}*Dx" for j in range(MAX_TERMS)) + " + Dx"
     assert parse_operator(text) == parse_operator("axes x; Dx")
+
+
+def _spelled_term(rng, axes, alpha, literal, param):
+    """Several spellings of one term: the literal (unsigned), the
+    parameter factor or None, and a derivative factor per unit of alpha."""
+    factors = [f"D{axis}" for axis, e in zip(axes, alpha) for _ in range(e)]
+    powers = [f"D{axis}" + (f"^{e}" if e > 1 else "")
+              for axis, e in zip(axes, alpha) if e]
+    scalars = [literal] + ([param] if param else [])
+    shuffled = scalars + factors
+    rng.shuffle(shuffled)
+    grouped = [f"({'*'.join(factors[:2] or scalars)})^1",
+               *(scalars if factors else []), *factors[2:]]
+    return ["*".join(scalars + powers), "*".join(shuffled), "*".join(grouped),
+            "*".join(powers + scalars)]
+
+
+def test_spellings_of_one_operator_read_alike():
+    # each spelling of each term (coefficient first, factors shuffled or
+    # grouped under a '^1', coefficient last) reads as the one operator,
+    # as format_operator's round trip does
+    rng = random.Random(2503)
+    names = ["x", "y", "z", "w"]
+    for _ in range(150):
+        axes = names[:rng.randint(2, 4)]
+        alphas = {tuple(rng.randint(0, 3) for _ in axes)
+                  for _ in range(rng.randint(1, 6))}
+        expected, spellings = {}, []
+        for alpha in sorted(alphas):
+            p, q = rng.randint(1, 12), rng.choice([1, 1, 2, 3, 4, 7])
+            imaginary = rng.random() < 0.3
+            literal = (f"{p}" if q == 1 else f"{p}/{q}") + ("i" if imaginary else "")
+            value = Fraction(p, q)
+            value = GaussianRational(0, value) if imaginary else GaussianRational(value)
+            negative = rng.random() < 0.4
+            param = rng.choice([None, None, "c", "c^2"])
+            coeff = Poly.const(-value if negative else value)
+            if param:
+                coeff = coeff * Poly.var("c", 2 if param == "c^2" else 1)
+            expected[alpha] = coeff
+            spellings.append((negative, _spelled_term(rng, axes, alpha, literal, param)))
+        op = ScalarPDO.build(axes, expected)
+        header = f"params c; axes {','.join(axes)}; "
+        round_trip = parse_operator(format_operator(op))
+        for k in range(4):
+            text = header + " ".join(
+                ("- " if negative else "+ ") + forms[k] for negative, forms in spellings)
+            read = parse_operator(text)
+            assert read == op == round_trip, text
+            assert repr(read) == repr(round_trip), text
+        # a negative coefficient inside the parentheses, terms in another order
+        rng.shuffle(spellings)
+        text = header + " + ".join(
+            f"(-{forms[0]})" if negative else forms[1] for negative, forms in spellings)
+        assert parse_operator(text) == op, text
+
+
+def test_product_of_one_term_factors_refused_at_its_star():
+    with pytest.raises(OperatorSyntaxError) as err:
+        parse_operator("axes x; Dx^20*Dx^13")
+    assert str(err.value) == (f"operator exceeds the order limit of {MAX_ORDER} "
+                              "(line 1, column 14)")
+    # two one-term factors of 33 monomials each: 1,089 > 1,024
+    names = [f"p{j}" for j in range(33)]
+    factor = f"(({'+'.join(names)})*Dx)"
+    head = f"params {','.join(names)}; axes x; {factor}"
+    with pytest.raises(OperatorSyntaxError) as err:
+        parse_operator(f"{head}*{factor}")
+    assert str(err.value) == (f"operator expands beyond the limit of {MAX_TERMS} "
+                              f"terms (line 1, column {len(head) + 1})")
+    # at the order limit the product is read
+    assert parse_operator("axes x; Dx^16*Dx^16") == parse_operator("axes x; Dx^32")
 
 
 def test_parse_errors_carry_positions():
