@@ -4,6 +4,11 @@ Subcommands: decompose, count, enumerate, constraint, global-relation,
 represent, verify, stokes.  JSON is the machine format, LaTeX the human
 one, text a terse summary.  Exit codes: 0 success, 1 verification
 failure (or stdout closed by its reader), 2 usage or parse error.
+
+Each subcommand's options sit in one table (`COMMANDS`).  A well-formed
+call is read from that table; argparse is built from it only for help,
+usage, errors and the spellings the table reader leaves to it (prefixes,
+`=` forms, values that start with '-'), and prints what it printed before.
 """
 
 from __future__ import annotations
@@ -434,67 +439,51 @@ def cmd_stokes(args) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def _common(p, op: bool = True) -> None:
-    if op:
-        p.add_argument("--op", help="operator text (scalar grammar or matrix JSON)")
-        p.add_argument("--op-file", help="file with operator text or JSON")
-    p.add_argument("--format", choices=("json", "latex", "text"),
-                   default="json")
+_FORMAT = {"--format": {"choices": ("json", "latex", "text"), "default": "json"}}
+_OPERATOR = {
+    "--op": {"help": "operator text (scalar grammar or matrix JSON)"},
+    "--op-file": {"help": "file with operator text or JSON"},
+    **_FORMAT,
+}
 
-
-def _decompose_options(p) -> None:
-    _common(p)
-    p.add_argument("--path", action="append",
-                   help="reduction order per term, e.g. x,y,z (repeatable)")
-    p.add_argument("--transfer", action="append",
-                   help="transferred odd axes per term (repeatable)")
-    p.add_argument("--exchange", action="append",
-                   help="exchange pairs per term, e.g. x:y (repeatable)")
-
-
-def _constraint_options(p) -> None:
-    _common(p)
-    p.add_argument("--spectral-names", help="comma-separated names per axis")
-
-
-def _global_relation_options(p) -> None:
-    _common(p)
-    p.add_argument("--spectral-names", help="free spectral names")
-    p.add_argument("--sigma", help="per-axis spectral values, e.g. k,-k")
-    p.add_argument("--box", help="axis=lo..hi per axis, e.g. x=0..l,t=0..T")
-    p.add_argument("--exp-sign", type=int, choices=(1, -1), default=1)
-
-
-def _verify_options(p) -> None:
-    _common(p, op=False)
-    p.add_argument("--case", required=True, help="|".join(CATALOG_TAGS))
-    p.add_argument("--nodes", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the interior check's sample points")
-    p.add_argument("--solution",
-                   help="override first-field solution text (control runs)")
-
-
-def _stokes_options(p) -> None:
-    _common(p, op=False)
-
-
-# name: (help, handler, add_options), in the order `--help` lists them
+# name: (help, handler, options), in the order `--help` lists them.  The
+# options map each flag to its add_argument keywords, in `--help` order:
+# `_add_command` builds argparse options from them, and `_read_call` reads
+# a well-formed call with them.
 COMMANDS = {
-    "decompose": ("fluxes plus verification verdict", cmd_decompose,
-                  _decompose_options),
-    "count": ("size of the constructible family", cmd_count, _common),
-    "enumerate": ("all plans up to the ceiling", cmd_enumerate, _common),
-    "constraint": ("adjoint constraint variety", cmd_constraint,
-                   _constraint_options),
-    "global-relation": ("boundary relation on a box", cmd_global_relation,
-                        _global_relation_options),
-    "represent": ("integral representation document", cmd_represent, _common),
-    "verify": ("numeric residual of a catalog relation", cmd_verify,
-               _verify_options),
-    "stokes": ("full incompressible-system pipeline", cmd_stokes,
-               _stokes_options),
+    "decompose": ("fluxes plus verification verdict", cmd_decompose, {
+        **_OPERATOR,
+        "--path": {"action": "append",
+                   "help": "reduction order per term, e.g. x,y,z (repeatable)"},
+        "--transfer": {"action": "append",
+                       "help": "transferred odd axes per term (repeatable)"},
+        "--exchange": {"action": "append",
+                       "help": "exchange pairs per term, e.g. x:y (repeatable)"},
+    }),
+    "count": ("size of the constructible family", cmd_count, _OPERATOR),
+    "enumerate": ("all plans up to the ceiling", cmd_enumerate, _OPERATOR),
+    "constraint": ("adjoint constraint variety", cmd_constraint, {
+        **_OPERATOR,
+        "--spectral-names": {"help": "comma-separated names per axis"},
+    }),
+    "global-relation": ("boundary relation on a box", cmd_global_relation, {
+        **_OPERATOR,
+        "--spectral-names": {"help": "free spectral names"},
+        "--sigma": {"help": "per-axis spectral values, e.g. k,-k"},
+        "--box": {"help": "axis=lo..hi per axis, e.g. x=0..l,t=0..T"},
+        "--exp-sign": {"type": int, "choices": (1, -1), "default": 1},
+    }),
+    "represent": ("integral representation document", cmd_represent, _OPERATOR),
+    "verify": ("numeric residual of a catalog relation", cmd_verify, {
+        **_FORMAT,
+        "--case": {"required": True, "help": "|".join(CATALOG_TAGS)},
+        "--nodes": {"type": int, "default": 20},
+        "--tol": {"type": float, "default": 1e-8},
+        "--seed": {"type": int, "default": 0,
+                   "help": "seed of the interior check's sample points"},
+        "--solution": {"help": "override first-field solution text (control runs)"},
+    }),
+    "stokes": ("full incompressible-system pipeline", cmd_stokes, _FORMAT),
 }
 
 
@@ -507,9 +496,43 @@ def _formatter():
 
 def _add_command(p: argparse.ArgumentParser, name: str) -> None:
     """Give `p` the options and handler of subcommand `name`."""
-    _, handler, add_options = COMMANDS[name]
-    add_options(p)
+    _, handler, options = COMMANDS[name]
+    for flag, keywords in options.items():
+        p.add_argument(flag, **keywords)
     p.set_defaults(func=handler)
+
+
+def _read_call(argv: list) -> argparse.Namespace | None:
+    """The namespace argparse builds for `argv`, a call whose first
+    argument is a subcommand, read from the option table; None for a call
+    this reader leaves to argparse.  It reads only exact flags, each
+    followed by a value that does not start with '-' (argparse has its own
+    rules for those) and that passes the option's type and choices, and it
+    needs every required option.  Prefixes, `-h`, `=` forms, positionals
+    and every error go to argparse."""
+    name, *rest = argv
+    _, handler, options = COMMANDS[name]
+    if len(rest) % 2:
+        return None
+    values = {flag: keywords.get("default") for flag, keywords in options.items()
+              if not keywords.get("required")}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        keywords = options.get(flag)
+        if keywords is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        if keywords.get("action") == "append":
+            value = (values[flag] or []) + [value]
+        values[flag] = value
+    if len(values) < len(options):  # a required option is missing
+        return None
+    return argparse.Namespace(command=name, func=handler, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -546,20 +569,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        # A call that names its subcommand first is read by that
-        # subcommand's parser alone, built as `build_parser` builds it and
-        # given the arguments the top-level parser would hand it, so it
-        # prints the same help and errors.  Only arguments it leaves over
-        # need the top-level parser, which reports them.
+    if not argv or argv[0] not in COMMANDS:
+        args = build_parser().parse_args(argv)
+    elif (args := _read_call(argv)) is None:
+        # A call that names its subcommand first and that the option table
+        # does not read is read by that subcommand's parser alone, built as
+        # `build_parser` builds it and given the arguments the top-level
+        # parser would hand it, so it prints the same help and errors.
+        # Only arguments it leaves over need the top-level parser, which
+        # reports them.
         parser = argparse.ArgumentParser(prog=f"fundform {argv[0]}",
                                          formatter_class=_formatter())
         _add_command(parser, argv[0])
         args, rest = parser.parse_known_args(argv[1:])
         if rest:
             args = build_parser(argv[0]).parse_args(argv)
-    else:
-        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -117,11 +117,11 @@ class Parser:
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.items = []
+        self.items = items = []
         pos = 0
-        while (m := self.TOKEN.match(source, pos)) is not None:
+        for m in iter(self.TOKEN.scanner(source).match, None):
             kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind)))
+            items.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         pos = len(source) - len(source[pos:].lstrip())
         if pos < len(source):

@@ -999,6 +999,23 @@ PARSER_ARGV = [
     ["global-relation", "--op", WAVE, "--box", "x=0..1,t=0..1"],
     ["represent", "--op", WAVE, "--format", "latex"],
     ["verify", "--case", "heat", "--nodes", "3"], ["stokes", "--format", "text"],
+    # every option of every subcommand, read from the option table
+    ["decompose", "--op", "axes x,y; Dx^2*Dy^2 + Dx^2 + Dy^2", "--path", "y",
+     "--path", "x", "--path", "y,x", "--transfer", "", "--exchange", "",
+     "--format", "text"],
+    ["count", "--op-file", "", "--op", WAVE, "--format", "latex"],
+    ["represent", "--op", "", "--op", WAVE, "--format", "text"],
+    ["constraint", "--op", WAVE, "--spectral-names", "a,b", "--format", "text"],
+    ["global-relation", "--op", WAVE, "--spectral-names", "k,w", "--sigma", "k,k",
+     "--box", "x=0..1,t=0..1", "--exp-sign", "1", "--format", "text"],
+    ["verify", "--case", "wave", "--nodes", "3", "--tol", "0.5", "--seed", "1",
+     "--solution", "(x-t)^3", "--format", "text"],
+    ["verify", "--case", "heat", "--nodes", " 7", "--format", "text"],
+    ["verify", "--case", "heat", "--case", "wave", "--nodes", "3"],
+    # spellings the table leaves to argparse
+    ["global-relation", "--op", WAVE, "--exp-sign", "-1", "--format", "text"],
+    ["count", "--form", "text", "--op", WAVE], ["count", f"--op={WAVE}"],
+    ["represent", "--op", "-Dx"],
 ] + [[name, *tail] for name in cli.COMMANDS
      for tail in (["--help"], ["--bogus"], ["--format", "xml"])]
 
@@ -1047,9 +1064,10 @@ def test_help_usage_and_error_texts_pinned(capsys, monkeypatch, record):
 
 def test_a_call_builds_the_parsers_it_reads_with_and_reads_the_width_once(
         capsys, monkeypatch):
-    # a call that names its subcommand builds that subcommand's parser
-    # alone; arguments it leaves over build the top-level parser to report
-    # them; every build reads the terminal width once
+    # a well-formed call is read from the option table and builds no
+    # parser; any other call that names its subcommand builds that
+    # subcommand's parser, and arguments it leaves over build the top-level
+    # parser to report them; every build reads the terminal width once
     built, reads = [], []
     init, size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
 
@@ -1064,7 +1082,7 @@ def test_a_call_builds_the_parsers_it_reads_with_and_reads_the_width_once(
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     monkeypatch.setattr(shutil, "get_terminal_size", counted_size)
     assert main(["count", "--op", WAVE, "--format", "text"]) == 0
-    assert (built, len(reads)) == (["fundform count"], 1)
+    assert (built, len(reads)) == ([], 0)
     built.clear(), reads.clear()
     assert outcome(capsys, lambda: main(["count", "--op", WAVE, "extra"]))[0] == (
         "exit", 2)

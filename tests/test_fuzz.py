@@ -2,7 +2,9 @@
 ``main`` exits 0, 1 or 2 and never raises; solution text is either read
 or refused with a SolutionSyntaxError that points into the text; every
 polynomial's text form reads back to the polynomial; the operator
-reader's products and powers equal the generic merge they shortcut."""
+reader's products and powers equal the generic merge they shortcut; a
+call read from the CLI's option table gives the namespace argparse
+gives."""
 
 import contextlib
 import io
@@ -19,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from fundform.algebra import MultiIndex  # noqa: E402
 from fundform.catalog import CATALOG_TAGS  # noqa: E402
-from fundform.cli import main  # noqa: E402
+from fundform.cli import COMMANDS, _read_call, build_parser, main  # noqa: E402
 from fundform.decompose import count_forms  # noqa: E402
 from fundform.manufactured import SolutionSyntaxError, parse_solution  # noqa: E402
 from fundform.parser import _OperatorParser, parse_operator, parse_poly  # noqa: E402
@@ -271,3 +273,58 @@ def test_one_term_powers_match_repeated_multiplication(value, mono):
         for n in range(9):
             assert poly ** n == repeated
             repeated = repeated * poly
+
+
+# Option values: plain ones, ones with '-', '=' or spaces, signed and
+# underscored numerals, and ones outside an option's choices.
+_option_values = st.sampled_from([
+    "json", "latex", "text", "xml", "heat", "wave", "nosuch", "x,t", "y,x",
+    "axes x,t; Dt^2 - Dx^2", "", "a b", " 7", "7 ", "a=b", "x=0..1,t=0..1",
+    "k,-k", "-x", "-", "--", "--op", "-a b", "-h", "1", "-1", "+1", "2", "0",
+    "1_000", "1__0", "_1", "0.5", "-0.5", "1e-3", "nan",
+])
+
+
+def _own_values(keywords: dict) -> list:
+    """Values an option reads: its choices, numerals for its type, or text."""
+    if "choices" in keywords:
+        return [str(choice) for choice in keywords["choices"]]
+    return {int: ["3", " 7", "1_0", "+2"], float: ["0.5", "1e-3", "+1_0.5"]}.get(
+        keywords.get("type"), ["heat", "x,t", "a b", ""])
+
+
+@st.composite
+def option_argv(draw):
+    """A subcommand with exact flags and values they read, the required
+    option first or missing, and at most one spoiler: a prefix, `=` form,
+    `-h`, `--` or positional in place of a flag, one of the values above in
+    place of a value, or a flag or value with nothing after it."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    options = COMMANDS[name][2]
+    flags = [flag for flag, keywords in options.items() if not keywords.get("required")]
+    required = [flag for flag in options if flag not in flags]
+    flags = (draw(st.sampled_from([required, []]))
+             + draw(st.lists(st.sampled_from(flags), max_size=4)))
+    argv = [name]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(_own_values(options[flag])))]
+    spoiler = draw(st.sampled_from(["none", "flag", "value", "tail"]))
+    if spoiler == "flag" or len(argv) == 1:
+        at = draw(st.integers(0, len(flags))) * 2 + 1
+        argv[at:at] = [draw(st.sampled_from(
+            [flag[:-1] for flag in options] + [f"{flag}=text" for flag in options]
+            + ["-h", "--help", "--", "extra"])), draw(_option_values)]
+    elif spoiler == "value":
+        argv[draw(st.integers(1, len(flags))) * 2] = draw(_option_values)
+    elif spoiler == "tail":
+        argv.append(argv[-1])
+    return argv
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(argv=option_argv())
+def test_option_table_reads_calls_as_argparse_does(argv):
+    args = _read_call(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser(argv[0]).parse_args(argv))
