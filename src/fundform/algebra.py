@@ -31,7 +31,11 @@ The rewrite rules of ``decompose`` form packed keys directly: ``pack``, the
 one packing helper, turns their products into (key, coeff) pairs through
 the same byte check, and ``_packed`` wraps merged pairs, with the
 dimension and top byte ``BilinearExpr`` would compute, as an expression
-without building a term.
+without building a term.  ``_pairing`` lists the two products of a
+bracket or brace in the form ``pack`` takes; ``bracket``, ``brace``,
+``operators.bilinear_rhs`` and the rewrite rules all build their pairings
+with it.  ``_field_offset`` is what a key with fields (0, 0) gains to
+carry other fields; ``decompose`` places its unit walks with it.
 """
 
 from __future__ import annotations
@@ -157,6 +161,25 @@ def pack(terms: Iterable) -> list:
             for coeff, lf, left, rf, right in terms]
 
 
+def _pairing(alpha, beta, left_field: int, right_field: int,
+             coeff, mirror) -> tuple:
+    """The two products of a pairing of alpha and beta, as the plain
+    tuples ``pack`` takes:  coeff d^beta qt d^alpha q  and its mirror
+    mirror d^alpha qt d^beta q.  A bracket's mirror is -coeff, a brace's
+    coeff."""
+    return ((coeff, left_field, alpha, right_field, beta),
+            (mirror, left_field, beta, right_field, alpha))
+
+
+def _field_offset(left_field: int, right_field: int, n: int) -> int:
+    """What a key of dimension n with fields (0, 0) gains to carry the
+    fields (left_field, right_field): left_field << 8(2n+1) plus
+    right_field << 16n.  A field outside 0..255 raises the ValueError
+    that ``pack`` raises."""
+    return int.from_bytes(_key_bytes(left_field, right_field, (), ()),
+                          "big") << 2 * _WIDTH * n
+
+
 def _packed(pairs: tuple, dim: int | None, top: int) -> "BilinearExpr":
     """An expression from merged (key, coeff) pairs of dimension `dim`
     whose key bytes are at most `top`; the zero expression has no
@@ -268,27 +291,17 @@ class BilinearExpr:
 def bracket(alpha, beta, left_field: int = 0, right_field: int = 0,
             coeff: PolyLike = 1) -> BilinearExpr:
     """Antisymmetric pairing: d^beta qt d^alpha q - d^beta q d^alpha qt."""
-    alpha, beta = MultiIndex(alpha), MultiIndex(beta)
     c = Poly.coerce(coeff)
-    return BilinearExpr(
-        [
-            BilinearTerm(c, left_field, alpha, right_field, beta),
-            BilinearTerm(-c, left_field, beta, right_field, alpha),
-        ]
-    )
+    return BilinearExpr(_pairing(MultiIndex(alpha), MultiIndex(beta),
+                                 left_field, right_field, c, -c))
 
 
 def brace(alpha, beta, left_field: int = 0, right_field: int = 0,
           coeff: PolyLike = 1) -> BilinearExpr:
     """Symmetric pairing: d^beta qt d^alpha q + d^beta q d^alpha qt."""
-    alpha, beta = MultiIndex(alpha), MultiIndex(beta)
     c = Poly.coerce(coeff)
-    return BilinearExpr(
-        [
-            BilinearTerm(c, left_field, alpha, right_field, beta),
-            BilinearTerm(c, left_field, beta, right_field, alpha),
-        ]
-    )
+    return BilinearExpr(_pairing(MultiIndex(alpha), MultiIndex(beta),
+                                 left_field, right_field, c, c))
 
 
 def expr_sum(exprs: Iterable[BilinearExpr]) -> BilinearExpr:

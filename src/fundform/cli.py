@@ -38,10 +38,10 @@ from .decompose import (
     count_forms,
     decompose,
     enumerate_plans,
+    first_term_plan,
     sigma_count,
     term_pieces,
     term_plan_count,
-    term_plans,
 )
 from .forms import assemble, exterior_derivative
 from .manufactured import ManufacturedSolution
@@ -70,11 +70,13 @@ class UsageError(ValueError):
 
 
 def _load_operator(args) -> Operator:
-    if getattr(args, "op", None) and getattr(args, "op_file", None):
+    # an empty --op is operator text all the same, which the reader
+    # refuses; an empty --op-file names no file
+    if args.op is not None and args.op_file:
         raise UsageError("give either --op or --op-file, not both")
-    if getattr(args, "op", None):
+    if args.op is not None:
         return parse_operator(args.op)
-    if getattr(args, "op_file", None):
+    if args.op_file:
         try:
             with open(args.op_file, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -117,7 +119,7 @@ def _parse_plan(op: Operator, args) -> DecompositionPlan | None:
         return None
     items = []
     for index, (key, alpha, *_) in enumerate(_operator_terms(op)):
-        first = next(term_plans(alpha))
+        first = first_term_plan(alpha)
         parts = [first.path, first.transfer, first.exchanges]
         for slot, (texts, pairs) in enumerate(flags):
             if index < len(texts):

@@ -24,6 +24,18 @@ wrap them with ``algebra._packed``; the checks pack the products of the
 step's input and output with the same helper.  No ``BilinearExpr`` is
 constructed from terms on this path.
 
+The steps only negate a coefficient and never read a field, so the walk
+of a term  c d^alpha  (trial field f, test field g) is the walk of the
+unit term d^alpha, scaled by c and moved to the fields (f, g).  The engine
+walks the unit term: coefficient the int 1, fields (0, 0), so that every
+step builds and checks its fluxes on small integers.  ``_place`` then maps
+each unit flux to the real term in one pass: it adds the packed offset of
+(f, g) to each key, which keeps the keys sorted and merged, turns each
+integer multiplicity v into v c, and raises the top byte to the fields.
+The final gate checks the placed fluxes, with their real coefficients.
+Terms of one ``decompose`` call with equal alpha and equal term plan,
+such as the Stokes diagonal, share one walk.
+
 Plans record the free choices (reduction order, transfer subset, exchange
 pairing order); enumerating them reproduces the full family of
 constructible decompositions, whose size is  prod_alpha O_alpha! sigma(alpha).
@@ -38,8 +50,9 @@ import math
 from bisect import bisect_left
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import (BilinearExpr, BilinearTerm, MultiIndex, _packed,
-                      divergence, expr_sum, pack, product_rule)
+from .algebra import (BilinearExpr, BilinearTerm, MultiIndex, _field_offset,
+                      _packed, _pairing, divergence, expr_sum, pack,
+                      product_rule)
 from .operators import MatrixPDO, Operator, ScalarPDO, bilinear_rhs, grid
 from .ring import Poly, merge_terms
 
@@ -81,7 +94,8 @@ class PairTerm(_PairTermFields):
     """A signed bracket or brace:  coeff * [alpha, beta]  or  coeff * {alpha, beta}.
 
     Built as given, like ``BilinearTerm``: callers pass a Poly and two
-    MultiIndexes of one dimension.
+    MultiIndexes of one dimension.  The unit walk of ``_walk_term`` passes
+    the int 1 as the coefficient, and the steps keep integers from there.
     """
 
     __slots__ = ()
@@ -123,20 +137,12 @@ def _reduce(pair: PairTerm, k: int) -> tuple:
     negated = -coeff
     # the flux is the pairing coeff * K(lowered, beta): its two products,
     # packed and merged as BilinearExpr would merge them
-    flux = _packed(merge_terms(pack((
-        (coeff, lf, lowered, rf, beta),
-        (negated if kind == BRACKET else coeff, lf, beta, rf, lowered),
+    flux = _packed(merge_terms(pack(_pairing(
+        lowered, beta, lf, rf, coeff, negated if kind == BRACKET else coeff,
     ))), len(alpha), max(lf, rf, *lowered, *beta))
     remainder = tuple.__new__(PairTerm, (kind, negated, lowered,
                                          beta.incr(k), lf, rf))
     return flux, remainder
-
-
-def _products(pair: PairTerm, coeff: Poly, mirror: Poly) -> tuple:
-    """The two products of the pairing `pair`, with `coeff` on the first
-    and `mirror` on the mirrored one, as ``pack`` takes them."""
-    _, _, alpha, beta, lf, rf = pair
-    return (coeff, lf, alpha, rf, beta), (mirror, lf, beta, rf, alpha)
 
 
 def reduce_step(pair: PairTerm, k: int) -> tuple:
@@ -150,10 +156,10 @@ def reduce_step(pair: PairTerm, k: int) -> tuple:
     coeff, rest = pair.coeff, remainder.coeff
     negated = -coeff
     # a bracket's mirror carries the opposite sign, a brace's the same
-    minus = _products(pair, negated,
-                      coeff if pair.kind == BRACKET else negated)
-    plus = _products(remainder, rest,
-                     -rest if remainder.kind == BRACKET else rest)
+    minus = _pairing(*pair[2:], negated,
+                     coeff if pair.kind == BRACKET else negated)
+    plus = _pairing(*remainder[2:], rest,
+                    -rest if remainder.kind == BRACKET else rest)
     # d_k flux + remainder - pair, in one merge of packed terms
     if merge_terms([*product_rule(flux, k), *pack((*plus, *minus))]):
         raise EngineError(f"reduction step failed its identity on axis {k}")
@@ -345,11 +351,23 @@ def _operator_terms(op: Operator) -> Iterator[tuple]:
                 yield _term_key(alpha, i, j), alpha, coeff, j, i
 
 
+def first_term_plan(alpha: MultiIndex) -> TermPlan:
+    """``next(term_plans(alpha))`` in closed form: the ascending reduction
+    path, the first floor(#odd / 2) odd axes transferred, and the kept odd
+    axes paired with them in ascending order.  Valid by construction, so
+    ``decompose`` does not check it; it costs a fraction of starting
+    ``term_plans``."""
+    odd = alpha.odd_axes()
+    m = len(odd) // 2
+    path = tuple(k for k, e in enumerate(alpha) for _ in range(e // 2))
+    return tuple.__new__(TermPlan, (path, odd[:m], tuple(zip(odd[m:], odd[:m]))))
+
+
 def default_plan(op: Operator) -> DecompositionPlan:
     """The first plan of every term: ascending reduction path,
     lexicographically first transfer subset, ascending exchange pairing."""
     return DecompositionPlan(
-        tuple((key, next(term_plans(alpha)))
+        tuple((key, first_term_plan(alpha))
               for key, alpha, _, _, _ in _operator_terms(op))
     )
 
@@ -461,25 +479,27 @@ class DivergenceDecomposition(NamedTuple):
         return len(self.axes)
 
 
-def _walk_term(alpha: MultiIndex, coeff: Poly, lf: int, rf: int,
-               plans) -> Iterator[tuple]:
-    """Yield (plan, emitted) for each of the given plans of one operator
-    term, where emitted lists the (axis, flux) pairs the plan's steps emit.
-    The plans must be valid for the term: ``term_plans`` makes only valid
-    plans, and ``decompose`` checks a supplied one before the walk.
+def _walk_term(alpha: MultiIndex, plans) -> Iterator[tuple]:
+    """Yield (plan, emitted) for each of the given plans of the unit term
+    d^alpha (coefficient the int 1, fields (0, 0)), where emitted lists
+    the (axis, unit flux) pairs the plan's steps emit; ``_place`` maps
+    them to a real term.  The plans must be valid for the term:
+    ``term_plans`` and ``first_term_plan`` make only valid plans, and
+    ``decompose`` checks a supplied one before the walk.
 
     A plan is a chain of steps: its path reductions, then its sorted
     transfer reductions, then its exchanges.  Plans in ``term_plans``
     order share long prefixes of that chain, so the walk keeps a stack of
     (step, state, emitted pairs), pops back to the prefix a plan shares
     with the one before, and runs only the steps after it: each distinct
-    step runs once, with its oracle.  The closing collapse (or the
-    mirror-cancel check) runs for every plan.  A state is the remaining
-    PairTerm until the first exchange, then the (current, mirror) products.
+    step runs once, with its oracle, and the plans that share it share
+    its flux objects.  The closing collapse (or the mirror-cancel check)
+    runs for every plan.  A state is the remaining PairTerm until the
+    first exchange, then the (current, mirror) products.
     """
     odd = alpha.odd_axes()
     kind = BRACE if alpha.order % 2 else BRACKET
-    root = PairTerm(kind, coeff, alpha, MultiIndex.zero(len(alpha)), lf, rf)
+    root = PairTerm(kind, 1, alpha, MultiIndex.zero(len(alpha)))
     stack: list = []
     for plan in plans:
         # an int is a reduction on that axis, a pair an exchange
@@ -517,23 +537,63 @@ def _walk_term(alpha: MultiIndex, coeff: Poly, lf: int, rf: int,
         yield plan, emitted
 
 
+def _place(walks, n: int, lf: int, rf: int, coeff: Poly) -> list:
+    """The emitted lists `walks` of a unit walk in dimension n, placed on
+    the term  coeff d^alpha  with trial field lf and test field rf.
+
+    Each key gains the packed offset of the fields, which keeps the keys
+    sorted and distinct; each integer multiplicity v becomes v coeff; the
+    top byte rises to the fields.  A flux object that several emitted
+    lists share is placed once.  A field outside 0..255 raises the
+    ValueError that ``pack`` raises, even for a term that emits nothing.
+    """
+    offset = _field_offset(lf, rf, n)
+    fields = max(lf, rf)
+    negated = -coeff
+    placed: dict = {}
+    out = []
+    for emitted in walks:
+        row = []
+        for axis, flux in emitted:
+            real = placed.get(id(flux))
+            if real is None:
+                real = placed[id(flux)] = _packed(tuple([
+                    (key + offset, coeff if v == 1 else negated if v == -1
+                     else coeff.scale(v))
+                    for key, v in flux._pairs
+                ]), flux._dim, max(flux._top, fields))
+            row.append((axis, real))
+        out.append(row)
+    return out
+
+
 def decompose(op: Operator,
               plan: DecompositionPlan | None = None) -> DivergenceDecomposition:
     """Construct and verify a divergence decomposition of the operator's
-    bilinear pairing.  Never returns an unverified result."""
-    if plan is None:
+    bilinear pairing.  Never returns an unverified result.  Terms with
+    equal alpha and equal term plan share one unit walk, placed on each
+    term."""
+    # a supplied plan has every term's plan found and checked before any
+    # rewrite step runs; default_plan's are first_term_plan's, valid by
+    # construction
+    supplied = plan is not None
+    if not supplied:
         plan = default_plan(op)
-    # every term's plan is found and checked before any rewrite step runs
     terms = []
     for key, alpha, coeff, lf, rf in _operator_terms(op):
         term_plan = plan.get(key)
-        _validate_term_plan(alpha, term_plan)
+        if supplied:
+            _validate_term_plan(alpha, term_plan)
         terms.append((alpha, coeff, lf, rf, term_plan))
-    # each term walks its one plan
-    emitted = [pair
-               for alpha, coeff, lf, rf, term_plan in terms
-               for _, pairs in _walk_term(alpha, coeff, lf, rf, (term_plan,))
-               for pair in pairs]
+    n = op.dimension
+    walks: dict = {}
+    emitted = []
+    for alpha, coeff, lf, rf, term_plan in terms:
+        walk = walks.get((alpha, term_plan))
+        if walk is None:
+            (_, walk), = _walk_term(alpha, (term_plan,))
+            walks[alpha, term_plan] = walk
+        emitted += _place((walk,), n, lf, rf, coeff)[0]
     return _gate(op, plan, emitted, bilinear_rhs(op))
 
 
@@ -566,6 +626,7 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
     piece still closes with its own collapse and passes the final gate
     against the term's pairing, computed once.
     """
+    n = op.dimension
     for key, alpha, coeff, lf, rf in _operator_terms(op):
         row, col, _ = key
         alone = ScalarPDO(op.axes, ((alpha, coeff),))
@@ -577,9 +638,10 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
                 for i in range(op.size)
             ))
         rhs = bilinear_rhs(alone)
-        yield key, [_gate(alone, DecompositionPlan(((key, tp),)), emitted, rhs)
-                    for tp, emitted in _walk_term(alpha, coeff, lf, rf,
-                                                  term_plans(alpha))]
+        walk = list(_walk_term(alpha, term_plans(alpha)))
+        placed = _place([emitted for _, emitted in walk], n, lf, rf, coeff)
+        yield key, [_gate(alone, DecompositionPlan(((key, tp),)), fluxes, rhs)
+                    for (tp, _), fluxes in zip(walk, placed)]
 
 
 def verify_divergence(dec: DivergenceDecomposition,

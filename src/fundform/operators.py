@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import BilinearExpr, MultiIndex, brace, bracket, expr_sum
+from .algebra import BilinearExpr, MultiIndex, _packed, _pairing, pack
 from .ring import P_I, Poly, PolyLike, QI_I, is_name, merge_terms
 
 
@@ -133,14 +133,24 @@ def adjoint(op: Operator) -> Operator:
 def bilinear_rhs(op: Operator) -> BilinearExpr:
     """qt L q - q L^+ qt, assembled as braces on odd-order terms and
     brackets on even-order ones.  Entry (i, j) of a grid pairs trial field
-    j with test field i."""
-    zero = MultiIndex.zero(op.dimension)
-    return expr_sum(
-        (brace if alpha.order % 2 else bracket)(alpha, zero, j, i, coeff)
-        for i, row in enumerate(grid(op))
-        for j, entry in enumerate(row)
-        for alpha, coeff in entry.terms
-    )
+    j with test field i.
+
+    The two products of every term's brace or bracket are packed and
+    merged in one pass.  A zero-order term's bracket is zero: its
+    products cancel, and its bytes do not raise the top byte."""
+    n = op.dimension
+    zero = MultiIndex.zero(n)
+    products = []
+    top = 0
+    for i, row in enumerate(grid(op)):
+        for j, entry in enumerate(row):
+            for alpha, coeff in entry.terms:
+                order = alpha.order
+                products += _pairing(alpha, zero, j, i, coeff,
+                                     coeff if order % 2 else -coeff)
+                if order:
+                    top = max(top, i, j, *alpha)
+    return _packed(merge_terms(pack(products)), n, top)
 
 
 def monomial(coeff: Poly, values: Sequence[Poly], alpha: Iterable[int]) -> Poly:

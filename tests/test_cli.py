@@ -910,6 +910,19 @@ def test_unreadable_op_file_exits_2(tmp_path, capsys, name, reason):
     assert out == ""
 
 
+def test_empty_op_is_given_operator_text(tmp_path, capsys):
+    # an empty --op is read (and refused) as operator text; with --op-file
+    # it is one source too many
+    code, out, err = run(capsys, "count", "--op", "")
+    assert refused(code, err, "expected 'axes' declaration (line 1, column 1)")
+    assert out == ""
+    path = tmp_path / "op.txt"
+    path.write_text("axes x; Dx", encoding="utf-8")
+    code, out, err = run(capsys, "count", "--op", "", "--op-file", str(path))
+    assert refused(code, err, "give either --op or --op-file, not both")
+    assert out == ""
+
+
 def wide_header(n: int) -> str:
     return f"axes {','.join(f'a{k}' for k in range(n))}; Da0*Da{n - 1}"
 

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import random
 
@@ -507,9 +508,9 @@ def test_final_gate_refuses_planted_flux(monkeypatch):
     # operator and on a term piece (gated against the term's shared pairing)
     real = engine._walk_term
 
-    def planted(alpha, coeff, lf, rf, plans):
+    def planted(alpha, plans):
         extra = BilinearExpr([term(1, (0,) * len(alpha), (0,) * len(alpha))])
-        for plan, emitted in real(alpha, coeff, lf, rf, plans):
+        for plan, emitted in real(alpha, plans):
             yield plan, [*emitted, (0, extra)]
 
     monkeypatch.setattr(engine, "_walk_term", planted)
@@ -570,8 +571,10 @@ def test_only_supplied_plans_are_validated(monkeypatch):
         decompose(op, bad)
     assert sum(calls.values()) == 0
     assert len(validated) == 2
+    # a plan that decompose makes itself is first_term_plan's, valid by
+    # construction (test_first_term_plan_is_the_first_of_term_plans)
     decompose(op)
-    assert len(validated) == 4
+    assert len(validated) == 2
     assert sum(calls.values()) > 0
 
 
@@ -612,6 +615,97 @@ def test_term_walk_matches_per_plan_route(text):
             assert (piece.fluxes, piece.plan) == (expected.fluxes, expected.plan)
             seen += 1
     assert seen == sum(term_plan_count(key[2]) for key in coeffs)
+
+
+def test_first_term_plan_is_the_first_of_term_plans():
+    # the closed form is the first plan term_plans makes, for every alpha
+    # with entries 0-4 on 1-4 axes, and default_plan's items all pass the
+    # check that decompose runs on a supplied plan
+    for n in range(1, 5):
+        alphas = [MultiIndex(a) for a in itertools.product(range(5), repeat=n)]
+        for alpha in alphas:
+            assert engine.first_term_plan(alpha) == next(term_plans(alpha))
+        op = ScalarPDO(tuple(f"x{k}" for k in range(n)),
+                       tuple((alpha, 1) for alpha in alphas))
+        items = default_plan(op).items
+        assert len(items) == 5 ** n
+        for (_, _, alpha), tp in items:
+            engine._validate_term_plan(MultiIndex(alpha), tp)
+
+
+def _wide_grid(row, col, text):
+    """A 257-field operator on one axis, zero but for entry (row, col)."""
+    fields = tuple(f"f{k}" for k in range(257))
+    zero = ScalarPDO(("x",), ())
+    entry = parse_operator(f"axes x; {text}")
+    return MatrixPDO(("x",), fields, tuple(
+        tuple(entry if (i, j) == (row, col) else zero for j in range(257))
+        for i in range(257)))
+
+
+@pytest.mark.parametrize("row,col,text", [
+    (256, 0, "Dx"), (0, 256, "Dx^2"), (256, 256, "3"),
+], ids=["test-field", "trial-field", "constant"])
+def test_field_past_the_packed_width_refused(row, col, text):
+    # a field index of 256 is refused, as pack refuses it, also for a
+    # zero-order term whose walk emits nothing
+    op = _wide_grid(row, col, text)
+    with pytest.raises(ValueError, match=r"0\.\.255"):
+        decompose(op)
+    with pytest.raises(ValueError, match=r"0\.\.255"):
+        list(term_pieces(op))
+
+
+def test_placement_is_the_term_with_its_fields_and_coefficient():
+    # each unit flux of a walk, placed on a term, is the expression of its
+    # products with the term's fields and each multiplicity times the
+    # coefficient: same pairs, dimension and top byte
+    rng = random.Random(27)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        alpha = MultiIndex(rng.randint(0, 5) for _ in range(n))
+        lf, rf = rng.choice((0, 1, 3, 255)), rng.choice((0, 2, 255))
+        coeff = random_poly(rng)
+        for _, emitted in engine._walk_term(alpha, term_plans(alpha)):
+            placed, = engine._place((emitted,), n, lf, rf, coeff)
+            assert [axis for axis, _ in placed] == [axis for axis, _ in emitted]
+            for (_, unit), (_, real) in zip(emitted, placed):
+                expected = BilinearExpr([
+                    BilinearTerm(coeff.scale(v), lf, left, rf, right)
+                    for v, _, left, _, right in unit])
+                assert (real._pairs, real._dim, real._top) == (
+                    expected._pairs, expected._dim, expected._top)
+    for lf, rf in ((256, 0), (0, 256), (-1, 0)):
+        with pytest.raises(ValueError, match=r"0\.\.255"):
+            engine._place(((),), 2, lf, rf, Poly.const(1))
+
+
+def test_equal_alpha_shares_one_walk(monkeypatch):
+    # Stokes' three diagonal blocks and its paired gradient entries repeat
+    # alpha and plan: 7 rule calls instead of one walk per term (18)
+    calls = _count_rule_calls(monkeypatch)
+    decompose(stokes_operator())
+    assert calls == {"reduce_step": 3, "exchange_step": 0, "collapse_step": 4}
+
+
+def test_equal_alpha_with_different_paths_walks_each():
+    # a supplied plan can give two entries with equal alpha different
+    # paths: the walk is shared only by equal plans
+    op = parse_operator(json.dumps({
+        "axes": ["x", "y"], "fields": ["u", "v"],
+        "entries": [["Dx^2*Dy^2", "0"], ["0", "2*Dx^2*Dy^2"]]}))
+    coeffs = {key: coeff for key, _, coeff, _, _ in engine._operator_terms(op)}
+    (first, _), (second, _) = coeffs.items()
+    plans = {first: TermPlan(path=(0, 1)), second: TermPlan(path=(1, 0))}
+    dec = decompose(op, DecompositionPlan(tuple(plans.items())))
+    alone = [decompose(_term_alone(op, key, coeffs[key]),
+                       DecompositionPlan(((key, tp),)))
+             for key, tp in plans.items()]
+    assert alone[0].fluxes != decompose(
+        _term_alone(op, first, coeffs[first]),
+        DecompositionPlan(((first, plans[second]),))).fluxes
+    assert dec.fluxes == tuple(a + b for a, b in zip(alone[0].fluxes,
+                                                    alone[1].fluxes))
 
 
 def _corrupt_rule_output(monkeypatch, builder, change):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_operator
-from fundform.algebra import BilinearExpr, BilinearTerm, MultiIndex, bracket
+from fundform.algebra import (BilinearExpr, BilinearTerm, MultiIndex, brace,
+                              bracket, expr_sum)
 from fundform.operators import (
     MatrixPDO,
     ScalarPDO,
@@ -404,6 +405,49 @@ def test_system_bilinear_rhs_block_diagonal():
     grid = MatrixPDO(heat.axes, ("a", "b"), ((heat, zero), (zero, heat)))
     expected = bilinear_rhs_direct(heat, 0, 0) + bilinear_rhs_direct(heat, 1, 1)
     assert bilinear_rhs(grid) == expected
+
+
+def _grid_of(rng, n: int, size: int) -> MatrixPDO:
+    """A size x size grid of random entries on n axes, some of them zero
+    and some of them constants, which pair to zero."""
+    axes = tuple(f"x{k + 1}" for k in range(n))
+    entries = []
+    for _ in range(size):
+        row = []
+        for _ in range(size):
+            terms = {}
+            for _ in range(rng.choice((0, 1, 2, 3))):
+                alpha = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                terms[alpha] = rng.randint(-3, 3) or 1
+            row.append(ScalarPDO.build(axes, terms))
+        entries.append(row)
+    return MatrixPDO(axes, tuple(f"f{k}" for k in range(size)), entries)
+
+
+def test_bilinear_rhs_is_the_one_merge_of_its_pairings():
+    # one merge of every term's products gives what the sum of the terms'
+    # braces and brackets gives, dimension and top byte included: a
+    # zero-order term adds no byte, and an operator of constants pairs to
+    # the zero expression
+    rng = random.Random(27)
+    ops = [random_operator(rng, with_params=True) for _ in range(40)]
+    ops += [_grid_of(rng, rng.randint(1, 3), rng.randint(1, 4)) for _ in range(40)]
+    ops += [parse_operator("axes x,y; 5"), _grid_of(random.Random(1), 2, 0)]
+    const = ScalarPDO.build(("x",), {(0,): 2})
+    zero = ScalarPDO.build(("x",), {})
+    ops.append(MatrixPDO(("x",), ("a", "b", "c"), (
+        (zero, zero, zero), (zero, parse_operator("axes x; Dx"), zero),
+        (zero, zero, const))))
+    for op in ops:
+        zero_index = MultiIndex.zero(op.dimension)
+        grid = op.entries if isinstance(op, MatrixPDO) else ((op,),)
+        expected = expr_sum(
+            (brace if alpha.order % 2 else bracket)(alpha, zero_index, j, i, c)
+            for i, row in enumerate(grid) for j, entry in enumerate(row)
+            for alpha, c in entry.terms)
+        got = bilinear_rhs(op)
+        assert (got._pairs, got._dim, got._top) == (
+            expected._pairs, expected._dim, expected._top)
 
 
 def test_symbol_wave():
