@@ -16,8 +16,10 @@ is formed in one step by the shift rule
 
 so each term gives one term per gamma <= a, and the combination (times an
 exponential weight) is one exponential-polynomial, merged once before it
-is evaluated (one point at a time) or integrated.  A trace is the
-combination of one derivative.  Every merge goes through
+is evaluated (one point at a time) or integrated.  The coefficients of
+P(xi + lam) are formed for all of a field's slopes that share their top
+power and their zero entries in one shift of P, one column per slope.  A
+trace is the combination of one derivative.  Every merge goes through
 ``ring.merge_terms``, keyed on a and the (real, imag) pairs of lam.
 
 Solution text is read by the expression parser of ``parser`` (signs,
@@ -44,7 +46,7 @@ import cmath
 import re
 from dataclasses import dataclass
 from math import comb, perm, prod
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
 from .parser import MAX_TERMS, Parser, TextSyntaxError
@@ -115,29 +117,46 @@ def _product(p: ExpPoly, q: ExpPoly) -> ExpPoly:
     ))
 
 
-def _shifted_symbol(symbol: dict, lam: tuple, top: tuple) -> dict:
-    """The coefficients Q_gamma of P(xi + lam) for gamma <= `top`, where
-    `symbol` maps each beta to its coefficient in P(xi):
+def _shifted_symbols(symbol: dict, lams: Sequence[tuple], top: tuple) -> dict:
+    """The coefficients Q_gamma of P(xi + lam) for gamma <= `top`, one
+    column per slope lam in `lams`, where `symbol` maps each beta to its
+    coefficient in P(xi):
 
         Q_gamma = sum_beta coeff prod_k C(beta_k, gamma_k) lam_k^(beta_k - gamma_k)
 
     One axis at a time: the shift along axis k replaces beta_k by every
     gamma_k <= min(beta_k, top_k), and equal multi-indices merge before the
-    next axis.  A zero slope keeps gamma_k = beta_k only."""
-    for k, (s, t) in enumerate(zip(lam, top)):
-        current, symbol = symbol, {}
-        for beta, coeff in current.items():
+    next axis.  A zero slope keeps gamma_k = beta_k only.  The slopes share
+    their zero entries, so every column meets the same multi-indices in the
+    same order and holds what a shift by its slope alone gives, summed in
+    the same order; C(b, g) lam_k^(b - g) is formed once per (axis, b, g)
+    for all columns."""
+    table = {beta: [coeff] * len(lams) for beta, coeff in symbol.items()}
+    for k, t in enumerate(top):
+        current, table = table, {}
+        if not lams[0][k]:
+            for beta, column in current.items():
+                if beta[k] <= t:
+                    table[beta] = column
+            continue
+        slopes = [lam[k] for lam in lams]
+        factors: dict = {}
+        for beta, column in current.items():
             b = beta[k]
-            if not s:
-                if b <= t:
-                    symbol[beta] = symbol.get(beta, 0) + coeff
-                continue
             head, tail = beta[:k], beta[k + 1:]
             for g in range(min(b, t) + 1):
                 key = head + (g,) + tail
-                value = coeff * (comb(b, g) * s ** (b - g)) if b > g else coeff
-                symbol[key] = symbol.get(key, 0) + value
-    return symbol
+                if b > g:
+                    factor = factors.get((b, g))
+                    if factor is None:
+                        binom, e = comb(b, g), b - g
+                        factor = factors[b, g] = [binom * s ** e for s in slopes]
+                    values = list(map(mul, column, factor))
+                else:
+                    values = column
+                row = table.get(key)
+                table[key] = values if row is None else list(map(add, row, values))
+    return table
 
 
 def _finite(p: ExpPoly) -> bool:
@@ -287,8 +306,13 @@ def parse_solution(source: str, axes: Sequence[str]) -> ExpPoly:
     finite float range is refused at the first value that does."""
     parser = _SolutionParser(source, axes)
     expr = parser.parse()
-    # a value that overflowed may cancel later, as in (2^2000)^0
-    if not _finite(expr):
+    # Every value the parser forms is checked where it is formed (a number,
+    # a product, each '+' of a sum) or cannot leave the float range from
+    # finite parts (a coordinate, i, a negation, exp, sin or cos of an
+    # affine argument, whose cmath.exp raises on overflow): a result with a
+    # value out of range has recorded an overflow.  Only then is it scanned,
+    # since a value that overflowed may cancel later, as in (2^2000)^0.
+    if parser.overflow is not None and not _finite(expr):
         raise parser.error(_OVERFLOW, parser.overflow)
     return expr
 
@@ -325,8 +349,12 @@ class ManufacturedSolution(NamedTuple):
         field contributes c (a)_gamma Q_gamma(lam) x^(a-gamma) e^(lam.x)
         for every gamma <= a, with the falling factorial (a)_gamma =
         prod_k a_k! / (a_k - gamma_k)! and Q_gamma(lam) the coefficients of
-        P(xi + lam).  Each Q is computed once per (field, lam) in the call,
-        and the terms are merged once, at the end."""
+        P(xi + lam).  The field's slopes are grouped by their top (the
+        largest a of each) and their zero entries; the symbol is shifted
+        once per group, one column per slope, so each Q is computed once
+        per (field, lam) in the call, and each power's (a - gamma,
+        (a)_gamma) pairs once per group.  The terms are merged once, at the
+        end, in the order of the field's terms and of the gammas."""
         symbols: dict = {}
         for coeff, field, deriv in entries:
             symbol = symbols.setdefault(field, {})
@@ -338,12 +366,25 @@ class ManufacturedSolution(NamedTuple):
             tops: dict = {}
             for a, lam, _ in terms:
                 tops[lam] = tuple(map(max, tops.get(lam, a), a))
-            shifted = {lam: _shifted_symbol(symbol, lam, top)
-                       for lam, top in tops.items()}
+            groups: dict = {}
+            for lam, top in tops.items():
+                groups.setdefault((top, tuple(not s for s in lam)), []).append(lam)
+            # each slope's table, its column there, its group's pairs by
+            # power, and its shifted slope
+            columns: dict = {}
+            for (top, _), lams in groups.items():
+                table = tuple(_shifted_symbols(symbol, lams, top).items())
+                pairs: dict = {}
+                for col, lam in enumerate(lams):
+                    out = lam if shift is None else tuple(map(add, lam, shift))
+                    columns[lam] = (table, col, pairs, out)
             for a, lam, c in terms:
-                out = lam if shift is None else tuple(map(add, lam, shift))
-                for gamma, q in shifted[lam].items():
-                    if all(map(le, gamma, a)):
-                        triples.append((tuple(map(sub, a, gamma)), out,
-                                        c * prod(map(perm, a, gamma)) * q))
+                table, col, pairs, out = columns[lam]
+                falling = pairs.get(a)
+                if falling is None:
+                    falling = pairs[a] = [
+                        (tuple(map(sub, a, gamma)), prod(map(perm, a, gamma)), q)
+                        for gamma, q in table if all(map(le, gamma, a))]
+                for rest, count, q in falling:
+                    triples.append((rest, out, c * count * q[col]))
         return _merge(self.axes, triples)

@@ -153,8 +153,9 @@ def bilinear_rhs(op: Operator) -> BilinearExpr:
     return _packed(merge_terms(pack(products)), n, top)
 
 
-def monomial(coeff: Poly, values: Sequence[Poly], alpha: Iterable[int]) -> Poly:
-    """coeff * prod_k values[k]^alpha_k."""
+def monomial(coeff: PolyLike, values: Sequence[PolyLike],
+             alpha: Iterable[int]) -> PolyLike:
+    """coeff * prod_k values[k]^alpha_k, in Polys or in exact scalars."""
     for k, e in enumerate(alpha):
         if e:
             coeff = coeff * values[k] ** e

@@ -7,6 +7,11 @@ of the adjoint symbol the substituted form is closed exactly when the
 operator equation holds, which is what makes boundary relations out of
 it.  Boundary traces stay symbolic here: a relation is structure (face,
 orientation, coefficient, weight, trace), never an evaluated integral.
+
+A substitution forms each test field's factor amplitude * prod_j slope_j^nu_j
+once per (field, nu).  At a numeric spectral point, where every slope and
+amplitude is a constant, the factor is an exact Gaussian rational and
+scales the flux coefficients; no constant is wrapped as a polynomial.
 """
 
 from __future__ import annotations
@@ -64,7 +69,12 @@ def substitute_exponential(form: DivergenceDecomposition,
                            sign: int = 1,
                            amplitudes: Sequence[PolyLike] | None = None) -> SubstitutedForm:
     """Replace every test-slot derivative d^nu qt_g by
-    amplitudes[g] * prod_j (sign*i*sigma_j)^nu_j times the common weight."""
+    amplitudes[g] * prod_j (sign*i*sigma_j)^nu_j times the common weight.
+
+    That factor is formed once per (g, nu) in the call.  At a numeric point,
+    where every slope and amplitude is a constant, it is an exact
+    GaussianRational and each term's coefficient is scaled by it; otherwise
+    it is a Poly and multiplies the coefficient."""
     check_sigma_count(sigma, form.dimension)
     sigma = tuple(Poly.coerce(s) for s in sigma)
     slopes = exponential_slopes(sigma, sign)
@@ -80,11 +90,23 @@ def substitute_exponential(form: DivergenceDecomposition,
     param_names = {name for flux in form.fluxes for t in flux
                    for name in t.coeff.variables()}
     refuse_clash(spectral_names, set(form.axes) | param_names, "axis or parameter")
+    numeric = all(p.is_constant for p in slopes + amplitudes)
+    if numeric:
+        values = [p.constant_value() for p in slopes]
+        scalars = [a.constant_value() for a in amplitudes]
+    else:
+        values, scalars = slopes, amplitudes
+    factors: dict = {}
+
+    def substituted(t) -> Poly:
+        key = (t.right_field, t.right)
+        factor = factors.get(key)
+        if factor is None:
+            factor = factors[key] = monomial(scalars[t.right_field], values, t.right)
+        return t.coeff.scale(factor) if numeric else t.coeff * factor
+
     out = tuple(
-        _merge_spectral_terms(
-            ((t.left_field, t.left),
-             monomial(t.coeff * amplitudes[t.right_field], slopes, t.right))
-            for t in flux)
+        _merge_spectral_terms(((t.left_field, t.left), substituted(t)) for t in flux)
         for flux in form.fluxes
     )
     return SubstitutedForm(form.axes, sign, sigma, amplitudes, out)

@@ -14,7 +14,9 @@ lam.  Each term is a product of one-axis factors, so its tensor
 Gauss-Legendre sum over a face is
 c v^(a_k) exp(lam_k v) prod_(j != k) S_j(a_j, lam_j) with the one-axis sums
 S_j(p, mu) = sum_i w_i x_i^p exp(mu x_i): the same tensor rule in O(d n)
-work per term instead of O(n^(d-1)).
+work per term instead of O(n^(d-1)).  Each S_j is computed once per
+(axis, power, slope) in a call, and the exp(mu x_i) at one axis's nodes
+once per (axis, slope), whatever the powers that use them.
 
 Everything here is plain Python floats and complex numbers: the one-axis
 rule is solved by Newton's method on the Legendre recurrence, and the
@@ -169,13 +171,21 @@ def _face_grid(box: Sequence, axis: int, end: str, spec: QuadratureSpec,
     return (hi if end == "hi" else lo), _Rows(nodes), _Rows(scaled)
 
 
+def _axis_exponentials(nodes: Sequence[float], slope: complex) -> list:
+    """exp(slope x_i) at each node of one axis."""
+    return [cmath.exp(slope * x) for x in nodes]
+
+
 def _axis_sum(nodes: Sequence[float], weights: Sequence[float], power: int,
-              slope: complex) -> complex:
+              slope: complex, exponentials: Sequence[complex] | None = None) -> complex:
     """sum_i w_i x_i^power exp(slope x_i): one axis's factor of a tensor
-    Gauss-Legendre sum."""
+    Gauss-Legendre sum.  `exponentials` holds the exp(slope x_i) when the
+    caller has tabulated them (``_axis_exponentials``) for its slope; they
+    are computed here when it has not."""
     if slope:
-        return sum(w * x ** power * cmath.exp(slope * x)
-                   for x, w in zip(nodes, weights))
+        if exponentials is None:
+            exponentials = _axis_exponentials(nodes, slope)
+        return sum(w * x ** power * e for x, w, e in zip(nodes, weights, exponentials))
     return complex(sum(w * x ** power for x, w in zip(nodes, weights)))
 
 
@@ -189,7 +199,9 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
     one integrand, the solution's derivative sum (formed in closed form
     and merged once) with the weight exp(sum_j E_j x^j) folded into its
     slopes; its tensor Gauss-Legendre sum on each face is a product of
-    one-axis sums, cached per (axis, power, slope) for the call.  Integrals that leave the float range
+    one-axis sums, cached per (axis, power, slope) for the call.  The
+    exp(slope x_i) at one axis's nodes are tabulated once per (axis,
+    slope) and serve every power.  Integrals that leave the float range
     raise ValueError.
     """
     if solution.axes != sf.axes:
@@ -198,12 +210,19 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
         raise ValueError("box must give one interval per axis")
     assignment = dict(assignment or {})
     rules: dict = {}
+    exponentials: dict = {}
     sums: dict = {}
 
     def axis_sum(j: int, power: int, slope: complex) -> complex:
         key = (j, power, slope)
         if key not in sums:
-            sums[key] = _axis_sum(*rules[j], power, slope)
+            nodes, weights = rules[j]
+            table = None
+            if slope:
+                table = exponentials.get((j, slope))
+                if table is None:
+                    table = exponentials[j, slope] = _axis_exponentials(nodes, slope)
+            sums[key] = _axis_sum(nodes, weights, power, slope, table)
         return sums[key]
 
     integrals = []

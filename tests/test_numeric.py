@@ -318,42 +318,84 @@ def diff_chain(expr, axes, deriv):
     return expr
 
 
+def random_entries(rng, n, fields):
+    """One to eight (coeff, field, deriv) entries of order at most 8, the
+    first one twice."""
+    entries = []
+    for _ in range(rng.randint(1, 8)):
+        order = rng.randint(0, 8)
+        deriv = [0] * n
+        for _ in range(order):
+            deriv[rng.randrange(n)] += 1
+        coeff = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        entries.append((coeff, rng.randrange(fields), tuple(deriv)))
+    entries.append(entries[0])  # one derivative twice
+    return entries
+
+
+def check_sum_against_chains(rng, solution, entries, shift) -> int:
+    """The derivative sum against one ExpPoly.diff per derivative, at four
+    points; returns how many of them have a nonzero value."""
+    axes = solution.axes
+    got = solution.derivative_sum(entries, shift)
+    chains = [(coeff, diff_chain(solution.fields[field], axes, deriv))
+              for coeff, field, deriv in entries]
+    _, field, deriv = entries[0]
+    assert solution.trace(field, deriv) == solution.derivative_sum(
+        [(1, field, deriv)])
+    nonzero = 0
+    for _ in range(4):
+        point = {axis: rng.uniform(-1, 1) for axis in axes}
+        weight = cmath.exp(sum(s * point[axis] for s, axis in zip(shift, axes))
+                           ) if shift else 1
+        parts = [coeff * chain.evaluate(point) * weight for coeff, chain in chains]
+        scale = sum(map(abs, parts))
+        nonzero += scale > 0
+        assert abs(got.evaluate(point) - sum(parts)) <= 1e-12 * scale, (
+            entries, point)
+    return nonzero
+
+
+# Fields whose slopes share a top: the shift rule shifts each field's symbol
+# once per group of slopes with one top and the same zero entries.
+SHARED_SLOPE_FIELDS = {
+    # four slopes of top (2, 1), one group
+    "one top": ("x^2*y*(exp(2*x + y) + cos(3*x - y) + exp(-x + 2i*y))",),
+    # slopes of one top that differ only where some are zero: (2, 0) and
+    # (-1, 0) in one group, (2, 3) and (-1, 3) in another
+    "zero entries": ("x*y*(exp(2*x) + exp(-x) + exp(2*x + 3*y) - exp(-x + 3*y))",),
+    # tops (2, 0) and (0, 3), each with three slopes
+    "two tops": ("x^2*(exp(x + y) + cos(2*y - x)) - 3*y^3*(exp(2*x - 1i*y)"
+                 " + sin(x + y))",),
+    # two fields, each with a group of several slopes
+    "two fields": ("(x + y)^2*(exp(x - y) + cos(x + 2*y))",
+                   "y*(sin(2*x) + exp(1i*x + y) - exp(2*x + 2*y)) + x^3"),
+}
+
+
 def test_derivative_sums_match_diff_chains():
     # the shift rule against one ExpPoly.diff per derivative, on seeded
-    # two-field systems over two and three axes
+    # two-field systems over two and three axes, then on fields whose
+    # slopes share a top, each with and without a shift
     rng = random.Random(2020)
     nonzero = 0
     for case in range(40):
         axes = ("x", "y", "z")[:rng.choice([2, 3])]
         solution = ManufacturedSolution.system(
             axes, [random_solution_text(rng, axes) for _ in range(2)])
-        entries = []
-        for _ in range(rng.randint(1, 8)):
-            order = rng.randint(0, 8)
-            deriv = [0] * len(axes)
-            for _ in range(order):
-                deriv[rng.randrange(len(axes))] += 1
-            coeff = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            entries.append((coeff, rng.randrange(2), tuple(deriv)))
-        entries.append(entries[0])  # one derivative twice
+        entries = random_entries(rng, len(axes), 2)
         shift = None if case % 2 else tuple(
             complex(rng.uniform(-1, 1), rng.uniform(-2, 2)) for _ in axes)
-        got = solution.derivative_sum(entries, shift)
-        chains = [(coeff, diff_chain(solution.fields[field], axes, deriv))
-                  for coeff, field, deriv in entries]
-        _, field, deriv = entries[0]
-        assert solution.trace(field, deriv) == solution.derivative_sum(
-            [(1, field, deriv)])
-        for _ in range(4):
-            point = {axis: rng.uniform(-1, 1) for axis in axes}
-            weight = cmath.exp(sum(s * point[axis] for s, axis in zip(shift, axes))
-                               ) if shift else 1
-            parts = [coeff * chain.evaluate(point) * weight for coeff, chain in chains]
-            scale = sum(map(abs, parts))
-            nonzero += scale > 0
-            assert abs(got.evaluate(point) - sum(parts)) <= 1e-12 * scale, (
-                case, point)
+        nonzero += check_sum_against_chains(rng, solution, entries, shift)
     assert nonzero >= 100
+    axes = ("x", "y")
+    for texts in SHARED_SLOPE_FIELDS.values():
+        solution = ManufacturedSolution.system(axes, texts)
+        for _ in range(3):
+            entries = random_entries(rng, 2, len(texts))
+            for shift in (None, (complex(rng.uniform(-1, 1), rng.uniform(-2, 2)),
+                                 complex(rng.uniform(-1, 1), 0))):
+                assert check_sum_against_chains(rng, solution, entries, shift)
 
 
 def test_trace_orders_match_mixed_partials():
@@ -678,14 +720,28 @@ def laplacian_squared_case():
     return sf, solution, box, {"s1": 5j, "s2": 3, "s3": 4}
 
 
+def shared_slope_case():
+    """A slope that the solution and the weight give both axes alike, on a
+    box whose axes have different nodes: each axis tabulates its own
+    exponentials."""
+    op = parse_operator("axes x,y; Dx^2*Dy + Dy^2 - Dx")
+    sf = substitute_exponential(assemble(decompose(op)),
+                                [Poly.var("s1"), Poly.var("s2")])
+    solution = ManufacturedSolution.scalar(
+        ("x", "y"), "x^2*exp(x + y) + y*exp(x + y) + cos(x - 2*y)")
+    box = ((0.0, 1.0), (-0.5, 1.5))
+    return sf, solution, box, {"s1": 0.3, "s2": 0.3}
+
+
 def stokes_case():
     case = builtin_solutions("stokes")[0]
     sf, assignment = case_substituted_form(case)
     return sf, case.solution, case.box, assignment
 
 
-@pytest.mark.parametrize("make", [stokes_case, laplacian_squared_case],
-                         ids=["stokes", "laplacian2"])
+@pytest.mark.parametrize("make", [stokes_case, laplacian_squared_case,
+                                  shared_slope_case],
+                         ids=["stokes", "laplacian2", "shared-slope"])
 def test_separable_faces_match_brute_force_tensor_sum(make):
     sf, solution, box, assignment = make()
     nodes = 5

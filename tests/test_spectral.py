@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_operator
+from conftest import random_gaussian, random_operator
 from fundform.algebra import BilinearExpr, term
 from fundform.decompose import DivergenceDecomposition, decompose
 from fundform.forms import assemble
-from fundform.operators import adjoint, apply_symbol, symbol
+from fundform.operators import adjoint, apply_symbol, exponential_slopes, symbol
 from fundform.parser import parse_operator
-from fundform.ring import P_I, Poly, QI_I
+from fundform.ring import P_I, GaussianRational, Poly, QI_I, merge_terms
 from fundform.spectral import (
     adjoint_constraint,
     amplitudes_pairwise_independent,
@@ -22,6 +22,7 @@ from fundform.spectral import (
     substitute_exponential,
 )
 from fundform.catalog import (
+    _stokes_test_function,
     biharmonic_operator,
     heat_operator,
     stokes_adjoint_residual,
@@ -170,6 +171,66 @@ def test_substituted_closure_randomized():
         expected[zero_key] = expected.get(zero_key, Poly()) - P
         expected = {k: v for k, v in expected.items() if not v.is_zero}
         assert derived == expected
+
+
+def substituted_term_by_term(form, sigma, sign, amplitudes):
+    """The fluxes of the substitution with every term's factor formed on
+    its own: coeff * amplitude of its test field * prod_k slope_k^nu_k."""
+    slopes = exponential_slopes([Poly.coerce(s) for s in sigma], sign)
+    out = []
+    for flux in form.fluxes:
+        pairs = []
+        for t in flux:
+            value = t.coeff * amplitudes[t.right_field]
+            for slope, e in zip(slopes, t.right):
+                value = value * slope ** e
+            pairs.append(((t.left_field, t.left), value))
+        out.append(tuple((c, f, d) for (f, d), c in merge_terms(pairs)))
+    return tuple(out)
+
+
+def point_put_in(fluxes, values):
+    """Each coefficient with the values substituted, zeros dropped."""
+    out = []
+    for flux in fluxes:
+        terms = ((c.substitute(values), f, d) for c, f, d in flux)
+        out.append(tuple(term for term in terms if term[0]))
+    return tuple(out)
+
+
+def test_numeric_point_substitution_matches_symbolic():
+    # the substitution at a point equals the symbolic one with the point put
+    # in afterwards, and the symbolic one equals a term-by-term substitution
+    # that shares no factor between terms (Stokes has four test fields with
+    # different amplitudes and shared derivatives)
+    rng = random.Random(2828)
+    cases = []
+    for case in range(32):
+        op = random_operator(rng, max_dim=3, max_order=4, max_terms=4,
+                             with_params=True)
+        point = [random_gaussian(rng) for _ in range(op.dimension)]
+        cases.append((op, point, (1, -1)[case % 2], None))
+    op = parse_operator("params nu; axes x,y,t; nu*Dx^2*Dy - Dt^2 + (1/2)*Dx*Dt")
+    cases.append((op, [Fraction(2, 3), 0, GaussianRational(1, -1)], -1, None))
+    cases.append((op, [var("w"), Fraction(-5, 2), 0], 1, None))
+    sigma, sign, amplitudes = _stokes_test_function(spinor_isotropic(1, 2), 1)
+    cases.append((stokes_operator(), sigma, sign, amplitudes))
+    numeric = 0
+    for op, point, sign, amplitudes in cases:
+        form = assemble(decompose(op))
+        names = [var(f"s{j + 1}") for j in range(op.dimension)]
+        values = {f"s{j + 1}": value for j, value in enumerate(point)}
+        amp_names = None
+        if amplitudes is not None:
+            amp_names = [var(f"a{g}") for g in range(len(amplitudes))]
+            values.update((f"a{g}", a) for g, a in enumerate(amplitudes))
+        symbolic = substitute_exponential(form, names, sign, amp_names)
+        assert symbolic.fluxes == substituted_term_by_term(
+            form, names, sign, amp_names or [Poly.const(1)])
+        at_point = substitute_exponential(form, point, sign, amplitudes)
+        assert at_point.fluxes == point_put_in(symbolic.fluxes, values), (op, point)
+        numeric += all(Poly.coerce(p).is_constant for p in point)
+    assert numeric == len(cases) - 1
 
 
 # ---------------------------------------------------------------------------
