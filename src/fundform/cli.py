@@ -6,18 +6,17 @@ one, text a terse summary.  Exit codes: 0 success, 1 verification
 failure (or stdout closed by its reader), 2 usage or parse error.
 
 Each subcommand's options sit in one table (`COMMANDS`).  A well-formed
-call is read from that table; argparse is built from it only for help,
-usage, errors and the spellings the table reader leaves to it (prefixes,
-`=` forms, values that start with '-'), and prints what it printed before.
+call is read from that table.  Every other call (help, usage, errors and
+the spellings the table reader leaves to argparse: prefixes, `=` forms,
+values that start with '-') is read by the full argparse parser that
+`build_parser` builds from the same table.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
-import shutil
 import sys
 
 from . import emit
@@ -70,13 +69,13 @@ class UsageError(ValueError):
 
 
 def _load_operator(args) -> Operator:
-    # an empty --op is operator text all the same, which the reader
-    # refuses; an empty --op-file names no file
-    if args.op is not None and args.op_file:
+    # an empty --op or --op-file is given all the same: the reader refuses
+    # empty operator text, and an empty file name cannot be read
+    if args.op is not None and args.op_file is not None:
         raise UsageError("give either --op or --op-file, not both")
     if args.op is not None:
         return parse_operator(args.op)
-    if args.op_file:
+    if args.op_file is not None:
         try:
             with open(args.op_file, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -450,7 +449,7 @@ _OPERATOR = {
 
 # name: (help, handler, options), in the order `--help` lists them.  The
 # options map each flag to its add_argument keywords, in `--help` order:
-# `_add_command` builds argparse options from them, and `_read_call` reads
+# `build_parser` builds argparse options from them, and `_read_call` reads
 # a well-formed call with them.
 COMMANDS = {
     "decompose": ("fluxes plus verification verdict", cmd_decompose, {
@@ -489,21 +488,6 @@ COMMANDS = {
 }
 
 
-def _formatter():
-    """The help formatter of one build, with the terminal width read once:
-    argparse would read it for every formatter it builds, one per option."""
-    return functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-
-
-def _add_command(p: argparse.ArgumentParser, name: str) -> None:
-    """Give `p` the options and handler of subcommand `name`."""
-    _, handler, options = COMMANDS[name]
-    for flag, keywords in options.items():
-        p.add_argument(flag, **keywords)
-    p.set_defaults(func=handler)
-
-
 def _read_call(argv: list) -> argparse.Namespace | None:
     """The namespace argparse builds for `argv`, a call whose first
     argument is a subcommand, read from the option table; None for a call
@@ -537,55 +521,29 @@ def _read_call(argv: list) -> argparse.Namespace | None:
         flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `fundform` parser: every subcommand when `command` is None, and
-    only `command` otherwise.  Both print the same help, usage and errors
-    for a call that names `command` first.  The subcommands' prog prefix
-    is given, not derived from a rendered usage line."""
-    formatter = _formatter()
+def build_parser() -> argparse.ArgumentParser:
+    """The `fundform` parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="fundform",
         description=(
             "Divergence decompositions, fundamental (n-1)-forms and "
             "boundary relations for constant-coefficient operators."
         ),
-        formatter_class=formatter,
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    prog=parser.prog)
-        names = COMMANDS
-    else:
-        # The usage line, printed for unrecognized arguments, still names
-        # every command.  On the full parser this metavar would also rename
-        # `command` in its "required" and "invalid choice" errors.
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    prog=parser.prog,
-                                    metavar="{" + ",".join(COMMANDS) + "}")
-        names = (command,)
-    for name in names:
-        _add_command(sub.add_parser(name, help=COMMANDS[name][0],
-                                    formatter_class=formatter), name)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] not in COMMANDS:
+    args = _read_call(argv) if argv and argv[0] in COMMANDS else None
+    if args is None:
         args = build_parser().parse_args(argv)
-    elif (args := _read_call(argv)) is None:
-        # A call that names its subcommand first and that the option table
-        # does not read is read by that subcommand's parser alone, built as
-        # `build_parser` builds it and given the arguments the top-level
-        # parser would hand it, so it prints the same help and errors.
-        # Only arguments it leaves over need the top-level parser, which
-        # reports them.
-        parser = argparse.ArgumentParser(prog=f"fundform {argv[0]}",
-                                         formatter_class=_formatter())
-        _add_command(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if rest:
-            args = build_parser(argv[0]).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

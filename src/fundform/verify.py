@@ -177,14 +177,11 @@ def _axis_exponentials(nodes: Sequence[float], slope: complex) -> list:
 
 
 def _axis_sum(nodes: Sequence[float], weights: Sequence[float], power: int,
-              slope: complex, exponentials: Sequence[complex] | None = None) -> complex:
+              exponentials: Sequence[complex] | None) -> complex:
     """sum_i w_i x_i^power exp(slope x_i): one axis's factor of a tensor
-    Gauss-Legendre sum.  `exponentials` holds the exp(slope x_i) when the
-    caller has tabulated them (``_axis_exponentials``) for its slope; they
-    are computed here when it has not."""
-    if slope:
-        if exponentials is None:
-            exponentials = _axis_exponentials(nodes, slope)
+    Gauss-Legendre sum.  `exponentials` holds the exp(slope x_i) as
+    ``_axis_exponentials`` tabulates them, and is None for a zero slope."""
+    if exponentials is not None:
         return sum(w * x ** power * e for x, w, e in zip(nodes, weights, exponentials))
     return complex(sum(w * x ** power for x, w in zip(nodes, weights)))
 
@@ -222,7 +219,7 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
                 table = exponentials.get((j, slope))
                 if table is None:
                     table = exponentials[j, slope] = _axis_exponentials(nodes, slope)
-            sums[key] = _axis_sum(nodes, weights, power, slope, table)
+            sums[key] = _axis_sum(nodes, weights, power, table)
         return sums[key]
 
     integrals = []

@@ -4,7 +4,6 @@ import importlib
 import json
 import os
 import random
-import shutil
 import subprocess
 import sys
 import time
@@ -48,6 +47,7 @@ from fundform.spectral import (
 
 TRIPLE = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
 BIHARM = "axes x,y,z; Dx^4 + Dy^4 + Dz^4 + 2*Dx^2*Dy^2 + 2*Dy^2*Dz^2 + 2*Dz^2*Dx^2"
+WAVE = "axes x,t; Dt^2 - Dx^2"
 
 
 def run(capsys, *argv):
@@ -911,16 +911,22 @@ def test_unreadable_op_file_exits_2(tmp_path, capsys, name, reason):
 
 
 def test_empty_op_is_given_operator_text(tmp_path, capsys):
-    # an empty --op is read (and refused) as operator text; with --op-file
-    # it is one source too many
+    # an empty --op is read (and refused) as operator text, and an empty
+    # --op-file as a file name; with the other option either one is a
+    # source too many
     code, out, err = run(capsys, "count", "--op", "")
     assert refused(code, err, "expected 'axes' declaration (line 1, column 1)")
     assert out == ""
+    code, out, err = run(capsys, "count", "--op-file", "")
+    assert refused(code, err, "cannot read --op-file '': No such file")
+    assert out == ""
     path = tmp_path / "op.txt"
     path.write_text("axes x; Dx", encoding="utf-8")
-    code, out, err = run(capsys, "count", "--op", "", "--op-file", str(path))
-    assert refused(code, err, "give either --op or --op-file, not both")
-    assert out == ""
+    for argv in (["--op", "", "--op-file", str(path)],
+                 ["--op-file", "", "--op", WAVE]):
+        code, out, err = run(capsys, "count", *argv)
+        assert refused(code, err, "give either --op or --op-file, not both")
+        assert out == ""
 
 
 def wide_header(n: int) -> str:
@@ -998,11 +1004,10 @@ def test_spectral_names_take_the_header_list(capsys):
     assert code == 0 and out == "-a^2*nu + i*b = 0\n"
 
 
-
 # ---------------------------------------------------------------------------
-# main builds the parser of the requested subcommand only
+# main reads a well-formed call from the option table, and any other call
+# with the full parser; both routes give the same outcome
 
-WAVE = "axes x,t; Dt^2 - Dx^2"
 PARSER_ARGV = [
     [], ["--help"], ["nosuch"], ["-h", "count"], ["count", "--op", WAVE, "extra"],
     ["verify"], ["verify", "--nodes", "x", "--case", "heat"],
@@ -1017,6 +1022,7 @@ PARSER_ARGV = [
      "--path", "x", "--path", "y,x", "--transfer", "", "--exchange", "",
      "--format", "text"],
     ["count", "--op-file", "", "--op", WAVE, "--format", "latex"],
+    ["count", "--op-file", ""], ["count", "--op-file", "", "--op", WAVE],
     ["represent", "--op", "", "--op", WAVE, "--format", "text"],
     ["constraint", "--op", WAVE, "--spectral-names", "a,b", "--format", "text"],
     ["global-relation", "--op", WAVE, "--spectral-names", "k,w", "--sigma", "k,k",
@@ -1042,25 +1048,17 @@ def outcome(capsys, call) -> tuple:
     return result, captured.out, captured.err
 
 
-def full_parser_main(argv):
-    """main's work with every subcommand registered."""
-    args = cli.build_parser().parse_args(argv)
-    return args.func(args)
-
-
 @pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
-def test_narrowed_parser_matches_the_full_one(capsys, argv):
-    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
-    assert (outcome(capsys, lambda: vars(cli.build_parser(command).parse_args(argv)))
-            == outcome(capsys, lambda: vars(cli.build_parser().parse_args(argv))))
-    assert (outcome(capsys, lambda: main(argv))
-            == outcome(capsys, lambda: full_parser_main(argv)))
+def test_narrowed_parser_matches_the_full_one(capsys, monkeypatch, argv):
+    # the narrowed parser is the option-table reader: main with it gives
+    # what main gives when every call goes to the full argparse parser
+    table = outcome(capsys, lambda: main(argv))
+    monkeypatch.setattr(cli, "_read_call", lambda argv: None)
+    assert table == outcome(capsys, lambda: main(argv))
 
 
-# Help, usage and error texts at 40 and 200 columns, as the program
-# printed them before its parser build stopped rendering a usage line and
-# reading the terminal width per option.  Captured with Python 3.10-3.12;
-# the argparse of 3.13 wraps the usage line differently.
+# Help, usage and error texts at 40 and 200 columns.  Captured with
+# Python 3.10-3.12; the argparse of 3.13 wraps the usage line differently.
 CLI_TEXTS = json.loads(
     (Path(__file__).parent / "golden" / "cli_texts.json").read_text())
 
@@ -1075,36 +1073,24 @@ def test_help_usage_and_error_texts_pinned(capsys, monkeypatch, record):
         ("exit", record["exit"]), record["stdout"], record["stderr"])
 
 
-def test_a_call_builds_the_parsers_it_reads_with_and_reads_the_width_once(
-        capsys, monkeypatch):
+def test_a_call_builds_no_parser_or_the_full_one(capsys, monkeypatch):
     # a well-formed call is read from the option table and builds no
-    # parser; any other call that names its subcommand builds that
-    # subcommand's parser, and arguments it leaves over build the top-level
-    # parser to report them; every build reads the terminal width once
-    built, reads = [], []
-    init, size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+    # parser; any other call builds the full parser
+    built = []
+    init = argparse.ArgumentParser.__init__
 
     def counted_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    def counted_size(*args):
-        reads.append(args)
-        return size(*args)
-
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-    monkeypatch.setattr(shutil, "get_terminal_size", counted_size)
     assert main(["count", "--op", WAVE, "--format", "text"]) == 0
-    assert (built, len(reads)) == ([], 0)
-    built.clear(), reads.clear()
-    assert outcome(capsys, lambda: main(["count", "--op", WAVE, "extra"]))[0] == (
-        "exit", 2)
-    assert (built, len(reads)) == (
-        ["fundform count", "fundform", "fundform count"], 2)
-    built.clear(), reads.clear()
-    assert outcome(capsys, lambda: main(["--help"]))[0] == ("exit", 0)
-    assert (built, len(reads)) == (
-        ["fundform", *(f"fundform {name}" for name in cli.COMMANDS)], 1)
+    assert built == []
+    full = ["fundform", *(f"fundform {name}" for name in cli.COMMANDS)]
+    for argv, code in ((["count", "--op", WAVE, "extra"], 2), (["--help"], 0)):
+        built.clear()
+        assert outcome(capsys, lambda: main(argv))[0] == ("exit", code)
+        assert built == full
 
 
 def registered(parser: argparse.ArgumentParser) -> list:
@@ -1113,8 +1099,7 @@ def registered(parser: argparse.ArgumentParser) -> list:
     return list(sub.choices)
 
 
-def test_build_parser_registers_only_the_requested_command():
-    assert registered(cli.build_parser("count")) == ["count"]
+def test_build_parser_registers_every_command():
     assert registered(cli.build_parser()) == list(cli.COMMANDS)
     assert len(cli.COMMANDS) == 8
 

@@ -327,4 +327,4 @@ def option_argv(draw):
 def test_option_table_reads_calls_as_argparse_does(argv):
     args = _read_call(argv)
     if args is not None:
-        assert vars(args) == vars(build_parser(argv[0]).parse_args(argv))
+        assert vars(args) == vars(build_parser().parse_args(argv))
