@@ -11,13 +11,10 @@ from .algebra import (
     BilinearExpr,
     BilinearTerm,
     MultiIndex,
-    brace,
-    bracket,
     divergence,
     partial,
     term,
 )
-from .catalog import verify_stokes_adjoint
 from .decompose import (
     DecompositionPlan,
     DivergenceDecomposition,
@@ -29,14 +26,12 @@ from .decompose import (
     count_forms,
     decompose,
     default_plan,
-    ensure_verified,
     enumerate_plans,
     exchange_step,
     reduce_step,
     sigma_count,
-    verify_divergence,
 )
-from .forms import assemble, exterior_derivative, forms_equivalent
+from .forms import assemble, exterior_derivative
 from .manufactured import ManufacturedSolution, parse_solution
 from .operators import (
     MatrixPDO,
@@ -48,7 +43,6 @@ from .operators import (
 )
 from .parser import (
     OperatorSyntaxError,
-    format_operator,
     parse_matrix_operator,
     parse_operator,
     parse_scalar_operator,
@@ -61,11 +55,8 @@ from .spectral import (
     SpinorTriple,
     SubstitutedForm,
     adjoint_constraint,
-    check_parameterization,
     global_relation,
     integral_representation,
-    reduce_mod_quadric,
-    spectral_exterior_derivative,
     spinor_isotropic,
     substitute_exponential,
 )

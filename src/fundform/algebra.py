@@ -32,10 +32,10 @@ one packing helper, turns their products into (key, coeff) pairs through
 the same byte check, and ``_packed`` wraps merged pairs, with the
 dimension and top byte ``BilinearExpr`` would compute, as an expression
 without building a term.  ``_pairing`` lists the two products of a
-bracket or brace in the form ``pack`` takes; ``bracket``, ``brace``,
-``operators.bilinear_rhs`` and the rewrite rules all build their pairings
-with it.  ``_field_offset`` is what a key with fields (0, 0) gains to
-carry other fields; ``decompose`` places its unit walks with it.
+bracket or brace in the form ``pack`` takes; ``operators.bilinear_rhs``
+and the rewrite rules build their pairings with it.  ``_field_offset`` is
+what a key with fields (0, 0) gains to carry other fields; ``decompose``
+places its unit walks with it.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ class BilinearTerm(NamedTuple):
     @property
     def key(self) -> tuple:
         return (self.left_field, self.right_field, self.left, self.right)
-
-    def negated(self) -> "BilinearTerm":
-        """The term with its coefficient negated; the fields and
-        multi-indices are kept as they are, unchecked."""
-        return tuple.__new__(BilinearTerm, (-self.coeff, *self[1:]))
 
 
 def term(coeff: PolyLike, left, right, left_field: int = 0,
@@ -286,22 +281,6 @@ class BilinearExpr:
 
     def __repr__(self) -> str:
         return f"BilinearExpr({list(self.terms)!r})"
-
-
-def bracket(alpha, beta, left_field: int = 0, right_field: int = 0,
-            coeff: PolyLike = 1) -> BilinearExpr:
-    """Antisymmetric pairing: d^beta qt d^alpha q - d^beta q d^alpha qt."""
-    c = Poly.coerce(coeff)
-    return BilinearExpr(_pairing(MultiIndex(alpha), MultiIndex(beta),
-                                 left_field, right_field, c, -c))
-
-
-def brace(alpha, beta, left_field: int = 0, right_field: int = 0,
-          coeff: PolyLike = 1) -> BilinearExpr:
-    """Symmetric pairing: d^beta qt d^alpha q + d^beta q d^alpha qt."""
-    c = Poly.coerce(coeff)
-    return BilinearExpr(_pairing(MultiIndex(alpha), MultiIndex(beta),
-                                 left_field, right_field, c, c))
 
 
 def expr_sum(exprs: Iterable[BilinearExpr]) -> BilinearExpr:

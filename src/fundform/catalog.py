@@ -29,7 +29,6 @@ HEAT_TEXT = "axes x,t; Dt - Dx^2"
 BIHARMONIC_TEXT = (
     "axes x,y,z; Dx^4 + Dy^4 + Dz^4 + 2*Dx^2*Dy^2 + 2*Dy^2*Dz^2 + 2*Dz^2*Dx^2"
 )
-TRIPLE_PRODUCT_TEXT = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
 
 STOKES_JSON = {
     "axes": ["x", "y", "z", "t"],
@@ -56,12 +55,6 @@ def biharmonic_operator() -> ScalarPDO:
     return parse_scalar_operator(BIHARMONIC_TEXT)
 
 
-def triple_product_operator() -> ScalarPDO:
-    """Sixth-order three-axis operator whose constraint variety has a
-    rational parameterization; the standard twelve-plan example."""
-    return parse_scalar_operator(TRIPLE_PRODUCT_TEXT)
-
-
 def stokes_operator() -> MatrixPDO:
     """Unsteady incompressible system on (x, y, z, t): three momentum rows
     with symbolic viscosity nu and one divergence row."""
@@ -84,11 +77,6 @@ def stokes_adjoint_residual(triple: SpinorTriple,
                              exponential_slopes(sigma, sign), amplitudes)
 
 
-def verify_stokes_adjoint(triple: SpinorTriple,
-                          xi3: PolyLike | None = None) -> bool:
-    return all(row.is_zero for row in stokes_adjoint_residual(triple, xi3))
-
-
 class CatalogCase(NamedTuple):
     """One ready-to-run verification case: operator, exact-on-variety
     spectral data, a trial solution, and parameter values."""
@@ -103,35 +91,36 @@ class CatalogCase(NamedTuple):
     box: tuple
 
 
-def builtin_solutions(tag: str) -> list:
-    """Verified trial solutions (with spectral data) for a catalog tag."""
+def catalog_case(tag: str) -> CatalogCase:
+    """The verified trial solution, with its spectral data, of a catalog
+    tag; an unknown tag raises KeyError."""
     unit = (0.0, 1.0)
     if tag == "wave":
         solution = ManufacturedSolution.scalar(
             ("x", "t"), "(x-t)^3 + (x+t)^2"
         )
-        return [CatalogCase("wave", wave_operator(), solution,
-                            (1, -1), 1, None, {}, (unit, unit))]
+        return CatalogCase("wave", wave_operator(), solution,
+                           (1, -1), 1, None, {}, (unit, unit))
     if tag == "heat":
         solution = ManufacturedSolution.scalar(("x", "t"), "exp(x+t)")
-        return [CatalogCase("heat", heat_operator(), solution,
-                            (1, -QI_I), 1, None, {}, (unit, unit))]
+        return CatalogCase("heat", heat_operator(), solution,
+                           (1, -QI_I), 1, None, {}, (unit, unit))
     if tag == "biharmonic":
         solution = ManufacturedSolution.scalar(
             ("x", "y", "z"), "x^3 - 3*x*y^2 + z"
         )
-        return [CatalogCase("biharmonic", biharmonic_operator(), solution,
-                            (3, 4, 5 * QI_I), 1, None, {},
-                            (unit, unit, unit))]
+        return CatalogCase("biharmonic", biharmonic_operator(), solution,
+                           (3, 4, 5 * QI_I), 1, None, {},
+                           (unit, unit, unit))
     if tag == "stokes":
         solution = ManufacturedSolution.system(
             ("x", "y", "z", "t"),
             ["exp(-1*t)*sin(y)", "0", "0", "0"],
         )
         sigma, sign, amplitudes = _stokes_test_function(spinor_isotropic(1, 2), 1)
-        return [CatalogCase("stokes", stokes_operator(), solution,
-                            sigma, sign, amplitudes, {"nu": 1.0},
-                            (unit, unit, unit, unit))]
+        return CatalogCase("stokes", stokes_operator(), solution,
+                           sigma, sign, amplitudes, {"nu": 1.0},
+                           (unit, unit, unit, unit))
     raise KeyError(f"unknown catalog tag {tag!r}; "
                    "have wave, heat, biharmonic, stokes")
 

@@ -22,7 +22,7 @@ import sys
 from . import emit
 from .catalog import (
     CATALOG_TAGS,
-    builtin_solutions,
+    catalog_case,
     stokes_adjoint_residual,
     stokes_operator,
 )
@@ -392,7 +392,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown case {args.case!r}; have {CATALOG_TAGS}")
     solution = None
     if args.solution:
-        case = builtin_solutions(args.case)[0]
+        case = catalog_case(args.case)
         fields = [args.solution] + ["0"] * (len(case.solution.fields) - 1)
         solution = ManufacturedSolution.system(case.solution.axes, fields)
     report = run_catalog_case(args.case, nodes=args.nodes, seed=args.seed,

@@ -113,9 +113,6 @@ class PairTerm(_PairTermFields):
         """Build through the checked constructor; ``_replace`` calls this."""
         return cls(*iterable)
 
-    def to_expr(self) -> BilinearExpr:
-        return BilinearExpr(self.products())
-
     def products(self) -> tuple:
         """The two constituent products (first, mirror) as BilinearTerm."""
         first = BilinearTerm(self.coeff, self.left_field, self.alpha,
@@ -642,23 +639,3 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
         placed = _place([emitted for _, emitted in walk], n, lf, rf, coeff)
         yield key, [_gate(alone, DecompositionPlan(((key, tp),)), fluxes, rhs)
                     for (tp, _), fluxes in zip(walk, placed)]
-
-
-def verify_divergence(dec: DivergenceDecomposition,
-                      op: Operator | None = None) -> BilinearExpr:
-    """Residual  sum_j d_j a_j - pairing(op); empty means the identity holds."""
-    if op is None:
-        op = dec.source
-    if op.dimension != dec.dimension:
-        raise ValueError("decomposition and operator dimensions differ")
-    return divergence(dec.fluxes) - bilinear_rhs(op)
-
-
-def ensure_verified(dec: DivergenceDecomposition,
-                    op: Operator | None = None) -> DivergenceDecomposition:
-    """Re-check a hand-built decomposition and mark it verified."""
-    residual = verify_divergence(dec, op)
-    if residual:
-        raise ValueError("decomposition does not satisfy its divergence identity")
-    return DivergenceDecomposition(dec.axes, dec.fluxes, dec.source, dec.plan,
-                                   verified=True)

@@ -1,4 +1,5 @@
-"""Assembly of verified flux sets into an (n-1)-form and equivalence tests.
+"""Assembly of verified flux sets into an (n-1)-form, and its exterior
+derivative.
 
 Convention, fixed once: with axes x^1..x^n in declaration order,
 
@@ -8,7 +9,8 @@ so that  d eta = (sum_j d_j a_j) dx^1 ^ ... ^ dx^n  with no stray signs.
 A form is the verified DivergenceDecomposition itself: its fluxes are the
 a_j.  Two forms for the same operator are equivalent exactly when their
 flux difference is divergence-free as an identity (no equation on q or qt
-assumed); equivalent forms produce identical boundary relations.
+assumed), that is when their exterior derivatives are equal; equivalent
+forms produce identical boundary relations.
 """
 
 from __future__ import annotations
@@ -30,16 +32,3 @@ def assemble(dec: DivergenceDecomposition) -> DivergenceDecomposition:
 def exterior_derivative(form: DivergenceDecomposition) -> BilinearExpr:
     """Coefficient of the volume form in d eta, i.e. sum_j d_j a_j."""
     return divergence(form.fluxes)
-
-
-def forms_equivalent(f: DivergenceDecomposition,
-                     g: DivergenceDecomposition) -> bool:
-    """True when the flux difference is identically divergence-free.
-
-    The divergence is linear, so that holds exactly when the two
-    canonical divergences are equal; no flux difference is built."""
-    if f.dimension != g.dimension:
-        raise ValueError(
-            f"dimension mismatch: {f.dimension} vs {g.dimension}"
-        )
-    return divergence(f.fluxes) == divergence(g.fluxes)

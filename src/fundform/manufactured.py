@@ -4,8 +4,7 @@ A solution field is a finite sum of terms ``c * x^a * exp(lam . x)``: per-axis
 powers ``a``, complex per-axis slopes ``lam`` and a complex coefficient
 ``c``.  By the Ehrenpreis-Palamodov fundamental principle such sums span
 the solution spaces of constant-coefficient systems, and the class is
-closed under differentiation without growing.  ``ExpPoly.diff`` takes one
-derivative:
+closed under differentiation without growing; one derivative is
 
     d/dx_k c x^a e^(lam.x) = lam_k c x^a e^(lam.x) + a_k c x^(a-e_k) e^(lam.x)
 
@@ -79,16 +78,6 @@ class ExpPoly:
 
     axes: tuple
     terms: tuple
-
-    def diff(self, axis: str) -> "ExpPoly":
-        k = self.axes.index(axis)
-        out = []
-        for a, lam, c in self.terms:
-            if lam[k]:
-                out.append((a, lam, lam[k] * c))
-            if a[k]:
-                out.append((a[:k] + (a[k] - 1,) + a[k + 1:], lam, a[k] * c))
-        return _merge(self.axes, out)
 
     def evaluate(self, coords: Mapping) -> complex:
         """Value at one point: one number per axis.  Terms that share a

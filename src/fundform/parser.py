@@ -53,9 +53,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import MultiIndex
-from .operators import MatrixPDO, Operator, ScalarPDO, parameters
-from .ring import (P_I, P_ONE, GaussianRational, Poly, is_name, merge_terms,
-                   signed_sum, times_text)
+from .operators import MatrixPDO, Operator, ScalarPDO
+from .ring import P_I, P_ONE, GaussianRational, Poly, is_name, merge_terms
 
 # Deepest parenthesis nesting the recursive-descent grammars accept; it
 # keeps hostile input far from the interpreter's recursion limit.
@@ -486,40 +485,6 @@ def parse_operator(source: str) -> Operator:
     if source.lstrip().startswith("{"):
         return parse_matrix_operator(source)
     return parse_scalar_operator(source)
-
-
-def format_scalar_operator(op: ScalarPDO, header: bool = True) -> str:
-    body = signed_sum(
-        times_text(coeff, "*".join(f"D{op.axes[k]}" + (f"^{e}" if e > 1 else "")
-                                   for k, e in enumerate(alpha) if e))
-        for alpha, coeff in op.terms
-    )
-    if not header:
-        return body
-    params = sorted(parameters(op))
-    prefix = f"params {','.join(params)}; " if params else ""
-    return f"{prefix}axes {','.join(op.axes)}; {body}"
-
-
-def format_matrix_operator(op: MatrixPDO) -> str:
-    return json.dumps(
-        {
-            "axes": list(op.axes),
-            "params": sorted(parameters(op)),
-            "fields": list(op.fields),
-            "entries": [
-                [format_scalar_operator(entry, header=False) for entry in row]
-                for row in op.entries
-            ],
-        },
-        indent=2,
-    )
-
-
-def format_operator(op: Operator) -> str:
-    if isinstance(op, ScalarPDO):
-        return format_scalar_operator(op)
-    return format_matrix_operator(op)
 
 
 def parse_poly(source: str, names: Sequence[str]) -> Poly:

@@ -344,10 +344,6 @@ class Poly:
         names = {name for mono, _ in self._terms for name, _ in mono}
         return tuple(sorted(names))
 
-    def degree(self, name: str) -> int:
-        degs = [dict(mono).get(name, 0) for mono, _ in self._terms]
-        return max(degs, default=0)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Poly.coerce(other)
@@ -437,28 +433,6 @@ class Poly:
                     rest.append((var, e))
             out.setdefault(exp, []).append((tuple(rest), coeff))
         return {exp: Poly(items) for exp, items in out.items()}
-
-    def substitute(self, assignment: Mapping) -> "Poly":
-        """Replace each named generator by a Poly (or exact scalar)."""
-        result = Poly()
-        for mono, coeff in self._terms:
-            factor = Poly.const(coeff)
-            for name, exp in mono:
-                if name in assignment:
-                    factor = factor * Poly.coerce(assignment[name]) ** exp
-                else:
-                    factor = factor * Poly.var(name, exp)
-            result = result + factor
-        return result
-
-    def evaluate_exact(self, assignment: Mapping) -> GaussianRational:
-        total = QI_ZERO
-        for mono, coeff in self._terms:
-            value = coeff
-            for name, exp in mono:
-                value = value * GaussianRational.coerce(assignment[name]) ** exp
-            total = total + value
-        return total
 
     def evaluate(self, assignment: Mapping) -> complex:
         total = 0j

@@ -8,17 +8,18 @@ operator equation holds, which is what makes boundary relations out of
 it.  Boundary traces stay symbolic here: a relation is structure (face,
 orientation, coefficient, weight, trace), never an evaluated integral.
 
-A substitution forms each test field's factor amplitude * prod_j slope_j^nu_j
-once per (field, nu).  At a numeric spectral point, where every slope and
-amplitude is a constant, the factor is an exact Gaussian rational and
-scales the flux coefficients; no constant is wrapped as a polynomial.
+A substitution takes one amplitude per test field (all 1 when none are
+given) and refuses a list of another length.  It forms each test field's
+factor amplitude * prod_j slope_j^nu_j once per (field, nu).  At a numeric
+spectral point, where every slope and amplitude is a constant, the factor
+is an exact Gaussian rational and scales the flux coefficients; no
+constant is wrapped as a polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import MultiIndex
 from .decompose import DivergenceDecomposition, decompose
@@ -33,7 +34,7 @@ from .operators import (
     refuse_clash,
     symbol,
 )
-from .ring import GaussianRational, P_I, Poly, PolyLike, QI_ONE, merge_terms
+from .ring import P_I, Poly, PolyLike, QI_ONE, merge_terms
 
 
 class SubstitutedForm(NamedTuple):
@@ -70,6 +71,8 @@ def substitute_exponential(form: DivergenceDecomposition,
                            amplitudes: Sequence[PolyLike] | None = None) -> SubstitutedForm:
     """Replace every test-slot derivative d^nu qt_g by
     amplitudes[g] * prod_j (sign*i*sigma_j)^nu_j times the common weight.
+    There is one amplitude per test field (all 1 when none are given); a
+    list of another length raises ValueError.
 
     That factor is formed once per (g, nu) in the call.  At a numeric point,
     where every slope and amplitude is a constant, it is an exact
@@ -84,6 +87,9 @@ def substitute_exponential(form: DivergenceDecomposition,
     )
     if amplitudes is None:
         amplitudes = tuple(Poly.const(1) for _ in range(nfields))
+    elif len(amplitudes) != nfields:
+        raise ValueError(f"one amplitude per test field required: the form has "
+                         f"{nfields}, {len(amplitudes)} given")
     else:
         amplitudes = tuple(Poly.coerce(a) for a in amplitudes)
     spectral_names = {name for p in sigma + amplitudes for name in p.variables()}
@@ -110,18 +116,6 @@ def substitute_exponential(form: DivergenceDecomposition,
         for flux in form.fluxes
     )
     return SubstitutedForm(form.axes, sign, sigma, amplitudes, out)
-
-
-def spectral_exterior_derivative(sf: SubstitutedForm) -> tuple:
-    """Volume coefficient of d(substituted form), divided by the weight:
-    each flux differentiates both the trace and the exponential."""
-    slopes = sf.exponent_slopes()
-    terms = []
-    for j, flux in enumerate(sf.fluxes):
-        for coeff, field, deriv in flux:
-            terms.append(((field, deriv), coeff * slopes[j]))
-            terms.append(((field, deriv.incr(j)), coeff))
-    return _merge_spectral_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +154,6 @@ def adjoint_constraint(op: ScalarPDO, names: Sequence[str],
         raise ValueError("constraint varieties are emitted for scalar operators")
     poly = symbol(adjoint(op), names, sign)
     return ConstraintVariety(tuple(names), poly, _solved_forms(poly, names))
-
-
-def reduce_mod_quadric(poly: Poly, name: str, replacement: PolyLike) -> Poly:
-    """Rewrite modulo  name^2 = replacement  until degree in `name` is <= 1."""
-    replacement = Poly.coerce(replacement)
-    if name in replacement.variables():
-        raise ValueError(
-            f"replacement for {name}^2 must not itself contain {name}"
-        )
-    out = Poly()
-    for exp, part in poly.coeffs_by_power(name).items():
-        factor = replacement ** (exp // 2) * Poly.var(name) ** (exp % 2)
-        out = out + part * factor
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,53 +247,6 @@ def integral_representation(op: ScalarPDO,
     eta = substitute_exponential(form, [Poly.var(n) for n in names], sign=-1)
     return IntegralRepresentation(op.axes, names, -1, -op.dimension,
                                   denominator, eta)
-
-
-# ---------------------------------------------------------------------------
-# Rational parameterizations
-
-
-def _as_rational_function(value) -> tuple:
-    if isinstance(value, tuple):
-        num, den = value
-        return Poly.coerce(num), Poly.coerce(den)
-    return Poly.coerce(value), Poly.const(1)
-
-
-def check_parameterization(constraint: ConstraintVariety | Poly,
-                           substitution: Mapping,
-                           var: str = "lam",
-                           samples: int = 20) -> tuple:
-    """Evaluate the cleared constraint at exact rational samples of the
-    parameter, with substituted variables given as rational functions
-    (num, den) of `var`.  Returns (True, None) on success or
-    (False, witness sample) at the first nonzero value."""
-    poly = constraint.poly if isinstance(constraint, ConstraintVariety) else constraint
-    subs = {name: _as_rational_function(value)
-            for name, value in substitution.items()}
-    missing = set(poly.variables()) - set(subs)
-    if missing:
-        raise ValueError(f"substitution misses constraint variables {sorted(missing)}")
-    good = 0
-    for t in itertools.count(1):
-        if t > 10 * samples + 10:
-            raise ValueError("could not find enough samples avoiding poles")
-        lam = GaussianRational(Fraction(t))
-        values = {}
-        pole = False
-        for name, (num, den) in subs.items():
-            den_value = den.evaluate_exact({var: lam})
-            if den_value.is_zero:
-                pole = True
-                break
-            values[name] = num.evaluate_exact({var: lam}) / den_value
-        if pole:
-            continue
-        if not poly.evaluate_exact(values).is_zero:
-            return False, Fraction(t)
-        good += 1
-        if good >= samples:
-            return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import random
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from .catalog import builtin_solutions
+from .catalog import catalog_case
 from .decompose import decompose
 from .forms import assemble
 from .manufactured import ManufacturedSolution
@@ -305,13 +305,11 @@ def adjoint_point_residual(op: Operator, sigma: Sequence[PolyLike], sign: int,
         ) from None
 
 
-def case_substituted_form(case, dec=None) -> tuple:
+def case_substituted_form(case) -> tuple:
     """Substituted form of a catalog case at its exact spectral point, plus
     the numeric assignment of the operator parameters."""
-    if dec is None:
-        dec = decompose(case.operator)
-    sf = substitute_exponential(assemble(dec), case.sigma, case.sign,
-                                case.amplitudes)
+    sf = substitute_exponential(assemble(decompose(case.operator)),
+                                case.sigma, case.sign, case.amplitudes)
     return sf, dict(case.params)
 
 
@@ -325,7 +323,7 @@ def run_catalog_case(tag: str, nodes: int = 20, seed: int = 0,
     ValueError."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a finite positive number, not {tol}")
-    case = builtin_solutions(tag)[0]
+    case = catalog_case(tag)
     used_solution = solution if solution is not None else case.solution
     pde_residual = interior_residual(case.operator, used_solution, case.box,
                                      seed=seed, params=case.params)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_multiindex, random_poly
+from oracles import format_operator, forms_equivalent
 from fundform.algebra import BilinearExpr, product_rule, term
 from fundform.catalog import STOKES_JSON
 from fundform import cli, emit
@@ -26,14 +27,13 @@ from fundform.decompose import (
     enumerate_plans,
     term_plan_count,
 )
-from fundform.forms import assemble, forms_equivalent
+from fundform.forms import assemble
 from fundform.operators import ScalarPDO, parameters
 from fundform.parser import (
     MAX_AXES,
     MAX_NODES,
     MAX_ORDER,
     MAX_TERMS,
-    format_operator,
     parse_operator,
     parse_poly,
 )

@@ -4,19 +4,16 @@ import random
 import pytest
 
 from conftest import random_bilinear, random_operator
+from oracles import forms_equivalent, triple_product_operator
 from fundform.algebra import BilinearExpr, partial, term
 from fundform.decompose import (
     DivergenceDecomposition,
     decompose,
     enumerate_plans,
 )
-from fundform.forms import (
-    assemble,
-    exterior_derivative,
-    forms_equivalent,
-)
+from fundform.forms import assemble, exterior_derivative
 from fundform.operators import bilinear_rhs
-from fundform.catalog import triple_product_operator, wave_operator
+from fundform.catalog import wave_operator
 
 
 def test_assemble_rejects_unverified():

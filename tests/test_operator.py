@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_operator
-from fundform.algebra import (BilinearExpr, BilinearTerm, MultiIndex, brace,
-                              bracket, expr_sum)
+from oracles import brace, bracket, format_operator
+from fundform.algebra import BilinearExpr, BilinearTerm, MultiIndex, expr_sum
 from fundform.operators import (
     MatrixPDO,
     ScalarPDO,
@@ -19,7 +19,6 @@ from fundform.parser import (
     MAX_ORDER,
     MAX_TERMS,
     OperatorSyntaxError,
-    format_operator,
     parse_matrix_operator,
     parse_operator,
     parse_poly,

@@ -11,7 +11,7 @@ import pytest
 
 from fundform import emit
 from fundform.algebra import MultiIndex
-from fundform.catalog import CatalogCase, builtin_solutions
+from fundform.catalog import CatalogCase, catalog_case
 from fundform.decompose import (
     BRACE,
     BRACKET,
@@ -63,8 +63,8 @@ RECORDS = [
     (CatalogCase,
      ("tag", "operator", "solution", "sigma", "sign", "amplitudes", "params",
       "box"),
-     lambda: builtin_solutions("heat")[0],
-     lambda: builtin_solutions("wave")[0]),
+     lambda: catalog_case("heat"),
+     lambda: catalog_case("wave")),
     (PairTerm,
      ("kind", "coeff", "alpha", "beta", "left_field", "right_field"),
      lambda: PairTerm(BRACKET, Poly.const(2), MultiIndex((1, 0)),

@@ -7,6 +7,7 @@ from pathlib import Path
 import fundform
 
 SOURCES = sorted(Path(fundform.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_function_local_imports():
@@ -109,3 +110,55 @@ def test_only_the_traced_records_are_dataclasses():
                 decorated.add(node.name)
     assert importers == DATACLASS_MODULES
     assert decorated == DATACLASS_RECORDS
+
+
+def quickstart() -> str:
+    """The Python block under the README's "Library quickstart" heading."""
+    section = README.read_text(encoding="utf-8").split("\n## Library quickstart\n")[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_quickstart_prints_one(capsys):
+    exec(compile(quickstart(), "README quickstart", "exec"), {})
+    assert capsys.readouterr().out == "1\n"
+
+
+def _references(tree) -> list:
+    """(identifier, line) of each name and attribute read in the tree."""
+    return [(node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def _public_definitions(tree):
+    """Public module-level functions and classes, and public methods."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (method for method in node.body
+                        if isinstance(method, kinds[:2])
+                        and not method.name.startswith("_"))
+
+
+def test_every_public_name_is_reached():
+    """Each public name under src/fundform is used somewhere in src/ besides
+    its own definition and __init__.py, or the README quickstart names it:
+    code that only the tests call belongs in tests/oracles.py."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES if path.name != "__init__.py"}
+    uses: dict = {}
+    for module, tree in trees.items():
+        for name, line in _references(tree):
+            uses.setdefault(name, []).append((module, line))
+    exempt = {name for name, _ in _references(ast.parse(quickstart()))}
+    unreached = []
+    for module, tree in trees.items():
+        for node in _public_definitions(tree):
+            span = range(node.lineno, node.end_lineno + 1)
+            if node.name not in exempt and all(
+                    where == module and line in span
+                    for where, line in uses.get(node.name, ())):
+                unreached.append(f"{module}:{node.lineno} {node.name}")
+    assert trees
+    assert unreached == []

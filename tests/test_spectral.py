@@ -4,6 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_gaussian, random_operator
+from oracles import (
+    check_parameterization,
+    evaluate_exact,
+    reduce_mod_quadric,
+    spectral_exterior_derivative,
+    substitute,
+    triple_product_operator,
+)
 from fundform.algebra import BilinearExpr, term
 from fundform.decompose import DivergenceDecomposition, decompose
 from fundform.forms import assemble
@@ -13,11 +21,8 @@ from fundform.ring import P_I, GaussianRational, Poly, QI_I, merge_terms
 from fundform.spectral import (
     adjoint_constraint,
     amplitudes_pairwise_independent,
-    check_parameterization,
     global_relation,
     integral_representation,
-    reduce_mod_quadric,
-    spectral_exterior_derivative,
     spinor_isotropic,
     substitute_exponential,
 )
@@ -27,8 +32,6 @@ from fundform.catalog import (
     heat_operator,
     stokes_adjoint_residual,
     stokes_operator,
-    triple_product_operator,
-    verify_stokes_adjoint,
     wave_operator,
 )
 
@@ -78,7 +81,7 @@ def test_heat_constraint_branch():
     assert cv.poly == var("sx") ** 2 - P_I * var("st")
     point = {"sx": Poly.const(1).constant_value(),
              "st": Poly.const(-QI_I).constant_value()}
-    assert cv.poly.evaluate_exact(point).is_zero
+    assert evaluate_exact(cv.poly, point).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +144,23 @@ def test_substitution_sign_validation():
         substitute_exponential(form, [var("a")], sign=1)
 
 
+@pytest.mark.parametrize("make,fields", [(wave_operator, 1), (stokes_operator, 4)],
+                         ids=["wave", "stokes"])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too-few", "too-many"])
+def test_substitution_refuses_an_amplitude_count_off_the_test_fields(make, fields,
+                                                                     extra):
+    op = make()
+    form = assemble(decompose(op))
+    sigma = [Poly.const(1)] * op.dimension
+    given = fields + extra
+    with pytest.raises(ValueError, match=f"one amplitude per test field required: "
+                                         f"the form has {fields}, {given} given$"):
+        substitute_exponential(form, sigma, amplitudes=[1] * given)
+    amplitudes = [Poly.const(g + 1) for g in range(fields)]
+    sub = substitute_exponential(form, sigma, amplitudes=amplitudes)
+    assert sub.amplitudes == tuple(amplitudes)
+
+
 def test_substituted_closure_heat():
     op = heat_operator()
     form = assemble(decompose(op))
@@ -193,7 +213,7 @@ def point_put_in(fluxes, values):
     """Each coefficient with the values substituted, zeros dropped."""
     out = []
     for flux in fluxes:
-        terms = ((c.substitute(values), f, d) for c, f, d in flux)
+        terms = ((substitute(c, values), f, d) for c, f, d in flux)
         out.append(tuple(term for term in terms if term[0]))
     return tuple(out)
 
@@ -445,12 +465,12 @@ def test_stokes_adjoint_rows_vanish_symbolically():
     rows = stokes_adjoint_residual(triple)
     assert len(rows) == 4
     assert all(row.is_zero for row in rows)
-    assert verify_stokes_adjoint(triple)
 
 
 def test_stokes_adjoint_rows_for_concrete_spinor():
     triple = spinor_isotropic(Poly.const(1), Poly.const(2))
-    assert verify_stokes_adjoint(triple, Poly.const(5))
+    assert all(row.is_zero
+               for row in stokes_adjoint_residual(triple, Poly.const(5)))
 
 
 def test_amplitude_independence_check():
