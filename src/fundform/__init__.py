@@ -19,16 +19,12 @@ from .decompose import (
     DecompositionPlan,
     DivergenceDecomposition,
     EnumerationLimit,
-    PairTerm,
     PlanError,
     TermPlan,
-    collapse_step,
     count_forms,
     decompose,
     default_plan,
     enumerate_plans,
-    exchange_step,
-    reduce_step,
     sigma_count,
 )
 from .forms import assemble, exterior_derivative

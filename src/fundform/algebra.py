@@ -27,15 +27,15 @@ Packing refuses an entry or field index outside 0..255 with ValueError.
 Terms are unpacked into ``BilinearTerm``s with ``MultiIndex`` slots only
 when ``terms`` or iteration asks for them, once per expression.
 
-The rewrite rules of ``decompose`` form packed keys directly: ``pack``, the
-one packing helper, turns their products into (key, coeff) pairs through
-the same byte check, and ``_packed`` wraps merged pairs, with the
+``pack``, the one packing helper, turns products into (key, coeff) pairs
+through the same byte check, and ``_packed`` wraps merged pairs, with the
 dimension and top byte ``BilinearExpr`` would compute, as an expression
-without building a term.  ``_pairing`` lists the two products of a
-bracket or brace in the form ``pack`` takes; ``operators.bilinear_rhs``
-and the rewrite rules build their pairings with it.  ``_field_offset`` is
-what a key with fields (0, 0) gains to carry other fields; ``decompose``
-places its unit walks with it.
+without building a term.  The rewrite rules of ``decompose`` pack their
+walk's first pairing once and then offset keys by the same units as
+``product_rule``.  ``_pairing`` lists the two products of a bracket or
+brace in the form ``pack`` takes; ``operators.bilinear_rhs`` builds its
+pairings with it.  ``_field_offset`` is what a key with fields (0, 0)
+gains to carry other fields; ``decompose`` places its unit walks with it.
 """
 
 from __future__ import annotations
@@ -74,18 +74,6 @@ class MultiIndex(tuple):
 
     def half(self) -> "MultiIndex":
         return MultiIndex._trusted([e // 2 for e in self])
-
-    def incr(self, k: int) -> "MultiIndex":
-        entries = list(self)
-        entries[k] += 1
-        return MultiIndex._trusted(entries)
-
-    def decr(self, k: int) -> "MultiIndex":
-        if self[k] == 0:
-            raise ValueError(f"axis {k} has no derivative to remove in {self}")
-        entries = list(self)
-        entries[k] -= 1
-        return MultiIndex._trusted(entries)
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         self._check(other)

@@ -17,12 +17,19 @@ and a completed decomposition is re-checked as a whole before it
 is returned, so a bookkeeping slip is a loud failure at the step where it
 happens rather than a wrong answer.
 
+The rules work on packed keys (see ``algebra``).  In dimension n the
+trial unit of axis k is 1 << 8(2n-1-k) and its test unit 1 << 8(n-1-k).
+Until the first exchange a walk's state is a pairing (kind, coeff, key,
+mirror key, n): a reduction on axis k subtracts the trial unit from the
+key and adds the test unit, and the mirror key the other way round.
+After it, the state is the (key, coeff) pairs of the current and mirror
+products, and an exchange or a collapse offsets their keys by units too.
 Each rule is a builder (``_reduce``, ``_exchange``, ``_collapse``) and the
-identity check around it.  The builders form their fluxes' packed keys
-directly, through ``algebra.pack``, which refuses a count past 255, and
-wrap them with ``algebra._packed``; the checks pack the products of the
-step's input and output with the same helper.  No ``BilinearExpr`` is
-constructed from terms on this path.
+identity check around it.  A builder refuses an axis outside 0..n-1 or a
+count that would pass 255 (ValueError) and a missing derivative
+(PlanError); its fluxes take their top byte from their key.  The check
+merges ``product_rule`` of the fluxes with the packed input and output
+products, and a nonempty merge raises EngineError.
 
 The steps only negate a coefficient and never read a field, so the walk
 of a term  c d^alpha  (trial field f, test field g) is the walk of the
@@ -50,9 +57,8 @@ import math
 from bisect import bisect_left
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import (BilinearExpr, BilinearTerm, MultiIndex, _field_offset,
-                      _packed, _pairing, divergence, expr_sum, pack,
-                      product_rule)
+from .algebra import (_LIMIT, _WIDTH, BilinearExpr, MultiIndex, _field_offset,
+                      _packed, divergence, expr_sum, pack, product_rule)
 from .operators import MatrixPDO, Operator, ScalarPDO, bilinear_rhs, grid
 from .ring import Poly, merge_terms
 
@@ -81,157 +87,153 @@ class EngineError(RuntimeError):
     """An internal rewrite failed its oracle check; always a bug."""
 
 
-class _PairTermFields(NamedTuple):
-    kind: str
-    coeff: Poly
-    alpha: MultiIndex
-    beta: MultiIndex
-    left_field: int
-    right_field: int
+def _shifts(n: int, k: int) -> tuple:
+    """The bit offsets of axis k's trial and test bytes in a key of
+    dimension n; an axis outside 0..n-1 raises ValueError."""
+    if not 0 <= k < n:
+        raise ValueError(f"axis {k} out of range for dimension {n}")
+    return _WIDTH * (2 * n - 1 - k), _WIDTH * (n - 1 - k)
 
 
-class PairTerm(_PairTermFields):
-    """A signed bracket or brace:  coeff * [alpha, beta]  or  coeff * {alpha, beta}.
-
-    Built as given, like ``BilinearTerm``: callers pass a Poly and two
-    MultiIndexes of one dimension.  The unit walk of ``_walk_term`` passes
-    the int 1 as the coefficient, and the steps keep integers from there.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, coeff: Poly, alpha: MultiIndex,
-                beta: MultiIndex, left_field: int = 0,
-                right_field: int = 0) -> "PairTerm":
-        if kind not in (BRACKET, BRACE):
-            raise ValueError(f"unknown pairing kind {kind!r}")
-        return tuple.__new__(cls, (kind, coeff, alpha, beta, left_field,
-                                   right_field))
-
-    @classmethod
-    def _make(cls, iterable) -> "PairTerm":
-        """Build through the checked constructor; ``_replace`` calls this."""
-        return cls(*iterable)
-
-    def products(self) -> tuple:
-        """The two constituent products (first, mirror) as BilinearTerm."""
-        first = BilinearTerm(self.coeff, self.left_field, self.alpha,
-                             self.right_field, self.beta)
-        coeff = -self.coeff if self.kind == BRACKET else self.coeff
-        mirror = BilinearTerm(coeff, self.left_field, self.beta,
-                              self.right_field, self.alpha)
-        return first, mirror
+def _slots(key: int, n: int) -> tuple:
+    """The (trial, test) entries of a key, for error messages."""
+    raw = key.to_bytes(2 + 2 * n, "big")
+    return tuple(raw[2:2 + n]), tuple(raw[2 + n:])
 
 
-def _reduce(pair: PairTerm, k: int) -> tuple:
+def _flux(pairs: tuple, key: int, n: int) -> BilinearExpr:
+    """The expression of merged pairs whose keys hold the bytes of `key`."""
+    return _packed(pairs, n, max(key.to_bytes(2 + 2 * n, "big")))
+
+
+def _products(pair: tuple) -> tuple:
+    """The (key, coeff) products (first, mirror) of a packed pairing: a
+    bracket's mirror carries the opposite sign, a brace's the same."""
+    kind, coeff, key, mirror, _ = pair
+    return (key, coeff), (mirror, -coeff if kind == BRACKET else coeff)
+
+
+def _reduce(pair: tuple, k: int) -> tuple:
     """What ``reduce_step`` returns, before its identity is checked."""
-    kind, coeff, alpha, beta, lf, rf = pair
-    if alpha[k] < 1:
-        raise PlanError(
-            f"axis {k} has no derivative left to move in {tuple(alpha)}"
-        )
-    lowered = alpha.decr(k)
-    negated = -coeff
-    # the flux is the pairing coeff * K(lowered, beta): its two products,
-    # packed and merged as BilinearExpr would merge them
-    flux = _packed(merge_terms(pack(_pairing(
-        lowered, beta, lf, rf, coeff, negated if kind == BRACKET else coeff,
-    ))), len(alpha), max(lf, rf, *lowered, *beta))
-    remainder = tuple.__new__(PairTerm, (kind, negated, lowered,
-                                         beta.incr(k), lf, rf))
-    return flux, remainder
+    kind, coeff, key, mirror, n = pair
+    trial, test = _shifts(n, k)
+    if not key >> trial & _LIMIT:
+        raise PlanError(f"axis {k} has no derivative left to move in "
+                        f"{_slots(key, n)[0]}")
+    if key >> test & _LIMIT == _LIMIT:
+        raise ValueError(f"a derivative count could pass {_LIMIT}, the "
+                         "packed width")
+    down, up = 1 << trial, 1 << test
+    # the flux is the pairing coeff * K(alpha - e_k, beta): its products
+    # sit a trial unit below the pair's and a test unit below the mirror's
+    first, other = key - down, mirror - up
+    second = -coeff if kind == BRACKET else coeff
+    if first < other:
+        pairs = ((first, coeff), (other, second))
+    elif other < first:
+        pairs = ((other, second), (first, coeff))
+    else:
+        pairs = merge_terms(((first, coeff), (other, second)))
+    return _flux(pairs, first, n), (kind, -coeff, first + up, other + down, n)
 
 
-def reduce_step(pair: PairTerm, k: int) -> tuple:
+def reduce_step(pair: tuple, k: int) -> tuple:
     """One derivative moves off axis k of the trial slot:
 
         K(alpha, beta) = d_k K(alpha - e_k, beta) - K(alpha - e_k, beta + e_k)
 
-    Returns (flux expression for axis k, remaining PairTerm).
+    on the pairing (kind, coeff, key of d^alpha q d^beta qt, key of
+    d^beta q d^alpha qt, n).  Returns (flux expression for axis k,
+    remaining pairing).
     """
     flux, remainder = _reduce(pair, k)
-    coeff, rest = pair.coeff, remainder.coeff
-    negated = -coeff
-    # a bracket's mirror carries the opposite sign, a brace's the same
-    minus = _pairing(*pair[2:], negated,
-                     coeff if pair.kind == BRACKET else negated)
-    plus = _pairing(*remainder[2:], rest,
-                    -rest if remainder.kind == BRACKET else rest)
+    (key, coeff), (mirror, second) = _products(pair)
+    (rest_key, rest), (rest_mirror, rest_second) = _products(remainder)
     # d_k flux + remainder - pair, in one merge of packed terms
-    if merge_terms([*product_rule(flux, k), *pack((*plus, *minus))]):
+    if merge_terms([*product_rule(flux, k), (rest_key, rest),
+                    (rest_mirror, rest_second), (key, -coeff),
+                    (mirror, -second)]):
         raise EngineError(f"reduction step failed its identity on axis {k}")
     return flux, remainder
 
 
-def _exchange(term: BilinearTerm, k: int, j: int) -> tuple:
+def _exchange(product: tuple, k: int, j: int, n: int) -> tuple:
     """What ``exchange_step`` returns, before its identity is checked:
-    (swapped term, flux_k, flux_j)."""
-    coeff, lf, left, rf, right = term
-    if left[k] < 1:
-        raise PlanError(f"trial slot has no axis-{k} derivative in {term.key}")
-    if right[j] < 1:
-        raise PlanError(f"test slot has no axis-{j} derivative in {term.key}")
-    lowered = left.decr(k)
-    moved = right.decr(j).incr(k)
-    swapped = tuple.__new__(BilinearTerm, (coeff, lf, lowered.incr(j), rf,
-                                           moved))
-    (key_k, _), (key_j, negated) = pack(((coeff, lf, lowered, rf, right),
-                                         (-coeff, lf, lowered, rf, moved)))
-    n = len(left)
-    flux_k = _packed(((key_k, coeff),), n, max(lf, rf, *lowered, *right))
-    flux_j = _packed(((key_j, negated),), n, max(lf, rf, *lowered, *moved))
-    return swapped, flux_k, flux_j
+    (swapped product, flux_k, flux_j)."""
+    key, coeff = product
+    trial_k, test_k = _shifts(n, k)
+    trial_j, test_j = _shifts(n, j)
+    if not key >> trial_k & _LIMIT:
+        raise PlanError(f"trial slot has no axis-{k} derivative in "
+                        f"{_slots(key, n)}")
+    if not key >> test_j & _LIMIT:
+        raise PlanError(f"test slot has no axis-{j} derivative in "
+                        f"{_slots(key, n)}")
+    if k != j and _LIMIT in (key >> test_k & _LIMIT, key >> trial_j & _LIMIT):
+        raise ValueError(f"derivative counts must lie in 0..{_LIMIT}: "
+                         f"{_slots(key, n)} exchanged on axes {k},{j}")
+    lowered = key - (1 << trial_k)
+    moved = lowered - (1 << test_j) + (1 << test_k)
+    return ((moved + (1 << trial_j), coeff),
+            _flux(((lowered, coeff),), lowered, n),
+            _flux(((moved, -coeff),), moved, n))
 
 
-def exchange_step(term: BilinearTerm, k: int, j: int) -> tuple:
+def exchange_step(product: tuple, k: int, j: int, n: int) -> tuple:
     """Swap one derivative on axis k of the trial slot with one on axis j
-    of the test slot.  Returns (swapped term, ((k, flux_k), (j, flux_j)))
-    with signs folded in, so  term = swapped + d_k flux_k + d_j flux_j.
+    of the test slot of the product (key, coeff) in dimension n.  Returns
+    (swapped product, ((k, flux_k), (j, flux_j))) with signs folded in, so
+    product = swapped + d_k flux_k + d_j flux_j.
     """
-    swapped, flux_k, flux_j = _exchange(term, k, j)
-    # swapped + d_k flux_k + d_j flux_j - term, in one merge of packed terms
+    swapped, flux_k, flux_j = _exchange(product, k, j, n)
+    key, coeff = product
+    # swapped + d_k flux_k + d_j flux_j - product, in one merge
     if merge_terms([*product_rule(flux_k, k), *product_rule(flux_j, j),
-                    *pack((swapped, (-term.coeff, *term[1:])))]):
+                    swapped, (key, -coeff)]):
         raise EngineError(f"exchange step failed its identity on axes {k},{j}")
     return swapped, ((k, flux_k), (j, flux_j))
 
 
-def _collapse(first: BilinearTerm, second: BilinearTerm) -> tuple:
+def _collapse(first: tuple, second: tuple, n: int) -> tuple:
     """What ``collapse_step`` returns, before its identity is checked."""
-    coeff, lf, left, rf, right = first
-    if (lf, rf) != (second.left_field, second.right_field):
+    (key, coeff), (other, other_coeff) = first, second
+    if key >> 2 * _WIDTH * n != other >> 2 * _WIDTH * n:
         raise EngineError("collapse pair mixes fields")
-    if coeff != second.coeff:
+    if coeff != other_coeff:
         raise EngineError("collapse pair has mismatched coefficients")
-    diff = [a - b for a, b in zip(left, second.left)]
-    axes = [r for r, d in enumerate(diff) if d]
-    if len(axes) != 1 or diff[axes[0]] != 1:
+    # first is T(c + e_r, d) and second T(c, d + e_r): their keys differ
+    # by a trial unit less a test unit, and neither byte borrowed
+    diff = key - other
+    for r in range(n):
+        trial, test = _shifts(n, r)
+        if diff == (1 << trial) - (1 << test):
+            break
+    else:
         raise EngineError("terms do not form a product-rule pair")
-    r = axes[0]
-    if second.right != right.incr(r):
+    if not (key >> trial & _LIMIT and other >> test & _LIMIT):
         raise EngineError("terms do not form a product-rule pair")
-    lowered = second.left
-    return r, _packed(tuple(pack(((coeff, lf, lowered, rf, right),))),
-                      len(left), max(lf, rf, *lowered, *right))
+    lowered = key - (1 << trial)
+    return r, _flux(((lowered, coeff),), lowered, n)
 
 
-def collapse_step(first: BilinearTerm, second: BilinearTerm) -> tuple:
-    """Absorb a product-rule pair  T(c + e_r, d) + T(c, d + e_r)  into the
-    flux T(c, d) on axis r.  Returns (r, flux expression).
+def collapse_step(first: tuple, second: tuple, n: int) -> tuple:
+    """Absorb a product-rule pair  T(c + e_r, d) + T(c, d + e_r), given as
+    (key, coeff) products in dimension n, into the flux T(c, d) on axis r.
+    Returns (r, flux expression).
 
     On the two products of a brace {beta + e_r, beta} the flux is
     d^beta q d^beta qt, i.e. half of {beta, beta}: the doubled form printed
     in some references fails the product rule, and the oracle assertion
     here pins the factor.
     """
-    r, flux = _collapse(first, second)
-    coeff, other = first.coeff, second.coeff
+    r, flux = _collapse(first, second, n)
+    (key, coeff), (other, other_coeff) = first, second
     negated = -coeff
     # the two products of one brace share their coefficient
-    other = negated if other is coeff else -other
+    other_coeff = negated if other_coeff is coeff else -other_coeff
     # d_r flux - first - second, in one merge of packed terms
-    if merge_terms([*product_rule(flux, r),
-                    *pack(((negated, *first[1:]), (other, *second[1:])))]):
+    if merge_terms([*product_rule(flux, r), (key, negated),
+                    (other, other_coeff)]):
         raise EngineError("pair collapse failed its identity")
     return r, flux
 
@@ -491,12 +493,18 @@ def _walk_term(alpha: MultiIndex, plans) -> Iterator[tuple]:
     with the one before, and runs only the steps after it: each distinct
     step runs once, with its oracle, and the plans that share it share
     its flux objects.  The closing collapse (or the mirror-cancel check)
-    runs for every plan.  A state is the remaining PairTerm until the
-    first exchange, then the (current, mirror) products.
+    runs for every plan.  A state is the packed pairing [alpha, 0] or
+    {alpha, 0} and its remainders until the first exchange, then the
+    (key, coeff) pairs of the current and mirror products.  The rules
+    are looked up as module globals at each step.
     """
+    n = len(alpha)
     odd = alpha.odd_axes()
     kind = BRACE if alpha.order % 2 else BRACKET
-    root = PairTerm(kind, 1, alpha, MultiIndex.zero(len(alpha)))
+    (key, _), = pack(((1, 0, alpha, 0, bytes(n)),))
+    # the pairing [alpha, 0] or {alpha, 0}: its mirror's key is alpha's
+    # bytes alone
+    root = (kind, 1, key, key >> _WIDTH * n, n)
     stack: list = []
     for plan in plans:
         # an int is a reduction on that axis, a pair an exchange
@@ -513,24 +521,23 @@ def _walk_term(alpha: MultiIndex, plans) -> Iterator[tuple]:
                 flux, state = reduce_step(state, step)
                 pairs = ((step, flux),)
             else:
-                current, mirror = (state.products()
-                                   if isinstance(state, PairTerm) else state)
-                current, pairs = exchange_step(current, *step)
+                current, mirror = (_products(state) if len(state) == 5
+                                   else state)
+                current, pairs = exchange_step(current, *step, n)
                 state = (current, mirror)
             stack.append((step, state, pairs))
         emitted = [pair for _, _, pairs in stack for pair in pairs]
         if not odd:
-            if state.alpha != state.beta:
+            if state[2] != state[3]:
                 raise EngineError("even-term reduction did not close on a diagonal")
             yield plan, emitted  # [gamma, gamma] = 0
             continue
-        current, mirror = (state.products() if isinstance(state, PairTerm)
-                           else state)
+        current, mirror = _products(state) if len(state) == 5 else state
         if len(odd) % 2 == 0:
-            if BilinearExpr([current, mirror]):
+            if merge_terms((current, mirror)):
                 raise EngineError("exchange chain failed to cancel the mirror term")
         else:
-            emitted.append(collapse_step(current, mirror))
+            emitted.append(collapse_step(current, mirror, n))
         yield plan, emitted
 
 

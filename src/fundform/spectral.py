@@ -30,6 +30,7 @@ from .operators import (
     adjoint,
     check_sigma_count,
     exponential_slopes,
+    grid,
     monomial,
     refuse_clash,
     symbol,
@@ -72,7 +73,10 @@ def substitute_exponential(form: DivergenceDecomposition,
     """Replace every test-slot derivative d^nu qt_g by
     amplitudes[g] * prod_j (sign*i*sigma_j)^nu_j times the common weight.
     There is one amplitude per test field (all 1 when none are given); a
-    list of another length raises ValueError.
+    list of another length raises ValueError.  The form's source operator
+    fixes its test fields, one per row of its grid; a form written without
+    one has as many as the amplitudes given, or 1.  A flux term that names
+    a test field past that count raises ValueError.
 
     That factor is formed once per (g, nu) in the call.  At a numeric point,
     where every slope and amplitude is a constant, it is an exact
@@ -81,10 +85,10 @@ def substitute_exponential(form: DivergenceDecomposition,
     check_sigma_count(sigma, form.dimension)
     sigma = tuple(Poly.coerce(s) for s in sigma)
     slopes = exponential_slopes(sigma, sign)
-    nfields = 1 + max(
-        (max(t.left_field, t.right_field) for flux in form.fluxes for t in flux),
-        default=0,
-    )
+    if form.source is not None:
+        nfields = len(grid(form.source))
+    else:
+        nfields = 1 if amplitudes is None else len(amplitudes)
     if amplitudes is None:
         amplitudes = tuple(Poly.const(1) for _ in range(nfields))
     elif len(amplitudes) != nfields:
@@ -108,6 +112,9 @@ def substitute_exponential(form: DivergenceDecomposition,
         key = (t.right_field, t.right)
         factor = factors.get(key)
         if factor is None:
+            if t.right_field >= nfields:
+                raise ValueError(f"a flux names test field {t.right_field}; "
+                                 f"the form has {nfields}")
             factor = factors[key] = monomial(scalars[t.right_field], values, t.right)
         return t.coeff.scale(factor) if numeric else t.coeff * factor
 

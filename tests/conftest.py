@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from oracles import incr
 from fundform.algebra import BilinearExpr, BilinearTerm, MultiIndex
 from fundform.operators import ScalarPDO
 from fundform.ring import GaussianRational, Poly
@@ -70,5 +71,5 @@ def random_operator(rng: random.Random, max_dim: int = 4, max_order: int = 6,
         terms[alpha] = terms.get(alpha, Poly()) + coeff
     op = ScalarPDO.build(axes, terms)
     if op.is_zero:
-        return ScalarPDO.build(axes, {MultiIndex.zero(n).incr(0): Poly.const(1)})
+        return ScalarPDO.build(axes, {incr(MultiIndex.zero(n), 0): Poly.const(1)})
     return op

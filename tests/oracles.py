@@ -2,28 +2,37 @@
 
 Each one is an independent route to a result the engine computes another
 way, or a convenience the engine itself never needs: building pairings
-term by term, evaluating or substituting a polynomial exactly, checking a
-rational parameterization at exact samples, the exterior derivative of a
-substituted form, reduction modulo a quadric, form equivalence, operator
-printing, one derivative of an exponential polynomial, and the twelve-plan
+term by term, the multi-index steps ``incr`` and ``decr``, the
+tuple-based rewrite rules and their term walk (``reference_walk``, the
+reference for the engine's packed walk), adapters that run the packed
+rules on ``PairTerm`` and ``BilinearTerm`` records, evaluating or
+substituting a polynomial exactly, checking a rational parameterization
+at exact samples, the exterior derivative of a substituted form,
+reduction modulo a quadric, form equivalence, operator printing, one
+derivative of an exponential polynomial, and the twelve-plan
 triple-product operator.  None of them is part of ``fundform``.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from fundform.algebra import BilinearExpr, divergence, term
-from fundform.decompose import DivergenceDecomposition
+from fundform.algebra import (BilinearExpr, BilinearTerm, MultiIndex, _packed,
+                              _pairing, divergence, pack, product_rule, term)
+from fundform.decompose import (BRACE, BRACKET, DivergenceDecomposition,
+                                EngineError, PlanError)
 from fundform.manufactured import ExpPoly, _merge
 from fundform.operators import MatrixPDO, Operator, ScalarPDO, parameters
 from fundform.parser import parse_scalar_operator
-from fundform.ring import (QI_ZERO, GaussianRational, Poly, PolyLike, signed_sum,
-                           times_text)
+from fundform.ring import (QI_ZERO, GaussianRational, Poly, PolyLike, merge_terms,
+                           signed_sum, times_text)
 from fundform.spectral import ConstraintVariety, SubstitutedForm, _merge_spectral_terms
+
+engine = importlib.import_module("fundform.decompose")
 
 TRIPLE_PRODUCT_TEXT = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
 
@@ -56,6 +65,217 @@ def brace(alpha, beta, left_field: int = 0, right_field: int = 0,
     """Symmetric pairing: d^beta qt d^alpha q + d^beta q d^alpha qt."""
     c = Poly.coerce(coeff)
     return _pair(alpha, beta, left_field, right_field, c, c)
+
+
+# ---------------------------------------------------------------------------
+# Multi-index steps
+
+
+def incr(index: MultiIndex, k: int) -> MultiIndex:
+    """index + e_k."""
+    entries = list(index)
+    entries[k] += 1
+    return MultiIndex(entries)
+
+
+def decr(index: MultiIndex, k: int) -> MultiIndex:
+    """index - e_k; ValueError when entry k is 0."""
+    if index[k] == 0:
+        raise ValueError(f"axis {k} has no derivative to remove in {index}")
+    entries = list(index)
+    entries[k] -= 1
+    return MultiIndex(entries)
+
+
+# ---------------------------------------------------------------------------
+# The tuple-based rewrite rules and term walk: the reference for the
+# engine's packed walk
+
+
+class _PairTermFields(NamedTuple):
+    kind: str
+    coeff: Poly
+    alpha: MultiIndex
+    beta: MultiIndex
+    left_field: int
+    right_field: int
+
+
+class PairTerm(_PairTermFields):
+    """A signed bracket or brace:  coeff * [alpha, beta]  or  coeff * {alpha, beta}.
+
+    Built as given, like ``BilinearTerm``: callers pass a Poly and two
+    MultiIndexes of one dimension.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, coeff: Poly, alpha: MultiIndex,
+                beta: MultiIndex, left_field: int = 0,
+                right_field: int = 0) -> "PairTerm":
+        if kind not in (BRACKET, BRACE):
+            raise ValueError(f"unknown pairing kind {kind!r}")
+        return tuple.__new__(cls, (kind, coeff, alpha, beta, left_field,
+                                   right_field))
+
+    @classmethod
+    def _make(cls, iterable) -> "PairTerm":
+        """Build through the checked constructor; ``_replace`` calls this."""
+        return cls(*iterable)
+
+    def products(self) -> tuple:
+        """The two constituent products (first, mirror) as BilinearTerm."""
+        first = BilinearTerm(self.coeff, self.left_field, self.alpha,
+                             self.right_field, self.beta)
+        coeff = -self.coeff if self.kind == BRACKET else self.coeff
+        mirror = BilinearTerm(coeff, self.left_field, self.beta,
+                              self.right_field, self.alpha)
+        return first, mirror
+
+
+def _reference_reduce(pair: PairTerm, k: int) -> tuple:
+    """K(alpha, beta) = d_k K(alpha - e_k, beta) - K(alpha - e_k, beta + e_k):
+    (flux, remaining PairTerm), the identity checked."""
+    kind, coeff, alpha, beta, lf, rf = pair
+    if alpha[k] < 1:
+        raise PlanError(
+            f"axis {k} has no derivative left to move in {tuple(alpha)}"
+        )
+    lowered = decr(alpha, k)
+    negated = -coeff
+    flux = _packed(merge_terms(pack(_pairing(
+        lowered, beta, lf, rf, coeff, negated if kind == BRACKET else coeff,
+    ))), len(alpha), max(lf, rf, *lowered, *beta))
+    remainder = PairTerm(kind, negated, lowered, incr(beta, k), lf, rf)
+    minus = _pairing(*pair[2:], negated,
+                     coeff if kind == BRACKET else negated)
+    plus = _pairing(*remainder[2:], negated,
+                    coeff if kind == BRACKET else negated)
+    if merge_terms([*product_rule(flux, k), *pack((*plus, *minus))]):
+        raise EngineError(f"reduction step failed its identity on axis {k}")
+    return flux, remainder
+
+
+def _reference_exchange(term: BilinearTerm, k: int, j: int) -> tuple:
+    """term = swapped + d_k flux_k + d_j flux_j:
+    (swapped, ((k, flux_k), (j, flux_j))), the identity checked."""
+    coeff, lf, left, rf, right = term
+    if left[k] < 1:
+        raise PlanError(f"trial slot has no axis-{k} derivative in {term.key}")
+    if right[j] < 1:
+        raise PlanError(f"test slot has no axis-{j} derivative in {term.key}")
+    lowered = decr(left, k)
+    moved = incr(decr(right, j), k)
+    swapped = BilinearTerm(coeff, lf, incr(lowered, j), rf, moved)
+    (key_k, _), (key_j, negated) = pack(((coeff, lf, lowered, rf, right),
+                                         (-coeff, lf, lowered, rf, moved)))
+    n = len(left)
+    flux_k = _packed(((key_k, coeff),), n, max(lf, rf, *lowered, *right))
+    flux_j = _packed(((key_j, negated),), n, max(lf, rf, *lowered, *moved))
+    if merge_terms([*product_rule(flux_k, k), *product_rule(flux_j, j),
+                    *pack((swapped, (-coeff, *term[1:])))]):
+        raise EngineError(f"exchange step failed its identity on axes {k},{j}")
+    return swapped, ((k, flux_k), (j, flux_j))
+
+
+def _reference_collapse(first: BilinearTerm, second: BilinearTerm) -> tuple:
+    """T(c + e_r, d) + T(c, d + e_r) = d_r T(c, d): (r, flux), the
+    identity checked."""
+    coeff, lf, left, rf, right = first
+    if (lf, rf) != (second.left_field, second.right_field):
+        raise EngineError("collapse pair mixes fields")
+    if coeff != second.coeff:
+        raise EngineError("collapse pair has mismatched coefficients")
+    diff = [a - b for a, b in zip(left, second.left)]
+    axes = [r for r, d in enumerate(diff) if d]
+    if len(axes) != 1 or diff[axes[0]] != 1:
+        raise EngineError("terms do not form a product-rule pair")
+    r = axes[0]
+    if second.right != incr(right, r):
+        raise EngineError("terms do not form a product-rule pair")
+    lowered = second.left
+    flux = _packed(tuple(pack(((coeff, lf, lowered, rf, right),))),
+                   len(left), max(lf, rf, *lowered, *right))
+    if merge_terms([*product_rule(flux, r),
+                    *pack(((-coeff, *first[1:]), (-coeff, *second[1:])))]):
+        raise EngineError("pair collapse failed its identity")
+    return r, flux
+
+
+def reference_walk(alpha, plans, coeff=1, left_field: int = 0,
+                   right_field: int = 0):
+    """Yield (plan, emitted) for each plan of the term  coeff d^alpha  with
+    the given fields, one plan at a time on PairTerm and BilinearTerm
+    states: its path reductions, its sorted transfer reductions, its
+    exchanges, then the closing collapse or mirror-cancel check.  With the
+    defaults it is the unit term that the engine's ``_walk_term`` walks."""
+    alpha = MultiIndex(alpha)
+    odd = alpha.odd_axes()
+    kind = BRACE if alpha.order % 2 else BRACKET
+    for plan in plans:
+        state = PairTerm(kind, coeff, alpha, MultiIndex.zero(len(alpha)),
+                         left_field, right_field)
+        emitted = []
+        for k in (*plan.path, *sorted(plan.transfer)):
+            flux, state = _reference_reduce(state, k)
+            emitted.append((k, flux))
+        current, mirror = state.products()
+        for k, j in plan.exchanges:
+            current, pairs = _reference_exchange(current, k, j)
+            emitted += pairs
+        if not odd:
+            if state.alpha != state.beta:
+                raise EngineError("even-term reduction did not close on a diagonal")
+        elif len(odd) % 2 == 0:
+            if BilinearExpr([current, mirror]):
+                raise EngineError("exchange chain failed to cancel the mirror term")
+        else:
+            emitted.append(_reference_collapse(current, mirror))
+        yield plan, emitted
+
+
+# ---------------------------------------------------------------------------
+# The engine's packed rules on tuple records
+
+
+def packed_pair(pair: PairTerm) -> tuple:
+    """The packed pairing ``decompose.reduce_step`` takes:
+    (kind, coeff, key, mirror key, n)."""
+    (key, _), (mirror, _) = pack(pair.products())
+    return pair.kind, pair.coeff, key, mirror, len(pair.alpha)
+
+
+def _unpacked(key: int, coeff, n: int) -> BilinearTerm:
+    term, = _packed(((key, coeff),), n, 0).terms
+    return term
+
+
+def reduce_pair(pair: PairTerm, k: int, rule=None) -> tuple:
+    """``decompose.reduce_step`` (or another rule of its shape, such as
+    ``_reduce``) on a PairTerm: (flux, remaining PairTerm).  The packed
+    remainder must be the packing of that PairTerm, mirror key included."""
+    flux, rest = (rule or engine.reduce_step)(packed_pair(pair), k)
+    kind, coeff, key, _, n = rest
+    _, lf, alpha, rf, beta = _unpacked(key, coeff, n)
+    remainder = PairTerm(kind, coeff, alpha, beta, lf, rf)
+    assert packed_pair(remainder) == rest
+    return flux, remainder
+
+
+def exchange_term(term: BilinearTerm, k: int, j: int, rule=None) -> tuple:
+    """``decompose.exchange_step`` (or ``_exchange``) on a BilinearTerm,
+    the swapped product returned as a BilinearTerm."""
+    n = len(term.left)
+    (product,) = pack((term,))
+    swapped, *fluxes = (rule or engine.exchange_step)(product, k, j, n)
+    return (_unpacked(*swapped, n), *fluxes)
+
+
+def collapse_terms(first: BilinearTerm, second: BilinearTerm,
+                   rule=None) -> tuple:
+    """``decompose.collapse_step`` (or ``_collapse``) on two BilinearTerms."""
+    return (rule or engine.collapse_step)(*pack((first, second)),
+                                             len(first.left))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +318,7 @@ def spectral_exterior_derivative(sf: SubstitutedForm) -> tuple:
     for j, flux in enumerate(sf.fluxes):
         for coeff, field, deriv in flux:
             terms.append(((field, deriv), coeff * slopes[j]))
-            terms.append(((field, deriv.incr(j)), coeff))
+            terms.append(((field, incr(deriv, j)), coeff))
     return _merge_spectral_terms(terms)
 
 

@@ -10,6 +10,7 @@ from conftest import random_operator
 from oracles import (
     check_parameterization,
     forms_equivalent,
+    incr,
     reduce_mod_quadric,
     spectral_exterior_derivative,
     triple_product_operator,
@@ -129,7 +130,7 @@ def _stokes_flux_fixture():
     )
     currents = []
     for axis in range(3):
-        step = zero.incr(axis)
+        step = incr(zero, axis)
         terms = [
             term(one, zero, zero, 3, axis),   # pressure times test velocity
             term(one, zero, zero, axis, 3),   # trial velocity times test pressure

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_bilinear, random_gaussian, random_multiindex, random_poly
-from oracles import brace, bracket
+from oracles import brace, bracket, decr, incr
 from fundform.algebra import (
     BilinearExpr,
     BilinearTerm,
@@ -37,14 +37,14 @@ def test_multiindex_basics():
     assert a.order == 3
     assert a.odd_axes() == (2,)
     assert a.half() == MultiIndex((1, 0, 0))
-    assert a.incr(1) == MultiIndex((2, 1, 1))
+    assert incr(a, 1) == MultiIndex((2, 1, 1))
     assert a + MultiIndex((0, 1, 0)) == MultiIndex((2, 1, 1))
     with pytest.raises(ValueError):
         MultiIndex((-1, 0))
     with pytest.raises(ValueError):
         a + MultiIndex((1, 2))
     with pytest.raises(ValueError):
-        a.decr(1)
+        decr(a, 1)
 
 
 def test_bracket_wave_style_term():
@@ -410,13 +410,13 @@ else:
                    for t in expr)
         # one derivative is a key plus a unit, in each slot
         lf, rf, left, right = keys[0]
-        raised = pack([BilinearTerm(P_ONE, lf, left.incr(k), rf, right),
-                       BilinearTerm(P_ONE, lf, left, rf, right.incr(k))])
+        raised = pack([BilinearTerm(P_ONE, lf, incr(left, k), rf, right),
+                       BilinearTerm(P_ONE, lf, left, rf, incr(right, k))])
         single = BilinearExpr(terms[:1])
         assert product_rule(single, k) == raised
         assert partial(single, k) == BilinearExpr(
-            [term(1, left.incr(k), right, lf, rf),
-             term(1, left, right.incr(k), lf, rf)])
+            [term(1, incr(left, k), right, lf, rf),
+             term(1, left, incr(right, k), lf, rf)])
         # an entry at 255 refuses the derivative instead of carrying it
         full = MultiIndex([255 if i == k else e for i, e in enumerate(left)])
         with pytest.raises(ValueError, match="packed width"):

@@ -6,12 +6,25 @@ import random
 import pytest
 
 from conftest import random_operator, random_poly
-from oracles import brace, bracket, triple_product_operator
+from oracles import (
+    PairTerm,
+    brace,
+    bracket,
+    collapse_terms,
+    decr,
+    exchange_term,
+    incr,
+    packed_pair,
+    reduce_pair,
+    reference_walk,
+    triple_product_operator,
+)
 from fundform.algebra import (
     BilinearExpr,
     BilinearTerm,
     MultiIndex,
     divergence,
+    pack,
     partial,
     term,
 )
@@ -21,10 +34,8 @@ from fundform.decompose import (
     DecompositionPlan,
     EngineError,
     EnumerationLimit,
-    PairTerm,
     PlanError,
     TermPlan,
-    collapse_step,
     count_forms,
     decompose,
     default_plan,
@@ -63,7 +74,7 @@ def test_reduce_step_triple_product_first_move():
     # [(2,2,2), 0] -> d_x [(1,2,2), 0] - [(1,2,2), (1,0,0)]
     pair = PairTerm(BRACKET, Poly.const(1), MultiIndex((2, 2, 2)),
                     MultiIndex((0, 0, 0)))
-    flux, remainder = reduce_step(pair, 0)
+    flux, remainder = reduce_pair(pair, 0)
     assert flux == bracket((1, 2, 2), (0, 0, 0))
     assert remainder == PairTerm(BRACKET, Poly.const(-1), MultiIndex((1, 2, 2)),
                                  MultiIndex((1, 0, 0)))
@@ -71,14 +82,14 @@ def test_reduce_step_triple_product_first_move():
 
 def test_reduce_step_reaches_vanishing_diagonal():
     pair = PairTerm(BRACKET, Poly.const(1), MultiIndex((2, 0)), MultiIndex((0, 0)))
-    flux, remainder = reduce_step(pair, 0)
+    flux, remainder = reduce_pair(pair, 0)
     assert remainder.alpha == remainder.beta
     assert BilinearExpr(remainder.products()).is_zero
 
 
 def test_reduce_step_brace_variant():
     pair = PairTerm(BRACE, Poly.const(1), MultiIndex((2, 0)), MultiIndex((0, 0)))
-    flux, remainder = reduce_step(pair, 0)
+    flux, remainder = reduce_pair(pair, 0)
     assert flux == brace((1, 0), (0, 0))
     assert remainder == PairTerm(BRACE, Poly.const(-1), MultiIndex((1, 0)),
                                  MultiIndex((1, 0)))
@@ -88,7 +99,7 @@ def test_reduce_step_brace_variant():
 
 def test_reduce_step_requires_available_axis():
     with pytest.raises(PlanError):
-        reduce_step(PairTerm(BRACKET, Poly.const(1), MultiIndex((0, 2)),
+        reduce_pair(PairTerm(BRACKET, Poly.const(1), MultiIndex((0, 2)),
                              MultiIndex((0, 0))), 0)
 
 
@@ -104,14 +115,14 @@ def test_reduce_step_identity_randomized():
         k = rng.choice(axes_available)
         kind = rng.choice((BRACKET, BRACE))
         pair = PairTerm(kind, Poly.const(rng.randint(1, 5)), alpha, beta)
-        flux, remainder = reduce_step(pair, k)
+        flux, remainder = reduce_pair(pair, k)
         assert partial(flux, k) + BilinearExpr(remainder.products()) == BilinearExpr(pair.products())
 
 
 def test_exchange_step_smallest_case():
     # q_x qt_y = q_y qt_x + d_x(q qt_y) - d_y(q qt_x)
     start = BilinearTerm(Poly.const(1), 0, MultiIndex((1, 0)), 0, MultiIndex((0, 1)))
-    swapped, contributions = exchange_step(start, 0, 1)
+    swapped, contributions = exchange_term(start, 0, 1)
     assert swapped == BilinearTerm(Poly.const(1), 0, MultiIndex((0, 1)), 0,
                                    MultiIndex((1, 0)))
     (k, flux_k), (j, flux_j) = contributions
@@ -122,7 +133,7 @@ def test_exchange_step_smallest_case():
 
 def test_exchange_step_same_axis_degenerate():
     start = BilinearTerm(Poly.const(1), 0, MultiIndex((1,)), 0, MultiIndex((1,)))
-    swapped, contributions = exchange_step(start, 0, 0)
+    swapped, contributions = exchange_term(start, 0, 0)
     assert swapped == start
     total = sum((flux for _, flux in contributions), BilinearExpr())
     assert total.is_zero
@@ -131,9 +142,9 @@ def test_exchange_step_same_axis_degenerate():
 def test_exchange_step_precondition():
     start = BilinearTerm(Poly.const(1), 0, MultiIndex((1, 0)), 0, MultiIndex((0, 1)))
     with pytest.raises(PlanError):
-        exchange_step(start, 1, 1)
+        exchange_term(start, 1, 1)
     with pytest.raises(PlanError):
-        exchange_step(start, 0, 0)
+        exchange_term(start, 0, 0)
 
 
 def test_exchange_step_identity_randomized():
@@ -148,7 +159,7 @@ def test_exchange_step_identity_randomized():
             continue
         k, j = rng.choice(ks), rng.choice(js)
         start = BilinearTerm(Poly.const(rng.randint(1, 4)), 0, left, 0, right)
-        swapped, contributions = exchange_step(start, k, j)
+        swapped, contributions = exchange_term(start, k, j)
         total = BilinearExpr([swapped])
         for axis, flux in contributions:
             total = total + partial(flux, axis)
@@ -158,7 +169,7 @@ def test_exchange_step_identity_randomized():
 def collapse_brace(alpha, beta, coeff=1):
     """collapse_step on the two products of the brace coeff * {alpha, beta}."""
     pair = PairTerm(BRACE, Poly.const(coeff), MultiIndex(alpha), MultiIndex(beta))
-    return collapse_step(*pair.products())
+    return collapse_terms(*pair.products())
 
 
 def test_brace_collapse_zero_base():
@@ -194,12 +205,12 @@ def test_brace_collapse_pair_shape_errors():
     bracket_pair = PairTerm(BRACKET, Poly.const(1), MultiIndex((1, 0)),
                             MultiIndex((0, 0)))
     with pytest.raises(EngineError):
-        collapse_step(*bracket_pair.products())
+        collapse_terms(*bracket_pair.products())
     first, second = PairTerm(BRACE, Poly.const(1), MultiIndex((1,)),
                              MultiIndex((0,))).products()
     with pytest.raises(EngineError):  # mixed fields
-        collapse_step(first, BilinearTerm(second.coeff, 1, second.left, 0,
-                                          second.right))
+        collapse_terms(first, BilinearTerm(second.coeff, 1, second.left, 0,
+                                           second.right))
 
 
 def _same_packing(flux, terms):
@@ -231,46 +242,46 @@ def test_builders_pack_their_fluxes_as_bilinear_expr_would():
         if rng.random() < 0.2:  # on the diagonal the two products meet
             beta = alpha
         if alpha[k] == 0:
-            alpha = alpha.incr(k)
+            alpha = incr(alpha, k)
         pair = PairTerm(kind, coeff, alpha, beta, lf, rf)
-        lowered = alpha.decr(k)
-        flux, remainder = engine._reduce(pair, k)
+        lowered = decr(alpha, k)
+        flux, remainder = reduce_pair(pair, k, engine._reduce)
         _same_packing(flux, PairTerm(kind, coeff, lowered, beta, lf,
                                      rf).products())
-        assert remainder == PairTerm(kind, -coeff, lowered, beta.incr(k),
+        assert remainder == PairTerm(kind, -coeff, lowered, incr(beta, k),
                                      lf, rf)
         if flux._top < 255:
-            assert reduce_step(pair, k) == (flux, remainder)
+            assert reduce_pair(pair, k) == (flux, remainder)
 
         # exchange: axis k of the trial slot with axis j of the test slot
         left, right = _entries(rng, n), _entries(rng, n)
         j = rng.randrange(n)
         if left[k] == 0:
-            left = left.incr(k)
+            left = incr(left, k)
         if right[j] == 0:
-            right = right.incr(j)
+            right = incr(right, j)
         start = BilinearTerm(coeff, lf, left, rf, right)
-        swapped, flux_k, flux_j = engine._exchange(start, k, j)
-        moved = right.decr(j).incr(k)
-        assert swapped == BilinearTerm(coeff, lf, left.decr(k).incr(j), rf,
+        swapped, flux_k, flux_j = exchange_term(start, k, j, engine._exchange)
+        moved = incr(decr(right, j), k)
+        assert swapped == BilinearTerm(coeff, lf, incr(decr(left, k), j), rf,
                                        moved)
-        _same_packing(flux_k, [BilinearTerm(coeff, lf, left.decr(k), rf,
+        _same_packing(flux_k, [BilinearTerm(coeff, lf, decr(left, k), rf,
                                             right)])
-        _same_packing(flux_j, [BilinearTerm(-coeff, lf, left.decr(k), rf,
+        _same_packing(flux_j, [BilinearTerm(-coeff, lf, decr(left, k), rf,
                                             moved)])
         if max(flux_k._top, flux_j._top, *swapped.left) < 255:
-            assert exchange_step(start, k, j) == (
+            assert exchange_term(start, k, j) == (
                 swapped, ((k, flux_k), (j, flux_j)))
 
         # collapse of T(c + e_r, d) + T(c, d + e_r) into T(c, d)
         base, rest = _entries(rng, n), _entries(rng, n)
-        first = BilinearTerm(coeff, lf, base.incr(k), rf, rest)
-        second = BilinearTerm(coeff, lf, base, rf, rest.incr(k))
-        r, flux = engine._collapse(first, second)
+        first = BilinearTerm(coeff, lf, incr(base, k), rf, rest)
+        second = BilinearTerm(coeff, lf, base, rf, incr(rest, k))
+        r, flux = collapse_terms(first, second, engine._collapse)
         assert r == k
         _same_packing(flux, [BilinearTerm(coeff, lf, base, rf, rest)])
         if flux._top < 255:
-            assert collapse_step(first, second) == (r, flux)
+            assert collapse_terms(first, second) == (r, flux)
 
 
 def test_steps_refuse_a_count_past_the_packed_width():
@@ -278,28 +289,28 @@ def test_steps_refuse_a_count_past_the_packed_width():
     # hold 256 raises, and never carries into the neighbouring byte
     one = Poly.const(1)
     pair = PairTerm(BRACE, one, MultiIndex((2, 1)), MultiIndex((254, 0)), 0, 3)
-    flux, remainder = reduce_step(pair, 0)
+    flux, remainder = reduce_pair(pair, 0)
     assert remainder.beta == (255, 0) and flux._top == 254
     with pytest.raises(ValueError, match="packed width"):
-        reduce_step(remainder, 0)
+        reduce_pair(remainder, 0)
     # the exchange's moved test slot, and its swapped trial slot
     with pytest.raises(ValueError, match="0..255"):
-        exchange_step(BilinearTerm(one, 0, MultiIndex((1, 0)), 0,
+        exchange_term(BilinearTerm(one, 0, MultiIndex((1, 0)), 0,
                                    MultiIndex((255, 1))), 0, 1)
     with pytest.raises(ValueError, match="0..255"):
-        engine._exchange(BilinearTerm(one, 0, MultiIndex((1, 0)), 0,
-                                      MultiIndex((255, 1))), 0, 1)
+        exchange_term(BilinearTerm(one, 0, MultiIndex((1, 0)), 0,
+                                   MultiIndex((255, 1))), 0, 1, engine._exchange)
     with pytest.raises(ValueError):
-        exchange_step(BilinearTerm(one, 0, MultiIndex((1, 255)), 0,
+        exchange_term(BilinearTerm(one, 0, MultiIndex((1, 255)), 0,
                                    MultiIndex((0, 1))), 0, 1)
     # a collapse whose flux holds 255 cannot be differentiated
     first = BilinearTerm(one, 0, MultiIndex((1, 255)), 0, MultiIndex((0, 0)))
     second = BilinearTerm(one, 0, MultiIndex((0, 255)), 0, MultiIndex((1, 0)))
     with pytest.raises(ValueError, match="packed width"):
-        collapse_step(first, second)
+        collapse_terms(first, second)
     # field indices past 255 are refused by the same packing
     with pytest.raises(ValueError, match="0..255"):
-        reduce_step(PairTerm(BRACKET, one, MultiIndex((1,)), MultiIndex((0,)),
+        reduce_pair(PairTerm(BRACKET, one, MultiIndex((1,)), MultiIndex((0,)),
                              256, 0), 0)
 
 
@@ -706,7 +717,7 @@ def test_reduce_oracle_refuses_flipped_flux(monkeypatch):
     pair = PairTerm(BRACKET, Poly.const(1), MultiIndex((1, 1, 1)),
                     MultiIndex.zero(3))
     with pytest.raises(EngineError, match="reduction step failed"):
-        reduce_step(pair, 0)
+        reduce_pair(pair, 0)
     with pytest.raises(EngineError, match="reduction step failed"):
         decompose(parse_operator("axes x,y,z; Dx*Dy*Dz"))
 
@@ -716,7 +727,7 @@ def test_exchange_oracle_refuses_flipped_flux_j(monkeypatch):
                          lambda swapped, flux_k, flux_j: (swapped, flux_k, -flux_j))
     start = BilinearTerm(Poly.const(1), 0, MultiIndex((1, 0)), 0, MultiIndex((0, 1)))
     with pytest.raises(EngineError, match="exchange step failed"):
-        exchange_step(start, 0, 1)
+        exchange_term(start, 0, 1)
     with pytest.raises(EngineError, match="exchange step failed"):
         decompose(parse_operator("axes x,y,z; Dx*Dy*Dz"))
 
@@ -773,7 +784,7 @@ def _stokes_flux_fixture():
     nu = Poly.var("nu")
     one = Poly.const(1)
     zero = MultiIndex.zero(4)
-    e = {axis: zero.incr(axis) for axis in range(3)}
+    e = {axis: incr(zero, axis) for axis in range(3)}
     rho = {(m, m, tuple(zero), tuple(zero)): one for m in range(3)}
     js = []
     for axis in range(3):
@@ -858,3 +869,60 @@ def test_decomposition_against_sympy(make_op):
                 pairing += qt[i] * c * d(q[j], alpha)
                 pairing -= q[j] * (-1) ** sum(alpha) * c * d(qt[i], alpha)
     assert sympy.expand(divergence_sum - pairing) == 0
+
+
+def _flux_fields(emitted):
+    return [(axis, flux._pairs, flux._dim, flux._top) for axis, flux in emitted]
+
+
+def test_packed_walk_matches_the_tuple_reference():
+    # every flux the packed walk emits, and its placement on a term with
+    # fields and a parametric coefficient, equals the tuple-based rules'
+    # walk of that term: same pairs, dimension and top byte per axis
+    rng = random.Random(31)
+    nu = Poly.var("nu")
+    alphas = set()
+    while len(alphas) < 300:
+        n = rng.randint(1, 5)
+        alphas.add(MultiIndex(rng.randint(0, 4) for _ in range(n)))
+    walked = 0
+    for alpha in sorted(alphas):
+        plans = list(itertools.islice(term_plans(alpha), 50))
+        walk = list(engine._walk_term(alpha, plans))
+        assert [plan for plan, _ in walk] == plans
+        for (_, emitted), (_, expected) in zip(walk,
+                                              reference_walk(alpha, plans)):
+            assert _flux_fields(emitted) == _flux_fields(expected)
+        lf, rf = rng.randint(0, 3), rng.randint(0, 3)
+        coeff = nu * rng.randint(-3, 3) + rng.randint(1, 4)
+        placed = engine._place([emitted for _, emitted in walk], len(alpha),
+                               lf, rf, coeff)
+        for row, (_, expected) in zip(placed, reference_walk(
+                alpha, plans, coeff, lf, rf)):
+            assert _flux_fields(row) == _flux_fields(expected)
+        walked += len(plans)
+    assert walked > 3000
+
+
+def test_packed_rules_refuse_an_axis_out_of_range():
+    # the axis picks a byte by shifting: an axis outside 0..n-1 would take
+    # a negative shift or read a neighbouring byte, so it is refused
+    pair = packed_pair(PairTerm(BRACKET, 1, MultiIndex((2, 1)),
+                                MultiIndex((1, 1))))
+    (product,) = pack((BilinearTerm(1, 0, MultiIndex((1, 1)), 0,
+                                    MultiIndex((1, 1))),))
+    for axis in (2, -1):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range"):
+            reduce_step(pair, axis)
+        with pytest.raises(ValueError, match=f"axis {axis} out of range"):
+            exchange_step(product, axis, 0, 2)
+        with pytest.raises(ValueError, match=f"axis {axis} out of range"):
+            exchange_step(product, 0, axis, 2)
+    # a missing derivative on an axis in range is still the plan's fault
+    empty = packed_pair(PairTerm(BRACKET, 1, MultiIndex((0, 1)),
+                                 MultiIndex((0, 0))))
+    with pytest.raises(PlanError, match="axis 0 has no derivative"):
+        reduce_step(empty, 0)
+    with pytest.raises(PlanError, match="no axis-0 derivative"):
+        exchange_step(pack((BilinearTerm(1, 0, MultiIndex((0, 1)), 0,
+                                         MultiIndex((1, 0))),))[0], 0, 0, 2)

@@ -9,6 +9,7 @@ import pickle
 
 import pytest
 
+from oracles import PairTerm
 from fundform import emit
 from fundform.algebra import MultiIndex
 from fundform.catalog import CatalogCase, catalog_case
@@ -17,7 +18,6 @@ from fundform.decompose import (
     BRACKET,
     DecompositionPlan,
     DivergenceDecomposition,
-    PairTerm,
     PlanError,
     TermPlan,
     decompose,

@@ -144,8 +144,16 @@ def test_substitution_sign_validation():
         substitute_exponential(form, [var("a")], sign=1)
 
 
-@pytest.mark.parametrize("make,fields", [(wave_operator, 1), (stokes_operator, 4)],
-                         ids=["wave", "stokes"])
+def decoupled_operator():
+    """Two fields on one axis; the second has an all-zero row and column,
+    so no flux names it."""
+    return parse_operator('{"axes":["x"],"fields":["u","v"],'
+                          '"entries":[["Dx","0"],["0","0"]]}')
+
+
+@pytest.mark.parametrize("make,fields", [(wave_operator, 1), (stokes_operator, 4),
+                                         (decoupled_operator, 2)],
+                         ids=["wave", "stokes", "decoupled"])
 @pytest.mark.parametrize("extra", [-1, 1], ids=["too-few", "too-many"])
 def test_substitution_refuses_an_amplitude_count_off_the_test_fields(make, fields,
                                                                      extra):
@@ -159,6 +167,22 @@ def test_substitution_refuses_an_amplitude_count_off_the_test_fields(make, field
     amplitudes = [Poly.const(g + 1) for g in range(fields)]
     sub = substitute_exponential(form, sigma, amplitudes=amplitudes)
     assert sub.amplitudes == tuple(amplitudes)
+    # the default is one amplitude 1 per field of the source operator
+    assert substitute_exponential(form, sigma).amplitudes == (Poly.const(1),) * fields
+
+
+def test_a_form_without_source_has_a_field_per_amplitude():
+    # no operator fixes the test fields of a hand-written form: it has as
+    # many as the amplitudes given, or one, and a flux naming a field past
+    # that count is refused with ValueError, not IndexError
+    flux = BilinearExpr([term(1, (0,), (1,), 0, 1)])
+    form = DivergenceDecomposition(("x",), (flux,), None)
+    with pytest.raises(ValueError, match="names test field 1; the form has 1$"):
+        substitute_exponential(form, [var("a")])
+    with pytest.raises(ValueError, match="names test field 1; the form has 1$"):
+        substitute_exponential(form, [Poly.const(2)], amplitudes=[3])
+    sub = substitute_exponential(form, [var("a")], amplitudes=[1, var("b")])
+    assert spectral_dict(sub.fluxes[0]) == {(0, (0,)): P_I * var("a") * var("b")}
 
 
 def test_substituted_closure_heat():
