@@ -163,7 +163,7 @@ def _endpoint(text: str) -> Poly:
 def _spectral_names(args, op: Operator, box=()) -> list:
     """--spectral-names (s1..sn without it), read by the header's name-list
     rule; no name may be an axis, a parameter or a box endpoint name."""
-    if not args.spectral_names:
+    if args.spectral_names is None:
         return [f"s{j + 1}" for j in range(op.dimension)]
     names = parse_names(args.spectral_names, "spectral")
     taken = set(op.axes).union(
@@ -364,7 +364,7 @@ def cmd_global_relation(args) -> int:
         )
     box = _parse_box(op, args.box)
     names = _spectral_names(args, op, box)
-    if args.sigma:
+    if args.sigma is not None:
         sigma = [parse_poly(chunk, names) for chunk in args.sigma.split(",")]
     else:
         sigma = [Poly.var(n) for n in names]
@@ -391,7 +391,7 @@ def cmd_verify(args) -> int:
     if args.case not in CATALOG_TAGS:
         raise UsageError(f"unknown case {args.case!r}; have {CATALOG_TAGS}")
     solution = None
-    if args.solution:
+    if args.solution is not None:
         case = catalog_case(args.case)
         fields = [args.solution] + ["0"] * (len(case.solution.fields) - 1)
         solution = ManufacturedSolution.system(case.solution.axes, fields)

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -433,13 +434,19 @@ def test_enumerate_json_memory_does_not_grow_with_the_family():
     assert peaks[large] - peaks[SIX_AXES] < 16 * (1440 - 720)
 
 
+def module_env() -> dict:
+    """The environment of a `python -m fundform` child process: this
+    checkout's `src` first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _closed_stdout_run(argv, stdout, close):
     """Run fundform in a child process with a block-buffered stdout;
     `close` shuts the read end of that stdout.  Returns (exit code, stderr
     bytes)."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = module_env()
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen([sys.executable, "-m", "fundform", *argv],
                             stdout=stdout, stderr=subprocess.PIPE, env=env)
@@ -767,13 +774,10 @@ def test_box_endpoint_refused_with_its_text(capsys, endpoint):
 
 
 def test_box_endpoint_with_a_huge_exponent_exits_at_once():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "fundform", "global-relation", "--op",
          "axes x,t; Dt - Dx^2", "--box", "x=0..1e100000000,t=0..1"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=module_env(), capture_output=True, text=True, timeout=20)
     assert refused(proc.returncode, proc.stderr, "box endpoint '1e100000000'")
 
 
@@ -929,6 +933,22 @@ def test_empty_op_is_given_operator_text(tmp_path, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--case", "heat", "--solution", ""),
+     "unexpected token 'end of input' (line 1, column 1)"),
+    (("global-relation", "--op", WAVE, "--sigma", ""),
+     "expected a coefficient, D<axis> factor or '(', found 'end of input' "
+     "(line 1, column 1)"),
+    (("constraint", "--op", WAVE, "--spectral-names", ""),
+     "expected spectral name other than 'i' (line 1, column 1)"),
+], ids=["solution", "sigma", "spectral-names"])
+def test_empty_option_value_is_read_and_refused_pinned(capsys, argv, message):
+    # an empty --solution, --sigma or --spectral-names is text all the
+    # same: its reader refuses it, in place of the catalog solution or the
+    # default names
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def wide_header(n: int) -> str:
     return f"axes {','.join(f'a{k}' for k in range(n))}; Da0*Da{n - 1}"
 
@@ -1031,6 +1051,10 @@ PARSER_ARGV = [
      "--solution", "(x-t)^3", "--format", "text"],
     ["verify", "--case", "heat", "--nodes", " 7", "--format", "text"],
     ["verify", "--case", "heat", "--case", "wave", "--nodes", "3"],
+    # an empty value is a value
+    ["verify", "--case", "heat", "--solution", ""],
+    ["global-relation", "--op", WAVE, "--sigma", ""],
+    ["constraint", "--op", WAVE, "--spectral-names", ""],
     # spellings the table leaves to argparse
     ["global-relation", "--op", WAVE, "--exp-sign", "-1", "--format", "text"],
     ["count", "--form", "text", "--op", WAVE], ["count", f"--op={WAVE}"],
@@ -1057,8 +1081,12 @@ def test_narrowed_parser_matches_the_full_one(capsys, monkeypatch, argv):
     assert table == outcome(capsys, lambda: main(argv))
 
 
-# Help, usage and error texts at 40 and 200 columns.  Captured with
-# Python 3.10-3.12; the argparse of 3.13 wraps the usage line differently.
+# Help, usage and error texts at 40 and 200 columns, captured with Python
+# 3.10-3.12 (all 16 match on 3.10.13, 3.11.7 and 3.12.1).  Python 3.13 is
+# skipped, and CI leaves it out: its argparse texts change between patch
+# releases (4 of the 16 differ on 3.13.0, 7 on 3.13.13, where invalid-choice
+# messages drop their quotes), so a 3.13 golden file would fail on whichever
+# patch release is installed.
 CLI_TEXTS = json.loads(
     (Path(__file__).parent / "golden" / "cli_texts.json").read_text())
 
@@ -1113,3 +1141,106 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Console calls, one row each: argv, exit code, and one check of what the
+# call printed (stderr when it exits 2, and then stdout is empty; stdout
+# otherwise): ("line", text) is a line it prints, ("prefix", text) the
+# start of its first line, ("same", label) the stdout of another row.  A
+# bounded row runs in a child process that must exit within 20 s, so that
+# a refusal that stops being prompt fails instead of hanging the suite.
+
+class Console(NamedTuple):
+    argv: list
+    code: int
+    check: tuple
+    env: dict | None = None
+    bounded: bool = False
+
+
+AXES_64 = "axes " + ",".join(f"a{k}" for k in range(64))
+PATHS = ["decompose", "--op", "axes x,y; Dx^2*Dy^2 + Dx^2 + Dy^2", "--path", "y",
+         "--path", "x", "--format", "text", "--path"]
+VERIFY_WAVE = ["verify", "--case", "wave", "--format", "text", "--solution"]
+
+CONSOLE_CASES = {
+    "count-format": Console(["count", "--format", "text", "--op", WAVE], 0,
+                            ("line", "N = 1")),
+    "count-form-abbreviated": Console(["count", "--form", "text", "--op", WAVE], 0,
+                                      ("same", "count-format")),
+    "verify-heat-nodes=8": Console(
+        ["verify", "--case", "heat", "--nodes=8", "--format", "text"], 0,
+        ("prefix", "case heat: relative residual ")),
+    # a power of zero whose base overflowed reads as 1
+    "solution-overflowed-base": Console(
+        VERIFY_WAVE + ["(2^2000)^0 + (x-t)^3 - sin(x+t) + cos(2*x-2*t)"], 0,
+        ("prefix", "case wave: relative residual ")),
+    # three tops, one of them with three slopes, each shifted as one group
+    "solution-three-tops": Console(
+        VERIFY_WAVE + ["(x-t)^3 + exp(x+t) + (x+t)^2*exp(2*x+2*t) + cos(x-t)"], 0,
+        ("prefix", "case wave: relative residual ")),
+    "solution-of-another-equation": Console(
+        ["verify", "--case", "wave", "--solution", "x^2*t"], 1,
+        ("line", '  "passed": false')),
+    "stokes-text": Console(["stokes", "--format", "text"], 0, ("line", "isotropy: true")),
+    "stokes-latex": Console(["stokes", "--format", "latex"], 0, ("prefix", "\\eta = ")),
+    "relation-latex": Console(["global-relation", "--op", HEAT_NU, "--format", "latex"],
+                              0, ("prefix", "0 = ")),
+    "relation-exp-sign-negative": Console(
+        ["global-relation", "--op", HEAT_NU, "--exp-sign", "-1", "--format", "text"], 0,
+        ("line", '  "weight": "-i*s1",')),
+    "path-per-term": Console(PATHS + ["y,x"], 0, ("line", "verified: true")),
+    "path-off-its-term": Console(PATHS + ["y,y"], 2, ("line", (
+        "error: path (1, 1) does not use each axis k exactly alpha_k // 2 times "
+        "for (2, 2)"))),
+    "help-at-60-columns": Console(["decompose", "--help"], 0,
+                                  ("prefix", "usage: fundform decompose [-h]"),
+                                  env={"COLUMNS": "60"}),
+    "usage-at-200-columns": Console(["count", "--op", WAVE, "--bogus"], 2,
+                                    ("prefix", "usage: fundform [-h] {decompose,count,"),
+                                    env={"COLUMNS": "200"}),
+    "grid-over-the-term-budget": Console(["decompose", "--op", cube_grid(12)], 2, (
+        "line", f"error: matrix operator expands beyond the limit of {MAX_TERMS} "
+                "terms in all"), bounded=True),
+    "power-of-a-sum-coefficient": Console(
+        ["count", "--op", "params a,b,c,d; axes x; ((a+b+c+d+1)*Dx)^20"], 2,
+        ("line", f"error: operator expands beyond the limit of {MAX_TERMS} terms "
+                 "(line 1, column 42)"), bounded=True),
+    # the widest packed keys the bounds allow, through every rewrite step
+    # and the final gate
+    "widest-keys": Console(
+        ["decompose", "--op", f"{AXES_64}; Da0^11*Da31^11*Da63^10 + Da5*Da40^31"], 0,
+        ("line", '  "verified": true,'), bounded=True),
+}
+
+
+def console(capsys, monkeypatch, case: Console) -> tuple:
+    """(exit code, stdout, stderr) of one console call."""
+    env = case.env or {}
+    if case.bounded:
+        proc = subprocess.run([sys.executable, "-m", "fundform", *case.argv],
+                              env={**module_env(), **env}, capture_output=True,
+                              text=True, timeout=20)
+        return proc.returncode, proc.stdout, proc.stderr
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    result, out, err = outcome(capsys, lambda: main(case.argv))
+    return (result[1] if isinstance(result, tuple) else result), out, err
+
+
+@pytest.mark.parametrize("label", CONSOLE_CASES)
+def test_console_cases(capsys, monkeypatch, label):
+    case = CONSOLE_CASES[label]
+    code, out, err = console(capsys, monkeypatch, case)
+    assert code == case.code, err
+    kind, expected = case.check
+    if code == 2:
+        assert out == ""
+        out = err
+    if kind == "line":
+        assert expected in out.splitlines()
+    elif kind == "prefix":
+        assert out.startswith(expected)
+    else:
+        assert out == console(capsys, monkeypatch, CONSOLE_CASES[expected])[1]
