@@ -36,6 +36,9 @@ walk's first pairing once and then offset keys by the same units as
 brace in the form ``pack`` takes; ``operators.bilinear_rhs`` builds its
 pairings with it.  ``_field_offset`` is what a key with fields (0, 0)
 gains to carry other fields; ``decompose`` places its unit walks with it.
+``_key_halves`` splits each key into its trial half (f, mu) and its test
+half (g, nu), each one int in the same byte order; ``spectral``
+substitutes on them.
 """
 
 from __future__ import annotations
@@ -161,6 +164,19 @@ def _field_offset(left_field: int, right_field: int, n: int) -> int:
     that ``pack`` raises."""
     return int.from_bytes(_key_bytes(left_field, right_field, (), ()),
                           "big") << 2 * _WIDTH * n
+
+
+def _key_halves(pairs, n: int) -> list:
+    """(trial, test, coeff) from (key, coeff) pairs of dimension n: the
+    trial half (f, mu) and the test half (g, nu) of each key, each the
+    bytes of its tuple read big-endian as one int, so that halves of one
+    dimension compare as their tuples do."""
+    entries = _WIDTH * n
+    mask = (1 << entries) - 1
+    fields = 2 * entries
+    return [((key >> fields + _WIDTH) << entries | (key >> entries) & mask,
+             (key >> fields & _LIMIT) << entries | key & mask, coeff)
+            for key, coeff in pairs]
 
 
 def _packed(pairs: tuple, dim: int | None, top: int) -> "BilinearExpr":

@@ -160,6 +160,15 @@ def _endpoint(text: str) -> Poly:
         raise UsageError(f"box endpoint {text!r}: {exc}") from None
 
 
+def _sigma_entry(text: str, names) -> Poly:
+    """One comma-separated entry of --sigma, a polynomial in the spectral
+    names; an error names the entry, whose text its column counts in."""
+    try:
+        return parse_poly(text, names)
+    except ValueError as exc:
+        raise UsageError(f"sigma entry {text!r}: {exc}") from None
+
+
 def _spectral_names(args, op: Operator, box=()) -> list:
     """--spectral-names (s1..sn without it), read by the header's name-list
     rule; no name may be an axis, a parameter or a box endpoint name."""
@@ -365,7 +374,7 @@ def cmd_global_relation(args) -> int:
     box = _parse_box(op, args.box)
     names = _spectral_names(args, op, box)
     if args.sigma is not None:
-        sigma = [parse_poly(chunk, names) for chunk in args.sigma.split(",")]
+        sigma = [_sigma_entry(chunk, names) for chunk in args.sigma.split(",")]
     else:
         sigma = [Poly.var(n) for n in names]
     check_sigma_count(sigma, op.dimension)

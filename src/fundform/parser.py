@@ -402,14 +402,17 @@ class _OperatorParser(Parser):
                 return ((MultiIndex._trusted(alpha), P_ONE),)
             if text in self.params:
                 return self._const(Poly.var(text))
+            if not self.axes:
+                raise self.error(f"unknown name {text!r}", pos)
             if text.startswith("D") and len(text) > 1:
                 raise self.error(f"unknown axis {text[1:]!r}", pos)
             raise self.error(f"unknown parameter or axis name {text!r}", pos)
         if text == "(":
             return self.nested(pos)
         found = text or "end of input"
+        factor = "D<axis> factor" if self.axes else "name"
         raise self.error(
-            f"expected a coefficient, D<axis> factor or '(', found {found!r}", pos)
+            f"expected a coefficient, {factor} or '(', found {found!r}", pos)
 
 
 def parse_scalar_operator(source: str) -> ScalarPDO:

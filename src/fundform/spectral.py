@@ -9,11 +9,15 @@ it.  Boundary traces stay symbolic here: a relation is structure (face,
 orientation, coefficient, weight, trace), never an evaluated integral.
 
 A substitution takes one amplitude per test field (all 1 when none are
-given) and refuses a list of another length.  It forms each test field's
-factor amplitude * prod_j slope_j^nu_j once per (field, nu).  At a numeric
-spectral point, where every slope and amplitude is a constant, the factor
-is an exact Gaussian rational and scales the flux coefficients; no
-constant is wrapped as a polynomial.
+given) and refuses a list of another length.  It reads each flux's packed
+(key, coeff) pairs, split by ``algebra._key_halves`` into a trial half
+(f, mu) and a test half (g, nu), each one int.  The test half keys the
+factor amplitude * prod_j slope_j^nu_j, formed once per (g, nu); the
+trial half keys the one merge of the flux, and each merged term is
+unpacked to (coeff, field, MultiIndex) once.  No ``BilinearTerm`` is
+built.  At a numeric spectral point, where every slope and amplitude is a
+constant, the factor is an exact Gaussian rational and scales the flux
+coefficients; no constant is wrapped as a polynomial.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Sequence
 
-from .algebra import MultiIndex
+from .algebra import MultiIndex, _key_halves
 from .decompose import DivergenceDecomposition, decompose
 from .forms import assemble
 from .operators import (
@@ -59,13 +63,6 @@ class SubstitutedForm(NamedTuple):
         return exponential_slopes(self.sigma, self.sign)
 
 
-def _merge_spectral_terms(pairs) -> tuple:
-    """Flux terms (coeff, field, deriv) from ((field, deriv), coeff) pairs."""
-    return tuple(
-        (coeff, field, deriv) for (field, deriv), coeff in merge_terms(pairs)
-    )
-
-
 def substitute_exponential(form: DivergenceDecomposition,
                            sigma: Sequence[PolyLike],
                            sign: int = 1,
@@ -78,10 +75,14 @@ def substitute_exponential(form: DivergenceDecomposition,
     one has as many as the amplitudes given, or 1.  A flux term that names
     a test field past that count raises ValueError.
 
-    That factor is formed once per (g, nu) in the call.  At a numeric point,
-    where every slope and amplitude is a constant, it is an exact
-    GaussianRational and each term's coefficient is scaled by it; otherwise
-    it is a Poly and multiplies the coefficient."""
+    The terms are read from each flux's packed keys, whose test half (g,
+    nu) keys the factor and whose trial half (f, mu) keys the merge, so
+    that factor is formed once per (g, nu) in the call and each merged
+    term unpacked once.  At a numeric point, where every slope and
+    amplitude is a constant, the factor is an exact GaussianRational and
+    each term's coefficient is scaled by it; otherwise it is a Poly and
+    multiplies the coefficient.  A flux of another dimension than the
+    form's raises ValueError."""
     check_sigma_count(sigma, form.dimension)
     sigma = tuple(Poly.coerce(s) for s in sigma)
     slopes = exponential_slopes(sigma, sign)
@@ -97,32 +98,42 @@ def substitute_exponential(form: DivergenceDecomposition,
     else:
         amplitudes = tuple(Poly.coerce(a) for a in amplitudes)
     spectral_names = {name for p in sigma + amplitudes for name in p.variables()}
-    param_names = {name for flux in form.fluxes for t in flux
-                   for name in t.coeff.variables()}
-    refuse_clash(spectral_names, set(form.axes) | param_names, "axis or parameter")
+    if spectral_names:  # at a numeric point nothing can clash
+        param_names = {name for flux in form.fluxes for _, coeff in flux._pairs
+                       for name in coeff.variables()}
+        refuse_clash(spectral_names, set(form.axes) | param_names,
+                     "axis or parameter")
     numeric = all(p.is_constant for p in slopes + amplitudes)
     if numeric:
         values = [p.constant_value() for p in slopes]
         scalars = [a.constant_value() for a in amplitudes]
     else:
         values, scalars = slopes, amplitudes
+    n = form.dimension
+    width = n + 1
+    new = tuple.__new__
     factors: dict = {}
-
-    def substituted(t) -> Poly:
-        key = (t.right_field, t.right)
-        factor = factors.get(key)
-        if factor is None:
-            if t.right_field >= nfields:
-                raise ValueError(f"a flux names test field {t.right_field}; "
-                                 f"the form has {nfields}")
-            factor = factors[key] = monomial(scalars[t.right_field], values, t.right)
-        return t.coeff.scale(factor) if numeric else t.coeff * factor
-
-    out = tuple(
-        _merge_spectral_terms(((t.left_field, t.left), substituted(t)) for t in flux)
-        for flux in form.fluxes
-    )
-    return SubstitutedForm(form.axes, sign, sigma, amplitudes, out)
+    out = []
+    for flux in form.fluxes:
+        if flux._dim not in (None, n):
+            raise ValueError(f"a flux has dimension {flux._dim}; "
+                             f"the form has {n}")
+        pairs = []
+        for trial, test, coeff in _key_halves(flux._pairs, n):
+            factor = factors.get(test)
+            if factor is None:
+                raw = test.to_bytes(width, "big")
+                if raw[0] >= nfields:
+                    raise ValueError(f"a flux names test field {raw[0]}; "
+                                     f"the form has {nfields}")
+                factor = factors[test] = monomial(scalars[raw[0]], values, raw[1:])
+            pairs.append((trial, coeff.scale(factor) if numeric else coeff * factor))
+        terms = []
+        for trial, coeff in merge_terms(pairs):
+            raw = trial.to_bytes(width, "big")
+            terms.append((coeff, raw[0], new(MultiIndex, raw[1:])))
+        out.append(tuple(terms))
+    return SubstitutedForm(form.axes, sign, sigma, amplitudes, tuple(out))
 
 
 # ---------------------------------------------------------------------------

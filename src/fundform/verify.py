@@ -16,7 +16,13 @@ c v^(a_k) exp(lam_k v) prod_(j != k) S_j(a_j, lam_j) with the one-axis sums
 S_j(p, mu) = sum_i w_i x_i^p exp(mu x_i): the same tensor rule in O(d n)
 work per term instead of O(n^(d-1)).  Each S_j is computed once per
 (axis, power, slope) in a call, and the exp(mu x_i) at one axis's nodes
-once per (axis, slope), whatever the powers that use them.
+once per (axis, slope), whatever the powers that use them.  The two
+faces normal to axis k share their free axes, so they take one face grid
+and each term's free-axis sums once, multiplied into both faces' parts.
+
+The interior pre-check merges each row of the operator applied to the
+solution in closed form; a row that merges to no terms is 0 everywhere
+and is not evaluated.
 
 Everything here is plain Python floats and complex numbers: the one-axis
 rule is solved by Newton's method on the Legendre recurrence, and the
@@ -152,7 +158,8 @@ def _face_grid(box: Sequence, axis: int, end: str, spec: QuadratureSpec,
                axes: Sequence[str]) -> tuple:
     """One face's fixed coordinate, then the Gauss-Legendre nodes and
     weights of its free axes scaled to the box: one row of floats per free
-    axis, in axis order.
+    axis, in axis order.  ``boundary_residual`` asks once per axis, for the
+    hi face; the lo face shares its rows.
 
     This exists only for the benchmark harness: `perfbench/tracer.py`
     wraps it by name and counts `result[1].size` quadrature points.  The
@@ -198,8 +205,11 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
     slopes; its tensor Gauss-Legendre sum on each face is a product of
     one-axis sums, cached per (axis, power, slope) for the call.  The
     exp(slope x_i) at one axis's nodes are tabulated once per (axis,
-    slope) and serve every power.  Integrals that leave the float range
-    raise ValueError.
+    slope) and serve every power.  The hi and lo faces of an axis take
+    one face grid, the lo face's fixed coordinate being box[axis][0], and
+    each term's free-axis sums are fetched once for both, multiplied in
+    the order a face on its own would use.  Integrals that leave the
+    float range raise ValueError.
     """
     if solution.axes != sf.axes:
         raise ValueError("solution and form use different axes")
@@ -231,17 +241,23 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
                 continue
             free = [j for j in range(sf.dimension) if j != axis]
             integrand = solution.derivative_sum(fluxes[axis], slopes).terms
-            for end, orientation in (("hi", 1), ("lo", -1)):
-                fixed, nodes, weights = _face_grid(box, axis, end, spec, sf.axes)
-                for r, j in enumerate(free):
-                    if j not in rules:
-                        rules[j] = (nodes[r], weights[r])
-                total = 0j
-                for a, lam, c in integrand:
-                    part = c * fixed ** a[axis] * cmath.exp(lam[axis] * fixed)
-                    for j in free:
-                        part *= axis_sum(j, a[j], lam[j])
-                    total += part
+            # the hi and lo faces share their free-axis rows and sums
+            hi, nodes, weights = _face_grid(box, axis, "hi", spec, sf.axes)
+            lo = box[axis][0]
+            for r, j in enumerate(free):
+                if j not in rules:
+                    rules[j] = (nodes[r], weights[r])
+            hi_total = lo_total = 0j
+            for a, lam, c in integrand:
+                hi_part = c * hi ** a[axis] * cmath.exp(lam[axis] * hi)
+                lo_part = c * lo ** a[axis] * cmath.exp(lam[axis] * lo)
+                for j in free:
+                    factor = axis_sum(j, a[j], lam[j])
+                    hi_part *= factor
+                    lo_part *= factor
+                hi_total += hi_part
+                lo_total += lo_part
+            for end, orientation, total in (("hi", 1, hi_total), ("lo", -1, lo_total)):
                 integrals.append(((sf.axes[axis], end), orientation * total))
         residual = sum(value for _, value in integrals)
     except OverflowError:
@@ -258,7 +274,8 @@ def interior_residual(op: Operator, solution: ManufacturedSolution,
     """Max |(op solution)_i| over `points` interior points drawn from
     random.Random(seed); the manufactured-solution pre-check.  Each row of
     op applied to the solution is merged in closed form, then evaluated
-    point by point.  Values that leave the float range raise ValueError."""
+    point by point, unless it merged to no terms: the empty sum is 0 at
+    every point.  Values that leave the float range raise ValueError."""
     rng = random.Random(seed)
     params = dict(params or {})
     columns = [[lo + (hi - lo) * rng.random() for _ in range(points)]
@@ -270,6 +287,8 @@ def interior_residual(op: Operator, solution: ManufacturedSolution,
             entries = [(coeff.evaluate(params), j, alpha)
                        for j, entry in enumerate(row) for alpha, coeff in entry.terms]
             merged = solution.derivative_sum(entries)
+            if not merged.terms:
+                continue  # the empty sum is 0 at every point
             values = [abs(merged.evaluate(point)) for point in samples]
         except OverflowError:
             values = [math.inf]

@@ -7,14 +7,18 @@ tuple-based rewrite rules and their term walk (``reference_walk``, the
 reference for the engine's packed walk), adapters that run the packed
 rules on ``PairTerm`` and ``BilinearTerm`` records, evaluating or
 substituting a polynomial exactly, checking a rational parameterization
-at exact samples, the exterior derivative of a substituted form,
-reduction modulo a quadric, form equivalence, operator printing, one
-derivative of an exponential polynomial, and the twelve-plan
-triple-product operator.  None of them is part of ``fundform``.
+at exact samples, the term-by-term exponential substitution
+(``reference_substitute``, the reference for the engine's packed one),
+the exterior derivative of a substituted form, reduction modulo a
+quadric, form equivalence, operator printing, one derivative of an
+exponential polynomial, the face integrals of a relation one face at a
+time (``reference_face_integrals``), and the twelve-plan triple-product
+operator.  None of them is part of ``fundform``.
 """
 
 from __future__ import annotations
 
+import cmath
 import importlib
 import itertools
 import json
@@ -26,11 +30,14 @@ from fundform.algebra import (BilinearExpr, BilinearTerm, MultiIndex, _packed,
 from fundform.decompose import (BRACE, BRACKET, DivergenceDecomposition,
                                 EngineError, PlanError)
 from fundform.manufactured import ExpPoly, _merge
-from fundform.operators import MatrixPDO, Operator, ScalarPDO, parameters
+from fundform.operators import (MatrixPDO, Operator, ScalarPDO, exponential_slopes,
+                                 grid, monomial, parameters)
 from fundform.parser import parse_scalar_operator
 from fundform.ring import (QI_ZERO, GaussianRational, Poly, PolyLike, merge_terms,
                            signed_sum, times_text)
-from fundform.spectral import ConstraintVariety, SubstitutedForm, _merge_spectral_terms
+from fundform.spectral import ConstraintVariety, SubstitutedForm
+from fundform.verify import (_axis_exponentials, _axis_sum, _face_grid,
+                             _numeric_fluxes)
 
 engine = importlib.import_module("fundform.decompose")
 
@@ -310,6 +317,50 @@ def evaluate_exact(poly: Poly, assignment: Mapping) -> GaussianRational:
 # Spectral oracles
 
 
+def _flux_terms(pairs) -> tuple:
+    """Flux terms (coeff, field, deriv) from ((field, deriv), coeff) pairs."""
+    return tuple(
+        (coeff, field, deriv) for (field, deriv), coeff in merge_terms(pairs)
+    )
+
+
+def reference_substitute(form: DivergenceDecomposition, sigma, sign: int = 1,
+                         amplitudes=None) -> SubstitutedForm:
+    """``spectral.substitute_exponential`` term by term on valid input:
+    each ``BilinearTerm`` c d^mu q_f d^nu qt_g becomes
+    c amplitudes[g] prod_j slope_j^nu_j d^mu q_f, merged on (f, mu)
+    tuples, with the factor formed once per (g, nu) tuple."""
+    sigma = tuple(Poly.coerce(s) for s in sigma)
+    slopes = exponential_slopes(sigma, sign)
+    if form.source is not None:
+        nfields = len(grid(form.source))
+    else:
+        nfields = 1 if amplitudes is None else len(amplitudes)
+    if amplitudes is None:
+        amplitudes = tuple(Poly.const(1) for _ in range(nfields))
+    else:
+        amplitudes = tuple(Poly.coerce(a) for a in amplitudes)
+    numeric = all(p.is_constant for p in slopes + amplitudes)
+    if numeric:
+        values = [p.constant_value() for p in slopes]
+        scalars = [a.constant_value() for a in amplitudes]
+    else:
+        values, scalars = slopes, amplitudes
+    factors: dict = {}
+
+    def substituted(t) -> Poly:
+        key = (t.right_field, t.right)
+        if key not in factors:
+            factors[key] = monomial(scalars[t.right_field], values, t.right)
+        return t.coeff.scale(factors[key]) if numeric else t.coeff * factors[key]
+
+    out = tuple(
+        _flux_terms(((t.left_field, t.left), substituted(t)) for t in flux)
+        for flux in form.fluxes
+    )
+    return SubstitutedForm(form.axes, sign, sigma, amplitudes, out)
+
+
 def spectral_exterior_derivative(sf: SubstitutedForm) -> tuple:
     """Volume coefficient of d(substituted form), divided by the weight:
     each flux differentiates both the trace and the exponential."""
@@ -319,7 +370,7 @@ def spectral_exterior_derivative(sf: SubstitutedForm) -> tuple:
         for coeff, field, deriv in flux:
             terms.append(((field, deriv), coeff * slopes[j]))
             terms.append(((field, incr(deriv, j)), coeff))
-    return _merge_spectral_terms(terms)
+    return _flux_terms(terms)
 
 
 def reduce_mod_quadric(poly: Poly, name: str, replacement: PolyLike) -> Poly:
@@ -442,3 +493,34 @@ def exp_poly_diff(expr: ExpPoly, axis: str) -> ExpPoly:
         if a[k]:
             out.append((a[:k] + (a[k] - 1,) + a[k + 1:], lam, a[k] * c))
     return _merge(expr.axes, out)
+
+
+# ---------------------------------------------------------------------------
+# Face integrals, one face at a time
+
+
+def reference_face_integrals(sf: SubstitutedForm, solution, box, spec,
+                             assignment=None) -> tuple:
+    """The face integrals of ``verify.boundary_residual``, in its order and
+    with its arithmetic, one face at a time: each face builds its own grid
+    and its own one-axis sums, none shared with the opposite face or
+    cached across terms."""
+    slopes, fluxes = _numeric_fluxes(sf, dict(assignment or {}))
+    out = []
+    for axis in range(sf.dimension):
+        if not fluxes[axis]:
+            out += [((sf.axes[axis], end), 0j) for end in ("hi", "lo")]
+            continue
+        integrand = solution.derivative_sum(fluxes[axis], slopes).terms
+        for end, orientation in (("hi", 1), ("lo", -1)):
+            fixed, nodes, weights = _face_grid(box, axis, end, spec, sf.axes)
+            free = [j for j in range(sf.dimension) if j != axis]
+            total = 0j
+            for a, lam, c in integrand:
+                part = c * fixed ** a[axis] * cmath.exp(lam[axis] * fixed)
+                for r, j in enumerate(free):
+                    table = _axis_exponentials(nodes[r], lam[j]) if lam[j] else None
+                    part *= _axis_sum(nodes[r], weights[r], a[j], table)
+                total += part
+            out.append(((sf.axes[axis], end), orientation * total))
+    return tuple(out)

@@ -773,6 +773,30 @@ def test_box_endpoint_refused_with_its_text(capsys, endpoint):
     assert refused(code, err, f"box endpoint {endpoint!r}: ") and out == "", err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("global-relation", "--op", WAVE, "--sigma", "s1,s2+)"),
+     "sigma entry 's2+)': expected a coefficient, name or '(', found ')' "
+     "(line 1, column 4)"),
+    (("global-relation", "--op", WAVE, "--sigma", "1,"),
+     "sigma entry '': expected a coefficient, name or '(', found "
+     "'end of input' (line 1, column 1)"),
+    (("global-relation", "--op", WAVE, "--sigma", "Dx,1"),
+     "sigma entry 'Dx': unknown name 'Dx' (line 1, column 1)"),
+    (("global-relation", "--op", WAVE, "--box", "x=0..,t=0..1"),
+     "box endpoint '': expected a coefficient, name or '(', found "
+     "'end of input' (line 1, column 1)"),
+    (("decompose", "--op", "axes x; 2*"),
+     "expected a coefficient, D<axis> factor or '(', found 'end of input' "
+     "(line 1, column 11)"),
+], ids=["sigma-syntax", "sigma-empty-entry", "sigma-derivative", "box-empty",
+        "operator-words"])
+def test_sigma_and_endpoint_errors_pinned(capsys, argv, message):
+    # a --sigma entry is named like a box endpoint, its column counted in
+    # the entry; text read without axes never mentions D<axis> factors,
+    # while operator text keeps them
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_box_endpoint_with_a_huge_exponent_exits_at_once():
     proc = subprocess.run(
         [sys.executable, "-m", "fundform", "global-relation", "--op",
@@ -937,8 +961,8 @@ def test_empty_op_is_given_operator_text(tmp_path, capsys):
     (("verify", "--case", "heat", "--solution", ""),
      "unexpected token 'end of input' (line 1, column 1)"),
     (("global-relation", "--op", WAVE, "--sigma", ""),
-     "expected a coefficient, D<axis> factor or '(', found 'end of input' "
-     "(line 1, column 1)"),
+     "sigma entry '': expected a coefficient, name or '(', found "
+     "'end of input' (line 1, column 1)"),
     (("constraint", "--op", WAVE, "--spectral-names", ""),
      "expected spectral name other than 'i' (line 1, column 1)"),
 ], ids=["solution", "sigma", "spectral-names"])

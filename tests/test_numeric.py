@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import exp_poly_diff
+from oracles import exp_poly_diff, reference_face_integrals
 from fundform.catalog import CATALOG_TAGS, catalog_case
 from fundform.decompose import decompose, enumerate_plans
 from fundform.forms import assemble
@@ -19,7 +19,7 @@ from fundform.manufactured import (
     parse_solution,
 )
 from fundform.parser import MAX_NODES, MAX_TERMS, parse_operator
-from fundform.ring import Poly
+from fundform.ring import GaussianRational, Poly
 from fundform.spectral import spinor_isotropic, substitute_exponential
 from fundform.verify import (
     QuadratureSpec,
@@ -507,6 +507,49 @@ def test_residual_plan_invariant():
     assert abs(reports[0].residual - reports[1].residual) <= 1e-8 * max(
         reports[0].scale, 1.0
     )
+
+
+def laplacian_power_relation(rng: random.Random) -> tuple:
+    """A seeded Laplacian^k relation, k = 2..4 on two or three axes: q is
+    p h with h harmonic and deg p = k - 1, sigma on sum_j sigma_j^2 = 0,
+    on a seeded box."""
+    k, n = rng.choice((2, 3, 4)), rng.choice((2, 3))
+    axes = ("x", "y", "z")[:n]
+    laplacian = " + ".join(f"D{a}^2" for a in axes)
+    op = parse_operator(f"axes {','.join(axes)}; ({laplacian})^{k}")
+    if n == 2:
+        rate = rng.choice((2, 3))
+        harmonic = f"exp({rate}*x)*cos({rate}*y)"
+        a = rng.choice((1, 2, 3))
+        sigma = [a, GaussianRational(0, rng.choice((-1, 1)) * a)]
+    else:
+        harmonic = "exp(5*x)*cos(3*y)*sin(4*z)"
+        sigma = [GaussianRational(0, 5), 3, -4]
+    poly = f"({rng.choice((2, 3))}*x^{k - 1} - {rng.choice((2, 3))}*{axes[-1]} + 1)"
+    solution = ManufacturedSolution.scalar(axes, f"{poly}*{harmonic}")
+    box = [(lo, lo + rng.choice((0.5, 1.0))) for lo in
+           (rng.choice((-0.5, 0.0, 0.25)) for _ in axes)]
+    sf = substitute_exponential(assemble(decompose(op)), sigma)
+    return sf, solution, box, {}
+
+
+def test_face_integrals_match_the_per_face_loop():
+    # the hi and lo faces of an axis share one grid and its one-axis sums;
+    # each face integral is still bit for bit what a per-face loop gives
+    relations = []
+    for tag in CATALOG_TAGS:
+        case = catalog_case(tag)
+        sf, assignment = case_substituted_form(case)
+        relations.append((sf, case.solution, case.box, assignment, 20))
+    rng = random.Random(3434)
+    for _ in range(8):
+        relations.append((*laplacian_power_relation(rng), rng.choice((5, 9))))
+    for sf, solution, box, assignment, nodes in relations:
+        spec = QuadratureSpec(nodes)
+        report = boundary_residual(sf, solution, box, spec, assignment)
+        expected = reference_face_integrals(sf, solution, box, spec, assignment)
+        assert repr(report.face_integrals) == repr(expected)
+        assert report.scale > 0
 
 
 def test_degenerate_box_rejected():

@@ -8,11 +8,12 @@ from oracles import (
     check_parameterization,
     evaluate_exact,
     reduce_mod_quadric,
+    reference_substitute,
     spectral_exterior_derivative,
     substitute,
     triple_product_operator,
 )
-from fundform.algebra import BilinearExpr, term
+from fundform.algebra import BilinearExpr, MultiIndex, term
 from fundform.decompose import DivergenceDecomposition, decompose
 from fundform.forms import assemble
 from fundform.operators import adjoint, apply_symbol, exponential_slopes, symbol
@@ -27,8 +28,10 @@ from fundform.spectral import (
     substitute_exponential,
 )
 from fundform.catalog import (
+    CATALOG_TAGS,
     _stokes_test_function,
     biharmonic_operator,
+    catalog_case,
     heat_operator,
     stokes_adjoint_residual,
     stokes_operator,
@@ -275,6 +278,40 @@ def test_numeric_point_substitution_matches_symbolic():
         assert at_point.fluxes == point_put_in(symbolic.fluxes, values), (op, point)
         numeric += all(Poly.coerce(p).is_constant for p in point)
     assert numeric == len(cases) - 1
+
+
+def test_packed_substitution_matches_the_term_reference():
+    # the substitution on packed keys gives the term-by-term one exactly:
+    # equal fluxes in the same term order, each derivative a MultiIndex
+    cases = [(case.operator, case.sigma, case.sign, case.amplitudes)
+             for case in map(catalog_case, CATALOG_TAGS)]
+    sigma, sign, amplitudes = _stokes_test_function(spinor_isotropic(1, 2), 1)
+    cases.append((stokes_operator(), sigma, sign, amplitudes))
+    cases.append((decoupled_operator(), [var("k")], 1, [2, var("a")]))
+    rng = random.Random(3333)
+    for case in range(200):
+        op = random_operator(rng, max_dim=3, max_order=5, max_terms=4,
+                             with_params=case % 4 == 0)
+        if case % 2:
+            point = [random_gaussian(rng) for _ in range(op.dimension)]
+        else:
+            point = [var(f"s{j + 1}") for j in range(op.dimension)]
+        cases.append((op, point, (1, -1)[case // 2 % 2], None))
+    for op, point, sign, amplitudes in cases:
+        form = assemble(decompose(op))
+        got = substitute_exponential(form, point, sign, amplitudes)
+        assert got == reference_substitute(form, point, sign, amplitudes), op
+        assert all(type(deriv) is MultiIndex
+                   for flux in got.fluxes for _, _, deriv in flux)
+    # a flux that names a test field past the form's count is still refused
+    flux = BilinearExpr([term(1, (0,), (1,), 0, 1)])
+    form = DivergenceDecomposition(("x",), (flux,), None)
+    with pytest.raises(ValueError, match="names test field 1; the form has 1$"):
+        substitute_exponential(form, [Poly.const(2)])
+    # so is a flux whose keys have another dimension than the form
+    form = DivergenceDecomposition(("x", "y"), (flux, BilinearExpr()), None)
+    with pytest.raises(ValueError, match="a flux has dimension 1; the form has 2$"):
+        substitute_exponential(form, [Poly.const(2), Poly.const(3)])
 
 
 # ---------------------------------------------------------------------------
