@@ -27,7 +27,7 @@ from .catalog import (
     stokes_operator,
 )
 from .decompose import (
-    DEFAULT_PLAN_CEILING,
+    PLAN_CEILING,
     DecompositionPlan,
     EngineError,
     EnumerationLimit,
@@ -46,7 +46,7 @@ from .forms import assemble, exterior_derivative
 from .manufactured import ManufacturedSolution
 from .operators import (MatrixPDO, Operator, bilinear_rhs, check_sigma_count,
                         parameters, refuse_clash)
-from .parser import parse_names, parse_operator, parse_poly
+from .parser import parse_names, parse_operator, parse_poly, quoted
 from .ring import Poly, is_name
 from .spectral import (
     adjoint_constraint,
@@ -56,7 +56,7 @@ from .spectral import (
     substitute_exponential,
     amplitudes_pairwise_independent,
 )
-from .verify import run_catalog_case
+from .verify import DEFAULT_NODES, DEFAULT_RELATIVE_TOL, run_catalog_case
 
 PAIRWISE_SUMMARY_LIMIT = 500
 # Most digits of a form count that `count` and `enumerate` print: the
@@ -89,7 +89,7 @@ def _load_operator(args) -> Operator:
 def _axis_index(op: Operator, name: str) -> int:
     name = name.strip()
     if name not in op.axes:
-        raise UsageError(f"unknown axis {name!r}; operator axes are {op.axes}")
+        raise UsageError(f"unknown axis {quoted(name)}; operator axes are {op.axes}")
     return op.axes.index(name)
 
 
@@ -105,7 +105,7 @@ def _flag_items(op: Operator, text: str, pairs: bool) -> tuple:
         elif ":" in chunk:
             items.append(tuple(_axis_index(op, part) for part in chunk.split(":", 1)))
         else:
-            raise UsageError(f"exchange {chunk!r} must look like trialaxis:testaxis")
+            raise UsageError(f"exchange {quoted(chunk)} must look like trialaxis:testaxis")
     return tuple(items)
 
 
@@ -134,13 +134,13 @@ def _parse_box(op: Operator, text: str | None) -> list:
     for chunk in text.split(","):
         if "=" not in chunk or ".." not in chunk:
             raise UsageError(
-                f"box chunk {chunk!r} must look like axis=lo..hi"
+                f"box chunk {quoted(chunk)} must look like axis=lo..hi"
             )
         axis, rest = chunk.split("=", 1)
         lo, hi = rest.split("..", 1)
         j = _axis_index(op, axis)
         if j in spans:
-            raise UsageError(f"box names axis {op.axes[j]!r} twice")
+            raise UsageError(f"box names axis {quoted(op.axes[j])} twice")
         spans[j] = (_endpoint(lo), _endpoint(hi))
     missing = [op.axes[j] for j in range(op.dimension) if j not in spans]
     if missing:
@@ -157,7 +157,7 @@ def _endpoint(text: str) -> Poly:
     try:
         return parse_poly(text, ())
     except ValueError as exc:
-        raise UsageError(f"box endpoint {text!r}: {exc}") from None
+        raise UsageError(f"box endpoint {quoted(text)}: {exc}") from None
 
 
 def _sigma_entry(text: str, names) -> Poly:
@@ -166,7 +166,7 @@ def _sigma_entry(text: str, names) -> Poly:
     try:
         return parse_poly(text, names)
     except ValueError as exc:
-        raise UsageError(f"sigma entry {text!r}: {exc}") from None
+        raise UsageError(f"sigma entry {quoted(text)}: {exc}") from None
 
 
 def _spectral_names(args, op: Operator, box=()) -> list:
@@ -320,12 +320,12 @@ def _pairwise_equivalent(op: Operator) -> bool:
 def cmd_enumerate(args) -> int:
     op = _load_operator(args)
     total = _form_count(op)
-    document: dict = {"count": total, "ceiling": DEFAULT_PLAN_CEILING}
-    if total > DEFAULT_PLAN_CEILING:
+    document: dict = {"count": total, "ceiling": PLAN_CEILING}
+    if total > PLAN_CEILING:
         document["plans"] = None
         document["note"] = "plan family exceeds the ceiling; count only"
         _emit(args, lambda: document, lambda: f"N(\\mathcal{{L}}) = {total}",
-              lambda: (f"N = {total} (exceeds ceiling {DEFAULT_PLAN_CEILING}; "
+              lambda: (f"N = {total} (exceeds ceiling {PLAN_CEILING}; "
                        "count only)"))
         return 0
     # The check costs one piece per (term, term plan); a family of at most
@@ -398,7 +398,7 @@ def cmd_represent(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.case not in CATALOG_TAGS:
-        raise UsageError(f"unknown case {args.case!r}; have {CATALOG_TAGS}")
+        raise UsageError(f"unknown case {quoted(args.case)}; have {CATALOG_TAGS}")
     solution = None
     if args.solution is not None:
         case = catalog_case(args.case)
@@ -487,8 +487,8 @@ COMMANDS = {
     "verify": ("numeric residual of a catalog relation", cmd_verify, {
         **_FORMAT,
         "--case": {"required": True, "help": "|".join(CATALOG_TAGS)},
-        "--nodes": {"type": int, "default": 20},
-        "--tol": {"type": float, "default": 1e-8},
+        "--nodes": {"type": int, "default": DEFAULT_NODES},
+        "--tol": {"type": float, "default": DEFAULT_RELATIVE_TOL},
         "--seed": {"type": int, "default": 0,
                    "help": "seed of the interior check's sample points"},
         "--solution": {"help": "override first-field solution text (control runs)"},

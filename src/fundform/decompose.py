@@ -19,12 +19,13 @@ happens rather than a wrong answer.
 
 The rules work on packed keys (see ``algebra``).  In dimension n the
 trial unit of axis k is 1 << 8(2n-1-k) and its test unit 1 << 8(n-1-k).
-Until the first exchange a walk's state is a pairing (kind, coeff, key,
-mirror key, n): a reduction on axis k subtracts the trial unit from the
-key and adds the test unit, and the mirror key the other way round.
-After it, the state is the (key, coeff) pairs of the current and mirror
-products, and an exchange or a collapse offsets their keys by units too.
-Each rule is a builder (``_reduce``, ``_exchange``, ``_collapse``) and the
+A walk's one state shape is a pairing's two products as (key, coeff)
+pairs, the mirror's coefficient negated for a bracket and equal for a
+brace; the root is ``algebra._pairing`` packed by ``pack``.  A
+reduction on axis k subtracts the trial unit from the first key and adds
+the test unit, and the mirror key the other way round; an exchange
+offsets the first product, and a collapse reads the last two.  Each
+rule is a builder (``_reduce``, ``_exchange``, ``_collapse``) and the
 identity check around it.  A builder refuses an axis outside 0..n-1 or a
 count that would pass 255 (ValueError) and a missing derivative
 (PlanError); its fluxes take their top byte from their key.  The check
@@ -58,14 +59,13 @@ from bisect import bisect_left
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (_LIMIT, _WIDTH, BilinearExpr, MultiIndex, _field_offset,
-                      _packed, divergence, expr_sum, pack, product_rule)
+                      _packed, _pairing, divergence, expr_sum, pack,
+                      product_rule)
 from .operators import MatrixPDO, Operator, ScalarPDO, bilinear_rhs, grid
 from .ring import Poly, merge_terms
 
-BRACKET = "bracket"
-BRACE = "brace"
-
-DEFAULT_PLAN_CEILING = 10 ** 6
+# Most plans ``enumerate_plans`` materialises.
+PLAN_CEILING = 10 ** 6
 
 
 class PlanError(ValueError):
@@ -106,16 +106,9 @@ def _flux(pairs: tuple, key: int, n: int) -> BilinearExpr:
     return _packed(pairs, n, max(key.to_bytes(2 + 2 * n, "big")))
 
 
-def _products(pair: tuple) -> tuple:
-    """The (key, coeff) products (first, mirror) of a packed pairing: a
-    bracket's mirror carries the opposite sign, a brace's the same."""
-    kind, coeff, key, mirror, _ = pair
-    return (key, coeff), (mirror, -coeff if kind == BRACKET else coeff)
-
-
-def _reduce(pair: tuple, k: int) -> tuple:
+def _reduce(products: tuple, k: int, n: int) -> tuple:
     """What ``reduce_step`` returns, before its identity is checked."""
-    kind, coeff, key, mirror, n = pair
+    (key, coeff), (mirror, second) = products
     trial, test = _shifts(n, k)
     if not key >> trial & _LIMIT:
         raise PlanError(f"axis {k} has no derivative left to move in "
@@ -127,31 +120,30 @@ def _reduce(pair: tuple, k: int) -> tuple:
     # the flux is the pairing coeff * K(alpha - e_k, beta): its products
     # sit a trial unit below the pair's and a test unit below the mirror's
     first, other = key - down, mirror - up
-    second = -coeff if kind == BRACKET else coeff
     if first < other:
         pairs = ((first, coeff), (other, second))
     elif other < first:
         pairs = ((other, second), (first, coeff))
     else:
         pairs = merge_terms(((first, coeff), (other, second)))
-    return _flux(pairs, first, n), (kind, -coeff, first + up, other + down, n)
+    return _flux(pairs, first, n), ((first + up, -coeff),
+                                    (other + down, -second))
 
 
-def reduce_step(pair: tuple, k: int) -> tuple:
+def reduce_step(products: tuple, k: int, n: int) -> tuple:
     """One derivative moves off axis k of the trial slot:
 
         K(alpha, beta) = d_k K(alpha - e_k, beta) - K(alpha - e_k, beta + e_k)
 
-    on the pairing (kind, coeff, key of d^alpha q d^beta qt, key of
-    d^beta q d^alpha qt, n).  Returns (flux expression for axis k,
-    remaining pairing).
+    on the pairing K given as its (key, coeff) products (d^alpha q d^beta
+    qt, d^beta q d^alpha qt) in dimension n; the mirror's coefficient is
+    the first's negated for a bracket and equal for a brace.  Returns
+    (flux expression for axis k, remaining products).
     """
-    flux, remainder = _reduce(pair, k)
-    (key, coeff), (mirror, second) = _products(pair)
-    (rest_key, rest), (rest_mirror, rest_second) = _products(remainder)
-    # d_k flux + remainder - pair, in one merge of packed terms
-    if merge_terms([*product_rule(flux, k), (rest_key, rest),
-                    (rest_mirror, rest_second), (key, -coeff),
+    flux, remainder = _reduce(products, k, n)
+    (key, coeff), (mirror, second) = products
+    # d_k flux + remainder - pairing, in one merge of packed terms
+    if merge_terms([*product_rule(flux, k), *remainder, (key, -coeff),
                     (mirror, -second)]):
         raise EngineError(f"reduction step failed its identity on axis {k}")
     return flux, remainder
@@ -430,21 +422,20 @@ def term_plans(alpha) -> Iterator[TermPlan]:
                                                    tuple(zip(lefts, rights))))
 
 
-def enumerate_plans(op: Operator,
-                    ceiling: int = DEFAULT_PLAN_CEILING) -> Iterator[DecompositionPlan]:
+def enumerate_plans(op: Operator) -> Iterator[DecompositionPlan]:
     """All decomposition plans for the operator, in a deterministic order:
     the product of the terms' ``term_plans``, the last term changing
     fastest.
 
     Refuses (EnumerationLimit, carrying the exact count) when the family
-    is larger than `ceiling`.  The plans of every term but the last are
+    is larger than PLAN_CEILING.  The plans of every term but the last are
     held in lists; the last term's are streamed again from ``term_plans``
     for each combination of the others, so memory grows with the other
     terms' plans and does not grow with the family.
     """
     total = count_forms(op)
-    if total > ceiling:
-        raise EnumerationLimit(total, ceiling)
+    if total > PLAN_CEILING:
+        raise EnumerationLimit(total, PLAN_CEILING)
     keys = [key for key, *_ in _operator_terms(op)]
     if not keys:
         yield DecompositionPlan(())
@@ -492,19 +483,17 @@ def _walk_term(alpha: MultiIndex, plans) -> Iterator[tuple]:
     (step, state, emitted pairs), pops back to the prefix a plan shares
     with the one before, and runs only the steps after it: each distinct
     step runs once, with its oracle, and the plans that share it share
-    its flux objects.  The closing collapse (or the mirror-cancel check)
-    runs for every plan.  A state is the packed pairing [alpha, 0] or
-    {alpha, 0} and its remainders until the first exchange, then the
-    (key, coeff) pairs of the current and mirror products.  The rules
-    are looked up as module globals at each step.
+    its flux objects.  Every state is the (key, coeff) products of a
+    pairing, from the root [alpha, 0] or {alpha, 0} to the last two
+    products; a walk with an odd number of odd axes closes on their
+    collapse, any other on a check that they cancel, for every plan.  The
+    rules are looked up as module globals at each step.
     """
     n = len(alpha)
-    odd = alpha.odd_axes()
-    kind = BRACE if alpha.order % 2 else BRACKET
-    (key, _), = pack(((1, 0, alpha, 0, bytes(n)),))
-    # the pairing [alpha, 0] or {alpha, 0}: its mirror's key is alpha's
-    # bytes alone
-    root = (kind, 1, key, key >> _WIDTH * n, n)
+    odd = len(alpha.odd_axes())
+    # [alpha, 0] for an even order, {alpha, 0} for an odd one
+    root = tuple(pack(_pairing(alpha, bytes(n), 0, 0, 1,
+                               1 if alpha.order % 2 else -1)))
     stack: list = []
     for plan in plans:
         # an int is a reduction on that axis, a pair an exchange
@@ -518,26 +507,17 @@ def _walk_term(alpha: MultiIndex, plans) -> Iterator[tuple]:
         state = stack[-1][1] if stack else root
         for step in steps[shared:]:
             if isinstance(step, int):
-                flux, state = reduce_step(state, step)
+                flux, state = reduce_step(state, step, n)
                 pairs = ((step, flux),)
             else:
-                current, mirror = (_products(state) if len(state) == 5
-                                   else state)
-                current, pairs = exchange_step(current, *step, n)
-                state = (current, mirror)
+                current, pairs = exchange_step(state[0], *step, n)
+                state = (current, state[1])
             stack.append((step, state, pairs))
         emitted = [pair for _, _, pairs in stack for pair in pairs]
-        if not odd:
-            if state[2] != state[3]:
-                raise EngineError("even-term reduction did not close on a diagonal")
-            yield plan, emitted  # [gamma, gamma] = 0
-            continue
-        current, mirror = _products(state) if len(state) == 5 else state
-        if len(odd) % 2 == 0:
-            if merge_terms((current, mirror)):
-                raise EngineError("exchange chain failed to cancel the mirror term")
-        else:
-            emitted.append(collapse_step(current, mirror, n))
+        if odd % 2:
+            emitted.append(collapse_step(*state, n))
+        elif merge_terms(state):
+            raise EngineError("the walk's last two products do not cancel")
         yield plan, emitted
 
 

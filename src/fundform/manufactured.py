@@ -48,7 +48,7 @@ from math import comb, perm, prod
 from operator import add, le, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
-from .parser import MAX_TERMS, Parser, TextSyntaxError
+from .parser import MAX_TERMS, Parser, TextSyntaxError, quoted
 from .ring import merge_terms, square_and_multiply
 
 
@@ -284,10 +284,10 @@ class _SolutionParser(Parser):
                 n = len(self.axes)
                 power = tuple(int(j == k) for j in range(n))
                 return ExpPoly(self.axes, ((power, (0j,) * n, 1 + 0j),))
-            raise self.error(f"unknown name {text!r} in solution text", pos)
+            raise self.error(f"unknown name {quoted(text)} in solution text", pos)
         if text == "(":
             return self.nested(pos)
-        raise self.error(f"unexpected token {text or 'end of input'!r}", pos)
+        raise self.error(f"unexpected token {quoted(text or 'end of input')}", pos)
 
 
 def parse_solution(source: str, axes: Sequence[str]) -> ExpPoly:

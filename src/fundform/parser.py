@@ -76,6 +76,8 @@ MAX_AXES = 64
 # rule takes about 0.2 s to compute (Python 3.11, shared 2-CPU host), and
 # the cost grows with the square of the node count.
 MAX_NODES = 1000
+# Most characters of user text that an error message quotes (``quoted``).
+QUOTE_LIMIT = 40
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<imag>\d+i)|(?P<int>\d+)"
                        r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*^(),;/]))")
@@ -91,6 +93,15 @@ class TextSyntaxError(ValueError):
         self.pos = pos
         self.line = line
         self.column = col
+
+
+def quoted(text: str) -> str:
+    """`text` as an error message quotes it: its repr, or for a text
+    longer than QUOTE_LIMIT characters the repr of its first QUOTE_LIMIT
+    characters and its length, so that the message stays one short line."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 class OperatorSyntaxError(TextSyntaxError):
@@ -143,13 +154,13 @@ class Parser:
     def expect(self, value: str) -> None:
         _, text, pos = self.next()
         if text != value:
-            raise self.error(f"expected {value!r}, found {text!r}" if text else
+            raise self.error(f"expected {value!r}, found {quoted(text)}" if text else
                              f"expected {value!r} before end of input", pos)
 
     def end(self) -> None:
         kind, text, pos = self.peek()
         if kind != "eof":
-            raise self.error(f"unexpected trailing input {text!r}", pos)
+            raise self.error(f"unexpected trailing input {quoted(text)}", pos)
 
     def parse(self):
         """The whole text as one expression."""
@@ -229,7 +240,7 @@ def _parse_name_list(parser: Parser, what: str) -> list:
         if not is_name(text):
             raise parser.error(f"expected {what} name other than 'i'", pos)
         if text in seen:
-            raise parser.error(f"duplicate {what} name {text!r}", pos)
+            raise parser.error(f"duplicate {what} name {quoted(text)}", pos)
         names.append(text)
         seen.add(text)
         if parser.peek()[1] != ",":
@@ -403,16 +414,16 @@ class _OperatorParser(Parser):
             if text in self.params:
                 return self._const(Poly.var(text))
             if not self.axes:
-                raise self.error(f"unknown name {text!r}", pos)
+                raise self.error(f"unknown name {quoted(text)}", pos)
             if text.startswith("D") and len(text) > 1:
-                raise self.error(f"unknown axis {text[1:]!r}", pos)
-            raise self.error(f"unknown parameter or axis name {text!r}", pos)
+                raise self.error(f"unknown axis {quoted(text[1:])}", pos)
+            raise self.error(f"unknown parameter or axis name {quoted(text)}", pos)
         if text == "(":
             return self.nested(pos)
         found = text or "end of input"
         factor = "D<axis> factor" if self.axes else "name"
         raise self.error(
-            f"expected a coefficient, {factor} or '(', found {found!r}", pos)
+            f"expected a coefficient, {factor} or '(', found {quoted(found)}", pos)
 
 
 def parse_scalar_operator(source: str) -> ScalarPDO:
@@ -432,7 +443,7 @@ def _json_names(data: dict, key: str, what: str, optional: bool = False) -> list
     seen = set()
     for name in names:
         if name in seen:
-            raise ValueError(f"duplicate {what} name {name!r} in matrix operator {key!r}")
+            raise ValueError(f"duplicate {what} name {quoted(name)} in matrix operator {key!r}")
         seen.add(name)
     return names
 

@@ -287,11 +287,10 @@ class Poly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping | Iterable = ()) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Iterable = ()) -> None:
         self._terms = merge_terms(
             (_normalize_mono(mono), GaussianRational.coerce(coeff))
-            for mono, coeff in items
+            for mono, coeff in terms
         )
 
     @staticmethod

@@ -47,6 +47,10 @@ from .ring import P_ONE, PolyLike
 from .spectral import SubstitutedForm, substitute_exponential
 
 DEFAULT_RELATIVE_TOL = 1e-8
+# Gauss-Legendre nodes per axis unless a call gives its own.
+DEFAULT_NODES = 20
+# Interior points at which ``interior_residual`` evaluates the solution.
+INTERIOR_POINTS = 50
 
 
 class _QuadratureSpecFields(NamedTuple):
@@ -58,7 +62,7 @@ class QuadratureSpec(_QuadratureSpecFields):
 
     __slots__ = ()
 
-    def __new__(cls, nodes: int = 20) -> "QuadratureSpec":
+    def __new__(cls, nodes: int = DEFAULT_NODES) -> "QuadratureSpec":
         if nodes < 1:
             raise ValueError("quadrature needs at least one node per axis")
         if nodes > MAX_NODES:
@@ -269,16 +273,16 @@ def boundary_residual(sf: SubstitutedForm, solution: ManufacturedSolution,
 
 
 def interior_residual(op: Operator, solution: ManufacturedSolution,
-                      box: Sequence, points: int = 50, seed: int = 0,
+                      box: Sequence, seed: int = 0,
                       params: Mapping | None = None) -> float:
-    """Max |(op solution)_i| over `points` interior points drawn from
+    """Max |(op solution)_i| over INTERIOR_POINTS interior points drawn from
     random.Random(seed); the manufactured-solution pre-check.  Each row of
     op applied to the solution is merged in closed form, then evaluated
     point by point, unless it merged to no terms: the empty sum is 0 at
     every point.  Values that leave the float range raise ValueError."""
     rng = random.Random(seed)
     params = dict(params or {})
-    columns = [[lo + (hi - lo) * rng.random() for _ in range(points)]
+    columns = [[lo + (hi - lo) * rng.random() for _ in range(INTERIOR_POINTS)]
                for _, (lo, hi) in zip(solution.axes, box)]
     samples = [dict(zip(solution.axes, point)) for point in zip(*columns)]
     worst = 0.0
@@ -304,6 +308,8 @@ def interior_residual(op: Operator, solution: ManufacturedSolution,
 # Catalog plumbing
 
 CONSTRAINT_TOL = 1e-12
+# Largest interior residual of a solution that passes ``run_catalog_case``.
+PDE_TOL = 1e-10
 
 
 def adjoint_point_residual(op: Operator, sigma: Sequence[PolyLike], sign: int,
@@ -332,7 +338,7 @@ def case_substituted_form(case) -> tuple:
     return sf, dict(case.params)
 
 
-def run_catalog_case(tag: str, nodes: int = 20, seed: int = 0,
+def run_catalog_case(tag: str, nodes: int = DEFAULT_NODES, seed: int = 0,
                      solution: ManufacturedSolution | None = None,
                      tol: float = DEFAULT_RELATIVE_TOL) -> dict:
     """Full pipeline for one catalog tag: pre-check the solution and the
@@ -364,5 +370,5 @@ def run_catalog_case(tag: str, nodes: int = 20, seed: int = 0,
         "residual": [report.residual.real, report.residual.imag],
         "scale": report.scale,
         "relative": report.relative,
-        "passed": report.passes(tol) and pde_residual <= 1e-10,
+        "passed": report.passes(tol) and pde_residual <= PDE_TOL,
     }

@@ -27,8 +27,7 @@ from typing import Mapping, NamedTuple
 
 from fundform.algebra import (BilinearExpr, BilinearTerm, MultiIndex, _packed,
                               _pairing, divergence, pack, product_rule, term)
-from fundform.decompose import (BRACE, BRACKET, DivergenceDecomposition,
-                                EngineError, PlanError)
+from fundform.decompose import DivergenceDecomposition, EngineError, PlanError
 from fundform.manufactured import ExpPoly, _merge
 from fundform.operators import (MatrixPDO, Operator, ScalarPDO, exponential_slopes,
                                  grid, monomial, parameters)
@@ -40,6 +39,9 @@ from fundform.verify import (_axis_exponentials, _axis_sum, _face_grid,
                              _numeric_fluxes)
 
 engine = importlib.import_module("fundform.decompose")
+
+BRACKET = "bracket"
+BRACE = "brace"
 
 TRIPLE_PRODUCT_TEXT = "axes x,y,z; Dx^2*Dy^2*Dz^2 + Dx^2*Dy^2 + Dz^2"
 
@@ -246,10 +248,9 @@ def reference_walk(alpha, plans, coeff=1, left_field: int = 0,
 
 
 def packed_pair(pair: PairTerm) -> tuple:
-    """The packed pairing ``decompose.reduce_step`` takes:
-    (kind, coeff, key, mirror key, n)."""
-    (key, _), (mirror, _) = pack(pair.products())
-    return pair.kind, pair.coeff, key, mirror, len(pair.alpha)
+    """The packed products ``decompose.reduce_step`` takes:
+    ((key, coeff), (mirror key, mirror coeff))."""
+    return tuple(pack(pair.products()))
 
 
 def _unpacked(key: int, coeff, n: int) -> BilinearTerm:
@@ -260,11 +261,11 @@ def _unpacked(key: int, coeff, n: int) -> BilinearTerm:
 def reduce_pair(pair: PairTerm, k: int, rule=None) -> tuple:
     """``decompose.reduce_step`` (or another rule of its shape, such as
     ``_reduce``) on a PairTerm: (flux, remaining PairTerm).  The packed
-    remainder must be the packing of that PairTerm, mirror key included."""
-    flux, rest = (rule or engine.reduce_step)(packed_pair(pair), k)
-    kind, coeff, key, _, n = rest
-    _, lf, alpha, rf, beta = _unpacked(key, coeff, n)
-    remainder = PairTerm(kind, coeff, alpha, beta, lf, rf)
+    remainder must be the packing of that PairTerm, mirror included."""
+    n = len(pair.alpha)
+    flux, rest = (rule or engine.reduce_step)(packed_pair(pair), k, n)
+    _, lf, alpha, rf, beta = _unpacked(*rest[0], n)
+    remainder = PairTerm(pair.kind, rest[0][1], alpha, beta, lf, rf)
     assert packed_pair(remainder) == rest
     return flux, remainder
 

@@ -21,7 +21,7 @@ from fundform.catalog import STOKES_JSON
 from fundform import cli, emit
 from fundform.cli import main
 from fundform.decompose import (
-    DEFAULT_PLAN_CEILING,
+    PLAN_CEILING,
     DivergenceDecomposition,
     count_forms,
     decompose,
@@ -35,8 +35,10 @@ from fundform.parser import (
     MAX_NODES,
     MAX_ORDER,
     MAX_TERMS,
+    QUOTE_LIMIT,
     parse_operator,
     parse_poly,
+    quoted,
 )
 from fundform.ring import P_I, Poly
 from fundform.spectral import (
@@ -325,7 +327,7 @@ def _product_route(op) -> dict:
     verdict = all(forms_equivalent(first, form) for form in rest)
     document = {
         "count": len(plans),
-        "ceiling": DEFAULT_PLAN_CEILING,
+        "ceiling": PLAN_CEILING,
         "plans": [
             [{"row": row, "col": col, "alpha": list(alpha),
               "path": [op.axes[k] for k in tp.path],
@@ -407,7 +409,7 @@ def _json_print_peak(text: str) -> int:
     """Peak traced memory, in bytes, while the enumerate JSON document of
     `text` is printed to a sink that discards it."""
     op = parse_operator(text)
-    document = {"count": count_forms(op), "ceiling": DEFAULT_PLAN_CEILING,
+    document = {"count": count_forms(op), "ceiling": PLAN_CEILING,
                 "plans": [], "pairwise_equivalent": None}
     with contextlib.redirect_stdout(_Discard()):
         tracemalloc.start()
@@ -795,6 +797,37 @@ def test_sigma_and_endpoint_errors_pinned(capsys, argv, message):
     # the entry; text read without axes never mentions D<axis> factors,
     # while operator text keeps them
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+LONG_NAME = "a" * 5000
+
+
+@pytest.mark.parametrize("argv,position", [
+    (("global-relation", "--op", WAVE, "--sigma", "(" * 3000),
+     "(line 1, column 101)"),
+    (("decompose", "--op", f"axes x; Dx + {LONG_NAME}"), "(line 1, column 14)"),
+    (("decompose", "--op", WAVE, "--path", LONG_NAME), None),
+    (("global-relation", "--op", WAVE, "--box", LONG_NAME), None),
+    (("verify", "--case", LONG_NAME), None),
+    (("verify", "--case", "heat", "--solution", LONG_NAME),
+     "(line 1, column 1)"),
+], ids=["sigma", "op", "path", "box", "case", "solution"])
+def test_long_text_errors_quote_a_bounded_prefix(capsys, argv, position):
+    # an error quotes at most the first 40 characters of the text and its
+    # length, and keeps the position of the error in the text
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "... (3000 characters)" in err or "... (5000 characters)" in err
+    if position is not None:
+        assert position in err
+
+
+def test_quoted_cuts_only_a_text_past_the_limit():
+    text = "a" * QUOTE_LIMIT
+    assert quoted(text) == repr(text)
+    assert quoted(text + "b") == f"{text!r}... ({QUOTE_LIMIT + 1} characters)"
 
 
 def test_box_endpoint_with_a_huge_exponent_exits_at_once():

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import random_operator, random_poly
 from oracles import (
+    BRACE,
+    BRACKET,
     PairTerm,
     brace,
     bracket,
@@ -29,8 +31,6 @@ from fundform.algebra import (
     term,
 )
 from fundform.decompose import (
-    BRACE,
-    BRACKET,
     DecompositionPlan,
     EngineError,
     EnumerationLimit,
@@ -742,10 +742,34 @@ def test_collapse_oracle_refuses_doubled_coefficient(monkeypatch):
         decompose(parse_operator("axes x,y,z; Dx*Dy*Dz"))
 
 
-def test_enumeration_ceiling():
+@pytest.mark.parametrize("rule,text", [
+    ("reduce_step", "axes x,y; Dx^2*Dy^2"),
+    ("exchange_step", "axes x,y; Dx*Dy"),
+], ids=["even-term", "exchange-chain"])
+def test_walk_refuses_last_products_that_do_not_cancel(monkeypatch, rule, text):
+    # a walk that does not close on a collapse checks that its last two
+    # products cancel; a rule whose output passed its own identity but
+    # was then doubled reaches that check
+    real = getattr(engine, rule)
+
+    def doubled(*args):
+        first, second = real(*args)
+        if rule == "reduce_step":  # (flux, remaining products)
+            (key, coeff), mirror = second
+            return first, ((key, 2 * coeff), mirror)
+        key, coeff = first  # (swapped product, fluxes)
+        return (key, 2 * coeff), second
+
+    monkeypatch.setattr(engine, rule, doubled)
+    with pytest.raises(EngineError, match="last two products do not cancel"):
+        decompose(parse_operator(text))
+
+
+def test_enumeration_ceiling(monkeypatch):
     op = triple_product_operator()
+    monkeypatch.setattr(engine, "PLAN_CEILING", 5)
     with pytest.raises(EnumerationLimit) as err:
-        list(enumerate_plans(op, ceiling=5))
+        list(enumerate_plans(op))
     assert err.value.count == 12
     assert err.value.ceiling == 5
 
@@ -913,7 +937,7 @@ def test_packed_rules_refuse_an_axis_out_of_range():
                                     MultiIndex((1, 1))),))
     for axis in (2, -1):
         with pytest.raises(ValueError, match=f"axis {axis} out of range"):
-            reduce_step(pair, axis)
+            reduce_step(pair, axis, 2)
         with pytest.raises(ValueError, match=f"axis {axis} out of range"):
             exchange_step(product, axis, 0, 2)
         with pytest.raises(ValueError, match=f"axis {axis} out of range"):
@@ -922,7 +946,7 @@ def test_packed_rules_refuse_an_axis_out_of_range():
     empty = packed_pair(PairTerm(BRACKET, 1, MultiIndex((0, 1)),
                                  MultiIndex((0, 0))))
     with pytest.raises(PlanError, match="axis 0 has no derivative"):
-        reduce_step(empty, 0)
+        reduce_step(empty, 0, 2)
     with pytest.raises(PlanError, match="no axis-0 derivative"):
         exchange_step(pack((BilinearTerm(1, 0, MultiIndex((0, 1)), 0,
                                          MultiIndex((1, 0))),))[0], 0, 0, 2)

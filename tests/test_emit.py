@@ -1,10 +1,12 @@
 import json
+import re
 
 from fundform.decompose import decompose
 from fundform.forms import assemble
 from fundform.parser import parse_operator
 from fundform.ring import Poly
-from fundform.spectral import global_relation, substitute_exponential
+from fundform.spectral import (global_relation, spinor_isotropic,
+                               substitute_exponential)
 from fundform.emit import (
     bilinear_text,
     decomposition_json,
@@ -14,7 +16,7 @@ from fundform.emit import (
     relation_latex,
     to_pretty_json,
 )
-from fundform.catalog import stokes_operator, wave_operator
+from fundform.catalog import _stokes_test_function, stokes_operator, wave_operator
 
 
 def test_bilinear_text_scalar_and_fields():
@@ -72,3 +74,27 @@ def test_relation_emission():
     assert latex.startswith("0 = ")
     assert "e^{i k l}" in latex
     assert "\\mathcal{T}_{t=0}" in latex
+
+
+def test_stokes_relation_emission_names_each_field():
+    # the paper's Stokes relation on the unit box: a system's traces are
+    # printed q^{(f+1)}, one per term, in term order
+    sigma, sign, amplitudes = _stokes_test_function(spinor_isotropic(),
+                                                    Poly.var("xi3"))
+    form = assemble(decompose(stokes_operator()))
+    rel = global_relation(substitute_exponential(form, sigma, sign, amplitudes),
+                          [(Poly.const(0), Poly.const(1))] * 4)
+    assert len(rel.terms) == 48
+    assert sorted({t.field for t in rel.terms}) == [0, 1, 2, 3]
+    latex = relation_latex(rel)
+    assert latex.startswith("0 = ")
+    assert [int(f) for f in re.findall(r"q\^\{\((\d+)\)\}", latex)] == [
+        t.field + 1 for t in rel.terms]
+    for f in range(1, 5):
+        assert f"q^{{({f})}}" in latex
+    assert "q^{(5)}" not in latex
+    document = json.loads(to_pretty_json(relation_json(rel)))
+    assert [record["trace"] for record in document["terms"]] == [
+        {"field": t.field, "deriv": list(t.deriv)} for t in rel.terms]
+    assert [record["axis"] for record in document["terms"]] == [
+        rel.axes[t.axis] for t in rel.terms]

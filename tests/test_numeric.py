@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import exp_poly_diff, reference_face_integrals
+from fundform import verify
 from fundform.catalog import CATALOG_TAGS, catalog_case
 from fundform.decompose import decompose, enumerate_plans
 from fundform.forms import assemble
@@ -608,17 +609,18 @@ def test_overflowing_operator_refused_at_spectral_point():
                                case.params)
 
 
-def test_interior_points_come_from_a_seeded_random():
+def test_interior_points_come_from_a_seeded_random(monkeypatch):
     # (Dt^2 - Dx^2) x^4 = -12 x^2; x is the first axis, drawn first
+    monkeypatch.setattr(verify, "INTERIOR_POINTS", 7)
     case = catalog_case("wave")
     quartic = ManufacturedSolution.scalar(("x", "t"), "x^4")
     box = ((0.5, 2.0), (0.0, 1.0))
     rng = random.Random(3)
     xs = [0.5 + 1.5 * rng.random() for _ in range(7)]
     expected = max(12 * x ** 2 for x in xs)
-    got = interior_residual(case.operator, quartic, box, points=7, seed=3)
+    got = interior_residual(case.operator, quartic, box, seed=3)
     assert got == pytest.approx(expected, rel=1e-14)
-    assert interior_residual(case.operator, quartic, box, points=7, seed=4) != got
+    assert interior_residual(case.operator, quartic, box, seed=4) != got
 
 
 def test_quadrature_spec_validated():

@@ -9,13 +9,11 @@ import pickle
 
 import pytest
 
-from oracles import PairTerm
+from oracles import BRACE, BRACKET, PairTerm
 from fundform import emit
 from fundform.algebra import MultiIndex
 from fundform.catalog import CatalogCase, catalog_case
 from fundform.decompose import (
-    BRACE,
-    BRACKET,
     DecompositionPlan,
     DivergenceDecomposition,
     PlanError,
