@@ -13,7 +13,6 @@ from .algebra import (
     MultiIndex,
     divergence,
     partial,
-    term,
 )
 from .decompose import (
     DecompositionPlan,

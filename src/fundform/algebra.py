@@ -82,10 +82,6 @@ class MultiIndex(tuple):
         self._check(other)
         return MultiIndex._trusted([a + b for a, b in zip(self, other)])
 
-    def __sub__(self, other) -> "MultiIndex":
-        self._check(other)
-        return MultiIndex(a - b for a, b in zip(self, other))
-
     def _check(self, other) -> None:
         if len(self) != len(other):
             raise ValueError(
@@ -98,8 +94,9 @@ class BilinearTerm(NamedTuple):
 
     A tuple, so that building one is cheap: the engine passes a Poly and
     two MultiIndexes of one dimension, and expressions unpack their merged
-    keys into terms with ``tuple.__new__``.  ``term`` is the constructor
-    that coerces and checks, the packed width included.
+    keys into terms with ``tuple.__new__``.  Nothing here coerces or
+    checks; ``BilinearExpr`` refuses a field index or count that does not
+    pack.
     """
 
     coeff: Poly
@@ -107,18 +104,6 @@ class BilinearTerm(NamedTuple):
     left: MultiIndex
     right_field: int
     right: MultiIndex
-
-    @property
-    def key(self) -> tuple:
-        return (self.left_field, self.right_field, self.left, self.right)
-
-
-def term(coeff: PolyLike, left, right, left_field: int = 0,
-         right_field: int = 0) -> BilinearTerm:
-    left, right = MultiIndex(left), MultiIndex(right)
-    left._check(right)
-    _key_bytes(left_field, right_field, left, right)
-    return BilinearTerm(Poly.coerce(coeff), left_field, left, right_field, right)
 
 
 # Bits per field index and per entry of a packed key, and the largest

@@ -3,8 +3,9 @@ the test rig.
 
 Spectral points are exact Gaussian integers on the relevant constraint
 variety, so the numeric harness only sees floating error from quadrature,
-never from the data.  The Stokes adjoint check lives here, next to the
-operator it checks.
+never from the data.  The Stokes adjoint rows, one
+``operators.adjoint_rows`` call at the spinor test function, live here,
+next to the operator they check.
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .manufactured import ManufacturedSolution
-from .operators import (
-    MatrixPDO,
-    Operator,
-    ScalarPDO,
-    adjoint,
-    apply_symbol_rows,
-    exponential_slopes,
-)
+from .operators import MatrixPDO, Operator, ScalarPDO, adjoint_rows
 from .parser import parse_matrix_operator, parse_scalar_operator
 from .ring import Poly, PolyLike, QI_I
 from .spectral import SpinorTriple, spinor_isotropic
@@ -72,9 +66,7 @@ def stokes_adjoint_residual(triple: SpinorTriple,
     """Rows of L^+ applied to (k, xi3) exp(-i k.x + i xi3 t); all rows are
     identically zero because k.k = 0 holds as a polynomial identity."""
     xi3 = Poly.var("xi3") if xi3 is None else Poly.coerce(xi3)
-    sigma, sign, amplitudes = _stokes_test_function(triple, xi3)
-    return apply_symbol_rows(adjoint(stokes_operator()),
-                             exponential_slopes(sigma, sign), amplitudes)
+    return adjoint_rows(stokes_operator(), *_stokes_test_function(triple, xi3))
 
 
 class CatalogCase(NamedTuple):

@@ -46,8 +46,8 @@ from .forms import assemble, exterior_derivative
 from .manufactured import ManufacturedSolution
 from .operators import (MatrixPDO, Operator, bilinear_rhs, check_sigma_count,
                         parameters, refuse_clash)
-from .parser import parse_names, parse_operator, parse_poly, quoted
-from .ring import Poly, is_name
+from .parser import parse_names, parse_operator, parse_poly
+from .ring import PATH_QUOTE_LIMIT, Poly, is_name, quoted, quoted_names
 from .spectral import (
     adjoint_constraint,
     global_relation,
@@ -80,8 +80,8 @@ def _load_operator(args) -> Operator:
             with open(args.op_file, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise UsageError(f"cannot read --op-file {args.op_file!r}: "
-                             f"{exc.strerror}") from None
+            path = quoted(args.op_file, PATH_QUOTE_LIMIT)
+            raise UsageError(f"cannot read --op-file {path}: {exc.strerror}") from None
         return parse_operator(text)
     raise UsageError("an operator is required (--op or --op-file)")
 
@@ -89,7 +89,8 @@ def _load_operator(args) -> Operator:
 def _axis_index(op: Operator, name: str) -> int:
     name = name.strip()
     if name not in op.axes:
-        raise UsageError(f"unknown axis {quoted(name)}; operator axes are {op.axes}")
+        raise UsageError(f"unknown axis {quoted(name)}; "
+                         f"operator axes are {quoted_names(op.axes)}")
     return op.axes.index(name)
 
 
@@ -144,7 +145,7 @@ def _parse_box(op: Operator, text: str | None) -> list:
         spans[j] = (_endpoint(lo), _endpoint(hi))
     missing = [op.axes[j] for j in range(op.dimension) if j not in spans]
     if missing:
-        raise UsageError(f"box misses axes {missing}")
+        raise UsageError(f"box misses axes {quoted_names(missing)}")
     return [spans[j] for j in range(op.dimension)]
 
 

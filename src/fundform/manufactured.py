@@ -48,8 +48,8 @@ from math import comb, perm, prod
 from operator import add, le, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
-from .parser import MAX_TERMS, Parser, TextSyntaxError, quoted
-from .ring import merge_terms, square_and_multiply
+from .parser import MAX_TERMS, Parser, TextSyntaxError
+from .ring import merge_terms, quoted, square_and_multiply
 
 
 def _merge(axes: tuple, triples) -> "ExpPoly":

@@ -8,6 +8,10 @@ decomposition engine consumes.  The slopes ``sign * i * sigma_k`` of an
 exponential ``exp(sign * i * sigma . x)`` come from ``exponential_slopes``
 alone, for symbols and substitutions alike, and ``check_sigma_count`` is
 the one rule that a spectral point gives one value per axis.
+``adjoint_rows`` is the one adjoint check, the rows of L^+ applied to
+A exp(sign * i * sigma . x), for any square system; its amplitudes A, like
+a substitution's, go through ``field_amplitudes``, the one rule that a
+test function carries one amplitude per test field.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import BilinearExpr, MultiIndex, _packed, _pairing, pack
-from .ring import P_I, Poly, PolyLike, QI_I, is_name, merge_terms
+from .ring import (P_I, P_ONE, Poly, PolyLike, QI_I, is_name, merge_terms,
+                   quoted_names)
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,6 @@ class ScalarPDO:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def order(self) -> int:
-        return max((alpha.order for alpha, _ in self.terms), default=0)
 
     def __add__(self, other: "ScalarPDO") -> "ScalarPDO":
         if self.axes != other.axes:
@@ -179,16 +180,30 @@ def apply_symbol(op: ScalarPDO, values: Sequence[PolyLike]) -> Poly:
     return total
 
 
-def apply_symbol_rows(op: Operator, values: Sequence[PolyLike],
-                      amplitudes: Sequence[PolyLike]) -> tuple:
-    """Rows  sum_j apply_symbol(L_ij, values) * amplitudes[j]  of the
-    symbol matrix applied to an amplitude vector; a scalar operator is a
-    1x1 grid."""
-    return tuple(
-        sum((apply_symbol(entry, values) * amp
-             for entry, amp in zip(row, amplitudes)), Poly())
-        for row in grid(op)
-    )
+def field_amplitudes(amplitudes: Sequence[PolyLike] | None, fields: int,
+                     what: str) -> tuple:
+    """One amplitude per test field as Polys, all 1 when none are given;
+    another count raises ValueError naming both."""
+    if amplitudes is None:
+        return (P_ONE,) * fields
+    if len(amplitudes) != fields:
+        raise ValueError(f"one amplitude per test field required: the {what} has "
+                         f"{fields}, {len(amplitudes)} given")
+    return tuple(map(Poly.coerce, amplitudes))
+
+
+def adjoint_rows(op: Operator, sigma: Sequence[PolyLike], sign: int,
+                 amplitudes: Sequence[PolyLike] | None = None) -> tuple:
+    """Rows of L^+ applied to A exp(sign*i*sigma.x), over the exponential:
+    row i is sum_j A_j times the symbol of L^+_ij at the slopes, with
+    ``field_amplitudes`` of the grid's rows; all are zero exactly where
+    the exponential solves the adjoint equation."""
+    rows = grid(adjoint(op))
+    amplitudes = field_amplitudes(amplitudes, len(rows), "operator")
+    slopes = exponential_slopes(sigma, sign)
+    return tuple(sum((apply_symbol(entry, slopes) * amp
+                      for entry, amp in zip(row, amplitudes)), Poly())
+                 for row in rows)
 
 
 def exponential_slopes(sigma: Sequence[PolyLike], sign: int) -> tuple:
@@ -210,7 +225,8 @@ def refuse_clash(names, taken, what: str) -> None:
     """ValueError when a spectral name is also one of the `taken` names."""
     clash = set(names) & set(taken)
     if clash:
-        raise ValueError(f"spectral names collide with {what} names: {sorted(clash)}")
+        raise ValueError(f"spectral names collide with {what} names: "
+                         f"{quoted_names(sorted(clash))}")
 
 
 def symbol(op: ScalarPDO, names: Sequence[str], sign: int = 1) -> Poly:
@@ -218,6 +234,6 @@ def symbol(op: ScalarPDO, names: Sequence[str], sign: int = 1) -> Poly:
     must be distinct identifiers other than i, none an axis or parameter."""
     if len(set(names)) != len(names) or not all(map(is_name, names)):
         raise ValueError("spectral names must be distinct identifiers other than "
-                         f"'i': {list(names)}")
+                         f"'i': {quoted_names(list(names))}")
     refuse_clash(names, set(op.axes) | parameters(op), "axis or parameter")
     return apply_symbol(op, exponential_slopes([Poly.var(name) for name in names], sign))

@@ -54,7 +54,8 @@ from typing import Sequence
 
 from .algebra import MultiIndex
 from .operators import MatrixPDO, Operator, ScalarPDO
-from .ring import P_I, P_ONE, GaussianRational, Poly, is_name, merge_terms
+from .ring import (P_I, P_ONE, GaussianRational, Poly, is_name, merge_terms, quoted,
+                   quoted_names)
 
 # Deepest parenthesis nesting the recursive-descent grammars accept; it
 # keeps hostile input far from the interpreter's recursion limit.
@@ -76,8 +77,6 @@ MAX_AXES = 64
 # rule takes about 0.2 s to compute (Python 3.11, shared 2-CPU host), and
 # the cost grows with the square of the node count.
 MAX_NODES = 1000
-# Most characters of user text that an error message quotes (``quoted``).
-QUOTE_LIMIT = 40
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<imag>\d+i)|(?P<int>\d+)"
                        r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*^(),;/]))")
@@ -93,15 +92,6 @@ class TextSyntaxError(ValueError):
         self.pos = pos
         self.line = line
         self.column = col
-
-
-def quoted(text: str) -> str:
-    """`text` as an error message quotes it: its repr, or for a text
-    longer than QUOTE_LIMIT characters the repr of its first QUOTE_LIMIT
-    characters and its length, so that the message stays one short line."""
-    if len(text) <= QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 class OperatorSyntaxError(TextSyntaxError):
@@ -266,7 +256,8 @@ def _parse_header(parser: Parser) -> tuple:
     clash = set(axes) & set(params)
     if clash:
         raise parser.error(
-            f"name declared as both axis and parameter: {sorted(clash)}", pos)
+            "name declared as both axis and parameter: "
+            f"{quoted_names(sorted(clash))}", pos)
     return axes, params
 
 
@@ -467,7 +458,8 @@ def parse_matrix_operator(source: str | dict) -> MatrixPDO:
     fields = _json_names(data, "fields", "field")
     clash = set(axes) & set(params)
     if clash:
-        raise ValueError(f"name declared as both axis and parameter: {sorted(clash)}")
+        raise ValueError("name declared as both axis and parameter: "
+                         f"{quoted_names(sorted(clash))}")
     entries = data["entries"]
     m = len(fields)
     if not isinstance(entries, list) or len(entries) != m or not all(

@@ -224,6 +224,30 @@ def is_name(text: object) -> bool:
             and text != "i")
 
 
+# Most characters of user text that an error message quotes (``quoted``),
+# and of a file path, which runs longer than a name.
+QUOTE_LIMIT = 40
+PATH_QUOTE_LIMIT = 100
+
+
+def quoted(text: str, limit: int = QUOTE_LIMIT) -> str:
+    """`text` as an error message quotes it: its repr, or for a text
+    longer than `limit` characters the repr of its first `limit`
+    characters and its length, so that the message stays one short line."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
+def quoted_names(names: list | tuple) -> str:
+    """A list or tuple of names as its repr prints it, but each str
+    through ``quoted``."""
+    inner = ", ".join(quoted(n) if isinstance(n, str) else repr(n) for n in names)
+    if isinstance(names, list):
+        return f"[{inner}]"
+    return f"({inner},)" if len(names) == 1 else f"({inner})"
+
+
 def times_text(coeff: "Poly", body: str, latex: bool = False) -> str:
     """`coeff` times `body` as one term of ``signed_sum``: a coefficient of
     1 or -1 leaves only its sign, one of several terms is parenthesised,

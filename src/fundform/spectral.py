@@ -34,6 +34,7 @@ from .operators import (
     adjoint,
     check_sigma_count,
     exponential_slopes,
+    field_amplitudes,
     grid,
     monomial,
     refuse_clash,
@@ -90,13 +91,7 @@ def substitute_exponential(form: DivergenceDecomposition,
         nfields = len(grid(form.source))
     else:
         nfields = 1 if amplitudes is None else len(amplitudes)
-    if amplitudes is None:
-        amplitudes = tuple(Poly.const(1) for _ in range(nfields))
-    elif len(amplitudes) != nfields:
-        raise ValueError(f"one amplitude per test field required: the form has "
-                         f"{nfields}, {len(amplitudes)} given")
-    else:
-        amplitudes = tuple(Poly.coerce(a) for a in amplitudes)
+    amplitudes = field_amplitudes(amplitudes, nfields, "form")
     spectral_names = {name for p in sigma + amplitudes for name in p.variables()}
     if spectral_names:  # at a numeric point nothing can clash
         param_names = {name for flux in form.fluxes for _, coeff in flux._pairs

@@ -22,7 +22,10 @@ and each term's free-axis sums once, multiplied into both faces' parts.
 
 The interior pre-check merges each row of the operator applied to the
 solution in closed form; a row that merges to no terms is 0 everywhere
-and is not evaluated.
+and is not evaluated.  Like the face integrals, it refuses a solution
+on other axes than the operator's and a box without one interval per
+axis.  The spectral point's pre-check reads the rows of
+``operators.adjoint_rows`` at the parameter values.
 
 Everything here is plain Python floats and complex numbers: the one-axis
 rule is solved by Newton's method on the Legendre recurrence, and the
@@ -41,9 +44,9 @@ from .catalog import catalog_case
 from .decompose import decompose
 from .forms import assemble
 from .manufactured import ManufacturedSolution
-from .operators import Operator, adjoint, apply_symbol_rows, exponential_slopes, grid
+from .operators import Operator, adjoint_rows, grid
 from .parser import MAX_NODES
-from .ring import P_ONE, PolyLike
+from .ring import PolyLike
 from .spectral import SubstitutedForm, substitute_exponential
 
 DEFAULT_RELATIVE_TOL = 1e-8
@@ -279,7 +282,13 @@ def interior_residual(op: Operator, solution: ManufacturedSolution,
     random.Random(seed); the manufactured-solution pre-check.  Each row of
     op applied to the solution is merged in closed form, then evaluated
     point by point, unless it merged to no terms: the empty sum is 0 at
-    every point.  Values that leave the float range raise ValueError."""
+    every point.  A solution on other axes (or in another order) than the
+    operator's, a box without one interval per axis, and values that leave
+    the float range raise ValueError."""
+    if solution.axes != op.axes:
+        raise ValueError("solution and operator use different axes")
+    if len(box) != op.dimension:
+        raise ValueError("box must give one interval per axis")
     rng = random.Random(seed)
     params = dict(params or {})
     columns = [[lo + (hi - lo) * rng.random() for _ in range(INTERIOR_POINTS)]
@@ -318,10 +327,7 @@ def adjoint_point_residual(op: Operator, sigma: Sequence[PolyLike], sign: int,
     """|rows of the adjoint symbol applied to the exact exponential data|,
     evaluated at the parameter values; 0 when the spectral point sits on the
     constraint variety.  Values that leave the float range raise ValueError."""
-    adj = adjoint(op)
-    if amplitudes is None:
-        amplitudes = [P_ONE] * len(grid(adj))
-    rows = apply_symbol_rows(adj, exponential_slopes(sigma, sign), amplitudes)
+    rows = adjoint_rows(op, sigma, sign, amplitudes)
     try:
         return max(abs(row.evaluate(params or {})) for row in rows)
     except OverflowError:

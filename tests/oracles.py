@@ -25,8 +25,8 @@ import json
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from fundform.algebra import (BilinearExpr, BilinearTerm, MultiIndex, _packed,
-                              _pairing, divergence, pack, product_rule, term)
+from fundform.algebra import (BilinearExpr, BilinearTerm, MultiIndex, _key_bytes,
+                              _packed, _pairing, divergence, pack, product_rule)
 from fundform.decompose import DivergenceDecomposition, EngineError, PlanError
 from fundform.manufactured import ExpPoly, _merge
 from fundform.operators import (MatrixPDO, Operator, ScalarPDO, exponential_slopes,
@@ -54,6 +54,22 @@ def triple_product_operator() -> ScalarPDO:
 
 # ---------------------------------------------------------------------------
 # Pairings, built term by term
+
+
+def term(coeff: PolyLike, left, right, left_field: int = 0,
+         right_field: int = 0) -> BilinearTerm:
+    """A BilinearTerm built with its coefficient coerced and its slots
+    checked: one dimension, and every field index and count in one byte."""
+    left, right = MultiIndex(left), MultiIndex(right)
+    left._check(right)
+    _key_bytes(left_field, right_field, left, right)
+    return BilinearTerm(Poly.coerce(coeff), left_field, left, right_field, right)
+
+
+def term_key(t: BilinearTerm) -> tuple:
+    """(left_field, right_field, left, right): the order of an expression's
+    terms."""
+    return (t.left_field, t.right_field, t.left, t.right)
 
 
 def _pair(alpha, beta, left_field, right_field, coeff, mirror) -> BilinearExpr:
@@ -170,9 +186,9 @@ def _reference_exchange(term: BilinearTerm, k: int, j: int) -> tuple:
     (swapped, ((k, flux_k), (j, flux_j))), the identity checked."""
     coeff, lf, left, rf, right = term
     if left[k] < 1:
-        raise PlanError(f"trial slot has no axis-{k} derivative in {term.key}")
+        raise PlanError(f"trial slot has no axis-{k} derivative in {term_key(term)}")
     if right[j] < 1:
-        raise PlanError(f"test slot has no axis-{j} derivative in {term.key}")
+        raise PlanError(f"test slot has no axis-{j} derivative in {term_key(term)}")
     lowered = decr(left, k)
     moved = incr(decr(right, j), k)
     swapped = BilinearTerm(coeff, lf, incr(lowered, j), rf, moved)

@@ -13,9 +13,10 @@ from oracles import (
     incr,
     reduce_mod_quadric,
     spectral_exterior_derivative,
+    term,
     triple_product_operator,
 )
-from fundform.algebra import BilinearExpr, MultiIndex, divergence, term
+from fundform.algebra import BilinearExpr, MultiIndex, divergence
 from fundform.decompose import (
     count_forms,
     decompose,

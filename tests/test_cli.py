@@ -15,8 +15,8 @@ from typing import NamedTuple
 import pytest
 
 from conftest import random_multiindex, random_poly
-from oracles import format_operator, forms_equivalent
-from fundform.algebra import BilinearExpr, product_rule, term
+from oracles import format_operator, forms_equivalent, term
+from fundform.algebra import BilinearExpr, product_rule
 from fundform.catalog import STOKES_JSON
 from fundform import cli, emit
 from fundform.cli import main
@@ -35,12 +35,10 @@ from fundform.parser import (
     MAX_NODES,
     MAX_ORDER,
     MAX_TERMS,
-    QUOTE_LIMIT,
     parse_operator,
     parse_poly,
-    quoted,
 )
-from fundform.ring import P_I, Poly
+from fundform.ring import P_I, QUOTE_LIMIT, Poly, quoted
 from fundform.spectral import (
     adjoint_constraint,
     global_relation,
@@ -811,10 +809,22 @@ LONG_NAME = "a" * 5000
     (("verify", "--case", LONG_NAME), None),
     (("verify", "--case", "heat", "--solution", LONG_NAME),
      "(line 1, column 1)"),
-], ids=["sigma", "op", "path", "box", "case", "solution"])
+    (("decompose", "--op", f"axes {LONG_NAME},y; D{LONG_NAME}", "--path", "b"), None),
+    (("global-relation", "--op", f"axes {LONG_NAME},y; D{LONG_NAME}",
+      "--box", "y=0..1"), None),
+    (("count", "--op", f"params {LONG_NAME}; axes {LONG_NAME}; D{LONG_NAME}"),
+     "(line 1, column 5010)"),
+    (("count", "--op", json.dumps({"axes": [LONG_NAME], "params": [LONG_NAME],
+                                   "fields": ["u"], "entries": [["0"]]})), None),
+    (("constraint", "--op", f"axes {LONG_NAME}; D{LONG_NAME}",
+      "--spectral-names", LONG_NAME), None),
+    (("count", "--op-file", LONG_NAME), None),
+], ids=["sigma", "op", "path", "box", "case", "solution", "axes", "box-axes",
+        "header-clash", "matrix-clash", "spectral-clash", "op-file"])
 def test_long_text_errors_quote_a_bounded_prefix(capsys, argv, position):
-    # an error quotes at most the first 40 characters of the text and its
-    # length, and keeps the position of the error in the text
+    # an error quotes at most the first 40 characters of a text or of each
+    # name in a list (100 of a file path) and its length, and keeps the
+    # position of the error in the text
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith("\n") and err.count("\n") == 1

@@ -19,6 +19,7 @@ from oracles import (
     packed_pair,
     reduce_pair,
     reference_walk,
+    term,
     triple_product_operator,
 )
 from fundform.algebra import (
@@ -28,7 +29,6 @@ from fundform.algebra import (
     divergence,
     pack,
     partial,
-    term,
 )
 from fundform.decompose import (
     DecompositionPlan,

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import random_bilinear, random_operator
-from oracles import forms_equivalent, triple_product_operator
-from fundform.algebra import BilinearExpr, partial, term
+from oracles import forms_equivalent, term, triple_product_operator
+from fundform.algebra import BilinearExpr, partial
 from fundform.decompose import (
     DivergenceDecomposition,
     decompose,

@@ -437,6 +437,24 @@ def test_catalog_spectral_data_are_exact():
     assert catalog_case("stokes").sigma[:3] == spinor_isotropic(1, 2).k
 
 
+def test_adjoint_point_residual_refuses_an_amplitude_count_off_the_fields():
+    # neither a surplus amplitude is ignored nor a missing one read as 0
+    stokes, heat = catalog_case("stokes"), catalog_case("heat")
+    for case, given, fields in [(stokes, stokes.amplitudes[:1], 4),
+                                (stokes, (*stokes.amplitudes, 1), 4),
+                                (heat, (1, 1, 1), 1)]:
+        with pytest.raises(ValueError, match="one amplitude per test field required: "
+                                             f"the operator has {fields}, "
+                                             f"{len(given)} given$"):
+            adjoint_point_residual(case.operator, case.sigma, case.sign, given,
+                                   case.params)
+    # each catalog case, with its own amplitudes or none, still reads 0.0
+    for tag in CATALOG_TAGS:
+        case = catalog_case(tag)
+        assert adjoint_point_residual(case.operator, case.sigma, case.sign,
+                                      case.amplitudes, case.params) == 0.0, tag
+
+
 def test_unknown_catalog_tag():
     with pytest.raises(KeyError):
         catalog_case("plate")
@@ -637,6 +655,35 @@ def test_axis_mismatch_rejected():
     wrong = ManufacturedSolution.scalar(("x", "y"), "x")
     with pytest.raises(ValueError):
         boundary_residual(sf, wrong, case.box, QuadratureSpec(4), assignment)
+
+
+def test_interior_residual_refuses_other_axes_and_a_short_box():
+    # the residual of x*exp(x+t) depends on the order of the solution's
+    # axes (6.27 on (t, x), 12.55 on (x, t)), so only the operator's is read
+    op = catalog_case("heat").operator
+    box = ((0.0, 1.0), (0.0, 1.0))
+    assert interior_residual(
+        op, ManufacturedSolution.scalar(("x", "t"), "x*exp(x+t)"), box) > 12
+    swapped = ManufacturedSolution.scalar(("t", "x"), "x*exp(x+t)")
+    with pytest.raises(ValueError, match="^solution and operator use different axes$"):
+        interior_residual(op, swapped, box)
+    solution = catalog_case("heat").solution
+    for short in ((), box[:1]):
+        with pytest.raises(ValueError, match="^box must give one interval per axis$"):
+            interior_residual(op, solution, short)
+
+
+def test_boundary_residual_axis_without_flux():
+    # Dx^2 has no flux along y: both y faces are 0j and are not integrated
+    op = parse_operator("axes x,y; Dx^2")
+    sf = substitute_exponential(assemble(decompose(op)), [0, 1])
+    assert sf.fluxes[1] == ()
+    solution = ManufacturedSolution.scalar(("x", "y"), "x*exp(y) + 3*x")
+    report = boundary_residual(sf, solution, ((0.0, 1.0), (0.0, 2.0)))
+    faces = dict(report.face_integrals)
+    assert faces[("y", "hi")] == faces[("y", "lo")] == 0j
+    assert faces[("x", "hi")] != 0j
+    assert report.relative == 0.0
 
 
 # ---------------------------------------------------------------------------

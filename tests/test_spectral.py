@@ -11,9 +11,10 @@ from oracles import (
     reference_substitute,
     spectral_exterior_derivative,
     substitute,
+    term,
     triple_product_operator,
 )
-from fundform.algebra import BilinearExpr, MultiIndex, term
+from fundform.algebra import BilinearExpr, MultiIndex
 from fundform.decompose import DivergenceDecomposition, decompose
 from fundform.forms import assemble
 from fundform.operators import adjoint, apply_symbol, exponential_slopes, symbol
