@@ -64,9 +64,17 @@ class MultiIndex(tuple):
         valid indices use it."""
         return tuple.__new__(MultiIndex, entries)
 
-    @classmethod
-    def zero(cls, n: int) -> "MultiIndex":
-        return cls((0,) * n)
+    @staticmethod
+    def coerce(entries) -> "MultiIndex":
+        """`entries` itself when it is a MultiIndex, else the checked
+        constructor's result, as ``Poly.coerce`` does for values."""
+        if isinstance(entries, MultiIndex):
+            return entries
+        return MultiIndex(entries)
+
+    @staticmethod
+    def zero(n: int) -> "MultiIndex":
+        return MultiIndex._trusted((0,) * n)
 
     @property
     def order(self) -> int:

@@ -61,12 +61,13 @@ def _stokes_test_function(triple: SpinorTriple, xi3: PolyLike) -> tuple:
     return (*triple.k, -xi3), -1, (*triple.k, xi3)
 
 
-def stokes_adjoint_residual(triple: SpinorTriple,
+def stokes_adjoint_residual(op: MatrixPDO, triple: SpinorTriple,
                             xi3: PolyLike | None = None) -> tuple:
-    """Rows of L^+ applied to (k, xi3) exp(-i k.x + i xi3 t); all rows are
-    identically zero because k.k = 0 holds as a polynomial identity."""
+    """Rows of L^+ applied to (k, xi3) exp(-i k.x + i xi3 t), for `op` the
+    ``stokes_operator()`` that the caller holds; all rows are identically
+    zero because k.k = 0 holds as a polynomial identity."""
     xi3 = Poly.var("xi3") if xi3 is None else Poly.coerce(xi3)
-    return adjoint_rows(stokes_operator(), *_stokes_test_function(triple, xi3))
+    return adjoint_rows(op, *_stokes_test_function(triple, xi3))
 
 
 class CatalogCase(NamedTuple):

@@ -307,8 +307,8 @@ def _pairwise_equivalent(op: Operator) -> bool:
     gate against the whole operator's pairing.
     """
     pieces = [term for _, term in term_pieces(op)]
-    _gate(op, DecompositionPlan(tuple(item for term in pieces
-                                      for item in term[0].plan.items)),
+    _gate(op, DecompositionPlan._trusted(tuple(item for term in pieces
+                                               for item in term[0].plan.items)),
           [pair for term in pieces for pair in enumerate(term[0].fluxes)],
           bilinear_rhs(op))
     for first, *rest in pieces:
@@ -422,7 +422,7 @@ def cmd_stokes(args) -> int:
     form = assemble(dec)
     triple = spinor_isotropic()
     negated = spinor_isotropic(-Poly.var("xi1"), -Poly.var("xi2"))
-    rows = stokes_adjoint_residual(triple)
+    rows = stokes_adjoint_residual(op, triple)
     checks = {
         "isotropy": triple.isotropy().is_zero,
         "even_under_spinor_negation": triple.k == negated.k,

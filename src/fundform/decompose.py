@@ -288,6 +288,13 @@ class DecompositionPlan(_DecompositionPlanFields):
                 raise PlanError(f"plan names operator term {after} twice")
         return tuple.__new__(cls, (items,))
 
+    @staticmethod
+    def _trusted(items: tuple) -> "DecompositionPlan":
+        """Wrap items already sorted by key, each key once, skipping the
+        sort and check of the public constructor: the engine's plans list
+        their terms in ``_operator_terms`` order, which is key order."""
+        return tuple.__new__(DecompositionPlan, (items,))
+
     @classmethod
     def _make(cls, iterable) -> "DecompositionPlan":
         """Build through the checked constructor; ``_replace`` calls this."""
@@ -357,7 +364,7 @@ def first_term_plan(alpha: MultiIndex) -> TermPlan:
 def default_plan(op: Operator) -> DecompositionPlan:
     """The first plan of every term: ascending reduction path,
     lexicographically first transfer subset, ascending exchange pairing."""
-    return DecompositionPlan(
+    return DecompositionPlan._trusted(
         tuple((key, first_term_plan(alpha))
               for key, alpha, _, _, _ in _operator_terms(op))
     )
@@ -365,7 +372,7 @@ def default_plan(op: Operator) -> DecompositionPlan:
 
 def sigma_count(alpha) -> int:
     """Number of distinct reduction paths: (sum gamma)! / prod gamma_k!."""
-    gamma = MultiIndex(alpha).half()
+    gamma = MultiIndex.coerce(alpha).half()
     total = math.factorial(sum(gamma))
     for g in gamma:
         total //= math.factorial(g)
@@ -373,7 +380,7 @@ def sigma_count(alpha) -> int:
 
 
 def term_plan_count(alpha) -> int:
-    alpha = MultiIndex(alpha)
+    alpha = MultiIndex.coerce(alpha)
     return math.factorial(len(alpha.odd_axes())) * sigma_count(alpha)
 
 
@@ -408,7 +415,7 @@ def _multiset_permutations(items: Sequence) -> Iterator[tuple]:
 
 def term_plans(alpha) -> Iterator[TermPlan]:
     """All plans for one term; exactly term_plan_count(alpha) of them."""
-    alpha = MultiIndex(alpha)
+    alpha = MultiIndex.coerce(alpha)
     gamma = alpha.half()
     base_path = [k for k, g in enumerate(gamma) for _ in range(g)]
     odd = alpha.odd_axes()
@@ -438,13 +445,13 @@ def enumerate_plans(op: Operator) -> Iterator[DecompositionPlan]:
         raise EnumerationLimit(total, PLAN_CEILING)
     keys = [key for key, *_ in _operator_terms(op)]
     if not keys:
-        yield DecompositionPlan(())
+        yield DecompositionPlan._trusted(())
         return
     *others, last = keys
     for combo in itertools.product(*(list(term_plans(key[2])) for key in others)):
         items = tuple(zip(others, combo))
         for tp in term_plans(last[2]):
-            yield DecompositionPlan((*items, (last, tp)))
+            yield DecompositionPlan._trusted((*items, (last, tp)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +620,9 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
     n = op.dimension
     for key, alpha, coeff, lf, rf in _operator_terms(op):
         row, col, _ = key
-        alone = ScalarPDO(op.axes, ((alpha, coeff),))
+        alone = ScalarPDO._trusted(op.axes, ((alpha, coeff),))
         if isinstance(op, MatrixPDO):
-            zero = ScalarPDO(op.axes, ())
+            zero = ScalarPDO._trusted(op.axes, ())
             alone = MatrixPDO(op.axes, op.fields, tuple(
                 tuple(alone if (i, j) == (row, col) else zero
                       for j in range(op.size))
@@ -624,5 +631,5 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
         rhs = bilinear_rhs(alone)
         walk = list(_walk_term(alpha, term_plans(alpha)))
         placed = _place([emitted for _, emitted in walk], n, lf, rf, coeff)
-        yield key, [_gate(alone, DecompositionPlan(((key, tp),)), fluxes, rhs)
+        yield key, [_gate(alone, DecompositionPlan._trusted(((key, tp),)), fluxes, rhs)
                     for (tp, _), fluxes in zip(walk, placed)]

@@ -12,12 +12,20 @@ the one rule that a spectral point gives one value per axis.
 A exp(sign * i * sigma . x), for any square system; its amplitudes A, like
 a substitution's, go through ``field_amplitudes``, the one rule that a
 test function carries one amplitude per test field.
+
+A scalar operator is canonicalised once.  Its constructor coerces,
+checks and merges terms that come from outside; what the engine builds
+is canonical already, and ``ScalarPDO._trusted`` wraps it without a
+second pass: the parser's expansions (sorted, merged, nonzero, with
+``MultiIndex`` keys and ``Poly`` coefficients), ``adjoint``, which only
+negates coefficients, and the one-term operators of
+``decompose.term_pieces``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import BilinearExpr, MultiIndex, _packed, _pairing, pack
 from .ring import (P_I, P_ONE, Poly, PolyLike, QI_I, is_name, merge_terms,
@@ -26,7 +34,10 @@ from .ring import (P_I, P_ONE, Poly, PolyLike, QI_I, is_name, merge_terms,
 
 @dataclass(frozen=True)
 class ScalarPDO:
-    """Scalar operator: canonical map multi-index -> exact coefficient."""
+    """Scalar operator: canonical map multi-index -> exact coefficient,
+    held as (MultiIndex, Poly) pairs sorted by multi-index.  The
+    constructor coerces, checks and merges its terms; ``_trusted`` wraps
+    terms that are canonical already."""
 
     axes: tuple
     terms: tuple
@@ -44,9 +55,16 @@ class ScalarPDO:
         object.__setattr__(self, "terms", merge_terms(pairs))
 
     @staticmethod
-    def build(axes: Sequence[str], terms: Mapping | Iterable) -> "ScalarPDO":
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        return ScalarPDO(tuple(axes), tuple(items))
+    def _trusted(axes: tuple, terms: tuple) -> "ScalarPDO":
+        """Wrap terms that are already canonical on the tuple `axes`: sorted
+        (MultiIndex, nonzero Poly) pairs, one per multi-index, each of
+        len(axes) entries.  Skips the checks and the merge of the public
+        constructor, which stay for input from outside; the parser's
+        expansions, ``adjoint`` and the engine's one-term pieces use it."""
+        op = object.__new__(ScalarPDO)
+        object.__setattr__(op, "axes", axes)
+        object.__setattr__(op, "terms", terms)
+        return op
 
     @property
     def dimension(self) -> int:
@@ -114,7 +132,8 @@ def grid(op: Operator) -> tuple:
 def adjoint(op: Operator) -> Operator:
     """Formal adjoint: c_alpha -> (-1)^|alpha| c_alpha, transposed for grids."""
     if isinstance(op, ScalarPDO):
-        return ScalarPDO(
+        # negating coefficients keeps the terms canonical
+        return ScalarPDO._trusted(
             op.axes,
             tuple(
                 (alpha, coeff if alpha.order % 2 == 0 else -coeff)

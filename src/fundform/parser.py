@@ -26,13 +26,15 @@ how ``Poly.to_text`` writes exact values, so every expression the engine
 prints reads back to its value.
 
 An operator expression is a sorted tuple of (multi-index, nonzero
-coefficient) pairs, one per multi-index.  A sum keeps a running count of
-its merged terms, is refused at the first '+' or '-' that takes the count
-past ``MAX_TERMS``, and is merged once, at its end.  A product or power
-that could pass ``MAX_ORDER`` or ``MAX_TERMS`` is refused before it is
-formed; for a product of two one-term expansions, the common case, both
-bounds are read off the two terms.  A product with a one-term factor is
-then formed with no merge (every key of the other factor moves by one
+coefficient) pairs, one per multi-index: the canonical form of
+``ScalarPDO``, so the operator is built from it with
+``ScalarPDO._trusted``, without a second pass.  A sum keeps a running
+count of its merged terms, is refused at the first '+' or '-' that takes
+the count past ``MAX_TERMS``, and is merged once, at its end.  A product
+or power that could pass ``MAX_ORDER`` or ``MAX_TERMS`` is refused before
+it is formed; for a product of two one-term expansions, the common case,
+both bounds are read off the two terms.  A product with a one-term factor
+is then formed with no merge (every key of the other factor moves by one
 multi-index), and a one-term power whose coefficient is one monomial in
 one step; any other power multiplies one factor at a time, each step
 checked.  An integer literal stays an ``int`` unless a '/' makes it a
@@ -419,7 +421,7 @@ class _OperatorParser(Parser):
 
 def parse_scalar_operator(source: str) -> ScalarPDO:
     parser = _OperatorParser(source)
-    return ScalarPDO.build(parser.axes, parser.parse())
+    return ScalarPDO._trusted(tuple(parser.axes), parser.parse())
 
 
 def _json_names(data: dict, key: str, what: str, optional: bool = False) -> list:
@@ -472,6 +474,7 @@ def parse_matrix_operator(source: str | dict) -> MatrixPDO:
     if m * m > MAX_TERMS:
         raise ValueError(f"matrix operator has more than {MAX_TERMS} entries")
     budget = MAX_TERMS
+    axes = tuple(axes)
     grid = []
     for row in entries:
         grid.append([])
@@ -482,8 +485,8 @@ def parse_matrix_operator(source: str | dict) -> MatrixPDO:
                 raise ValueError(
                     f"matrix operator expands beyond the limit of {MAX_TERMS} "
                     "terms in all")
-            grid[-1].append(ScalarPDO.build(axes, terms))
-    return MatrixPDO(tuple(axes), tuple(fields), grid)
+            grid[-1].append(ScalarPDO._trusted(axes, terms))
+    return MatrixPDO(axes, tuple(fields), grid)
 
 
 def parse_operator(source: str) -> Operator:

@@ -228,6 +228,11 @@ def is_name(text: object) -> bool:
 # and of a file path, which runs longer than a name.
 QUOTE_LIMIT = 40
 PATH_QUOTE_LIMIT = 100
+# Most names of a list that an error message prints (``quoted_names``),
+# and most characters that the printed names fill; the first name is
+# printed whatever its length.
+QUOTE_NAMES = 8
+NAMES_QUOTE_LIMIT = 2 * QUOTE_LIMIT
 
 
 def quoted(text: str, limit: int = QUOTE_LIMIT) -> str:
@@ -241,8 +246,20 @@ def quoted(text: str, limit: int = QUOTE_LIMIT) -> str:
 
 def quoted_names(names: list | tuple) -> str:
     """A list or tuple of names as its repr prints it, but each str
-    through ``quoted``."""
-    inner = ", ".join(quoted(n) if isinstance(n, str) else repr(n) for n in names)
+    through ``quoted``, and only its first names: at most QUOTE_NAMES of
+    them, and no name after the first that takes the printed names past
+    NAMES_QUOTE_LIMIT characters.  A cut list ends in ``... (N names)``."""
+    parts = []
+    size = -2
+    for name in names[:QUOTE_NAMES]:
+        part = quoted(name) if isinstance(name, str) else repr(name)
+        size += len(part) + 2
+        if parts and size > NAMES_QUOTE_LIMIT:
+            break
+        parts.append(part)
+    if len(parts) < len(names):
+        parts.append(f"... ({len(names)} names)")
+    inner = ", ".join(parts)
     if isinstance(names, list):
         return f"[{inner}]"
     return f"({inner},)" if len(names) == 1 else f"({inner})"
@@ -333,6 +350,9 @@ class Poly:
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Poly":
+        """name^exp; one monomial, built directly for exp >= 1."""
+        if exp >= 1:
+            return Poly._trusted(((((name, exp),), QI_ONE),))
         return Poly([(((name, exp),), QI_ONE)])
 
     @staticmethod

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from oracles import incr
+from oracles import incr, scalar_operator
 from fundform.algebra import BilinearExpr, BilinearTerm, MultiIndex
 from fundform.operators import ScalarPDO
 from fundform.ring import GaussianRational, Poly
@@ -69,7 +69,48 @@ def random_operator(rng: random.Random, max_dim: int = 4, max_order: int = 6,
             else Poly.const(random_gaussian(rng))
         )
         terms[alpha] = terms.get(alpha, Poly()) + coeff
-    op = ScalarPDO.build(axes, terms)
+    op = scalar_operator(axes, terms)
     if op.is_zero:
-        return ScalarPDO.build(axes, {incr(MultiIndex.zero(n), 0): Poly.const(1)})
+        return scalar_operator(axes, {incr(MultiIndex.zero(n), 0): Poly.const(1)})
     return op
+
+
+def _gaussian_integer(rng: random.Random, span: int = 2) -> GaussianRational:
+    return GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
+
+
+def value_text(value) -> str:
+    """An exact value as parenthesised text, a factor in operator and
+    solution text alike."""
+    return f"({Poly.coerce(value).to_text()})"
+
+
+def operator_with_zeros(rng: random.Random, n: int, order: int) -> tuple:
+    """(text, P, sigma, sign) for an operator on n axes whose terms have
+    total order `order` >= 2, each c_t (D_j - P_j)(D_k - Q_k) A_t(D) with
+    Gaussian-integer c_t, P and Q and A_t a sum of one or two monomials of
+    order `order` - 2.  Every term vanishes at the slopes P, so exp(P.x)
+    solves L q = 0, and at Q, so with sigma = sign*i*Q the test exponential
+    exp(sign*i*sigma.x), whose slopes are -Q, solves the adjoint equation
+    (L^+ at the slopes s is L at -s)."""
+    axes = [f"x{k + 1}" for k in range(n)]
+    p = tuple(_gaussian_integer(rng) for _ in range(n))
+    q = tuple(_gaussian_integer(rng) for _ in range(n))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        j, k = rng.randrange(n), rng.randrange(n)
+        factors = [f"(D{axes[j]} - {value_text(p[j])})",
+                   f"(D{axes[k]} - {value_text(q[k])})"]
+        if order > 2:
+            monomials = []
+            for _ in range(rng.randint(1, 2)):
+                alpha = MultiIndex.zero(n)
+                for _ in range(order - 2):
+                    alpha = incr(alpha, rng.randrange(n))
+                monomials.append("*".join(f"D{axes[m]}^{e}" for m, e in enumerate(alpha) if e))
+            factors.append(f"({' + '.join(monomials)})")
+        coeff = _gaussian_integer(rng, 3) or GaussianRational(1)
+        terms.append(value_text(coeff) + "*" + "*".join(factors))
+    sign = rng.choice((1, -1))
+    sigma = tuple(GaussianRational(0, sign) * value for value in q)
+    return f"axes {','.join(axes)}; " + " + ".join(terms), p, sigma, sign

@@ -1,13 +1,15 @@
 """Reference helpers that only the tests call.
 
 Each one is an independent route to a result the engine computes another
-way, or a convenience the engine itself never needs: building pairings
-term by term, the multi-index steps ``incr`` and ``decr``, the
-tuple-based rewrite rules and their term walk (``reference_walk``, the
-reference for the engine's packed walk), adapters that run the packed
-rules on ``PairTerm`` and ``BilinearTerm`` records, evaluating or
-substituting a polynomial exactly, checking a rational parameterization
-at exact samples, the term-by-term exponential substitution
+way, or a convenience the engine itself never needs: building an
+operator from loose terms through the checked constructor
+(``scalar_operator``), building pairings term by term, the multi-index
+steps ``incr`` and ``decr``, the tuple-based rewrite rules and their
+term walk (``reference_walk``, the reference for the engine's packed
+walk), adapters that run the packed rules on ``PairTerm`` and
+``BilinearTerm`` records, evaluating or substituting a polynomial
+exactly, checking a rational parameterization at exact samples, the
+term-by-term exponential substitution
 (``reference_substitute``, the reference for the engine's packed one),
 the exterior derivative of a substituted form, reduction modulo a
 quadric, form equivalence, operator printing, one derivative of an
@@ -50,6 +52,14 @@ def triple_product_operator() -> ScalarPDO:
     """Sixth-order three-axis operator whose constraint variety has a
     rational parameterization; the standard twelve-plan example."""
     return parse_scalar_operator(TRIPLE_PRODUCT_TEXT)
+
+
+def scalar_operator(axes, terms) -> ScalarPDO:
+    """A ScalarPDO on `axes` from a mapping or an iterable of (multi-index,
+    coefficient) pairs, through the checked constructor, which coerces
+    and merges them."""
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    return ScalarPDO(tuple(axes), tuple(items))
 
 
 # ---------------------------------------------------------------------------

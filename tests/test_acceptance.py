@@ -300,9 +300,10 @@ def test_criterion_8_spinor_identities():
         negated = spinor_isotropic(-var("xi1"), -var("xi2"))
         assert triple.k == negated.k
         # free symbolic xi3
-        assert all(row.is_zero for row in stokes_adjoint_residual(triple))
+        stokes = stokes_operator()
+        assert all(row.is_zero for row in stokes_adjoint_residual(stokes, triple))
         assert all(row.is_zero
-                   for row in stokes_adjoint_residual(triple, var("zeta")))
+                   for row in stokes_adjoint_residual(stokes, triple, var("zeta")))
 
 
 def test_criterion_9_numeric_global_relations():

@@ -19,6 +19,7 @@ from oracles import (
     packed_pair,
     reduce_pair,
     reference_walk,
+    scalar_operator,
     term,
     triple_product_operator,
 )
@@ -437,7 +438,7 @@ def test_count_forms_values():
 
 def test_count_forms_system_multiplies_entries():
     heat = heat_operator()
-    zero = ScalarPDO.build(heat.axes, {})
+    zero = scalar_operator(heat.axes, {})
     grid = MatrixPDO(heat.axes, ("a", "b"), ((heat, zero), (zero, heat)))
     assert count_forms(grid) == count_forms(heat) ** 2
 
@@ -780,7 +781,7 @@ def test_enumeration_ceiling(monkeypatch):
 
 def test_block_diagonal_system_decouples():
     heat = heat_operator()
-    zero = ScalarPDO.build(heat.axes, {})
+    zero = scalar_operator(heat.axes, {})
     grid = MatrixPDO(heat.axes, ("a", "b"), ((heat, zero), (zero, heat)))
     dec = decompose(grid)
     scalar = decompose(heat)
@@ -794,7 +795,7 @@ def test_block_diagonal_system_decouples():
 
 def test_coupled_system_gains_mixed_field_flux():
     heat = heat_operator()
-    zero = ScalarPDO.build(heat.axes, {})
+    zero = scalar_operator(heat.axes, {})
     coupling = parse_operator("axes x,t; Dx")
     grid = MatrixPDO(heat.axes, ("a", "b"),
                      ((heat, coupling), (zero, heat)))

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import operator_with_zeros, value_text
 from oracles import exp_poly_diff, reference_face_integrals
 from fundform import verify
 from fundform.catalog import CATALOG_TAGS, catalog_case
@@ -19,10 +20,12 @@ from fundform.manufactured import (
     _merge,
     parse_solution,
 )
+from fundform.operators import adjoint_rows, apply_symbol
 from fundform.parser import MAX_NODES, MAX_TERMS, parse_operator
 from fundform.ring import GaussianRational, Poly
 from fundform.spectral import spinor_isotropic, substitute_exponential
 from fundform.verify import (
+    PDE_TOL,
     QuadratureSpec,
     _axis_exponentials,
     _axis_sum,
@@ -849,3 +852,30 @@ def test_separable_faces_match_brute_force_tensor_sum(make):
     assert scale > 0 and math.isfinite(scale)
     for (face, got), (_, want) in zip(report.face_integrals, expected):
         assert abs(got - want) <= 1e-12 * scale, face
+
+
+def _exponential(axes, slopes) -> ManufacturedSolution:
+    """exp(slopes . x) as solution text."""
+    exponent = " + ".join(f"{value_text(p)}*{axis}" for axis, p in zip(axes, slopes))
+    return ManufacturedSolution.scalar(axes, f"exp({exponent})")
+
+
+def test_operators_with_chosen_zeros_vanish_there():
+    # each seeded operator vanishes at its slopes P, so exp(P.x) solves it,
+    # and its adjoint at the slopes of exp(sign*i*sigma.x); moving P's
+    # first entry by 1 off the symbol's zero set makes the residual show
+    off_zero = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(2, 3)
+        text, p, sigma, sign = operator_with_zeros(rng, n, rng.randint(2, 4))
+        op = parse_operator(text)
+        box = ((0.0, 1.0),) * n
+        assert apply_symbol(op, p).is_zero, text
+        assert not any(adjoint_rows(op, sigma, sign)), text
+        assert interior_residual(op, _exponential(op.axes, p), box) <= PDE_TOL, text
+        moved = (p[0] + 1, *p[1:])
+        if apply_symbol(op, moved):
+            off_zero += 1
+            assert interior_residual(op, _exponential(op.axes, moved), box) > PDE_TOL, text
+    assert off_zero >= 100

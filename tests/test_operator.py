@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_operator
-from oracles import brace, bracket, format_operator
+from oracles import brace, bracket, format_operator, scalar_operator
 from fundform.algebra import BilinearExpr, BilinearTerm, MultiIndex, expr_sum
 from fundform.operators import (
     MatrixPDO,
@@ -202,7 +202,7 @@ def test_spellings_of_one_operator_read_alike():
                 coeff = coeff * Poly.var("c", 2 if param == "c^2" else 1)
             expected[alpha] = coeff
             spellings.append((negative, _spelled_term(rng, axes, alpha, literal, param)))
-        op = ScalarPDO.build(axes, expected)
+        op = scalar_operator(axes, expected)
         header = f"params c; axes {','.join(axes)}; "
         round_trip = parse_operator(format_operator(op))
         for k in range(4):
@@ -400,7 +400,7 @@ def test_system_bilinear_rhs_single_field_reduces():
 
 def test_system_bilinear_rhs_block_diagonal():
     heat = parse_operator("axes x,t; Dt - Dx^2")
-    zero = ScalarPDO.build(heat.axes, {})
+    zero = scalar_operator(heat.axes, {})
     grid = MatrixPDO(heat.axes, ("a", "b"), ((heat, zero), (zero, heat)))
     expected = bilinear_rhs_direct(heat, 0, 0) + bilinear_rhs_direct(heat, 1, 1)
     assert bilinear_rhs(grid) == expected
@@ -418,7 +418,7 @@ def _grid_of(rng, n: int, size: int) -> MatrixPDO:
             for _ in range(rng.choice((0, 1, 2, 3))):
                 alpha = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
                 terms[alpha] = rng.randint(-3, 3) or 1
-            row.append(ScalarPDO.build(axes, terms))
+            row.append(scalar_operator(axes, terms))
         entries.append(row)
     return MatrixPDO(axes, tuple(f"f{k}" for k in range(size)), entries)
 
@@ -432,8 +432,8 @@ def test_bilinear_rhs_is_the_one_merge_of_its_pairings():
     ops = [random_operator(rng, with_params=True) for _ in range(40)]
     ops += [_grid_of(rng, rng.randint(1, 3), rng.randint(1, 4)) for _ in range(40)]
     ops += [parse_operator("axes x,y; 5"), _grid_of(random.Random(1), 2, 0)]
-    const = ScalarPDO.build(("x",), {(0,): 2})
-    zero = ScalarPDO.build(("x",), {})
+    const = scalar_operator(("x",), {(0,): 2})
+    zero = scalar_operator(("x",), {})
     ops.append(MatrixPDO(("x",), ("a", "b", "c"), (
         (zero, zero, zero), (zero, parse_operator("axes x; Dx"), zero),
         (zero, zero, const))))

@@ -5,24 +5,32 @@ each written with repr; the hash is that of the tuple of those fields."""
 
 import copy
 import hashlib
+import json
 import pickle
+import random
 
 import pytest
 
-from oracles import BRACE, BRACKET, PairTerm
+from conftest import random_operator
+from oracles import BRACE, BRACKET, TRIPLE_PRODUCT_TEXT, PairTerm, format_operator
 from fundform import emit
 from fundform.algebra import MultiIndex
-from fundform.catalog import CatalogCase, catalog_case
+from fundform.catalog import (BIHARMONIC_TEXT, HEAT_TEXT, STOKES_JSON, WAVE_TEXT,
+                              CatalogCase, catalog_case)
+from fundform.cli import main
 from fundform.decompose import (
     DecompositionPlan,
     DivergenceDecomposition,
     PlanError,
     TermPlan,
+    count_forms,
     decompose,
+    default_plan,
+    enumerate_plans,
 )
 from fundform.manufactured import ManufacturedSolution
-from fundform.operators import ScalarPDO
-from fundform.parser import MAX_NODES, parse_scalar_operator
+from fundform.operators import MatrixPDO, Operator, ScalarPDO, adjoint, grid
+from fundform.parser import MAX_NODES, parse_operator, parse_scalar_operator
 from fundform.ring import QI_I, Poly
 from fundform.spectral import (
     ConstraintVariety,
@@ -40,6 +48,7 @@ from fundform.spectral import (
 from fundform.verify import QuadratureSpec, ResidualReport
 
 HEAT = "axes x,t; Dt - Dx^2"
+FORMATS = ("json", "latex", "text")
 
 
 def _heat_form(coeff: int = 1):
@@ -277,6 +286,83 @@ def test_make_and_replace_go_through_the_checked_constructor():
     # a wrong field name is still refused, as NamedTuple refuses it
     with pytest.raises(ValueError, match="unexpected field"):
         spec._replace(node=3)
+
+
+def _checked_rebuild(op: Operator) -> Operator:
+    """`op` built again through the checked constructors."""
+    if isinstance(op, ScalarPDO):
+        return ScalarPDO(op.axes, op.terms)
+    return MatrixPDO(op.axes, op.fields, [[_checked_rebuild(entry) for entry in row]
+                                          for row in op.entries])
+
+
+def _checked_adjoint(op: Operator) -> Operator:
+    """The formal adjoint from its definition, through the checked
+    constructors: (-1)^|alpha| on each coefficient, the grid transposed."""
+    rows = grid(op)
+    entries = [[ScalarPDO(op.axes, [(alpha, -coeff if alpha.order % 2 else coeff)
+                                    for alpha, coeff in rows[j][i].terms])
+                for j in range(len(rows))] for i in range(len(rows))]
+    if isinstance(op, ScalarPDO):
+        return entries[0][0]
+    return MatrixPDO(op.axes, op.fields, entries)
+
+
+def _assert_canonical(op: Operator, expected: Operator) -> None:
+    # == alone takes a tuple for a MultiIndex and an int for a Poly
+    assert type(op) is type(expected) and type(op.axes) is tuple
+    for got, want in zip((e for row in grid(op) for e in row),
+                         (e for row in grid(expected) for e in row)):
+        assert got == want and type(got.axes) is type(got.terms) is tuple
+        for alpha, coeff in got.terms:
+            assert type(alpha) is MultiIndex and type(coeff) is Poly
+            assert all(type(entry) is int for entry in alpha)
+    assert op == expected
+
+
+def test_trusted_constructions_are_canonical_and_stay_trusted(monkeypatch, capsys):
+    # the parser's expansions, adjoint and the engine's plans skip the
+    # checked constructors; each must equal its checked rebuild
+    rng = random.Random(36)
+    coupled = json.dumps({"axes": ["x", "y"], "fields": ["u", "v"],
+                          "entries": [["Dx*Dy", "Dx"], ["2*Dy", "Dx^2*Dy^2 + Dx*Dy"]]})
+    catalog = (WAVE_TEXT, HEAT_TEXT, BIHARMONIC_TEXT, TRIPLE_PRODUCT_TEXT)
+    texts = [*catalog, json.dumps(STOKES_JSON), coupled]
+    texts += [format_operator(random_operator(rng, with_params=k % 2 == 1))
+              for k in range(200)]
+    for text in texts:
+        op = parse_operator(text)
+        _assert_canonical(op, _checked_rebuild(op))
+        _assert_canonical(adjoint(op), _checked_adjoint(op))
+        plan = default_plan(op)
+        assert type(plan) is DecompositionPlan and plan == DecompositionPlan(plan.items)
+        if count_forms(op) <= 24:
+            for plan in enumerate_plans(op):
+                assert plan == DecompositionPlan(plan.items)
+
+    # with the checked constructors refusing, the calls of the CLI
+    # benchmark on the catalog operators still succeed
+    def refuse(*args, **kwargs):
+        raise AssertionError("checked constructor called on engine-built input")
+
+    monkeypatch.setattr(ScalarPDO, "__post_init__", refuse)
+    monkeypatch.setattr(MultiIndex, "__new__", refuse)
+    monkeypatch.setattr(DecompositionPlan, "__new__", refuse)
+    for make in (lambda: MultiIndex((1,)), lambda: DecompositionPlan(()),
+                 lambda: ScalarPDO(("x",), ())):
+        with pytest.raises(AssertionError, match="checked constructor"):
+            make()
+    argvs = [["stokes", "--format", fmt] for fmt in FORMATS]
+    argvs += [[sub, "--op", json.dumps(STOKES_JSON), "--format", fmt]
+              for fmt in FORMATS for sub in ("decompose", "count")]
+    for text in catalog:
+        argvs.append(["enumerate", "--op", text, "--format", "json"])
+        argvs += [[sub, "--op", text, "--format", fmt] for fmt in FORMATS
+                  for sub in ("decompose", "count", "constraint", "global-relation",
+                              "represent")]
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_manufactured_solution_is_unchanged_by_a_trace():

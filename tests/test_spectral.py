@@ -524,7 +524,7 @@ def test_spinor_numeric_point():
 
 def test_stokes_adjoint_rows_vanish_symbolically():
     triple = spinor_isotropic()
-    rows = stokes_adjoint_residual(triple)
+    rows = stokes_adjoint_residual(stokes_operator(), triple)
     assert len(rows) == 4
     assert all(row.is_zero for row in rows)
 
@@ -532,7 +532,8 @@ def test_stokes_adjoint_rows_vanish_symbolically():
 def test_stokes_adjoint_rows_for_concrete_spinor():
     triple = spinor_isotropic(Poly.const(1), Poly.const(2))
     assert all(row.is_zero
-               for row in stokes_adjoint_residual(triple, Poly.const(5)))
+               for row in stokes_adjoint_residual(stokes_operator(), triple,
+                                                 Poly.const(5)))
 
 
 def test_amplitude_independence_check():
