@@ -15,7 +15,6 @@ values that start with '-') is read by the full argparse parser that
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -59,6 +58,11 @@ from .spectral import (
 from .verify import DEFAULT_NODES, DEFAULT_RELATIVE_TOL, run_catalog_case
 
 PAIRWISE_SUMMARY_LIMIT = 500
+# Most plan items, members times terms, that `enumerate --format json`
+# prints: its document holds one fragment per item, so this bounds its
+# size as PLAN_CEILING bounds the members.  A larger family is printed
+# count only.
+PLAN_ITEM_LIMIT = 10 ** 5
 # Most digits of a form count that `count` and `enumerate` print: the
 # interpreter's default limit on converting an int to text.
 MAX_COUNT_DIGITS = 4300
@@ -196,8 +200,8 @@ def _emit(args, document, latex, text) -> None:
 
 def _json_array(items, pad: str) -> str:
     """Already encoded items as a JSON array, laid out the way
-    json.dumps(..., indent=2) lays out an array whose line starts at
-    indent `pad`."""
+    emit.to_pretty_json lays out an array whose line starts at indent
+    `pad`."""
     if not items:
         return "[]"
     return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + f"\n{pad}]"
@@ -211,7 +215,7 @@ def _print_plans_json(op: Operator, document: dict) -> None:
     the other terms are encoded once and shared by the members holding
     them.  Memory grows with the other terms' pieces, not with the family
     or the last term's pieces."""
-    names = [json.dumps(axis) for axis in op.axes]
+    names = [emit.to_pretty_json(axis) for axis in op.axes]
     keys = [key for key, *_ in _operator_terms(op)]
     last = keys[-1] if keys else None
     encoded: dict = {}
@@ -331,12 +335,18 @@ def cmd_enumerate(args) -> int:
         return 0
     # The check costs one piece per (term, term plan); a family of at most
     # PAIRWISE_SUMMARY_LIMIT members is always checked.
-    pieces = sum(term_plan_count(alpha) for _, alpha, *_ in _operator_terms(op))
+    counts = [term_plan_count(alpha) for _, alpha, *_ in _operator_terms(op)]
     verdict = (_pairwise_equivalent(op)
-               if min(total, pieces) <= PAIRWISE_SUMMARY_LIMIT else None)
+               if min(total, sum(counts)) <= PAIRWISE_SUMMARY_LIMIT else None)
     if args.format == "json":
-        _print_plans_json(op, dict(document, plans=[],
-                                   pairwise_equivalent=verdict))
+        if total * len(counts) <= PLAN_ITEM_LIMIT:
+            _print_plans_json(op, dict(document, plans=[],
+                                       pairwise_equivalent=verdict))
+        else:
+            print(emit.to_pretty_json(dict(
+                document, plans=None, pairwise_equivalent=verdict,
+                note=f"plan items (members x terms) exceed {PLAN_ITEM_LIMIT}; "
+                     "count only")))
         return 0
     text_lines = [f"N = {total}"]
     if verdict is not None:
@@ -384,7 +394,7 @@ def cmd_global_relation(args) -> int:
     rel = global_relation(sub, box)
     _emit(args, lambda: emit.relation_json(rel),
           lambda: emit.relation_latex(rel),
-          lambda: json.dumps(emit.relation_json(rel)["terms"], indent=1))
+          lambda: emit.to_pretty_json(emit.relation_json(rel)["terms"], indent=1))
     return 0
 
 

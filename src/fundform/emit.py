@@ -1,9 +1,24 @@
 """Rendering: JSON documents for machines, LaTeX for humans, terse text
-for terminals.  All emitters are deterministic given canonical inputs."""
+for terminals.  All emitters are deterministic given canonical inputs.
+
+Every coefficient, weight and endpoint is printed by ``ring``'s
+``to_text`` or ``to_latex``.  The document builders (``*_json``) return
+plain dicts and lists, and ``to_pretty_json`` lays out every JSON
+document the CLI prints (``enumerate``'s head and tail, around the plans
+that ``cli`` writes member by member in the same layout), and the
+``--format text`` of ``global-relation`` at indent 1.  Its text is byte
+for byte that of ``json.dumps(value, indent=indent)``: dicts, lists and
+tuples (and their subclasses, a ``MultiIndex`` among them) as json lays
+them out, str escaped to ASCII, int, bool, None and float (``NaN``,
+``Infinity``, ``-Infinity``) as json spells them, dict keys by json's
+key rules, and the same ``TypeError`` for a value or key json refuses.
+It builds each container's text with one ``str.join``, where
+``json.dumps`` with an indent runs its pure-Python generator encoder.
+"""
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .algebra import BilinearExpr, MultiIndex
@@ -221,5 +236,79 @@ def representation_latex(rep: IntegralRepresentation) -> str:
     )
 
 
-def to_pretty_json(document: dict) -> str:
-    return json.dumps(document, indent=2)
+_INFINITY = float("inf")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as json prints it: a str as it is, a float, bool, None
+    or int as its JSON text, each quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return f'"{_float_text(key)}"'
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _layout(value, newline: str, step: str) -> str:
+    """`value` as JSON text whose line starts after `newline`; each level
+    of nesting adds `step`.  Exact str, int, list and dict come first, as
+    the documents hold them; the checks after them are json's, in json's
+    order."""
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is not list and cls is not dict:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return _float_text(value)
+        if not isinstance(value, (list, tuple, dict)):
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            "is not JSON serializable")
+    inner = newline + step
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join([
+            _key_text(key) + ": " + _layout(item, inner, step)
+            for key, item in value.items()]) + newline + "}")
+    if not value:
+        return "[]"
+    return ("[" + inner + ("," + inner).join([
+        _layout(item, inner, step) for item in value]) + newline + "]")
+
+
+def to_pretty_json(value, indent: int = 2) -> str:
+    """``json.dumps(value, indent=indent)``, byte for byte (see the module
+    docstring).  A container that holds itself is not detected, and ends
+    in RecursionError where json raises ValueError."""
+    return _layout(value, "\n", " " * indent)

@@ -14,6 +14,11 @@ Almost every coefficient the engine meets is a Gaussian integer (d == 1),
 and those add, subtract and multiply with no gcd at all.  The parts
 ``.re`` and ``.im`` are an ``int`` when d == 1 and a ``Fraction``
 otherwise.
+
+Text is printed from the stored integers: ``to_text`` prints a part of a
+Gaussian integer as the int it is, and builds a ``Fraction`` only when
+d > 1; a polynomial of one monomial is printed as that term, and a term
+drops a coefficient of 1 or -1 by testing its three integers.
 """
 
 from __future__ import annotations
@@ -140,21 +145,18 @@ class GaussianRational:
         return complex(self._a / self._d, self._b / self._d)
 
     def to_text(self) -> str:
-        if self.is_zero:
-            return "0"
-        re, im = self.re, self.im
-        if im == 0:
+        """``a``, ``bi`` or ``(a+bi)`` (``(a-bi)`` for b < 0), each part
+        as a ``Fraction`` prints it and an imaginary part of 1 or -1 as
+        ``i`` or ``-i``; a Gaussian integer's parts are printed as ints."""
+        re, im = self._a, self._b
+        if self._d != 1:
+            re, im = Fraction(re, self._d), Fraction(im, self._d)
+        if not im:
             return str(re)
-        if re == 0:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}i"
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        imag = "i" if mag == 1 else f"{mag}i"
-        return f"({re}{sign}{imag})"
+        imag = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+        if not re:
+            return imag
+        return f"({re}+{imag})" if im > 0 else f"({re}{imag})"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -475,7 +477,10 @@ class Poly:
                 else:
                     rest.append((var, e))
             out.setdefault(exp, []).append((tuple(rest), coeff))
-        return {exp: Poly(items) for exp, items in out.items()}
+        # dropping `name` keeps each monomial merged and those of one
+        # power distinct, but can reorder them: one sort restores the order
+        return {exp: Poly._trusted(tuple(sorted(items)))
+                for exp, items in out.items()}
 
     def evaluate(self, assignment: Mapping) -> complex:
         total = 0j
@@ -510,15 +515,18 @@ class Poly:
             joiner = "*"
         if not factors:
             return coeff.to_text()
-        if coeff == QI_ONE:
-            return joiner.join(factors)
-        if coeff == -QI_ONE:
-            return "-" + joiner.join(factors)
-        return joiner.join([coeff.to_text()] + factors)
+        if coeff._b or coeff._d != 1 or abs(coeff._a) != 1:
+            return joiner.join([coeff.to_text()] + factors)
+        # a coefficient of 1 or -1 leaves only its sign
+        text = joiner.join(factors)
+        return text if coeff._a == 1 else "-" + text
 
     def _render(self, latex: bool) -> str:
-        return signed_sum(self._term_text(mono, coeff, latex)
-                          for mono, coeff in self._terms)
+        terms = self._terms
+        if len(terms) == 1:
+            return self._term_text(*terms[0], latex)
+        return signed_sum([self._term_text(mono, coeff, latex)
+                           for mono, coeff in terms])
 
     def to_text(self) -> str:
         return self._render(latex=False)

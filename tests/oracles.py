@@ -12,9 +12,11 @@ exactly, checking a rational parameterization at exact samples, the
 term-by-term exponential substitution
 (``reference_substitute``, the reference for the engine's packed one),
 the exterior derivative of a substituted form, reduction modulo a
-quadric, form equivalence, operator printing, one derivative of an
-exponential polynomial, the face integrals of a relation one face at a
-time (``reference_face_integrals``), and the twelve-plan triple-product
+quadric, form equivalence, operator printing, the first printing of
+exact scalars and polynomials (``reference_scalar_text`` and
+``reference_poly_text``, the references for ``ring``'s), one derivative
+of an exponential polynomial, the face integrals of a relation one face
+at a time (``reference_face_integrals``), and the twelve-plan triple-product
 operator.  None of them is part of ``fundform``.
 """
 
@@ -35,7 +37,7 @@ from fundform.operators import (MatrixPDO, Operator, ScalarPDO, exponential_slop
                                  grid, monomial, parameters)
 from fundform.parser import parse_scalar_operator
 from fundform.ring import (QI_ZERO, GaussianRational, Poly, PolyLike, merge_terms,
-                           signed_sum, times_text)
+                           pretty_name, signed_sum, times_text)
 from fundform.spectral import ConstraintVariety, SubstitutedForm
 from fundform.verify import (_axis_exponentials, _axis_sum, _face_grid,
                              _numeric_fluxes)
@@ -507,6 +509,52 @@ def format_operator(op: Operator) -> str:
     if isinstance(op, ScalarPDO):
         return format_scalar_operator(op)
     return format_matrix_operator(op)
+
+
+def reference_scalar_text(value: GaussianRational) -> str:
+    """``GaussianRational.to_text`` read through the parts ``re`` and
+    ``im`` (``Fraction``s when d > 1), the way the engine first printed
+    it: the reference for the printing from the stored integers."""
+    if value.is_zero:
+        return "0"
+    re, im = value.re, value.im
+    if im == 0:
+        return str(re)
+    if re == 0:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        return f"{im}i"
+    sign = "+" if im > 0 else "-"
+    mag = abs(im)
+    imag = "i" if mag == 1 else f"{mag}i"
+    return f"({re}{sign}{imag})"
+
+
+def reference_poly_text(poly: Poly, latex: bool = False) -> str:
+    """``Poly.to_text`` (``to_latex`` with `latex`) the way the engine
+    first printed it: every polynomial through ``signed_sum``, a unit
+    coefficient found by comparing with 1 and -1, and each other
+    coefficient through ``reference_scalar_text``."""
+    one = GaussianRational(1)
+    parts = []
+    for mono, coeff in poly.terms:
+        if latex:
+            factors = [pretty_name(name) + (f"^{{{exp}}}" if exp > 1 else "")
+                       for name, exp in mono]
+        else:
+            factors = [name + (f"^{exp}" if exp > 1 else "") for name, exp in mono]
+        joiner = " " if latex else "*"
+        if not factors:
+            parts.append(reference_scalar_text(coeff))
+        elif coeff == one:
+            parts.append(joiner.join(factors))
+        elif coeff == -one:
+            parts.append("-" + joiner.join(factors))
+        else:
+            parts.append(joiner.join([reference_scalar_text(coeff)] + factors))
+    return signed_sum(parts)
 
 
 def exp_poly_diff(expr: ExpPoly, axis: str) -> ExpPoly:

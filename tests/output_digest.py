@@ -1,14 +1,15 @@
 """One sha256 per benchmark workload over the outputs of its calls.
 
-Runs every repeatable call of the three workloads of
-``perfbench/workloads.py`` at seeds 1-3, in one process, and prints one
-line per workload: its name and the sha256 of each call's label and the
-repr of its output, in call order.  Two checkouts whose lines are equal
-give the same outputs on every such call.  The script reads the workload
-definitions and changes nothing under ``perfbench/``.
+Runs every call of the three workloads of ``perfbench/workloads.py`` at
+seeds 1-3, in one process, and prints one line per workload: its name and
+the sha256 of each call's label and the repr of its output, in call
+order.  Two checkouts whose lines are equal give the same outputs on
+every such call.  The script reads the workload definitions and changes
+nothing under ``perfbench/``.
 
-The enumerate anchors (N=48, 96 and 120) are left out: they are the calls
-built with ``repeat=False``, and take 2-16 s each.
+This includes the enumerate anchors (N=48, 96 and 120, the calls built
+with ``repeat=False``), which print the largest ``enumerate`` documents
+of the workloads.
 
 Run from anywhere, with the checkout's sources on the path it sets::
 
@@ -35,8 +36,7 @@ def digests() -> dict:
         digest = hashlib.sha256()
         for seed in SEEDS:
             for call in workloads.build(name, seed):
-                if call.repeat:
-                    digest.update(f"{call.label}\n{call.run()!r}\n".encode())
+                digest.update(f"{call.label}\n{call.run()!r}\n".encode())
         out[name] = digest.hexdigest()
     return out
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import importlib
 import json
 import os
@@ -160,7 +161,7 @@ EXACT_DOCUMENTS = json.loads(
 
 
 @pytest.mark.parametrize("command", ["decompose", "enumerate", "constraint",
-                                     "represent"])
+                                     "global-relation", "represent"])
 @pytest.mark.parametrize("name", sorted(EXACT_OPERATORS))
 def test_exact_coefficient_documents_pinned(capsys, name, command):
     op = EXACT_OPERATORS[name]
@@ -482,6 +483,72 @@ def test_enumerate_ceiling_fallback(capsys):
     assert code == 0
     assert document["count"] == 3628800
     assert document["plans"] is None
+
+
+def test_enumerate_json_past_the_item_limit_prints_the_count(capsys):
+    # Da*...*Dh (N = 8! = 40,320) and the 248 one-plan terms D<axis>^k,
+    # k = 2..32: about 10^7 plan items, which printed 3.9 GB in 12 s
+    axes = "abcdefgh"
+    op = (f"axes {','.join(axes)}; " + "*".join(f"D{a}" for a in axes)
+          + "".join(f" + D{a}^{k}" for a in axes for k in range(2, 33)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--op", op)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "count": 40320, "ceiling": PLAN_CEILING, "plans": None,
+        "pairwise_equivalent": None,
+        "note": f"plan items (members x terms) exceed {cli.PLAN_ITEM_LIMIT}; "
+                "count only"}
+    # the text and latex formats print the count as before
+    assert run(capsys, "enumerate", "--op", op, "--format", "text") == (
+        0, "N = 40320\n", "")
+    assert run(capsys, "enumerate", "--op", op, "--format", "latex") == (
+        0, "N(\\mathcal{L}) = 40320\n", "")
+
+
+def _six_axes_family(ones: int) -> str:
+    """Da*...*Df (720 plans) and `ones` one-plan terms D<axis>^k: a family
+    of 720 members with 720 * (ones + 1) plan items."""
+    axes = "abcdef"
+    terms = ["*".join(f"D{a}" for a in axes)]
+    terms += [f"D{a}^{k}" for a in axes for k in range(2, 33)][:ones]
+    return f"axes {','.join(axes)}; " + " + ".join(terms)
+
+
+def test_enumerate_json_at_the_item_limit_prints_every_member(capsys):
+    # 138 terms make 99,360 items, within the limit; 139 make 100,080
+    assert 720 * 138 <= cli.PLAN_ITEM_LIMIT < 720 * 139
+    code, out, err = run(capsys, "enumerate", "--op", _six_axes_family(137))
+    assert (code, err) == (0, "")
+    assert out.startswith('{\n  "count": 720,\n  "ceiling": 1000000,\n'
+                          '  "plans": [\n    [\n      {\n')
+    assert out.endswith('\n    ]\n  ],\n  "pairwise_equivalent": null\n}\n')
+    assert out.count("\n    [\n") == 720
+    assert out.count("\n      {\n") == 720 * 138
+    code, out, err = run(capsys, "enumerate", "--op", _six_axes_family(138))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["plans"] is None
+
+
+# The enumerate anchors of the benchmark workload, with the sha256 of
+# their JSON documents as printed before the item limit was added.
+ENUMERATE_ANCHORS = [
+    ("axes x,y,z,w; 1*Dz^4 + 1*Dx^3*Dy^3*Dz*Dw",
+     "00190ff2a7a8161dc84386f8df50c78ceda69f3a4b0aa5f42e2f493848c79d11"),
+    ("axes x,y,z,w; 1*Dz^2 + 1*Dx^2*Dy^2 + 1*Dx^3*Dy^3*Dz*Dw",
+     "cb9918ba4018b086570c40af9e9717e176c0136daefac34654146f476a51af00"),
+    ("axes x,y,z,w,v; 1*Dx^3*Dy*Dz*Dw*Dv",
+     "04f789a7f1c3f20a218a12576def01ed2989c7d97eb11957296bf5326961cb77"),
+]
+
+
+@pytest.mark.parametrize("text,digest", ENUMERATE_ANCHORS,
+                         ids=["N48", "N96", "N120"])
+def test_enumerate_anchor_documents_pinned(capsys, text, digest):
+    code, out, err = run(capsys, "enumerate", "--op", text, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def paired_axes(factors: int) -> str:

@@ -4,7 +4,7 @@ or refused with a SolutionSyntaxError that points into the text; every
 polynomial's text form reads back to the polynomial; the operator
 reader's products and powers equal the generic merge they shortcut; a
 call read from the CLI's option table gives the namespace argparse
-gives."""
+gives; the JSON writer prints what ``json.dumps`` prints."""
 
 import contextlib
 import io
@@ -23,6 +23,7 @@ from fundform.algebra import MultiIndex  # noqa: E402
 from fundform.catalog import CATALOG_TAGS  # noqa: E402
 from fundform.cli import COMMANDS, _read_call, build_parser, main  # noqa: E402
 from fundform.decompose import count_forms  # noqa: E402
+from fundform.emit import to_pretty_json  # noqa: E402
 from fundform.manufactured import SolutionSyntaxError, parse_solution  # noqa: E402
 from fundform.parser import _OperatorParser, parse_operator, parse_poly  # noqa: E402
 from fundform.ring import P_ONE, GaussianRational, Poly, merge_terms  # noqa: E402
@@ -328,3 +329,81 @@ def test_option_table_reads_calls_as_argparse_does(argv):
     args = _read_call(argv)
     if args is not None:
         assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# json prints a subclass of int or float through int.__repr__ and
+# float.__repr__, never through the subclass's own text
+class _Int(int):
+    def __repr__(self) -> str:
+        return "_Int"
+
+    __str__ = __repr__
+
+
+class _Float(float):
+    def __repr__(self) -> str:
+        return "_Float"
+
+    __str__ = __repr__
+
+
+# Leaves json prints: text with control and non-ASCII characters, big
+# ints, bools, None, floats with -0.0, NaN and both infinities,
+# subclasses of str, int and float, and multi-indices (a tuple
+# subclass); keys of every type json accepts.
+_json_leaves = st.one_of(
+    st.text(max_size=6), st.builds(_Str, st.text(max_size=3)),
+    st.sampled_from(["\x00\x1f\n\t\"\\/", "\u00e9\u2603\U0001d11e", "\x7f"]),
+    st.integers(-10 ** 40, 10 ** 40), st.builds(_Int, st.integers(-9, 9)),
+    st.builds(_Float, st.floats()),
+    st.booleans(), st.none(), st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.lists(st.integers(0, 255), max_size=4).map(MultiIndex),
+)
+_json_keys = st.one_of(st.text(max_size=4), st.integers(-10 ** 20, 10 ** 20),
+                       st.builds(_Int, st.integers(-9, 9)), st.floats(),
+                       st.builds(_Float, st.floats()), st.booleans(), st.none())
+_json_values = st.recursive(_json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.lists(inner, max_size=3).map(_List),
+    st.dictionaries(_json_keys, inner, max_size=4),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3).map(_Dict),
+), max_leaves=24)
+
+
+def _dumped(write, value, indent):
+    """write(value, indent), or the type and text of the TypeError it
+    raises."""
+    try:
+        return write(value, indent)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(value=_json_values, bad=st.sampled_from([{1, 2}, frozenset(), object(),
+                                                 b"x", 1j]))
+def test_pretty_json_writer_prints_what_json_dumps_prints(value, bad):
+    def dumps(item, indent):
+        return json.dumps(item, indent=indent)
+
+    for indent in (1, 2):
+        assert to_pretty_json(value, indent) == dumps(value, indent)
+        # a value json cannot print, anywhere, and a key it refuses
+        for spoiled in ([value, bad], {"k": [bad]}, {(1,): value}):
+            refusal = _dumped(to_pretty_json, spoiled, indent)
+            assert refusal[0] is TypeError
+            assert refusal == _dumped(dumps, spoiled, indent)

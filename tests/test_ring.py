@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 
 from conftest import random_gaussian, random_poly
-from oracles import evaluate_exact, substitute
+from oracles import (evaluate_exact, reference_poly_text, reference_scalar_text,
+                     substitute)
 from fundform.ring import GaussianRational, Poly, QI_I, QI_ONE
 
 try:
@@ -93,6 +94,24 @@ def test_poly_coeffs_by_power():
     assert reassembled == p
 
 
+def test_coeffs_by_power_is_canonical_and_rebuilds_the_input():
+    # dropping a name can reorder the monomials of one power: with name c,
+    # a*c, b*c and c become a, b and 1, which sorts first
+    rng = random.Random(3707)
+    names = ("a", "b", "c", "nu")
+    for _ in range(300):
+        poly = random_poly(rng, names, max_terms=8, max_exp=3)
+        for name in names:
+            parts = poly.coeffs_by_power(name)
+            rebuilt = Poly()
+            for exp, part in parts.items():
+                assert part.terms == Poly(part.terms).terms
+                _assert_canonical(part)
+                assert name not in part.variables()
+                rebuilt += part * Poly.var(name, exp) if exp else part
+            assert rebuilt == poly
+
+
 def test_poly_proportional_to():
     s = Poly.var("s")
     p = s * s - Poly.const(2)
@@ -111,6 +130,30 @@ def test_poly_text_deterministic():
     p = Poly.var("s0", 2).scale(-1) + Poly.var("s1", 2) * Poly.var("s2", 2)
     assert p.to_text() == "-s0^2 + s1^2*s2^2"
     assert (Poly.const(QI_I) * Poly.var("k")).to_text() == "i*k"
+
+
+def test_text_matches_the_reference_renderer():
+    # coefficients with d = 1 and d > 1, the units 1, -1, i and -i, zero
+    # parts, zero to four terms, and digit and greek names
+    rng = random.Random(3708)
+    names = ("k", "s1", "nu", "xi3", "lambda12", "t")
+    units = [QI_ONE, -QI_ONE, QI_I, -QI_I]
+
+    def part() -> Fraction:
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 1, 2, 3, 7]))
+
+    for _ in range(600):
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            mono = [(name, rng.randint(1, 3)) for name in names
+                    if rng.random() < 0.3]
+            coeff = (rng.choice(units) if rng.random() < 0.3
+                     else GaussianRational(part(), part()))
+            terms.append((mono, coeff))
+            assert coeff.to_text() == reference_scalar_text(coeff)
+        poly = Poly(terms)
+        assert poly.to_text() == reference_poly_text(poly)
+        assert poly.to_latex() == reference_poly_text(poly, latex=True)
 
 
 def test_poly_negative_power_rejected():
