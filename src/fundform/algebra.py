@@ -39,6 +39,17 @@ gains to carry other fields; ``decompose`` places its unit walks with it.
 ``_key_halves`` splits each key into its trial half (f, mu) and its test
 half (g, nu), each one int in the same byte order; ``spectral``
 substitutes on them.
+
+Stored derivatives.  An expression keeps the last derivative ``partial``
+took of it, with its axis, and ``partial`` along that axis returns it
+without a merge: a decomposition's final gate differentiates its fluxes,
+and a later exterior derivative of the same fluxes (``enumerate``'s
+verdict) reads what the gate merged.  This is sound because an
+expression never changes once built, which its lazily unpacked ``terms``
+already rely on, so its derivative along an axis is fixed for its whole
+life.  The store holds the derivative through its expression only, so
+it is freed with the expression; a new expression, even one equal to an
+old one, starts with none.
 """
 
 from __future__ import annotations
@@ -181,6 +192,7 @@ def _packed(pairs: tuple, dim: int | None, top: int) -> "BilinearExpr":
     expr._dim = dim if pairs else None
     expr._top = top if pairs else 0
     expr._terms = None
+    expr._derivative = None
     return expr
 
 
@@ -189,7 +201,7 @@ class BilinearExpr:
     (left_field, right_field, left, right); no zero coefficients.  Held as
     packed (key, coeff) pairs; see the module docstring."""
 
-    __slots__ = ("_pairs", "_dim", "_top", "_terms")
+    __slots__ = ("_pairs", "_dim", "_top", "_terms", "_derivative")
 
     def __init__(self, terms: Iterable[BilinearTerm] = ()) -> None:
         pairs = []
@@ -207,6 +219,7 @@ class BilinearExpr:
         self._dim = dims.pop() if pairs else None
         self._top = top if pairs else 0
         self._terms = None
+        self._derivative = None
 
     @property
     def terms(self) -> tuple:
@@ -325,10 +338,21 @@ def product_rule(expr: BilinearExpr, k: int) -> list:
 
 
 def partial(expr: BilinearExpr, k: int) -> BilinearExpr:
-    """Derivative along axis k by the product rule."""
+    """Derivative along axis k by the product rule.
+
+    The expression keeps the last derivative taken of it, with its axis,
+    and a second call along that axis returns it without a merge (see the
+    module docstring for why that is sound); a call along another axis
+    replaces it.  A refused axis or count stores nothing."""
     if expr.is_zero:
         return expr
-    return _packed(merge_terms(product_rule(expr, k)), expr._dim, expr._top + 1)
+    stored = expr._derivative
+    if stored is not None and stored[0] == k:
+        return stored[1]
+    derivative = _packed(merge_terms(product_rule(expr, k)), expr._dim,
+                         expr._top + 1)
+    expr._derivative = (k, derivative)
+    return derivative
 
 
 def divergence(fluxes: Iterable[BilinearExpr]) -> BilinearExpr:

@@ -61,8 +61,11 @@ PAIRWISE_SUMMARY_LIMIT = 500
 # Most plan items, members times terms, that `enumerate --format json`
 # prints: its document holds one fragment per item, so this bounds its
 # size as PLAN_CEILING bounds the members.  A larger family is printed
-# count only.
+# count only.  A fragment prints axis names, so with names longer than
+# NAME_UNIT characters the limit is divided by the longest name's length
+# in NAME_UNITs, rounded up.
 PLAN_ITEM_LIMIT = 10 ** 5
+NAME_UNIT = 3
 # Most digits of a form count that `count` and `enumerate` print: the
 # interpreter's default limit on converting an int to text.
 MAX_COUNT_DIGITS = 4300
@@ -305,8 +308,11 @@ def _pairwise_equivalent(op: Operator) -> bool:
     so any two members differ by a sum of per-term piece differences, and
     a bad piece shows in the member that differs from the first only in
     that term: comparing each piece's exterior derivative with that of
-    its term's first piece decides every pair, and each piece is
-    differentiated once, from the fluxes given here.  The first member is
+    its term's first piece decides every pair.  Each piece's exterior
+    derivative is taken from the fluxes given here, but a flux keeps the
+    derivative its gate took (``algebra.partial``), so a gated piece costs
+    one merge of its per-axis derivatives; a flux built after its gate is
+    a new expression and is differentiated afresh.  The first member is
     the sum of the first pieces, and it must pass the final divergence
     gate against the whole operator's pairing.
     """
@@ -339,13 +345,15 @@ def cmd_enumerate(args) -> int:
     verdict = (_pairwise_equivalent(op)
                if min(total, sum(counts)) <= PAIRWISE_SUMMARY_LIMIT else None)
     if args.format == "json":
-        if total * len(counts) <= PLAN_ITEM_LIMIT:
+        longest = max(map(len, op.axes), default=0)
+        limit = PLAN_ITEM_LIMIT // max(1, -(-longest // NAME_UNIT))
+        if total * len(counts) <= limit:
             _print_plans_json(op, dict(document, plans=[],
                                        pairwise_equivalent=verdict))
         else:
             print(emit.to_pretty_json(dict(
                 document, plans=None, pairwise_equivalent=verdict,
-                note=f"plan items (members x terms) exceed {PLAN_ITEM_LIMIT}; "
+                note=f"plan items (members x terms) exceed {limit}; "
                      "count only")))
         return 0
     text_lines = [f"N = {total}"]

@@ -121,6 +121,41 @@ def test_partial_axis_range():
     assert partial(BilinearExpr(), 5).is_zero
 
 
+def test_partial_keeps_its_last_derivative_randomized():
+    # a repeated derivative is the one stored on the expression, and it
+    # equals a fresh derivative of an unused copy; one along another axis
+    # in between replaces it and is right too
+    rng = random.Random(38)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        expr = random_bilinear(rng, n)
+        for k in [rng.randrange(n) for _ in range(6)]:
+            first = partial(expr, k)
+            assert first == partial(BilinearExpr(expr.terms), k)
+            assert partial(expr, k) is first
+    zero = BilinearExpr()
+    for k in (0, 3, 0):
+        assert partial(zero, k).is_zero
+        assert zero.is_zero
+
+
+def test_partial_refusals_store_nothing():
+    # a refused axis or derivative count is refused again, and the
+    # derivative stored before it is still the right one
+    expr = bracket((1, 0), (0, 0))
+    kept = partial(expr, 1)
+    for _ in range(2):
+        for axis in (2, -1):
+            with pytest.raises(ValueError):
+                partial(expr, axis)
+        assert partial(expr, 1) == partial(BilinearExpr(expr.terms), 1)
+        assert partial(expr, 1) is kept
+    full = BilinearExpr([term(1, (255, 0), (0, 0))])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="packed width"):
+            partial(full, 0)
+
+
 def test_partials_commute_randomized():
     rng = random.Random(23)
     for _ in range(40):

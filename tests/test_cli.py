@@ -289,9 +289,13 @@ def test_enumerate_detects_bad_sibling_of_a_middle_term(capsys, monkeypatch):
 
 def test_pairwise_verdict_differentiates_each_piece_once(monkeypatch):
     # beyond the gates (one per piece and one for the first member), the
-    # verdict takes one exterior derivative per piece, first pieces included
+    # verdict takes one exterior derivative per piece, first pieces
+    # included, and each reads the derivatives its piece's gate took: no
+    # product rule runs inside the verdict's derivatives
     engine = importlib.import_module("fundform.decompose")
-    calls = {"verdict": 0, "gates": 0}
+    algebra = importlib.import_module("fundform.algebra")
+    calls = {"verdict": 0, "gates": 0, "product_rule": 0}
+    in_verdict = []
 
     def counted(name, real):
         def wrapper(*args):
@@ -299,14 +303,27 @@ def test_pairwise_verdict_differentiates_each_piece_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(cli, "exterior_derivative",
-                        counted("verdict", cli.exterior_derivative))
+    def verdict(form):
+        calls["verdict"] += 1
+        in_verdict.append(form)
+        try:
+            return real_verdict(form)
+        finally:
+            in_verdict.pop()
+
+    def product_rule_in_verdict(*args):
+        calls["product_rule"] += bool(in_verdict)
+        return real_product_rule(*args)
+
+    real_verdict, real_product_rule = cli.exterior_derivative, algebra.product_rule
+    monkeypatch.setattr(cli, "exterior_derivative", verdict)
+    monkeypatch.setattr(algebra, "product_rule", product_rule_in_verdict)
     monkeypatch.setattr(engine, "divergence", counted("gates", engine.divergence))
     op = parse_operator(TRIPLE)
     pieces = sum(term_plan_count(key[2]) for key, *_ in cli._operator_terms(op))
     assert pieces == 9
     assert cli._pairwise_equivalent(op) is True
-    assert calls == {"verdict": pieces, "gates": pieces + 1}
+    assert calls == {"verdict": pieces, "gates": pieces + 1, "product_rule": 0}
 
 
 def test_enumerate_pieces_must_sum_to_whole(capsys, monkeypatch):
@@ -507,10 +524,9 @@ def test_enumerate_json_past_the_item_limit_prints_the_count(capsys):
         0, "N(\\mathcal{L}) = 40320\n", "")
 
 
-def _six_axes_family(ones: int) -> str:
+def _six_axes_family(ones: int, axes=tuple("abcdef")) -> str:
     """Da*...*Df (720 plans) and `ones` one-plan terms D<axis>^k: a family
     of 720 members with 720 * (ones + 1) plan items."""
-    axes = "abcdef"
     terms = ["*".join(f"D{a}" for a in axes)]
     terms += [f"D{a}^{k}" for a in axes for k in range(2, 33)][:ones]
     return f"axes {','.join(axes)}; " + " + ".join(terms)
@@ -529,6 +545,44 @@ def test_enumerate_json_at_the_item_limit_prints_every_member(capsys):
     code, out, err = run(capsys, "enumerate", "--op", _six_axes_family(138))
     assert (code, err) == (0, "")
     assert json.loads(out)["plans"] is None
+
+
+def test_enumerate_json_item_limit_weighs_name_length(capsys):
+    # names of 4-6 characters weigh twice as much per item as names of
+    # 1-3, so the 138-term family that prints every member with names of
+    # up to 3 characters prints its count with 4-character ones
+    code, out, err = run(capsys, "enumerate", "--op",
+                         _six_axes_family(137, tuple(a * 3 for a in "abcdef")))
+    assert (code, err) == (0, "")
+    assert out.count("\n    [\n") == 720
+    assert out.count("\n      {\n") == 720 * 138
+    op = _six_axes_family(137, tuple(a * 4 for a in "abcdef"))
+    code, out, err = run(capsys, "enumerate", "--op", op)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "count": 720, "ceiling": PLAN_CEILING, "plans": None,
+        "pairwise_equivalent": None,
+        "note": f"plan items (members x terms) exceed "
+                f"{cli.PLAN_ITEM_LIMIT // 2}; count only"}
+
+
+def test_enumerate_json_long_names_print_the_count(capsys):
+    # Da*...*Dg on 7 of 64 axes and 18 one-plan terms: 5,040 members and
+    # 95,760 items, within the item limit, printed 422 MB with names of
+    # 200 characters; it now prints its count
+    axes = [f"n{k:02}" + "x" * 197 for k in range(64)]
+    op = (f"axes {','.join(axes)}; " + "*".join(f"D{a}" for a in axes[:7])
+          + "".join(f" + D{a}^2" for a in axes[7:25]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--op", op)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert 5040 * 19 <= cli.PLAN_ITEM_LIMIT
+    assert json.loads(out) == {
+        "count": 5040, "ceiling": PLAN_CEILING, "plans": None,
+        "pairwise_equivalent": None,
+        "note": f"plan items (members x terms) exceed "
+                f"{cli.PLAN_ITEM_LIMIT // 67}; count only"}
 
 
 # The enumerate anchors of the benchmark workload, with the sha256 of

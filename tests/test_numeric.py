@@ -25,6 +25,7 @@ from fundform.parser import MAX_NODES, MAX_TERMS, parse_operator
 from fundform.ring import GaussianRational, Poly
 from fundform.spectral import spinor_isotropic, substitute_exponential
 from fundform.verify import (
+    DEFAULT_RELATIVE_TOL,
     PDE_TOL,
     QuadratureSpec,
     _axis_exponentials,
@@ -879,3 +880,30 @@ def test_operators_with_chosen_zeros_vanish_there():
             off_zero += 1
             assert interior_residual(op, _exponential(op.axes, moved), box) > PDE_TOL, text
     assert off_zero >= 100
+
+
+def test_relations_close_at_chosen_zeros():
+    # each seeded operator's global relation, decomposed, substituted at
+    # its spectral point and integrated over the unit box for the solution
+    # exp(P.x), closes within the default tolerance; moving sigma's first
+    # entry by 1 off the adjoint variety leaves a residual that fails it
+    off_variety = 0
+    spec = QuadratureSpec(20)
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 3)
+        text, p, sigma, sign = operator_with_zeros(rng, n, rng.randint(2, 4))
+        op = parse_operator(text)
+        form = assemble(decompose(op))
+        solution = _exponential(op.axes, p)
+        box = ((0.0, 1.0),) * n
+        report = boundary_residual(substitute_exponential(form, sigma, sign),
+                                   solution, box, spec)
+        assert report.relative <= DEFAULT_RELATIVE_TOL, text
+        moved = (sigma[0] + 1, *sigma[1:])
+        if any(adjoint_rows(op, moved, sign)):
+            off_variety += 1
+            report = boundary_residual(substitute_exponential(form, moved, sign),
+                                       solution, box, spec)
+            assert report.relative > DEFAULT_RELATIVE_TOL, text
+    assert off_variety >= 20
