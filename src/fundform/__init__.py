@@ -26,7 +26,7 @@ from .decompose import (
     enumerate_plans,
     sigma_count,
 )
-from .forms import assemble, exterior_derivative
+from .forms import assemble, exterior_derivative, pairwise_equivalent
 from .manufactured import ManufacturedSolution, parse_solution
 from .operators import (
     MatrixPDO,

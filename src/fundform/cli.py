@@ -10,6 +10,10 @@ call is read from that table.  Every other call (help, usage, errors and
 the spellings the table reader leaves to argparse: prefixes, `=` forms,
 values that start with '-') is read by the full argparse parser that
 `build_parser` builds from the same table.
+
+The front end reaches the engine through its public names only: plan
+flags are laid over ``decompose.default_plan``, and the family verdict
+that `enumerate` prints is ``forms.pairwise_equivalent``.
 """
 
 from __future__ import annotations
@@ -31,20 +35,18 @@ from .decompose import (
     EngineError,
     EnumerationLimit,
     TermPlan,
-    _gate,
-    _operator_terms,
     count_forms,
     decompose,
+    default_plan,
     enumerate_plans,
-    first_term_plan,
+    operator_terms,
     sigma_count,
-    term_pieces,
     term_plan_count,
 )
-from .forms import assemble, exterior_derivative
+from .forms import assemble, pairwise_equivalent
 from .manufactured import ManufacturedSolution
-from .operators import (MatrixPDO, Operator, bilinear_rhs, check_sigma_count,
-                        parameters, refuse_clash)
+from .operators import (MatrixPDO, Operator, check_sigma_count, parameters,
+                        refuse_clash)
 from .parser import parse_names, parse_operator, parse_poly
 from .ring import PATH_QUOTE_LIMIT, Poly, is_name, quoted, quoted_names
 from .spectral import (
@@ -119,16 +121,22 @@ def _flag_items(op: Operator, text: str, pairs: bool) -> tuple:
 
 def _parse_plan(op: Operator, args) -> DecompositionPlan | None:
     """--path, --transfer and --exchange, the n-th of each for the n-th
-    term; a term without one keeps that part of its first plan."""
-    flags = ((args.path or [], False), (args.transfer or [], False),
-             (args.exchange or [], True))
-    if not any(texts for texts, _ in flags):
+    term; a term without one keeps that part of its first plan.  A flag
+    given more times than the operator has terms is refused."""
+    flags = (("--path", args.path or [], False),
+             ("--transfer", args.transfer or [], False),
+             ("--exchange", args.exchange or [], True))
+    if not any(texts for _, texts, _ in flags):
         return None
+    firsts = default_plan(op).items
+    for flag, texts, _ in flags:
+        if len(texts) > len(firsts):
+            raise UsageError(f"more {flag} flags ({len(texts)}) than operator "
+                             f"terms ({len(firsts)})")
     items = []
-    for index, (key, alpha, *_) in enumerate(_operator_terms(op)):
-        first = first_term_plan(alpha)
-        parts = [first.path, first.transfer, first.exchanges]
-        for slot, (texts, pairs) in enumerate(flags):
+    for index, (key, first) in enumerate(firsts):
+        parts = list(first)
+        for slot, (_, texts, pairs) in enumerate(flags):
             if index < len(texts):
                 parts[slot] = _flag_items(op, texts[index], pairs)
         items.append((key, TermPlan(*parts)))
@@ -219,7 +227,7 @@ def _print_plans_json(op: Operator, document: dict) -> None:
     them.  Memory grows with the other terms' pieces, not with the family
     or the last term's pieces."""
     names = [emit.to_pretty_json(axis) for axis in op.axes]
-    keys = [key for key, *_ in _operator_terms(op)]
+    keys = [key for key, _ in operator_terms(op)]
     last = keys[-1] if keys else None
     encoded: dict = {}
     # members sit at depth 2, fragments at depth 3 and their keys at depth 4
@@ -281,7 +289,7 @@ def _form_count(op: Operator) -> int:
 def cmd_count(args) -> int:
     op = _load_operator(args)
     breakdown = []
-    for (row, col, alpha), *_ in _operator_terms(op):
+    for (row, col, alpha), _ in operator_terms(op):
         breakdown.append({
             "row": row,
             "col": col,
@@ -301,33 +309,6 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _pairwise_equivalent(op: Operator) -> bool:
-    """True when every family member's form is equivalent to every other.
-
-    A member's fluxes are a sum of one piece per term (``term_pieces``),
-    so any two members differ by a sum of per-term piece differences, and
-    a bad piece shows in the member that differs from the first only in
-    that term: comparing each piece's exterior derivative with that of
-    its term's first piece decides every pair.  Each piece's exterior
-    derivative is taken from the fluxes given here, but a flux keeps the
-    derivative its gate took (``algebra.partial``), so a gated piece costs
-    one merge of its per-axis derivatives; a flux built after its gate is
-    a new expression and is differentiated afresh.  The first member is
-    the sum of the first pieces, and it must pass the final divergence
-    gate against the whole operator's pairing.
-    """
-    pieces = [term for _, term in term_pieces(op)]
-    _gate(op, DecompositionPlan._trusted(tuple(item for term in pieces
-                                               for item in term[0].plan.items)),
-          [pair for term in pieces for pair in enumerate(term[0].fluxes)],
-          bilinear_rhs(op))
-    for first, *rest in pieces:
-        target = exterior_derivative(first)
-        if any(exterior_derivative(piece) != target for piece in rest):
-            return False
-    return True
-
-
 def cmd_enumerate(args) -> int:
     op = _load_operator(args)
     total = _form_count(op)
@@ -341,8 +322,8 @@ def cmd_enumerate(args) -> int:
         return 0
     # The check costs one piece per (term, term plan); a family of at most
     # PAIRWISE_SUMMARY_LIMIT members is always checked.
-    counts = [term_plan_count(alpha) for _, alpha, *_ in _operator_terms(op)]
-    verdict = (_pairwise_equivalent(op)
+    counts = [term_plan_count(alpha) for (_, _, alpha), _ in operator_terms(op)]
+    verdict = (pairwise_equivalent(op)
                if min(total, sum(counts)) <= PAIRWISE_SUMMARY_LIMIT else None)
     if args.format == "json":
         longest = max(map(len, op.axes), default=0)

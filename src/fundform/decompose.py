@@ -49,13 +49,17 @@ pairing order); enumerating them reproduces the full family of
 constructible decompositions, whose size is  prod_alpha O_alpha! sigma(alpha).
 The pairing is linear over terms, so each member is a sum of per-term
 pieces, and the sum_alpha O_alpha! sigma(alpha) pieces describe the family.
+
+``decompose`` matches a plan to its operator in one pass: the plan's items
+go into one dict keyed by (row, col, alpha), and each operator term pops
+its own key, so a term with no item and an item for a term the operator
+lacks are both refused (PlanError) before any rewrite step runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (_LIMIT, _WIDTH, BilinearExpr, MultiIndex, _field_offset,
@@ -276,8 +280,8 @@ class _DecompositionPlanFields(NamedTuple):
 
 class DecompositionPlan(_DecompositionPlanFields):
     """Per-term plans keyed by (test field, trial field, multi-index),
-    held sorted by key and looked up by bisection; a plan that names one
-    term twice is refused."""
+    held sorted by key; a plan that names one term twice is refused.
+    ``decompose`` matches the items to the operator's terms by key."""
 
     __slots__ = ()
 
@@ -292,22 +296,13 @@ class DecompositionPlan(_DecompositionPlanFields):
     def _trusted(items: tuple) -> "DecompositionPlan":
         """Wrap items already sorted by key, each key once, skipping the
         sort and check of the public constructor: the engine's plans list
-        their terms in ``_operator_terms`` order, which is key order."""
+        their terms in ``operator_terms`` order, which is key order."""
         return tuple.__new__(DecompositionPlan, (items,))
 
     @classmethod
     def _make(cls, iterable) -> "DecompositionPlan":
         """Build through the checked constructor; ``_replace`` calls this."""
         return cls(*iterable)
-
-    def get(self, key) -> TermPlan:
-        row, col, alpha = key
-        key = (row, col, tuple(alpha))
-        items = self.items
-        at = bisect_left(items, (key,))
-        if at == len(items) or items[at][0] != key:
-            raise PlanError(f"no plan for operator term {key}")
-        return items[at][1]
 
 
 def _validate_term_plan(alpha: MultiIndex, plan: TermPlan) -> None:
@@ -337,16 +332,13 @@ def _validate_term_plan(alpha: MultiIndex, plan: TermPlan) -> None:
         raise PlanError("exchanges must consume every kept odd axis")
 
 
-def _term_key(alpha: MultiIndex, row: int, col: int) -> tuple:
-    return (row, col, alpha)
-
-
-def _operator_terms(op: Operator) -> Iterator[tuple]:
-    """Yield (key, alpha, coeff, trial field, test field) per scalar term."""
+def operator_terms(op: Operator) -> Iterator[tuple]:
+    """Yield ((row, col, alpha), coeff) once per scalar term, in key
+    order: row is the term's test field and col its trial field."""
     for i, row in enumerate(grid(op)):
         for j, entry in enumerate(row):
             for alpha, coeff in entry.terms:
-                yield _term_key(alpha, i, j), alpha, coeff, j, i
+                yield (i, j, alpha), coeff
 
 
 def first_term_plan(alpha: MultiIndex) -> TermPlan:
@@ -365,8 +357,7 @@ def default_plan(op: Operator) -> DecompositionPlan:
     """The first plan of every term: ascending reduction path,
     lexicographically first transfer subset, ascending exchange pairing."""
     return DecompositionPlan._trusted(
-        tuple((key, first_term_plan(alpha))
-              for key, alpha, _, _, _ in _operator_terms(op))
+        tuple((key, first_term_plan(key[2])) for key, _ in operator_terms(op))
     )
 
 
@@ -387,7 +378,7 @@ def term_plan_count(alpha) -> int:
 def count_forms(op: Operator) -> int:
     """Size of the constructible family: prod over terms of O_alpha! sigma(alpha)."""
     total = 1
-    for _, alpha, _, _, _ in _operator_terms(op):
+    for (_, _, alpha), _ in operator_terms(op):
         total *= term_plan_count(alpha)
     return total
 
@@ -443,7 +434,7 @@ def enumerate_plans(op: Operator) -> Iterator[DecompositionPlan]:
     total = count_forms(op)
     if total > PLAN_CEILING:
         raise EnumerationLimit(total, PLAN_CEILING)
-    keys = [key for key, *_ in _operator_terms(op)]
+    keys = [key for key, _ in operator_terms(op)]
     if not keys:
         yield DecompositionPlan._trusted(())
         return
@@ -564,18 +555,26 @@ def decompose(op: Operator,
     bilinear pairing.  Never returns an unverified result.  Terms with
     equal alpha and equal term plan share one unit walk, placed on each
     term."""
-    # a supplied plan has every term's plan found and checked before any
-    # rewrite step runs; default_plan's are first_term_plan's, valid by
-    # construction
+    # the plan's items are matched to the terms, and a supplied plan's
+    # term plans checked, before any rewrite step runs; default_plan's are
+    # first_term_plan's, valid by construction
     supplied = plan is not None
     if not supplied:
         plan = default_plan(op)
+    unmatched = dict(plan.items)
     terms = []
-    for key, alpha, coeff, lf, rf in _operator_terms(op):
-        term_plan = plan.get(key)
+    for key, coeff in operator_terms(op):
+        row, col, alpha = key
+        term_plan = unmatched.pop(key, None)
+        if term_plan is None:
+            raise PlanError(f"no plan for operator term {(row, col, tuple(alpha))}")
         if supplied:
             _validate_term_plan(alpha, term_plan)
-        terms.append((alpha, coeff, lf, rf, term_plan))
+        terms.append((alpha, coeff, col, row, term_plan))
+    if unmatched:
+        row, col, alpha = next(iter(unmatched))
+        raise PlanError(f"plan names operator term {(row, col, tuple(alpha))}, "
+                        "which the operator lacks")
     n = op.dimension
     walks: dict = {}
     emitted = []
@@ -588,10 +587,11 @@ def decompose(op: Operator,
     return _gate(op, plan, emitted, bilinear_rhs(op))
 
 
-def _gate(op: Operator, plan: DecompositionPlan, emitted: list,
+def _gate(op: Operator, plan: DecompositionPlan | None, emitted: list,
           rhs: BilinearExpr) -> DivergenceDecomposition:
     """Sum the emitted (axis, flux) pairs into one flux per axis, then the
-    final gate: their divergence must equal the pairing ``rhs``."""
+    final gate: their divergence must equal the pairing ``rhs``.  The
+    result records `plan`, None for a sum of pieces that no plan names."""
     per_axis = [[] for _ in range(op.dimension)]
     for axis, flux in emitted:
         per_axis[axis].append(flux)
@@ -618,8 +618,8 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
     against the term's pairing, computed once.
     """
     n = op.dimension
-    for key, alpha, coeff, lf, rf in _operator_terms(op):
-        row, col, _ = key
+    for key, coeff in operator_terms(op):
+        row, col, alpha = key
         alone = ScalarPDO._trusted(op.axes, ((alpha, coeff),))
         if isinstance(op, MatrixPDO):
             zero = ScalarPDO._trusted(op.axes, ())
@@ -630,6 +630,6 @@ def term_pieces(op: Operator) -> Iterator[tuple]:
             ))
         rhs = bilinear_rhs(alone)
         walk = list(_walk_term(alpha, term_plans(alpha)))
-        placed = _place([emitted for _, emitted in walk], n, lf, rf, coeff)
+        placed = _place([emitted for _, emitted in walk], n, col, row, coeff)
         yield key, [_gate(alone, DecompositionPlan._trusted(((key, tp),)), fluxes, rhs)
                     for (tp, _), fluxes in zip(walk, placed)]

@@ -74,21 +74,6 @@ class ScalarPDO:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "ScalarPDO") -> "ScalarPDO":
-        if self.axes != other.axes:
-            raise ValueError("operators on different axes")
-        return ScalarPDO(self.axes, self.terms + other.terms)
-
-    def __neg__(self) -> "ScalarPDO":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ScalarPDO") -> "ScalarPDO":
-        return self + (-other)
-
-    def scale(self, value: PolyLike) -> "ScalarPDO":
-        c = Poly.coerce(value)
-        return ScalarPDO(self.axes, tuple((a, p * c) for a, p in self.terms))
-
 
 @dataclass(frozen=True)
 class MatrixPDO:

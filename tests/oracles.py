@@ -3,7 +3,8 @@
 Each one is an independent route to a result the engine computes another
 way, or a convenience the engine itself never needs: building an
 operator from loose terms through the checked constructor
-(``scalar_operator``), building pairings term by term, the multi-index
+(``scalar_operator``), sums and multiples of scalar operators
+(``operator_sum``), building pairings term by term, the multi-index
 steps ``incr`` and ``decr``, the tuple-based rewrite rules and their
 term walk (``reference_walk``, the reference for the engine's packed
 walk), adapters that run the packed rules on ``PairTerm`` and
@@ -62,6 +63,17 @@ def scalar_operator(axes, terms) -> ScalarPDO:
     and merges them."""
     items = terms.items() if isinstance(terms, Mapping) else terms
     return ScalarPDO(tuple(axes), tuple(items))
+
+
+def operator_sum(*parts) -> ScalarPDO:
+    """sum_t c_t L_t of (c_t, L_t) pairs, scalar operators on one axes
+    tuple, through the checked constructor, which merges the terms."""
+    axes = {op.axes for _, op in parts}
+    if len(axes) != 1:
+        raise ValueError("operators on different axes")
+    return ScalarPDO(axes.pop(), tuple((alpha, coeff * Poly.coerce(c))
+                                       for c, op in parts
+                                       for alpha, coeff in op.terms))
 
 
 # ---------------------------------------------------------------------------

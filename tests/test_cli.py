@@ -19,7 +19,7 @@ from conftest import random_multiindex, random_poly
 from oracles import format_operator, forms_equivalent, scalar_operator, term
 from fundform.algebra import BilinearExpr, product_rule
 from fundform.catalog import STOKES_JSON
-from fundform import cli, emit
+from fundform import cli, emit, forms
 from fundform.cli import main
 from fundform.decompose import (
     PLAN_CEILING,
@@ -27,6 +27,7 @@ from fundform.decompose import (
     count_forms,
     decompose,
     enumerate_plans,
+    operator_terms,
     term_plan_count,
 )
 from fundform.forms import assemble
@@ -252,8 +253,7 @@ def test_solved_numerator_chains_into_global_relation(capsys, text):
 
 def _planted_pieces(monkeypatch, index: int, piece: int) -> None:
     # piece `piece` of term `index` gains a flux whose divergence does not vanish
-    cli = importlib.import_module("fundform.cli")
-    real = cli.term_pieces
+    real = forms.term_pieces
 
     def planted(op):
         out = list(real(op))
@@ -265,7 +265,7 @@ def _planted_pieces(monkeypatch, index: int, piece: int) -> None:
             dec.plan, verified=True)
         return out
 
-    monkeypatch.setattr(cli, "term_pieces", planted)
+    monkeypatch.setattr(forms, "term_pieces", planted)
 
 
 def test_enumerate_detects_inequivalent_member(capsys, monkeypatch):
@@ -279,7 +279,7 @@ def test_enumerate_detects_inequivalent_member(capsys, monkeypatch):
 def test_enumerate_detects_bad_sibling_of_a_middle_term(capsys, monkeypatch):
     # TRIPLE's terms in plan-item order: Dz^2 (one piece), Dx^2*Dy^2 (two),
     # Dx^2*Dy^2*Dz^2 (six); the second piece of the middle term is bad
-    counts = [len(pieces) for _, pieces in cli.term_pieces(parse_operator(TRIPLE))]
+    counts = [len(pieces) for _, pieces in forms.term_pieces(parse_operator(TRIPLE))]
     assert counts == [1, 2, 6]
     _planted_pieces(monkeypatch, 1, 1)
     code, out, _ = run(capsys, "enumerate", "--op", TRIPLE)
@@ -315,14 +315,14 @@ def test_pairwise_verdict_differentiates_each_piece_once(monkeypatch):
         calls["product_rule"] += bool(in_verdict)
         return real_product_rule(*args)
 
-    real_verdict, real_product_rule = cli.exterior_derivative, algebra.product_rule
-    monkeypatch.setattr(cli, "exterior_derivative", verdict)
+    real_verdict, real_product_rule = forms.exterior_derivative, algebra.product_rule
+    monkeypatch.setattr(forms, "exterior_derivative", verdict)
     monkeypatch.setattr(algebra, "product_rule", product_rule_in_verdict)
     monkeypatch.setattr(engine, "divergence", counted("gates", engine.divergence))
     op = parse_operator(TRIPLE)
-    pieces = sum(term_plan_count(key[2]) for key, *_ in cli._operator_terms(op))
+    pieces = sum(term_plan_count(key[2]) for key, _ in operator_terms(op))
     assert pieces == 9
-    assert cli._pairwise_equivalent(op) is True
+    assert forms.pairwise_equivalent(op) is True
     assert calls == {"verdict": pieces, "gates": pieces + 1, "product_rule": 0}
 
 
@@ -1401,6 +1401,16 @@ CONSOLE_CASES = {
     "path-off-its-term": Console(PATHS + ["y,y"], 2, ("line", (
         "error: path (1, 1) does not use each axis k exactly alpha_k // 2 times "
         "for (2, 2)"))),
+    # a plan flag given more times than the operator has terms
+    "path-past-the-terms": Console(PATHS + ["y,x", "--path", "y"], 2, (
+        "line", "error: more --path flags (4) than operator terms (3)")),
+    "transfer-past-the-terms": Console(
+        ["decompose", "--op", "axes x,t; Dx*Dt", "--transfer", "t", "--transfer", "x"],
+        2, ("line", "error: more --transfer flags (2) than operator terms (1)")),
+    "exchange-past-the-terms": Console(
+        ["decompose", "--op", "axes x,t; Dx*Dt + Dt^2", "--exchange", "x:t",
+         "--exchange", "t:x", "--exchange", "x:t"],
+        2, ("line", "error: more --exchange flags (3) than operator terms (2)")),
     "help-at-60-columns": Console(["decompose", "--help"], 0,
                                   ("prefix", "usage: fundform decompose [-h]"),
                                   env={"COLUMNS": "60"}),

@@ -42,6 +42,7 @@ from fundform.decompose import (
     default_plan,
     enumerate_plans,
     exchange_step,
+    operator_terms,
     reduce_step,
     sigma_count,
     term_pieces,
@@ -598,7 +599,7 @@ def test_term_walk_matches_per_plan_route(text):
     # every piece of the walk is the term decomposed alone under its plan,
     # one plan at a time
     op = parse_operator(text)
-    coeffs = {key: coeff for key, _, coeff, _, _ in engine._operator_terms(op)}
+    coeffs = dict(operator_terms(op))
     seen = 0
     for key, pieces in term_pieces(op):
         alone = _term_alone(op, key, coeffs[key])
@@ -690,7 +691,7 @@ def test_equal_alpha_with_different_paths_walks_each():
     op = parse_operator(json.dumps({
         "axes": ["x", "y"], "fields": ["u", "v"],
         "entries": [["Dx^2*Dy^2", "0"], ["0", "2*Dx^2*Dy^2"]]}))
-    coeffs = {key: coeff for key, _, coeff, _, _ in engine._operator_terms(op)}
+    coeffs = dict(operator_terms(op))
     (first, _), (second, _) = coeffs.items()
     plans = {first: TermPlan(path=(0, 1)), second: TermPlan(path=(1, 0))}
     dec = decompose(op, DecompositionPlan(tuple(plans.items())))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_operator
-from oracles import brace, bracket, format_operator, scalar_operator
+from oracles import brace, bracket, format_operator, operator_sum, scalar_operator
 from fundform.algebra import BilinearExpr, BilinearTerm, MultiIndex, expr_sum
 from fundform.operators import (
     MatrixPDO,
@@ -349,8 +349,10 @@ def test_even_odd_split_examples():
     assert even.is_zero and odd == airy
     # the even-order part is the self-adjoint piece, the odd-order part
     # the skew-adjoint one
-    assert heat + adjoint(heat) == parse_operator("axes x,t; -2*Dx^2")
-    assert heat - adjoint(heat) == parse_operator("axes x,t; 2*Dt")
+    assert operator_sum((1, heat), (1, adjoint(heat))) == parse_operator(
+        "axes x,t; -2*Dx^2")
+    assert operator_sum((1, heat), (-1, adjoint(heat))) == parse_operator(
+        "axes x,t; 2*Dt")
 
 
 def test_even_odd_split_adjointness_randomized():
@@ -358,9 +360,9 @@ def test_even_odd_split_adjointness_randomized():
     for _ in range(30):
         op = random_operator(rng)
         even, odd = _even_odd_parts(op)
-        assert even + odd == op
+        assert operator_sum((1, even), (1, odd)) == op
         assert adjoint(even) == even
-        assert adjoint(odd) == -odd
+        assert adjoint(odd) == operator_sum((-1, odd))
 
 
 def test_bilinear_rhs_wave():

@@ -210,6 +210,17 @@ def test_term_plan_coerces_its_parts_to_tuples():
     assert TermPlan(path=iter([2, 1])).path == (2, 1)
 
 
+def _plan_refusal(text: str, plan: DecompositionPlan) -> str:
+    """The PlanError text of decompose on the operator `text` under `plan`."""
+    with pytest.raises(PlanError) as refused:
+        decompose(parse_operator(text), plan)
+    return str(refused.value)
+
+
+MISSED = "no plan for operator term {}"
+LACKED = "plan names operator term {}, which the operator lacks"
+
+
 def test_decomposition_plan_sorts_its_items():
     first = ((0, 0, MultiIndex((0, 2))), TermPlan((1,)))
     second = ((0, 0, MultiIndex((2, 0))), TermPlan((0,)))
@@ -217,14 +228,38 @@ def test_decomposition_plan_sorts_its_items():
     assert plan.items == (first, second)
     assert plan == DecompositionPlan((first, second))
     assert hash(plan) == hash(DecompositionPlan((first, second)))
-    assert plan.get((0, 0, (0, 2))) == TermPlan((1,))
-    assert plan.get((0, 0, (2, 0))) == TermPlan((0,))
-    # below, between and above the stored keys
-    for key in ((0, 0, (0, 1)), (0, 0, (1, 1)), (0, 0, (3, 0)), (0, 1, (0, 0))):
-        with pytest.raises(PlanError, match="no plan for operator term"):
-            plan.get(key)
-    with pytest.raises(PlanError, match="no plan for operator term"):
-        DecompositionPlan(()).get((0, 0, (2, 0)))
+    # decompose matches the items to the operator's terms by key, in
+    # either order of the terms
+    for text in ("axes x,y; Dx^2 + Dy^2", "axes x,y; Dy^2 + Dx^2"):
+        assert decompose(parse_operator(text), plan).plan == plan
+    # a term below, between or above the planned keys has no plan, and
+    # that is found before an item left over
+    for text, key in (("axes x,y; Dy", "(0, 0, (0, 1))"),
+                      ("axes x,y; Dx^2 + Dx*Dy + Dy^2", "(0, 0, (1, 1))"),
+                      ("axes x,y; Dx^3 + Dy^2", "(0, 0, (3, 0))")):
+        assert _plan_refusal(text, plan) == MISSED.format(key)
+    assert (_plan_refusal("axes x,y; Dx^2", DecompositionPlan(()))
+            == MISSED.format("(0, 0, (2, 0))"))
+    # an item for a term the operator lacks is refused, not ignored
+    assert _plan_refusal("axes x,y; Dy^2", plan) == LACKED.format("(0, 0, (2, 0))")
+    assert _plan_refusal("axes x,y; Dx^2", plan) == LACKED.format("(0, 0, (0, 2))")
+    assert _plan_refusal("axes x,y; 0", plan) == LACKED.format("(0, 0, (0, 2))")
+
+
+def test_matrix_plan_items_match_by_row_and_col():
+    # a 2x2 operator's terms are keyed by (row, col, alpha): an item with
+    # the right alpha at another entry matches nothing
+    text = json.dumps({"axes": ["x", "y"], "fields": ["u", "v"],
+                       "entries": [["Dx^2", "0"], ["0", "Dy^2"]]})
+    top = ((0, 0, (2, 0)), TermPlan((0,)))
+    bottom = ((1, 1, (0, 2)), TermPlan((1,)))
+    assert decompose(parse_operator(text), DecompositionPlan((bottom, top))).verified
+    moved = ((1, 0, (0, 2)), TermPlan((1,)))
+    assert (_plan_refusal(text, DecompositionPlan((top, moved)))
+            == MISSED.format("(1, 1, (0, 2))"))
+    for extra in (((0, 1, (2, 0)), TermPlan((0,))), ((1, 0, (2, 0)), TermPlan((0,)))):
+        assert (_plan_refusal(text, DecompositionPlan((top, bottom, extra)))
+                == LACKED.format(extra[0]))
 
 
 def test_decomposition_plan_refuses_a_term_named_twice():
@@ -277,8 +312,11 @@ def test_make_and_replace_go_through_the_checked_constructor():
                   DecompositionPlan(())._replace(items=(second, first))):
         assert built == DecompositionPlan((first, second))
         assert built.items == (first, second)
-        assert built.get((0, 0, (0, 2))) == TermPlan((1,))
-        assert built.get((0, 0, (2, 0))) == TermPlan((0,))
+        assert decompose(parse_operator("axes x,y; Dx^2 + Dy^2"), built).plan == built
+        assert (_plan_refusal("axes x,y; Dy^2", built)
+                == LACKED.format("(0, 0, (2, 0))"))
+        assert (_plan_refusal("axes x,y; Dx^2 + Dx*Dy", built)
+                == MISSED.format("(0, 0, (1, 1))"))
     with pytest.raises(PlanError, match="twice"):
         DecompositionPlan._make([(first, second, first)])
     with pytest.raises(PlanError, match="twice"):

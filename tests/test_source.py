@@ -62,6 +62,32 @@ def test_engine_modules_do_not_import_front_end_modules():
     assert ENGINE_MODULES <= {path.stem for path in SOURCES} and not found
 
 
+def test_front_end_modules_import_no_engine_privates():
+    # the front end reaches the engine through its public names, imported
+    # or read off an imported engine module; engine modules may share
+    # privates among themselves
+    found = []
+    for path in SOURCES:
+        if path.stem not in FRONT_END_MODULES:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        engines = set()  # globals that name an engine module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("fundform").lstrip(".")
+                if module in ENGINE_MODULES:
+                    found += [f"{path.name}:{node.lineno} {module}.{alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+                elif not module:
+                    engines |= {alias.asname or alias.name for alias in node.names
+                                if alias.name in ENGINE_MODULES}
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in engines
+                  and node.attr.startswith("_")]
+    assert FRONT_END_MODULES <= {path.stem for path in SOURCES} and not found
+
+
 NUMPY_BLOCKED = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
