@@ -53,13 +53,19 @@ pieces, and the sum_alpha O_alpha! sigma(alpha) pieces describe the family.
 ``decompose`` matches a plan to its operator in one pass: the plan's items
 go into one dict keyed by (row, col, alpha), and each operator term pops
 its own key, so a term with no item and an item for a term the operator
-lacks are both refused (PlanError) before any rewrite step runs.
+lacks are both refused (PlanError) before any rewrite step runs.  The
+checked constructors refuse a malformed plan as a plan too: an item
+that is not ((row, col, alpha), TermPlan), with int row and col and
+alpha a tuple of non-negative ints, a term plan's path, transfer or
+exchange that holds anything but int axes, and an exchange that is not
+a pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (_LIMIT, _WIDTH, BilinearExpr, MultiIndex, _field_offset,
@@ -242,6 +248,34 @@ _pair_collapse = collapse_step
 # Plans
 
 
+def _int_axes(values, what: str, size: int | None = None) -> tuple:
+    """`values` as a tuple, refused unless it holds int axes only, and
+    `size` of them when given."""
+    try:
+        axes = tuple(values)
+    except TypeError:
+        axes = None
+    if axes is None or not all(isinstance(k, int) for k in axes) or (
+            size is not None and len(axes) != size):
+        raise PlanError(f"{what} {values!r} is not {'a pair' if size else 'a sequence'} "
+                        "of int axes")
+    return axes
+
+
+def _check_plan_item(item) -> None:
+    """Refuse a plan item other than ((row, col, alpha), TermPlan) with an
+    int row and col and a tuple of non-negative ints for alpha."""
+    if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], TermPlan):
+        key = item[0]
+        if (isinstance(key, tuple) and len(key) == 3
+                and isinstance(key[0], int) and isinstance(key[1], int)
+                and isinstance(key[2], tuple)
+                and all(isinstance(e, int) and e >= 0 for e in key[2])):
+            return
+    raise PlanError(f"plan item {item!r} is not ((row, col, alpha), TermPlan) "
+                    "with int row and col and alpha a tuple of non-negative ints")
+
+
 class _TermPlanFields(NamedTuple):
     path: tuple
     transfer: tuple
@@ -258,15 +292,19 @@ class TermPlan(_TermPlanFields):
     exchanges  : ordered (trial-axis, test-axis) pairs, consuming each
                  transferred axis exactly once.
 
-    The constructor makes tuples of its parts; ``term_plans``, whose parts
-    are tuples already, builds with ``tuple.__new__``.
+    The constructor makes tuples of its parts and refuses a part that
+    holds anything but int axes, and an exchange that is not a pair;
+    ``term_plans``, whose parts are tuples already, builds with
+    ``tuple.__new__``.
     """
 
     __slots__ = ()
 
     def __new__(cls, path=(), transfer=(), exchanges=()) -> "TermPlan":
-        return tuple.__new__(cls, (tuple(path), tuple(transfer),
-                                   tuple(tuple(p) for p in exchanges)))
+        return tuple.__new__(cls, (_int_axes(path, "path"),
+                                   _int_axes(transfer, "transfer"),
+                                   tuple(_int_axes(pair, "exchange", 2)
+                                         for pair in exchanges)))
 
     @classmethod
     def _make(cls, iterable) -> "TermPlan":
@@ -280,13 +318,17 @@ class _DecompositionPlanFields(NamedTuple):
 
 class DecompositionPlan(_DecompositionPlanFields):
     """Per-term plans keyed by (test field, trial field, multi-index),
-    held sorted by key; a plan that names one term twice is refused.
-    ``decompose`` matches the items to the operator's terms by key."""
+    held sorted by key; an item of another shape, or a plan that names
+    one term twice, is refused.  ``decompose`` matches the items to the
+    operator's terms by key."""
 
     __slots__ = ()
 
     def __new__(cls, items) -> "DecompositionPlan":
-        items = tuple(sorted(items))
+        items = tuple(items)
+        for item in items:
+            _check_plan_item(item)
+        items = tuple(sorted(items, key=itemgetter(0)))
         for (key, _), (after, _) in zip(items, items[1:]):
             if key == after:
                 raise PlanError(f"plan names operator term {after} twice")

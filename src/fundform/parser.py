@@ -30,16 +30,28 @@ coefficient) pairs, one per multi-index: the canonical form of
 ``ScalarPDO``, so the operator is built from it with
 ``ScalarPDO._trusted``, without a second pass.  A sum keeps a running
 count of its merged terms, is refused at the first '+' or '-' that takes
-the count past ``MAX_TERMS``, and is merged once, at its end.  A product
-or power that could pass ``MAX_ORDER`` or ``MAX_TERMS`` is refused before
-it is formed; for a product of two one-term expansions, the common case,
-both bounds are read off the two terms.  A product with a one-term factor
-is then formed with no merge (every key of the other factor moves by one
-multi-index), and a one-term power whose coefficient is one monomial in
-one step; any other power multiplies one factor at a time, each step
-checked.  An integer literal stays an ``int`` unless a '/' makes it a
-``Fraction``, and the unit coefficient of a derivative factor is kept
-through products and powers, not multiplied.
+the count past ``MAX_TERMS``, and is sorted once, at its end.
+
+A product is read in one pass while its factors are one term each.  Such
+a factor is a ``D<axis>``, a declared parameter, ``i`` or a literal, each
+with an optional ``^n``, and it adds to one exponent list, one number
+and one monomial of parameters.  A one-term factor cannot pass
+``MAX_TERMS``, so the '*' before a derivative factor is refused only
+when the product's order would pass ``MAX_ORDER``; an exponent outside
+1..``MAX_ORDER`` is refused at the exponent.  A factor of several terms
+(a parenthesised expression) or a zero literal hands the product so far
+to ``multiply`` as one term, a '/' hands it to ``divide``, and the
+product goes on from the expansion they return.  A zero product has no
+terms and so no order: ``0*Dx^20*Dx^13`` is read, ``Dx^20*Dx^13*0`` is
+refused.  ``multiply`` and ``power`` refuse a product or power that
+could pass ``MAX_ORDER`` or ``MAX_TERMS`` before it is formed; for a
+product of two one-term expansions both bounds are read off the two
+terms.  A product with a one-term factor is then formed with no merge
+(every key of the other factor moves by one multi-index), and a one-term
+power whose coefficient is one monomial in one step; any other power
+multiplies one factor at a time, each step checked.  An integer literal
+stays an ``int`` unless a '/' makes it a ``Fraction``, and a product of
+derivative factors alone keeps the shared unit coefficient.
 
 No axis, parameter, field or spectral name is ``i`` (``ring.is_name``).
 Matrix operators come in as JSON:
@@ -52,11 +64,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .algebra import MultiIndex
 from .operators import MatrixPDO, Operator, ScalarPDO
-from .ring import (P_I, P_ONE, GaussianRational, Poly, is_name, merge_terms, quoted,
+from .ring import (P_ONE, QI_I, GaussianRational, Poly, is_name, merge_terms, quoted,
                    quoted_names)
 
 # Deepest parenthesis nesting the recursive-descent grammars accept; it
@@ -80,8 +93,11 @@ MAX_AXES = 64
 # the cost grows with the square of the node count.
 MAX_NODES = 1000
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<imag>\d+i)|(?P<int>\d+)"
-                       r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*^(),;/]))")
+# Only an imaginary literal and the integer it starts with share a first
+# character, so the imaginary one is tried first; symbols and names, the
+# most common tokens, are tried before both.
+_TOKEN_RE = re.compile(r"\s*(?:(?P<sym>[-+*^(),;/])|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<imag>\d+i)|(?P<int>\d+))")
 
 
 class TextSyntaxError(ValueError):
@@ -103,13 +119,16 @@ class OperatorSyntaxError(TextSyntaxError):
 class Parser:
     """The recursive descent of the module docstring over one text.
 
-    A grammar sets ``TOKEN`` (a pattern with the groups ``int``, ``ident``
-    and ``sym``, and any of its own), ``Error`` and ``Sum``, and supplies
-    ``atom()`` and the arithmetic of its values: ``negate(a)``,
-    ``multiply(a, b, pos)``, ``power(a, n, pos)`` and, when its ``sym``
-    group has '/', ``divide(a, n)``.  ``pos`` is the index of the operator
-    in the text.  ``Sum(parser, a)`` is a running sum that starts at `a`:
-    its ``add(b, pos)`` adds one term and checks the sum so far, and its
+    The text is read once into ``items``, one (kind, text, position) per
+    token and a last ``eof`` item, and the descent reads them by
+    ``index``.  A grammar sets ``TOKEN`` (a pattern with the groups
+    ``int``, ``ident`` and ``sym``, and any of its own), ``Error`` and
+    ``Sum``, and supplies ``atom()`` and the arithmetic of its values:
+    ``negate(a)``, ``multiply(a, b, pos)``, ``power(a, n, pos)`` and, when
+    its ``sym`` group has '/', ``divide(a, n)``.  ``pos`` is the index of
+    the operator in the text, for ``power`` that of the exponent.
+    ``Sum(parser, a)`` is a running sum that starts at `a`: its
+    ``add(b, pos)`` adds one term and checks the sum so far, and its
     ``total()`` is the sum, merged once.
     """
 
@@ -120,15 +139,15 @@ class Parser:
     def __init__(self, source: str) -> None:
         self.source = source
         self.items = items = []
-        pos = 0
+        end = 0
         for m in iter(self.TOKEN.scanner(source).match, None):
             kind = m.lastgroup
-            items.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        pos = len(source) - len(source[pos:].lstrip())
+            start, end = m.span(kind)
+            items.append((kind, source[start:end], start))
+        pos = len(source) - len(source[end:].lstrip())
         if pos < len(source):
             raise self.error(f"unexpected character {source[pos]!r}", pos)
-        self.items.append(("eof", "", pos))
+        items.append(("eof", "", pos))
         self.index = 0
         self.depth = 0
 
@@ -161,30 +180,38 @@ class Parser:
         return value
 
     def expr(self):
+        items = self.items
         negative = False
-        while self.peek()[1] in ("+", "-"):
-            negative ^= self.next()[1] == "-"
+        while (text := items[self.index][1]) in ("+", "-"):
+            negative ^= text == "-"
+            self.index += 1
         first = self.term()
         if negative:
             first = self.negate(first)
-        if self.peek()[1] not in ("+", "-"):
+        _, op, pos = items[self.index]
+        if op not in ("+", "-"):
             return first
         total = self.Sum(self, first)
-        while self.peek()[1] in ("+", "-"):
-            _, op, pos = self.next()
+        while op in ("+", "-"):
+            self.index += 1
             rhs = self.term()
             total.add(self.negate(rhs) if op == "-" else rhs, pos)
+            _, op, pos = items[self.index]
         return total.total()
 
     def term(self):
+        items = self.items
         total = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            _, op, pos = self.next()
+        while True:
+            _, op, pos = items[self.index]
             if op == "*":
+                self.index += 1
                 total = self.multiply(total, self.factor(), pos)
-            else:
+            elif op == "/":
+                self.index += 1
                 total = self.divide(total, self.denominator())
-        return total
+            else:
+                return total
 
     def integer(self, text: str, pos: int) -> int:
         """The integer token `text` at `pos`; refused there when too long."""
@@ -204,13 +231,18 @@ class Parser:
 
     def factor(self):
         base = self.atom()
-        if self.peek()[1] != "^":
+        if self.items[self.index][1] != "^":
             return base
-        self.next()
-        kind, text, pos = self.next()
+        return self.power(base, *self.exponent())
+
+    def exponent(self) -> tuple:
+        """The integer after the '^' at the current token, and its
+        position."""
+        kind, text, pos = self.items[self.index + 1]
+        self.index += 2
         if kind != "int":
             raise self.error("expected integer exponent", pos)
-        return self.power(base, self.integer(text, pos), pos)
+        return self.integer(text, pos), pos
 
     def nested(self, pos: int):
         """The expression after the '(' at `pos`, and its ')'."""
@@ -225,19 +257,21 @@ class Parser:
 
 
 def _parse_name_list(parser: Parser, what: str) -> list:
+    items = parser.items
     names = []
     seen = set()
     while True:
-        _, text, pos = parser.next()
+        _, text, pos = items[parser.index]
         if not is_name(text):
             raise parser.error(f"expected {what} name other than 'i'", pos)
         if text in seen:
             raise parser.error(f"duplicate {what} name {quoted(text)}", pos)
         names.append(text)
         seen.add(text)
-        if parser.peek()[1] != ",":
+        if items[parser.index + 1][1] != ",":
+            parser.index += 1
             return names
-        parser.next()
+        parser.index += 2
 
 
 def _parse_header(parser: Parser) -> tuple:
@@ -268,11 +302,23 @@ def term_count(terms: tuple) -> int:
     return sum(len(coeff.terms) for _, coeff in terms)
 
 
+def _order(terms: tuple) -> int:
+    """The highest order of an expansion's multi-indices; 0 for none."""
+    return max((alpha.order for alpha, _ in terms), default=0)
+
+
+@lru_cache(maxsize=64)
+def _derivative_axes(axes: tuple) -> dict:
+    """``D<axis>`` -> the axis's index, for one axes tuple: built once
+    and shared by every parser on those axes, so never changed."""
+    return {f"D{name}": k for k, name in enumerate(axes)}
+
+
 class _OperatorSum:
     """A sum of expansions read term by term: the coefficients by
     multi-index and the count of their monomials, so that every '+' is
-    checked against MAX_TERMS as a merge of the sum so far would be, and
-    the sum is merged once, at its end."""
+    checked against MAX_TERMS as a merge of the sum so far would be; the
+    dict is that merge, sorted once, at the sum's end."""
 
     def __init__(self, parser: Parser, first: tuple) -> None:
         self.parser = parser
@@ -296,7 +342,7 @@ class _OperatorSum:
                 f"operator expands beyond the limit of {MAX_TERMS} terms", pos)
 
     def total(self) -> tuple:
-        return merge_terms(self.coeffs.items())
+        return tuple(sorted(self.coeffs.items()))
 
 
 class _OperatorParser(Parser):
@@ -312,12 +358,9 @@ class _OperatorParser(Parser):
         super().__init__(source)
         if axes is None:
             axes, params = _parse_header(self)
-        self.axes = list(axes)
+        self.axes = tuple(axes)
         self.params = set(params)
-        self.zero = MultiIndex._trusted((0,) * len(self.axes))
-
-    def _const(self, poly: Poly) -> tuple:
-        return ((self.zero, poly),)
+        self.derivatives = _derivative_axes(self.axes)
 
     def negate(self, a: tuple) -> tuple:
         return tuple((alpha, -c) for alpha, c in a)
@@ -336,8 +379,7 @@ class _OperatorParser(Parser):
             order = alpha.order + beta.order
             count = len(ca.terms) * len(cb.terms)
         else:
-            order = max((alpha.order for alpha, _ in a), default=0) + max(
-                (beta.order for beta, _ in b), default=0)
+            order = _order(a) + _order(b)
             count = term_count(a) * term_count(b)
         if order > MAX_ORDER:
             raise self.error(f"operator exceeds the order limit of {MAX_ORDER}", pos)
@@ -358,13 +400,18 @@ class _OperatorParser(Parser):
             (alpha + beta, ca * cb) for alpha, ca in a for beta, cb in b
         )
 
-    def power(self, base: tuple, n: int, pos: int) -> tuple:
-        """`base` to the `n`th power, refused where the products that form
-        it one factor at a time would be."""
+    def exponent(self) -> tuple:
+        """The '^' exponent, refused at its position outside 1..MAX_ORDER."""
+        n, pos = super().exponent()
         if n < 1:
             raise self.error("expected positive integer exponent", pos)
         if n > MAX_ORDER:
             raise self.error(f"exponent exceeds the order limit of {MAX_ORDER}", pos)
+        return n, pos
+
+    def power(self, base: tuple, n: int, pos: int) -> tuple:
+        """`base` to the `n`th power, refused where the products that form
+        it one factor at a time would be."""
         # One term with a one-monomial coefficient stays one term of one
         # monomial, so only the order bound can refuse it.  A coefficient
         # of several monomials grows, and keeps the per-step checks.
@@ -380,39 +427,115 @@ class _OperatorParser(Parser):
             out = self.multiply(out, base, pos)
         return out
 
+    def term(self) -> tuple:
+        """A product, read as one exponent list and one coefficient while
+        its factors are one term each (see the module docstring)."""
+        items = self.items
+        derivatives = self.derivatives
+        params = self.params
+        width = len(self.axes)
+        # the expansion of the factors up to the last '/', zero literal or
+        # factor of several terms, and the one-term product since then:
+        # its exponents, its number and its parameters' exponents
+        done = None
+        exps, value, mono = [0] * width, 1, {}
+        order = 0  # of the whole product
+        star = None  # the '*' before the factor being read
+        while True:
+            kind, text, pos = items[self.index]
+            axis = derivatives.get(text)
+            several = None
+            if (axis is None and text != "i" and text not in params
+                    and kind not in ("int", "imag")):
+                # a parenthesised factor, or a token that atom() refuses
+                several = self.factor()
+            else:
+                self.index += 1
+                number = None if kind == "ident" else self.literal(kind, text, pos)
+                n = self.exponent()[0] if items[self.index][1] == "^" else 1
+                if axis is not None:
+                    if order + n > MAX_ORDER:
+                        raise self.error(
+                            f"operator exceeds the order limit of {MAX_ORDER}", star)
+                    exps[axis] += n
+                    if done != ():
+                        # a zero product stays zero, of order 0
+                        order += n
+                elif text == "i":
+                    value = value * (QI_I if n == 1 else QI_I ** n)
+                elif number is None:
+                    mono[text] = mono.get(text, 0) + n
+                elif number:
+                    value = value * (number if n == 1 else number ** n)
+                else:
+                    # a zero literal is the empty expansion: no expansion
+                    # holds a zero coefficient
+                    several = ()
+            if several is not None:
+                done = several if star is None else self.multiply(
+                    self._product(done, exps, value, mono), several, star)
+                exps, value, mono = [0] * width, 1, {}
+                order = _order(done)
+            _, op, star = items[self.index]
+            while op == "/":
+                self.index += 1
+                done = self.divide(self._product(done, exps, value, mono),
+                                   self.denominator())
+                exps, value, mono = [0] * width, 1, {}
+                _, op, star = items[self.index]
+            if op != "*":
+                return self._product(done, exps, value, mono)
+            self.index += 1
+
+    def _product(self, done: tuple | None, exps: list, value, mono: dict) -> tuple:
+        """The expansion `done` (none: the unit) times the one term of
+        exponents `exps` and coefficient `value` times the parameters of
+        `mono`."""
+        if value == 1 and not mono:
+            coeff = P_ONE
+            if done is not None and not any(exps):
+                return done
+        else:
+            if type(value) is not GaussianRational:
+                value = GaussianRational(value)
+            coeff = Poly._trusted((((tuple(sorted(mono.items())) if mono else ()),
+                                    value),))
+        alpha = MultiIndex._trusted(exps)
+        if done is None:
+            return ((alpha, coeff),)
+        # every key moves by alpha, and the order was checked at each '*'
+        return tuple((beta + alpha, c if coeff is P_ONE else c * coeff)
+                     for beta, c in done)
+
+    def literal(self, kind: str, text: str, pos: int):
+        """The integer, p/q or imaginary literal whose first token (kind,
+        text, pos) was just read: an int, or a Fraction or a
+        GaussianRational when a '/' or an 'i' makes it one."""
+        value = self.integer(text.rstrip("i"), pos)
+        if kind == "int" and self.items[self.index][1] == "/":
+            # the divisor's 'i' suffix makes the whole literal imaginary
+            kind, text, pos = self.items[self.index + 1]
+            self.index += 2
+            q = self.integer(text.rstrip("i"), pos) if kind in ("int", "imag") else 0
+            if q == 0:
+                raise self.error("expected nonzero integer denominator", pos)
+            value = Fraction(value, q)
+        if kind == "imag":
+            value = GaussianRational(0, value)
+        return value
+
     def atom(self) -> tuple:
+        """A parenthesised factor: ``term`` reads every one-term factor
+        itself, so any other token is refused here."""
         kind, text, pos = self.next()
-        if kind in ("int", "imag"):
-            value = self.integer(text.rstrip("i"), pos)
-            if kind == "int" and self.peek()[1] == "/":
-                self.next()
-                # the divisor's 'i' suffix makes the whole literal imaginary
-                kind, text, pos = self.next()
-                q = self.integer(text.rstrip("i"), pos) if kind in ("int", "imag") else 0
-                if q == 0:
-                    raise self.error("expected nonzero integer denominator", pos)
-                value = Fraction(value, q)
-            if kind == "imag":
-                value = GaussianRational(0, value)
-            # a zero literal is the empty expansion: no expansion holds a
-            # zero coefficient
-            return self._const(Poly.const(value)) if value else ()
+        if text == "(":
+            return self.nested(pos)
         if kind == "ident":
-            if text == "i":
-                return self._const(P_I)
-            if text.startswith("D") and text[1:] in self.axes:
-                alpha = [0] * len(self.axes)
-                alpha[self.axes.index(text[1:])] = 1
-                return ((MultiIndex._trusted(alpha), P_ONE),)
-            if text in self.params:
-                return self._const(Poly.var(text))
             if not self.axes:
                 raise self.error(f"unknown name {quoted(text)}", pos)
             if text.startswith("D") and len(text) > 1:
                 raise self.error(f"unknown axis {quoted(text[1:])}", pos)
             raise self.error(f"unknown parameter or axis name {quoted(text)}", pos)
-        if text == "(":
-            return self.nested(pos)
         found = text or "end of input"
         factor = "D<axis> factor" if self.axes else "name"
         raise self.error(

@@ -13,9 +13,12 @@ exactly, checking a rational parameterization at exact samples, the
 term-by-term exponential substitution
 (``reference_substitute``, the reference for the engine's packed one),
 the exterior derivative of a substituted form, reduction modulo a
-quadric, form equivalence, operator printing, the first printing of
-exact scalars and polynomials (``reference_scalar_text`` and
-``reference_poly_text``, the references for ``ring``'s), one derivative
+quadric, form equivalence, operator printing, the descent that read
+every factor of operator text as an expansion
+(``reference_parse_operator``, the reference for the parser's one-pass
+products), the first printing of exact scalars and polynomials
+(``reference_scalar_text`` and ``reference_poly_text``, the references
+for ``ring``'s), one derivative
 of an exponential polynomial, the face integrals of a relation one face
 at a time (``reference_face_integrals``), and the twelve-plan triple-product
 operator.  None of them is part of ``fundform``.
@@ -37,13 +40,14 @@ from fundform.manufactured import ExpPoly, _merge
 from fundform.operators import (MatrixPDO, Operator, ScalarPDO, exponential_slopes,
                                  grid, monomial, parameters)
 from fundform.parser import parse_scalar_operator
-from fundform.ring import (QI_ZERO, GaussianRational, Poly, PolyLike, merge_terms,
-                           pretty_name, signed_sum, times_text)
+from fundform.ring import (P_I, P_ONE, QI_ZERO, GaussianRational, Poly, PolyLike,
+                           merge_terms, pretty_name, quoted, signed_sum, times_text)
 from fundform.spectral import ConstraintVariety, SubstitutedForm
 from fundform.verify import (_axis_exponentials, _axis_sum, _face_grid,
                              _numeric_fluxes)
 
 engine = importlib.import_module("fundform.decompose")
+parser = importlib.import_module("fundform.parser")
 
 BRACKET = "bracket"
 BRACE = "brace"
@@ -521,6 +525,62 @@ def format_operator(op: Operator) -> str:
     if isinstance(op, ScalarPDO):
         return format_scalar_operator(op)
     return format_matrix_operator(op)
+
+
+class _ReferenceOperatorParser(parser._OperatorParser):
+    """The operator grammar as it read every factor before products of
+    one-term factors were read in one pass: each atom is an expansion,
+    and every '*' and '^' goes through ``multiply`` and ``power``."""
+
+    term = parser.Parser.term
+
+    def atom(self) -> tuple:
+        kind, text, pos = self.next()
+        zero = MultiIndex.zero(len(self.axes))
+        if kind in ("int", "imag"):
+            value = self.integer(text.rstrip("i"), pos)
+            if kind == "int" and self.peek()[1] == "/":
+                self.next()
+                kind, text, pos = self.next()
+                q = self.integer(text.rstrip("i"), pos) if kind in ("int", "imag") else 0
+                if q == 0:
+                    raise self.error("expected nonzero integer denominator", pos)
+                value = Fraction(value, q)
+            if kind == "imag":
+                value = GaussianRational(0, value)
+            return ((zero, Poly.const(value)),) if value else ()
+        if kind == "ident":
+            if text == "i":
+                return ((zero, P_I),)
+            if text.startswith("D") and text[1:] in self.axes:
+                alpha = [0] * len(self.axes)
+                alpha[self.axes.index(text[1:])] = 1
+                return ((MultiIndex(alpha), P_ONE),)
+            if text in self.params:
+                return ((zero, Poly.var(text)),)
+            if not self.axes:
+                raise self.error(f"unknown name {quoted(text)}", pos)
+            if text.startswith("D") and len(text) > 1:
+                raise self.error(f"unknown axis {quoted(text[1:])}", pos)
+            raise self.error(f"unknown parameter or axis name {quoted(text)}", pos)
+        if text == "(":
+            return self.nested(pos)
+        found = text or "end of input"
+        factor = "D<axis> factor" if self.axes else "name"
+        raise self.error(
+            f"expected a coefficient, {factor} or '(', found {quoted(found)}", pos)
+
+
+def reference_parse_operator(source: str) -> Operator:
+    """``parser.parse_operator`` with every operator text, a matrix
+    operator's entries included, read by ``_ReferenceOperatorParser``:
+    the reference for the parser's one-pass products."""
+    engine_reader = parser._OperatorParser
+    parser._OperatorParser = _ReferenceOperatorParser
+    try:
+        return parser.parse_operator(source)
+    finally:
+        parser._OperatorParser = engine_reader
 
 
 def reference_scalar_text(value: GaussianRational) -> str:

@@ -27,7 +27,8 @@ SEEDS = (1, 2, 3)
 
 
 def digests() -> dict:
-    """Workload name -> hex sha256 of its repeatable calls' outputs."""
+    """Workload name -> hex sha256 of the outputs of all its calls, the
+    enumerate anchors included."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 

@@ -2,13 +2,16 @@
 ``main`` exits 0, 1 or 2 and never raises; solution text is either read
 or refused with a SolutionSyntaxError that points into the text; every
 polynomial's text form reads back to the polynomial; the operator
-reader's products and powers equal the generic merge they shortcut; a
-call read from the CLI's option table gives the namespace argparse
-gives; the JSON writer prints what ``json.dumps`` prints."""
+reader's products and powers equal the generic merge they shortcut, and
+operator text reads as the descent that took every factor as an
+expansion read it; a call read from the CLI's option table gives the
+namespace argparse gives; the JSON writer prints what ``json.dumps``
+prints."""
 
 import contextlib
 import io
 import json
+import random
 from datetime import timedelta
 from fractions import Fraction
 
@@ -19,13 +22,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import random_operator  # noqa: E402
+from oracles import format_operator, reference_parse_operator  # noqa: E402
+
 from fundform.algebra import MultiIndex  # noqa: E402
 from fundform.catalog import CATALOG_TAGS  # noqa: E402
 from fundform.cli import COMMANDS, _read_call, build_parser, main  # noqa: E402
 from fundform.decompose import count_forms  # noqa: E402
 from fundform.emit import to_pretty_json  # noqa: E402
 from fundform.manufactured import SolutionSyntaxError, parse_solution  # noqa: E402
-from fundform.parser import _OperatorParser, parse_operator, parse_poly  # noqa: E402
+from fundform.parser import (OperatorSyntaxError, _OperatorParser,  # noqa: E402
+                             parse_operator, parse_poly)
 from fundform.ring import P_ONE, GaussianRational, Poly, merge_terms  # noqa: E402
 
 FUZZ_AXES = ("x", "y", "z", "t", "u", "w")  # at most 6 odd axes per term
@@ -274,6 +281,56 @@ def test_one_term_powers_match_repeated_multiplication(value, mono):
         for n in range(9):
             assert poly ** n == repeated
             repeated = repeated * poly
+
+
+# Products of one-term factors near the order bound, with zero literals,
+# '/' divisors and factors of several terms among them: half the factors
+# are derivative powers.
+_product_factors = st.one_of(
+    st.tuples(st.sampled_from(["Dx", "Dy"]),
+              st.sampled_from(["", "^13", "^16", "^20", "^32"])).map("".join),
+    st.sampled_from(["nu", "nu^2", "i", "i^3", "2", "2/3", "3i", "1/2i", "2^3",
+                     "0", "0i", "0^2", "(Dx+Dy)", "(Dx*Dy)^2", "(nu+1)",
+                     "(Dy^13+Dx)", "(0)", "Dq", "Dx^0", "nu^33"]),
+)
+
+
+@st.composite
+def product_text(draw):
+    text = draw(_product_factors)
+    for _ in range(draw(st.integers(0, 5))):
+        text += draw(st.sampled_from(["*", "*", "*", "/2"]))
+        if text[-1] == "*":
+            text += draw(_product_factors)
+    return "params nu; axes x,y; " + draw(st.sampled_from(["", "-"])) + text
+
+
+def _read(read, text: str) -> tuple:
+    """`read(text)` as (operator, its repr), or as (exception type, message)."""
+    try:
+        op = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return op, repr(op)
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(text=st.one_of(_op_text, structured_operator(), product_text()))
+def test_operator_text_reads_as_the_expansion_descent_read_it(text):
+    assert _read(parse_operator, text) == _read(reference_parse_operator, text)
+
+
+def test_printed_operators_read_as_the_expansion_descent_read_them():
+    # orders up to 40 put some products past MAX_ORDER at one of their '*'s
+    rng = random.Random(4001)
+    for _ in range(150):
+        op = random_operator(rng, max_dim=3, max_order=40,
+                             with_params=rng.random() < 0.5)
+        text = format_operator(op)
+        read = _read(parse_operator, text)
+        assert read == _read(reference_parse_operator, text)
+        assert read[0] == op or read[0] is OperatorSyntaxError
 
 
 # Option values: plain ones, ones with '-', '=' or spaces, signed and

@@ -233,6 +233,20 @@ def test_product_of_one_term_factors_refused_at_its_star():
                               f"terms (line 1, column {len(head) + 1})")
     # at the order limit the product is read
     assert parse_operator("axes x; Dx^16*Dx^16") == parse_operator("axes x; Dx^32")
+    # a zero literal's empty expansion carries no order
+    assert parse_operator("axes x; 0*Dx^20*Dx^13") == parse_operator("axes x; 0")
+    order = f"operator exceeds the order limit of {MAX_ORDER}"
+    for text, message, column in (
+            ("axes x; Dx^20*Dx^13*0", order, 14),
+            ("axes x; Dx^20/2*Dx^13", order, 16),
+            ("axes x,y; 2/3*Dx^20*Dx^13", order, 20),
+            ("axes x,y; Dx^20*(Dy^13+Dx)", order, 16),
+            ("params nu; axes x; nu^33*Dx",
+             f"exponent exceeds the order limit of {MAX_ORDER}", 23),
+            ("axes x,y; (Dx*Dy)^17", order, 19)):
+        with pytest.raises(OperatorSyntaxError) as err:
+            parse_operator(text)
+        assert str(err.value) == f"{message} (line 1, column {column})"
 
 
 def test_parse_errors_carry_positions():

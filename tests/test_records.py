@@ -278,6 +278,34 @@ def test_decomposition_plan_refuses_a_term_named_twice():
         DecompositionPlan(((key, TermPlan((0,))), ((0, 0, (2, 0)), TermPlan((0,)))))
 
 
+def test_malformed_plans_are_refused_as_plans():
+    # each used to fail in decompose with a TypeError, AttributeError or
+    # ValueError that named no plan item
+    good = TermPlan((1,))
+    shape = ("is not ((row, col, alpha), TermPlan) with int row and col and "
+             "alpha a tuple of non-negative ints")
+    for item in (((0, 0, [0, 2]), good), ((0, 0, (0, 2)), "junk"),
+                 ((0, 0, (0, -2)), good), ((0, 0.0, (0, 2)), good),
+                 ((0, 0), good), ((0, 0, (0, 2)), good, good), "junk"):
+        with pytest.raises(PlanError) as refused:
+            decompose(parse_operator("axes x,y; Dy^2"), DecompositionPlan((item,)))
+        assert str(refused.value) == f"plan item {item!r} {shape}"
+    # a malformed item is refused wherever it stands, before the sort
+    with pytest.raises(PlanError, match="plan item 'junk'"):
+        DecompositionPlan((((0, 0, (0, 2)), good), "junk"))
+    for exchange in ((0,), 0, (0, 1, 2), ([0], 1)):
+        with pytest.raises(PlanError) as refused:
+            TermPlan((), (1,), [exchange])
+        assert str(refused.value) == f"exchange {exchange!r} is not a pair of int axes"
+    for parts, refusal in ((((0, "a"),), "path (0, 'a')"), ((5,), "path 5"),
+                           (((0, 1), ([0],)), "transfer ([0],)")):
+        with pytest.raises(PlanError) as refused:
+            TermPlan(*parts)
+        assert str(refused.value) == f"{refusal} is not a sequence of int axes"
+    assert decompose(parse_operator("axes x,y; Dx*Dy"), DecompositionPlan(
+        (((0, 0, (1, 1)), TermPlan((), (1,), [[0, 1]])),))).verified
+
+
 def test_make_and_replace_go_through_the_checked_constructor():
     # NamedTuple's own _make and _replace build with tuple.__new__; each
     # checked record routes them through its constructor instead
